@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Performance benchmark harness: legacy byte-per-bit vs packed/batched paths.
+"""Performance benchmark harness: legacy byte-per-bit vs packed paths.
 
 Times the SC hot kernels -- SNG word generation, XNOR multiplication,
 sorter average pooling, sorter feature extraction, and end-to-end bit-exact
@@ -11,9 +11,12 @@ so the performance trajectory accumulates across PRs instead of being
 overwritten.
 
 End-to-end inference is timed through the execution-backend registry
-(:mod:`repro.backends`): the per-image legacy oracle vs the batched uint8
-path, and the batched path vs the word-packed data plane
-(``bit-exact-packed``), each entry recording the backend names it compared.
+(:mod:`repro.backends`): the per-image legacy oracle vs the word-packed
+data plane (``bit-exact-packed``), packed vs the compiled kernel tier
+(``bit-exact-native``), and a thread sweep over the ``workers`` option,
+each entry recording the backend names it compared.  Sweep points asking
+for more workers than the host has CPUs are written as ``skipped``, never
+as speedups.
 
 Every comparison **asserts bit-exactness** between the two paths before
 reporting a speedup: the packed engine is a faster representation of the
@@ -39,10 +42,12 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.api import Session
 from repro.backends import create_backend
 from repro.blocks.batched import feature_extraction_recurrence_words
 from repro.blocks.feature_extraction import SorterFeatureExtractionBlock
 from repro.blocks.pooling import SorterAveragePoolingBlock
+from repro.config import PredictOptions
 from repro.nn.architectures import LayerSpec, build_network
 from repro.nn.sc_layers import ScNetworkMapper
 from repro.rng.lfsr import Lfsr
@@ -63,6 +68,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 FULL_LENGTHS = (256, 1024, 8192)
 QUICK_LENGTHS = (256, 1024)
+
+#: Kernel name of the ``workers`` thread sweep (see :func:`bench_thread_scaling`).
+THREAD_SWEEP = "bit-exact-inference-threads"
 
 #: Approximate bit-operations per timed measurement; the inner repetition
 #: count of the cheap kernels is scaled so that even a fast path runs long
@@ -121,17 +129,16 @@ def _entry(
     """Time both paths, assert bit-exactness, and build one JSON record.
 
     Peak bytes are ``tracemalloc``-traced Python-heap allocations of one
-    run of each path (NumPy buffers are traced; memory of worker
-    *processes* spawned by the parallel backend is not, so its entries
-    measure the coordinator side only).  ``peak_bytes_ratio`` is the
+    run of each path (NumPy buffers are traced, on every thread).
+    ``peak_bytes_ratio`` is the
     new-path peak divided by the legacy peak -- the per-kernel memory
     delta the ISSUE 4 fused kernels are judged on.
     """
     legacy_seconds, legacy_result = _time_call(legacy_fn, legacy_repeats)
     new_seconds, new_result = _time_call(new_fn, new_repeats)
     assert check_equal(legacy_result, new_result), (
-        f"{kernel} @ N={stream_length}: packed/batched output differs from "
-        "the legacy path"
+        f"{kernel} @ N={stream_length}: new-path output differs from the "
+        "legacy path"
     )
     legacy_peak = _peak_bytes(legacy_fn)
     new_peak = _peak_bytes(new_fn)
@@ -345,89 +352,26 @@ def _bench_network_mapper(length: int) -> ScNetworkMapper:
 
 
 def bench_end_to_end(length: int, n_images: int) -> dict:
-    """Whole-network bit-exact inference: per-image legacy vs batched.
+    """Whole-network bit-exact inference: per-image legacy vs packed.
 
-    Both paths run through the execution-backend registry.
+    Both paths run through the execution-backend registry; the legacy
+    oracle is the baseline every end-to-end speedup is quoted against.
     """
     mapper = _bench_network_mapper(length)
     images = np.random.default_rng(11).random((n_images, 1, 28, 28))
     legacy = create_backend("bit-exact-legacy", mapper)
-    batched = create_backend("bit-exact-batched", mapper)
+    packed = create_backend("bit-exact-packed", mapper)
     return _entry(
         "bit-exact-inference",
         length,
         n_images * length,
         lambda: legacy.forward(images),
-        lambda: batched.forward(images),
-        lambda a, b: np.array_equal(a, b),
-        new_repeats=1,
-        backend="bit-exact-batched",
-        baseline_backend="bit-exact-legacy",
-    )
-
-
-def bench_packed_end_to_end(length: int, n_images: int) -> dict:
-    """Whole-network bit-exact inference: batched uint8 vs packed data plane.
-
-    The baseline here is the PR 1 *batched* path (not the per-image
-    legacy), so the recorded speedup isolates what the word-packed
-    inter-layer data plane buys on top of batching.
-    """
-    mapper = _bench_network_mapper(length)
-    images = np.random.default_rng(11).random((n_images, 1, 28, 28))
-    batched = create_backend("bit-exact-batched", mapper)
-    packed = create_backend("bit-exact-packed", mapper)
-    return _entry(
-        "bit-exact-inference-packed",
-        length,
-        n_images * length,
-        lambda: batched.forward(images),
         lambda: packed.forward(images),
         lambda a, b: np.array_equal(a, b),
         new_repeats=1,
         backend="bit-exact-packed",
-        baseline_backend="bit-exact-batched",
+        baseline_backend="bit-exact-legacy",
     )
-
-
-def bench_parallel_scaling(length: int, n_images: int, worker_counts) -> list:
-    """Worker-count scaling sweep of the process-sharded packed backend.
-
-    Baseline: the single-core ``bit-exact-packed`` forward.  Each sweep
-    point runs ``bit-exact-packed-mp`` with that many worker processes on
-    the same images and asserts bit-identical scores.  Speedups only
-    materialise with real cores (the entries record the host CPU count in
-    the report's ``host`` block); on a single-CPU host the sweep still
-    proves the sharded path's exactness and bounded IPC overhead.
-    """
-    mapper = _bench_network_mapper(length)
-    images = np.random.default_rng(11).random((n_images, 1, 28, 28))
-    packed = create_backend("bit-exact-packed", mapper)
-    packed.forward(images[:1])  # warm the workspace arena
-    entries = []
-    for workers in worker_counts:
-        parallel = create_backend(
-            "bit-exact-packed-mp", mapper, workers=workers
-        )
-        try:
-            parallel.forward(images)  # warm the pool (and worker arenas)
-            entries.append(
-                _entry(
-                    "bit-exact-inference-mp",
-                    length,
-                    n_images * length,
-                    lambda: packed.forward(images),
-                    lambda p=parallel: p.forward(images),
-                    lambda a, b: np.array_equal(a, b),
-                    new_repeats=1,
-                    backend="bit-exact-packed-mp",
-                    baseline_backend="bit-exact-packed",
-                    workers=workers,
-                )
-            )
-        finally:
-            parallel.close()
-    return entries
 
 
 def bench_native_fused_counts(length: int) -> dict:
@@ -554,42 +498,59 @@ def bench_native_end_to_end(length: int, n_images: int) -> dict:
 
 
 def bench_thread_scaling(length: int, n_images: int, worker_counts) -> list:
-    """Worker-count scaling sweep of the thread-sharded native backend.
+    """Worker-count sweep of ``PredictOptions(workers=...)`` on native.
 
-    The thread-mode counterpart of :func:`bench_parallel_scaling`: the
-    compiled kernels release the GIL, so shards genuinely overlap without
-    any process spawn or IPC cost.  Baseline is the single-core
-    ``bit-exact-native`` forward; comparing this sweep against the
-    process sweep at the same worker counts is the thread-vs-process
-    executor comparison in the report.
+    Every point shards the batch across that many threads through
+    :meth:`repro.api.Session.predict`; the compiled kernels release the
+    GIL, so shards genuinely overlap.  Baseline is the unsharded
+    ``bit-exact-native`` predict.  A point asking for more workers than
+    the host has CPUs would time the scheduler, not the backend: it is
+    recorded as ``skipped`` with no timing.
     """
     mapper = _bench_network_mapper(length)
     images = np.random.default_rng(11).random((n_images, 1, 28, 28))
-    single = create_backend("bit-exact-native", mapper)
-    single.forward(images[:1])  # warm the workspace arena
+    cpus = os.cpu_count() or 1
     entries = []
-    for workers in worker_counts:
-        parallel = create_backend(
-            "bit-exact-native-mp", mapper, workers=workers
-        )
-        try:
-            parallel.forward(images)  # warm the pool (and replica arenas)
+    with Session.from_network(
+        mapper.network,
+        weight_bits=mapper.weight_bits,
+        stream_length=length,
+        seed=mapper.seed,
+        backend="bit-exact-native",
+    ) as session:
+        session.predict(images[:1])  # warm the workspace arena
+        for workers in worker_counts:
+            if workers > cpus:
+                entries.append(
+                    {
+                        "kernel": THREAD_SWEEP,
+                        "stream_length": length,
+                        "backend": "bit-exact-native",
+                        "workers": workers,
+                        "skipped": f"workers {workers} > cpu_count {cpus}",
+                    }
+                )
+                print(
+                    f"  {THREAD_SWEEP}[w={workers}] skipped: "
+                    f"{entries[-1]['skipped']}"
+                )
+                continue
+            options = PredictOptions(workers=workers)
+            session.predict(images, options)  # warm the replica pool
             entries.append(
                 _entry(
-                    "bit-exact-inference-native-mp",
+                    THREAD_SWEEP,
                     length,
                     n_images * length,
-                    lambda: single.forward(images),
-                    lambda p=parallel: p.forward(images),
+                    lambda: session.predict(images).scores,
+                    lambda o=options: session.predict(images, o).scores,
                     lambda a, b: np.array_equal(a, b),
                     new_repeats=2,
-                    backend="bit-exact-native-mp",
+                    backend="bit-exact-native",
                     baseline_backend="bit-exact-native",
                     workers=workers,
                 )
             )
-        finally:
-            parallel.close()
     return entries
 
 
@@ -641,28 +602,30 @@ def _memory_regression_guard(entries: list) -> None:
 
 
 def _scaling_guard(entries: list, quick: bool) -> None:
-    """Multi-core guard: >= 2x over single-core packed with >= 4 workers.
+    """Multi-core guard: >= 2x over single-core native with >= 4 workers.
 
     Only enforceable where >= 4 real cores exist; on smaller hosts the
     sweep still asserts bit-exactness (inside ``_entry``) and the guard
     reports why it is skipped.
     """
     cpus = os.cpu_count() or 1
-    sweep = [e for e in entries if e["kernel"] == "bit-exact-inference-mp"]
+    sweep = [
+        e for e in entries if e["kernel"] == THREAD_SWEEP and "skipped" not in e
+    ]
     if not sweep:
         return
     best = max(e["speedup"] for e in sweep)
     if quick or cpus < 4:
         print(
-            f"  parallel scaling guard skipped (quick={quick}, cpus={cpus}); "
+            f"  thread scaling guard skipped (quick={quick}, cpus={cpus}); "
             f"best observed speedup {best:.2f}x"
         )
         return
-    eligible = [e for e in sweep if e.get("workers", 0) >= 4]
+    eligible = [e for e in sweep if e["workers"] >= 4]
     best4 = max(e["speedup"] for e in eligible)
     assert best4 >= 2.0, (
-        f"parallel backend reached only {best4:.2f}x over single-core "
-        f"packed with >= 4 workers on a {cpus}-CPU host"
+        f"{best4:.2f}x with >= 4 thread workers over single-core native "
+        f"on a {cpus}-CPU host; the sweep must reach >= 2x"
     )
 
 
@@ -721,13 +684,11 @@ def run(
             entries.append(bench_native_pack_comparator(length))
     # End-to-end inference is dominated by the legacy per-image cost, so it
     # runs at a single stream length (longer in the full sweep); the
-    # packed-vs-batched comparison has no per-image path and therefore
+    # packed-vs-native comparison has no per-image path and therefore
     # affords the long-stream regime where packing matters most.
     print("end-to-end:")
     if quick:
         entries.append(bench_end_to_end(256, n_images=2))
-        entries.append(bench_packed_end_to_end(1024, n_images=2))
-        entries.extend(bench_parallel_scaling(1024, n_images=4, worker_counts=(2,)))
         if native.available():
             entries.append(bench_native_end_to_end(1024, n_images=2))
             entries.extend(
@@ -735,10 +696,6 @@ def run(
             )
     else:
         entries.append(bench_end_to_end(1024, n_images=4))
-        entries.append(bench_packed_end_to_end(8192, n_images=4))
-        entries.extend(
-            bench_parallel_scaling(8192, n_images=8, worker_counts=(1, 2, 4))
-        )
         if native.available():
             entries.append(bench_native_end_to_end(8192, n_images=4))
             entries.extend(
@@ -767,6 +724,7 @@ def run(
                         "backend",
                         "baseline_backend",
                         "workers",
+                        "skipped",
                     )
                     if key in entry
                 }
@@ -786,6 +744,8 @@ def run(
     output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"\nwrote {output} ({len(history)} run(s) in history)")
     for entry in entries:
+        if "skipped" in entry:
+            continue
         print(
             f"  {entry['kernel']:<22s} N={entry['stream_length']:<6d} "
             f"{entry['speedup']:8.1f}x  "

@@ -11,7 +11,7 @@ Run with:  python examples/hardware_report.py [--backend bit-exact-packed]
 
 import argparse
 
-from repro.cli import add_backend_arguments, backend_epilog, backend_selection
+from repro.cli import add_backend_arguments, backend_epilog
 from repro.eval.hardware_report import (
     table4_sng,
     table5_feature_extraction,
@@ -31,7 +31,7 @@ HEADERS = [
 ]
 
 
-def backend_sanity_check(backend: str, **backend_options: object) -> None:
+def backend_sanity_check(backend: str, workers: int | None = None) -> None:
     """Train a small SNN briefly and evaluate it via the named backend."""
     from repro.api import Session
     from repro.datasets import generate_digit_dataset
@@ -51,7 +51,7 @@ def backend_sanity_check(backend: str, **backend_options: object) -> None:
             dataset.test_labels,
             backend=backend,
             max_images=16 if backend.startswith("bit-exact") else None,
-            **backend_options,
+            workers=workers,
         )
     print(
         f"  {result.mode}: accuracy {result.accuracy:.2f} on "
@@ -83,8 +83,7 @@ def main() -> None:
         best = max(row.energy_ratio for row in rows)
         print(f"best energy-efficiency gain in this table: {best:.2e}x")
     if args.backend:
-        name, options = backend_selection(args)
-        backend_sanity_check(name, **options)
+        backend_sanity_check(args.backend, workers=args.workers)
 
 
 if __name__ == "__main__":

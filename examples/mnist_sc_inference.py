@@ -23,7 +23,7 @@ import argparse
 import time
 
 from repro.api import Session
-from repro.cli import add_backend_arguments, backend_epilog, backend_selection
+from repro.cli import add_backend_arguments, backend_epilog
 from repro.datasets import generate_digit_dataset
 from repro.eval.network_report import network_hardware_rollup
 from repro.eval.tables import format_table
@@ -49,7 +49,7 @@ def main() -> None:
         "--bit-exact-images",
         type=int,
         default=None,
-        help="images simulated bit-exactly (default: 2 legacy-sized, 16 packed/batched)",
+        help="images simulated bit-exactly (default: 2 legacy-sized, 16 packed)",
     )
     parser.add_argument(
         "--save-model",
@@ -57,9 +57,6 @@ def main() -> None:
         help="export the trained network as a model artifact directory",
     )
     args = parser.parse_args()
-    # With --workers > 1 the chosen backend rides along as the parallel
-    # wrapper's inner backend (shared policy in repro.backends).
-    backend_name, backend_options = backend_selection(args)
 
     n_train, n_test = (800, 200) if args.quick else (3000, 600)
     epochs = args.epochs or (2 if args.quick else 5)
@@ -102,9 +99,9 @@ def main() -> None:
     bit_exact = session.evaluate(
         test_images,
         dataset.test_labels,
-        backend=backend_name,
+        backend=args.backend,
         max_images=n_bit_exact,
-        **backend_options,
+        workers=args.workers,
     )
 
     aqfp, cmos = network_hardware_rollup(

@@ -27,7 +27,6 @@ from repro.cli import (
     QUICK_DATASET,
     add_backend_arguments,
     backend_epilog,
-    backend_selection,
     tiny_serving_specs,
 )
 from repro.config import ServiceConfig
@@ -75,6 +74,7 @@ def main() -> None:
         parser,
         default="sc-fast",
         capability="progressive",
+        include_workers=False,
         include_stream_length=True,
         backend_help="progressive execution backend the worker replicas run",
     )
@@ -92,20 +92,15 @@ def main() -> None:
     if not args.model.exists():
         train_and_save(args.model, args.stream_length)
 
-    # With --workers > 1: one service worker thread whose replica shards
-    # each merged batch across a process pool (identical scores, more
-    # cores); the artifact path rides along so worker processes rehydrate
-    # replicas from the shared file instead of unpickling mappers.
-    backend, backend_options = backend_selection(args)
-    num_workers = 1 if backend_options else 2
+    backend = args.backend
     config = ServiceConfig(
         backend=backend,
         max_batch_size=16,
         max_wait_ms=5.0,
-        num_workers=num_workers,
+        num_workers=2,
         cache_capacity=256,
     )
-    session = Session.from_artifact(args.model, backend=backend, **backend_options)
+    session = Session.from_artifact(args.model, backend=backend)
     if session.stream_length != args.stream_length:
         print(
             f"note: serving at the artifact's stream length "
@@ -121,9 +116,8 @@ def main() -> None:
     stream_length = session.stream_length
     print(
         f"serving {n} requests + {n // 4} repeats through "
-        f"{config.num_workers} worker thread(s) ({backend}"
-        + (f", {args.workers} processes" if backend_options else "")
-        + f", N={stream_length}) from {args.model.name}..."
+        f"{config.num_workers} worker thread(s) ({backend}, "
+        f"N={stream_length}) from {args.model.name}..."
     )
     with session, session.serve(config) as service:
         futures = [service.submit(test_images[i]) for i in range(n)]

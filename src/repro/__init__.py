@@ -35,7 +35,7 @@ Superconducting Technology" (Cai et al., ISCA 2019).  It contains:
   counters, Prometheus text exposition and a JSONL structured event log.
 
 The package logs under the stdlib ``repro`` logger hierarchy (replica
-restarts, circuit-breaker trips, overload sheds, native-tier compile
+restarts, fleet worker deaths, overload sheds, native-tier compile
 fallbacks).  Library convention: a ``NullHandler`` is installed so
 nothing prints unless the application configures logging.
 """

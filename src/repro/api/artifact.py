@@ -24,7 +24,7 @@ directory holding
 to the original (streams depend only on the quantised weights, the stream
 configuration and the seed, all of which the artifact pins), so scores
 under any bit-exact backend are identical across save/load and across
-processes -- asserted by ``tests/test_api.py`` and the CI ``cli-smoke``
+processes -- asserted by ``tests/test_api.py`` and the CI ``smoke``
 job.
 
 Version policy: loading rejects a different *major* version (the layout
@@ -295,10 +295,9 @@ class ScModel:
     def read_manifest(cls, path: str | Path) -> dict[str, Any]:
         """Parse and version-check an artifact's manifest (weights untouched).
 
-        Cheap enough for config cross-checks (e.g.
-        :class:`~repro.backends.parallel.ParallelBackend` validating that
-        a shared artifact matches the mapper it was constructed with)
-        without loading the weight arrays.
+        Cheap enough for catalog listings and reload checks (e.g. the
+        model registry comparing manifests) without loading the weight
+        arrays.
         """
         path = Path(path)
         manifest_path = path / _MANIFEST
@@ -348,8 +347,7 @@ class ScModel:
         if not weights_path.is_file():
             raise _corrupt(path, f"missing {_WEIGHTS}")
         # One read serves both the digest check and the array load (every
-        # ParallelBackend worker rehydrating from a shared artifact pays
-        # this path).
+        # fleet worker rehydrating from a shared artifact pays this path).
         payload = weights_path.read_bytes()
         recorded = manifest.get("weights_sha256")
         if recorded is not None:

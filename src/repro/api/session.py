@@ -13,9 +13,8 @@ artifact or built from a freshly trained network), owns the
 :class:`~repro.nn.sc_layers.ScNetworkMapper` and a cache of constructed
 execution backends, resolves per-request
 :class:`~repro.config.PredictOptions` against the model's stream length,
-and hands the micro-batching service everything it needs -- including the
-artifact path, so process-sharded replicas rehydrate from the shared file
-instead of pickling mappers per worker.
+and hands the micro-batching service and the worker fleet everything they
+need (the fleet's worker processes rehydrate from the artifact path).
 
 `ScInferenceEngine`, ``repro.serve``, the evaluation reports, the examples
 and the ``python -m repro`` CLI are all rewired through this facade; new
@@ -31,8 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.api.artifact import ScModel
-from repro.backends import backend_class, create_backend, resolve_parallel_backend
-from repro.backends.parallel import ParallelBackend
+from repro.backends import ParallelBackend, backend_class, create_backend
 from repro.config import FleetConfig, PredictOptions, ServiceConfig
 from repro.errors import ConfigurationError
 from repro.serve import FleetRouter, ScInferenceService, progressive_forward
@@ -81,8 +79,8 @@ class Session:
         backend: default registry backend name (validated eagerly so a
             typo fails at construction, not at first predict).
         artifact_path: artifact directory this session was loaded from
-            (``None`` for in-memory models); forwarded to process-sharded
-            backends so worker replicas rehydrate from the shared file.
+            (``None`` for in-memory models); the worker processes of
+            :meth:`serve_fleet` rehydrate from it.
         **backend_options: default constructor options for every backend
             this session builds (e.g. ``position_chunk``).
     """
@@ -168,31 +166,42 @@ class Session:
         Args:
             name: registry name; ``None`` uses the session default.
             **options: backend constructor options, merged over the
-                session-level defaults.  Process-sharded backends of a
-                session loaded from an artifact automatically receive the
-                artifact path so their worker replicas rehydrate from the
-                shared file.
+                session-level defaults.
+        """
+        return self._executor(name, None, options)
+
+    def _executor(
+        self, name: str | None, workers: int | None, options: dict
+    ) -> "Backend":
+        """Cached backend ``name``, thread-sharded when ``workers > 1``.
+
+        The one place a ``workers`` request turns into an executor: the
+        chosen backend rides along as the inner backend of a
+        :class:`~repro.backends.ParallelBackend`, which rejects backends
+        that are not ``batch_invariant``.
         """
         if self._closed:
             raise ConfigurationError("session is closed")
         name = name or self.backend_name
         merged = {**self.backend_options, **options}
-        if (
-            self.artifact_path is not None
-            and issubclass(backend_class(name), ParallelBackend)
-        ):
-            merged.setdefault("artifact_path", str(self.artifact_path))
+        workers = max(1, workers or 1)
+
+        def build() -> "Backend":
+            if workers == 1:
+                return create_backend(name, self.mapper, **merged)
+            return ParallelBackend(
+                self.mapper, workers, inner_backend=name, **merged
+            )
+
         try:
-            key = (name, tuple(sorted(merged.items())))
+            key = (name, workers, tuple(sorted(merged.items())))
             cached = self._backends.get(key)
         except TypeError:
             # Unhashable option values (the lookup hashes the key):
             # construct without caching.
-            return create_backend(name, self.mapper, **merged)
+            return build()
         if cached is None:
-            cached = self._backends[key] = create_backend(
-                name, self.mapper, **merged
-            )
+            cached = self._backends[key] = build()
         return cached
 
     # -- inference -------------------------------------------------------------
@@ -205,9 +214,8 @@ class Session:
     ) -> PredictResult:
         """Class scores and predictions under per-request options.
 
-        Resolution: ``options.workers`` (with ``options.executor``)
-        selects a sharded
-        wrapper via the shared :func:`resolve_parallel_backend` policy; an
+        Resolution: ``options.workers > 1`` shards the batch across that
+        many threads (the backend must be ``batch_invariant``); an
         explicit per-request ``stream_length`` / ``checkpoints`` schedule
         is read from stream prefixes (requires a progressive backend);
         ``early_exit`` applies the serving layer's stability + margin
@@ -223,10 +231,7 @@ class Session:
             backend: registry name overriding the session default.
         """
         resolved = (options or PredictOptions()).resolve(self.stream_length)
-        name, parallel_options = resolve_parallel_backend(
-            backend or self.backend_name, resolved.workers, resolved.executor
-        )
-        executor = self.backend(name, **parallel_options)
+        executor = self._executor(backend, resolved.workers, {})
         if resolved.explicit_schedule and not executor.progressive:
             raise ConfigurationError(
                 f"backend {executor.name!r} is not progressive: per-request "
@@ -279,7 +284,6 @@ class Session:
         backend: str | None = None,
         max_images: int | None = None,
         workers: int | None = None,
-        executor: str | None = None,
         **options: object,
     ):
         """Accuracy of the model under the named execution backend.
@@ -291,11 +295,8 @@ class Session:
             backend: registry name; ``None`` uses the session default.
             max_images: optional cap on the number of images evaluated
                 (bounds the memory of the bit-exact backends).
-            workers: shard the evaluation across this many workers
-                (shared :func:`resolve_parallel_backend` policy).
-            executor: ``"process"`` / ``"thread"`` shard executor;
-                ``None`` picks by inner backend (threads for the
-                compiled native tier).
+            workers: shard the evaluation across this many threads (the
+                backend must be ``batch_invariant``).
             **options: forwarded to the backend constructor.
 
         Returns:
@@ -311,12 +312,7 @@ class Session:
             raise ConfigurationError("max_images must be >= 1")
         images = np.asarray(images)[:max_images]
         labels = np.asarray(labels)[:max_images]
-        name, parallel_options = resolve_parallel_backend(
-            backend or self.backend_name, workers, executor
-        )
-        # Explicit caller options win over the resolved sharding defaults
-        # (e.g. a caller-provided inner_backend).
-        executor = self.backend(name, **{**parallel_options, **options})
+        executor = self._executor(backend, workers, options)
         accuracy = executor.accuracy(images, labels)
         return InferenceResult(
             accuracy, len(labels), self.stream_length, executor.name
@@ -344,10 +340,7 @@ class Session:
             raise ConfigurationError("session is closed")
         config = config or ServiceConfig(backend=self.backend_name)
         return ScInferenceService(
-            self.mapper,
-            config,
-            artifact_path=self.artifact_path,
-            **{**self.backend_options, **backend_options},
+            self.mapper, config, **{**self.backend_options, **backend_options}
         )
 
     def serve_fleet(self, config: FleetConfig | None = None) -> FleetRouter:
@@ -410,7 +403,7 @@ class Session:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Release every cached backend (process pools, arenas)."""
+        """Release every cached backend (thread pools, arenas)."""
         if self._closed:
             return
         self._closed = True

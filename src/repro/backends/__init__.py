@@ -13,18 +13,16 @@ name                      bit-exact stochastic packed  progressive what it runs
 ``float``                 no        no         --      no          trained float network
 ``sc-fast``               no        yes        --      yes         fast statistical model
 ``bit-exact-legacy``        yes     yes        no      yes         per-image oracle
-``bit-exact-batched``       yes     yes        no      yes         batched uint8 path
 ``bit-exact-packed``        yes     yes        yes     yes         packed data plane
 ``bit-exact-native``        yes     yes        yes     yes         packed plane, compiled kernels
-``bit-exact-packed-mp``     yes     yes        yes     yes         packed plane, process-sharded
-``bit-exact-native-mp``     yes     yes        yes     yes         native plane, thread-sharded
 ========================= ========= ========== ======= =========== =====================
 
 All ``bit-exact-*`` backends produce *identical* scores; they only
 differ in speed.  ``batch_invariant`` backends guarantee per-image scores
 independent of batch composition, which is what lets
-:class:`~repro.backends.parallel.ParallelBackend` shard batches across a
-process pool bit-exactly.  ``progressive`` backends additionally implement
+:class:`~repro.backends.parallel.ParallelBackend` shard one batch across
+threads bit-exactly -- the unregistered wrapper every ``workers`` option
+selects.  ``progressive`` backends additionally implement
 :meth:`~repro.backends.base.Backend.forward_partial` (class scores at
 intermediate stream-length checkpoints), the primitive the serving layer
 (:mod:`repro.serve`) uses for micro-batched inference with
@@ -37,11 +35,7 @@ flags, implement ``forward``, and decorate the class with
 from repro.backends.base import Backend
 from repro.backends.native import BitExactNativeBackend
 from repro.backends.packed import BitExactPackedBackend
-from repro.backends.parallel import (
-    NativeParallelBackend,
-    ParallelBackend,
-    resolve_parallel_backend,
-)
+from repro.backends.parallel import ParallelBackend
 from repro.backends.registry import (
     backend_class,
     backend_names,
@@ -50,7 +44,6 @@ from repro.backends.registry import (
     register_backend,
 )
 from repro.backends.standard import (
-    BitExactBatchedBackend,
     BitExactLegacyBackend,
     FastStatisticalBackend,
     FloatBackend,
@@ -66,10 +59,7 @@ __all__ = [
     "FloatBackend",
     "FastStatisticalBackend",
     "BitExactLegacyBackend",
-    "BitExactBatchedBackend",
     "BitExactPackedBackend",
     "BitExactNativeBackend",
     "ParallelBackend",
-    "NativeParallelBackend",
-    "resolve_parallel_backend",
 ]

@@ -72,7 +72,7 @@ class Backend(abc.ABC):
     #: True when each image's scores are independent of which other images
     #: share its batch (``forward(images)[i] == forward(images[i:i+1])[0]``
     #: for every ``i``).  This is what makes a backend safe to shard
-    #: across processes (:mod:`repro.backends.parallel`) and to
+    #: across threads (:mod:`repro.backends.parallel`) and to
     #: micro-batch transparently (:mod:`repro.serve`).  All bit-exact
     #: backends hold it by construction (stream draws are shared across
     #: the batch); ``sc-fast`` does not (its injected decoding noise is
@@ -207,14 +207,14 @@ class Backend(abc.ABC):
         )
 
     def close(self) -> None:
-        """Release backend-held resources (process pools, arenas).
+        """Release backend-held resources (thread pools, arenas).
 
         The contract every backend must honour:
 
         * **Idempotent** -- calling ``close()`` any number of times is
           safe and cheap; a second close is a no-op.
         * **Use-after-close** -- backends that own operating-system
-          resources (e.g. the process pool of
+          resources (e.g. the thread pool of
           :class:`~repro.backends.parallel.ParallelBackend`) must reject
           ``forward`` / ``forward_partial`` after ``close()`` with a
           :class:`~repro.errors.ConfigurationError` rather than silently

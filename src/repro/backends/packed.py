@@ -1,7 +1,7 @@
 """Bit-exact inference on a fully word-packed, fused, allocation-free data plane.
 
 :class:`BitExactPackedBackend` runs the same block simulation as the
-legacy and batched backends -- identical streams, identical counter
+legacy oracle -- identical streams, identical counter
 recurrences, bit-identical scores -- but keeps the inter-layer feature
 maps **word-packed** (64 stream bits per ``uint64``) from the SNG output
 all the way to the categorization chain, and executes every layer through
@@ -88,14 +88,13 @@ class BitExactPackedBackend(Backend):
         position_chunk: optional cap on CONV output positions / FC neurons
             per fused-reduction chunk; ``None`` picks automatically from
             the memory budget.  CONV chunks are materialised in whole
-            output rows (matching the batched backend), so the effective
-            floor is one row of positions.
+            output rows, so the effective floor is one row of positions.
 
     A backend instance owns one :class:`~repro.workspace.Workspace` and is
     therefore **not** safe for concurrent ``forward()`` calls from several
     threads; give each thread (or serving-worker replica) its own
     instance, which is what :class:`~repro.serve.ScInferenceService` and
-    the process-sharded parallel backend do anyway.
+    the thread-sharded :class:`~repro.backends.ParallelBackend` do anyway.
     """
 
     name = "bit-exact-packed"
@@ -206,7 +205,7 @@ class BitExactPackedBackend(Backend):
         """Packed categorization-output streams for a batch of images.
 
         The stream randomness is drawn in exactly the order and shape of
-        the legacy / batched paths (one shared comparison-draw tensor,
+        the legacy path (one shared comparison-draw tensor,
         then per-layer weight and bias streams), so the decoded scores are
         bit-identical to
         :meth:`~repro.nn.sc_layers.ScNetworkMapper.bit_exact_forward_legacy`.

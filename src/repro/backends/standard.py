@@ -11,8 +11,6 @@ that scores are unchanged mode for mode:
   (quantised weights, hardware transfer curves, optional stream noise).
 * :class:`BitExactLegacyBackend` -- the per-image, small-chunk bit-exact
   block simulation (the equivalence oracle and perf baseline).
-* :class:`BitExactBatchedBackend` -- the whole-layer batched bit-exact
-  path introduced in PR 1.
 
 The fully packed data plane lives in
 :class:`repro.backends.packed.BitExactPackedBackend`.
@@ -33,7 +31,6 @@ __all__ = [
     "FloatBackend",
     "FastStatisticalBackend",
     "BitExactLegacyBackend",
-    "BitExactBatchedBackend",
 ]
 
 #: Image batch size used by the float and fast statistical backends; the
@@ -190,57 +187,6 @@ class BitExactLegacyBackend(Backend):
                 )
                 for image in images
             ]
-        )
-        return prefix_chain_scores(
-            pack_bits(streams), points, self.stream_length
-        )
-
-
-@register_backend
-class BitExactBatchedBackend(Backend):
-    """Whole-layer batched bit-exact simulation (the PR 1 fast path).
-
-    Args:
-        mapper: the SC network mapper.
-        position_chunk: optional cap on positions / neurons per product
-            tensor; ``None`` picks automatically from the memory budget.
-    """
-
-    name = "bit-exact-batched"
-    description = "batched byte-per-bit block simulation (whole layers per call)"
-    bit_exact = True
-    stochastic = True
-    progressive = True
-    batch_invariant = True
-
-    def __init__(
-        self, mapper: ScNetworkMapper, position_chunk: int | None = None
-    ) -> None:
-        super().__init__(mapper)
-        if position_chunk is not None and position_chunk < 1:
-            raise ConfigurationError("position_chunk must be >= 1")
-        self.position_chunk = position_chunk
-
-    def forward(self, images: np.ndarray) -> np.ndarray:
-        return self.mapper.bit_exact_forward_batch(
-            self._check_images(images), position_chunk=self.position_chunk
-        )
-
-    def forward_partial(self, images: np.ndarray, checkpoints) -> np.ndarray:
-        """Checkpoint scores via prefix popcounts of the output streams.
-
-        One batched simulation produces the raw categorization-output
-        streams; every checkpoint is then a prefix popcount over their
-        packed words -- the same path the packed backend takes, so the
-        checkpoint scores are bit-identical across all bit-exact backends
-        and the final checkpoint (when it equals ``N``) reproduces
-        :meth:`forward` exactly.
-        """
-        points = self._check_checkpoints(checkpoints)
-        streams = self.mapper.bit_exact_forward_batch(
-            self._check_images(images),
-            position_chunk=self.position_chunk,
-            return_streams=True,
         )
         return prefix_chain_scores(
             pack_bits(streams), points, self.stream_length

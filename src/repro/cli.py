@@ -25,11 +25,11 @@ in-process with three lines of Python:
 * ``backends``  -- list the execution-backend registry.
 
 This module also hosts the **shared backend argparse wiring**
-(:func:`add_backend_arguments` / :func:`backend_selection` /
-:func:`backend_epilog`), used by every example script and the CLI alike
-so the ``--backend`` / ``--workers`` / ``--stream-length`` flags cannot
-drift between entry points.  Heavy imports happen inside the subcommand
-handlers to keep ``python -m repro backends --help`` instant.
+(:func:`add_backend_arguments` / :func:`backend_epilog`), used by every
+example script and the CLI alike so the ``--backend`` / ``--workers`` /
+``--stream-length`` flags cannot drift between entry points.  Heavy
+imports happen inside the subcommand handlers to keep ``python -m repro
+backends --help`` instant.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from pathlib import Path
 
 __all__ = [
     "add_backend_arguments",
-    "backend_selection",
     "backend_epilog",
     "tiny_serving_specs",
     "QUICK_DATASET",
@@ -67,9 +66,8 @@ def add_backend_arguments(
     One helper instead of the near-identical wiring formerly copied
     across every example: choices come from the live registry (optionally
     filtered by a capability flag such as ``"bit_exact"`` or
-    ``"progressive"``) and the ``--workers`` semantics are the shared
-    :func:`repro.backends.resolve_parallel_backend` policy, resolved by
-    :func:`backend_selection`.
+    ``"progressive"``), and ``--workers`` feeds the ``workers`` option of
+    :meth:`repro.api.Session.predict` / :meth:`~repro.api.Session.evaluate`.
 
     Args:
         parser: the parser (or subparser) to extend.
@@ -77,7 +75,7 @@ def add_backend_arguments(
             with no default).
         capability: only offer backends whose class sets this capability
             flag (e.g. ``"bit_exact"``, ``"progressive"``).
-        include_workers: add ``--workers`` (process sharding).
+        include_workers: add ``--workers`` (thread sharding of a batch).
         include_stream_length: add ``--stream-length``.
         stream_length_default: default for ``--stream-length``.
         backend_help: override the ``--backend`` help text.
@@ -108,36 +106,9 @@ def add_backend_arguments(
             "--workers",
             type=int,
             default=None,
-            help="shard batches across this many workers (selects a sharded "
-            "'-mp' wrapper backend; scores stay bit-identical)",
+            help="shard each batch across this many threads (the backend "
+            "must be batch-invariant; scores stay bit-identical)",
         )
-        parser.add_argument(
-            "--executor",
-            choices=("process", "thread"),
-            default=None,
-            help="how --workers shards run: 'process' (process pool + "
-            "shared memory) or 'thread' (thread pool; effective when the "
-            "compiled native kernels release the GIL).  Default: threads "
-            "for the native tier, processes otherwise",
-        )
-
-
-def backend_selection(args: argparse.Namespace) -> tuple[str, dict]:
-    """Resolve parsed ``--backend`` / ``--workers`` / ``--executor`` flags.
-
-    Returns:
-        ``(backend_name, backend_options)`` ready for
-        :func:`repro.backends.create_backend`,
-        :meth:`repro.api.Session.backend`, or any ``backend=`` /
-        ``**options`` forwarding call site.
-    """
-    from repro.backends import resolve_parallel_backend
-
-    return resolve_parallel_backend(
-        args.backend,
-        getattr(args, "workers", None),
-        getattr(args, "executor", None),
-    )
 
 
 def backend_epilog() -> str:
@@ -279,15 +250,13 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
     from repro.api import PredictOptions, Session
 
-    backend, backend_options = backend_selection(args)
     options = PredictOptions(
         stream_length=args.stream_length,
         checkpoints=tuple(args.checkpoints) if args.checkpoints else None,
         early_exit=True if args.early_exit else None,
+        workers=args.workers,
     )
-    with Session.from_artifact(
-        args.model, backend=backend, **backend_options
-    ) as session:
+    with Session.from_artifact(args.model, backend=args.backend) as session:
         images, labels = _test_images(session, args.images)
         result = session.predict(images, options)
     correct = int((result.predictions == labels).sum())
@@ -319,12 +288,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.api import Session
 
-    backend, backend_options = backend_selection(args)
-    with Session.from_artifact(
-        args.model, backend=backend, **backend_options
-    ) as session:
+    with Session.from_artifact(args.model, backend=args.backend) as session:
         images, labels = _test_images(session, args.max_images)
-        result = session.evaluate(images, labels)
+        result = session.evaluate(images, labels, workers=args.workers)
     print(
         f"accuracy {result.accuracy:.4f} over {result.n_images} images "
         f"under {result.mode} (N = {result.stream_length})"
@@ -451,12 +417,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("serve: --model (or --registry) is required", file=sys.stderr)
         return 2
 
-    backend, backend_options = backend_selection(args)
+    backend = args.backend
     config = ServiceConfig(
         backend=backend,
         max_batch_size=args.max_batch_size,
         max_wait_ms=args.max_wait_ms,
-        num_workers=1 if backend_options else args.service_workers,
+        num_workers=args.service_workers,
         cache_capacity=args.cache_capacity,
         max_queue_depth=args.max_queue_depth,
         shed_unmeetable_deadlines=args.shed_unmeetable_deadlines,
@@ -481,9 +447,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     snapshot = None
     previous_handlers = _install_drain_handlers()
     try:
-        with Session.from_artifact(
-            args.model, backend=backend, **backend_options
-        ) as session:
+        with Session.from_artifact(args.model, backend=backend) as session:
             images, labels = _test_images(session, args.requests)
             n = images.shape[0]
             if fleet:
@@ -674,16 +638,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.config import ServiceConfig
     from repro.obs import prometheus_text
 
-    backend, backend_options = backend_selection(args)
     config = ServiceConfig(
-        backend=backend,
-        num_workers=1 if backend_options else args.service_workers,
+        backend=args.backend,
+        num_workers=args.service_workers,
         cache_capacity=args.cache_capacity,
         trace_sample_rate=args.trace_sample_rate,
     )
-    with Session.from_artifact(
-        args.model, backend=backend, **backend_options
-    ) as session:
+    with Session.from_artifact(args.model, backend=args.backend) as session:
         _responses, snapshot, _traces = _run_service_burst(
             session, config, args.requests
         )
@@ -726,17 +687,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.api import Session
     from repro.config import ServiceConfig
 
-    backend, backend_options = backend_selection(args)
     config = ServiceConfig(
-        backend=backend,
-        num_workers=1 if backend_options else args.service_workers,
+        backend=args.backend,
+        num_workers=args.service_workers,
         cache_capacity=args.cache_capacity,
         trace_sample_rate=1.0,
         trace_capacity=max(256, args.requests),
     )
-    with Session.from_artifact(
-        args.model, backend=backend, **backend_options
-    ) as session:
+    with Session.from_artifact(args.model, backend=args.backend) as session:
         responses, snapshot, traces = _run_service_burst(
             session, config, args.requests
         )
@@ -958,15 +916,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--requests", type=int, default=32, help="single-image requests"
     )
-    add_backend_arguments(serve, capability="progressive")
+    add_backend_arguments(
+        serve, capability="progressive", include_workers=False
+    )
     serve.add_argument("--max-batch-size", type=int, default=16)
     serve.add_argument("--max-wait-ms", type=float, default=5.0)
     serve.add_argument(
         "--service-workers",
         type=int,
         default=2,
-        help="service worker threads (forced to 1 when --workers shards "
-        "across processes instead)",
+        help="service worker threads, each owning one backend replica",
     )
     serve.add_argument("--cache-capacity", type=int, default=256)
     serve.add_argument(
@@ -1044,7 +1003,9 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument(
         "--requests", type=int, default=32, help="single-image requests"
     )
-    add_backend_arguments(metrics, capability="progressive")
+    add_backend_arguments(
+        metrics, capability="progressive", include_workers=False
+    )
     metrics.add_argument("--service-workers", type=int, default=2)
     metrics.add_argument("--cache-capacity", type=int, default=256)
     metrics.add_argument(
@@ -1069,7 +1030,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--requests", type=int, default=8, help="single-image requests"
     )
-    add_backend_arguments(trace, capability="progressive")
+    add_backend_arguments(
+        trace, capability="progressive", include_workers=False
+    )
     trace.add_argument("--service-workers", type=int, default=2)
     trace.add_argument("--cache-capacity", type=int, default=256)
     trace.add_argument(

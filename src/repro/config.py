@@ -594,17 +594,12 @@ class PredictOptions:
             exits at the *first* checkpoint), trading precision for
             punctuality per request.  Results evaluated under a deadline
             are never stored in the result cache.
-        workers: shard the evaluation across this many workers
-            (`repro.backends.parallel`); honoured by
-            :meth:`repro.api.Session.predict` at backend selection time
-            and ignored by :class:`~repro.serve.ScInferenceService`,
-            whose replica pool is fixed at construction.
-        executor: how the ``workers`` shards run: ``"process"`` (process
-            pool + shared-memory buffers) or ``"thread"`` (thread pool
-            over in-process replicas; effective when the compiled native
-            kernels release the GIL).  ``None`` picks threads for the
-            native tier and processes otherwise (the
-            :func:`repro.backends.resolve_parallel_backend` policy).
+        workers: shard the batch across this many threads
+            (:class:`repro.backends.ParallelBackend`); honoured by
+            :meth:`repro.api.Session.predict`, which rejects it on a
+            backend that is not ``batch_invariant``.  The serving layers
+            scale by replicas and worker processes instead, so
+            :class:`~repro.serve.ScInferenceService` ignores it.
 
     Raises:
         ConfigurationError: on any out-of-domain field (non-positive
@@ -617,7 +612,6 @@ class PredictOptions:
     early_exit: bool | None = None
     deadline_ms: float | None = None
     workers: int | None = None
-    executor: str | None = None
 
     def __post_init__(self) -> None:
         if self.stream_length is not None and self.stream_length < 1:
@@ -646,10 +640,6 @@ class PredictOptions:
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1, got {self.workers}"
-            )
-        if self.executor not in (None, "process", "thread"):
-            raise ConfigurationError(
-                f"executor must be 'process' or 'thread', got {self.executor!r}"
             )
 
     def resolve(
@@ -702,7 +692,6 @@ class PredictOptions:
             ),
             deadline_ms=self.deadline_ms,
             workers=self.workers,
-            executor=self.executor,
             explicit_schedule=(
                 self.stream_length is not None or self.checkpoints is not None
             ),
@@ -719,9 +708,7 @@ class ResolvedPredictOptions:
             :attr:`stream_length`.
         early_exit: whether the stability + margin policy may exit early.
         deadline_ms: request latency budget (``None`` = none).
-        workers: requested worker shards (``None`` = backend default).
-        executor: requested shard executor (``"process"`` / ``"thread"``
-            / ``None`` = pick by inner backend).
+        workers: requested thread shards (``None`` = no sharding).
         explicit_schedule: the request named its own stream length or
             checkpoints (and therefore *requires* a progressive backend
             rather than degrading to a full forward pass).
@@ -732,7 +719,6 @@ class ResolvedPredictOptions:
     early_exit: bool
     deadline_ms: float | None
     workers: int | None
-    executor: str | None = None
     explicit_schedule: bool = False
 
     @property

@@ -172,13 +172,14 @@ class ScInferenceEngine:
         labels: np.ndarray,
         max_images: int = 32,
         position_chunk: int | None = None,
-        backend: str = "bit-exact-batched",
+        backend: str = "bit-exact-packed",
     ) -> InferenceResult:
         """Accuracy of a bit-exact block simulation on a batch of images.
 
         All ``bit-exact-*`` backends produce identical scores; ``backend``
-        selects the implementation speed (``"bit-exact-packed"`` is the
-        fastest).  Reports the historical ``"sc-bit-exact"`` mode label.
+        selects the implementation speed (``"bit-exact-legacy"`` is the
+        per-image oracle).  Reports the historical ``"sc-bit-exact"`` mode
+        label.
         """
         result = self.evaluate(
             images,
@@ -193,7 +194,7 @@ class ScInferenceEngine:
 
     def classify_bit_exact(self, image: np.ndarray) -> tuple[int, np.ndarray]:
         """Bit-exact class prediction and scores for a single image."""
-        scores = self.mapper.bit_exact_forward(np.asarray(image, dtype=np.float64))
+        scores = self.backend("bit-exact-packed").forward(image)[0]
         return int(np.argmax(scores)), scores
 
     def layer_inventories(

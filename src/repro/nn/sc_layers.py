@@ -9,14 +9,13 @@ and executes it in the stochastic-computing domain in two ways:
   stochastic decoding noise of finite streams.  This is the model used to
   evaluate accuracy on the full test set.
 * **bit-exact simulation** -- every layer is executed on actual bit streams
-  through the block implementations in :mod:`repro.blocks`.  The batched
-  path (:meth:`ScNetworkMapper.bit_exact_forward_batch`) advances **all**
-  block instances of a layer -- every output pixel and neuron, across a
-  whole batch of images -- through the counter recurrences in one
-  vectorised call per layer, which makes bit-exact validation of dozens of
-  images routine.  A literal per-image, small-chunk implementation is kept
-  as :meth:`ScNetworkMapper.bit_exact_forward_legacy` for equivalence
-  testing and as the perf baseline of ``benchmarks/bench_perf.py``.
+  through the block implementations in :mod:`repro.blocks`.  The mapper
+  keeps the literal per-image, small-chunk implementation
+  (:meth:`ScNetworkMapper.bit_exact_forward_legacy`) as the equivalence
+  oracle and the perf baseline of ``benchmarks/bench_perf.py``, plus the
+  word-packed stream generation (:meth:`ScNetworkMapper.input_stream_words`,
+  :meth:`ScNetworkMapper.weight_stream_words`) the fast backends of
+  :mod:`repro.backends` build on.
 
 The mapper also produces the per-layer block inventory (how many feature
 extraction / pooling / categorization / SNG blocks of which size), which the
@@ -329,59 +328,10 @@ class ScNetworkMapper:
 
     # -- bit-exact simulation ---------------------------------------------------
 
-    #: Target size (bytes) for the transient XNOR-product tensors of the
-    #: batched bit-exact path.  Empirically the sweet spot: large enough
-    #: that the per-cycle recurrence advances thousands of block instances
-    #: per NumPy call, small enough that the product tensor stays
-    #: cache/bandwidth friendly instead of thrashing main memory.
-    _PRODUCT_BYTES_BUDGET = 12 * 1024 * 1024
-
-    def _auto_chunk(self, bytes_per_item: int) -> int:
-        """Positions/neurons per chunk so products stay near the budget.
-
-        Floors at 1: when a single position/neuron already exceeds the
-        budget, the chunk must not multiply that oversized tensor further.
-        """
-        return max(1, self._PRODUCT_BYTES_BUDGET // max(1, bytes_per_item))
-
-    def input_stream_bits(
-        self, images: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """SNG conversion of a batch of images to input bit streams.
-
-        This is the shared stream-generation preamble of every bit-exact
-        execution path (batched and packed): quantise to the SNG
-        comparator levels, then compare against **one** draw tensor shared
-        across the batch -- mirroring the legacy path, where every image
-        re-seeded the generator and therefore compared against the same
-        draws.  Keeping it in one place is what guarantees the backends
-        consume the RNG identically and stay bit-for-bit interchangeable.
-
-        Args:
-            images: ``(batch, channels, height, width)`` images in
-                ``[0, 1]`` (a single ``(channels, height, width)`` image
-                is also accepted).
-            rng: stream-generation random generator.
-
-        Returns:
-            0/1 ``uint8`` array of shape ``(batch, channels, height,
-            width, N)``.
-        """
-        images = np.asarray(images, dtype=np.float64)
-        if images.ndim == 3:
-            images = images[None]
-        if images.ndim != 4:
-            raise ShapeError(
-                f"expected (batch, channels, height, width), got {images.shape}"
-            )
-        value = self._quantize_activations(images * 2.0 - 1.0)
-        draws = rng.random(value.shape[1:] + (self.stream_length,))
-        return (draws[None, ...] < ((value + 1.0) / 2.0)[..., None]).astype(np.uint8)
-
     #: Target bytes of live SNG comparison draws when streams are packed
     #: directly (the draws are float64 -- eight bytes per stream cycle --
     #: so bounding them is what keeps the packed data plane's stream
-    #: generation an order of magnitude below the byte-per-bit paths).
+    #: generation an order of magnitude below the byte-per-bit oracle).
     _DRAWS_BYTES_BUDGET = 16 * 1024 * 1024
 
     def _stream_value_chunk(self) -> int:
@@ -394,7 +344,7 @@ class ScNetworkMapper:
         """Chunked draw -> compare -> pack core of the word-direct paths.
 
         One comparison-draw row is consumed per value (last axis of
-        ``p``), in C order, exactly as the byte-per-bit paths consume
+        ``p``), in C order, exactly as the byte-per-bit oracle consumes
         them -- this single loop is what keeps the RNG-consumption
         contract of :meth:`input_stream_words` and
         :meth:`weight_stream_words` in one place.  Leading axes of ``p``
@@ -443,13 +393,14 @@ class ScNetworkMapper:
     ) -> np.ndarray:
         """Word-packed SNG conversion of a batch of images.
 
-        Bit-identical to ``pack_bits(self.input_stream_bits(images, rng))``
-        -- same quantisation, same RNG consumption order (one draw tensor
-        shared across the batch, values in C order) -- but the comparison
-        draws are generated in bounded chunks along the value axis and
-        packed immediately, so the full-stream ``float64`` draw tensor and
-        the byte-per-bit stream tensor never exist.  This is the packed
-        backend's input preamble.
+        Bit-identical to the input streams of
+        :meth:`bit_exact_forward_legacy` -- same quantisation, same RNG
+        consumption order (one draw tensor shared across the batch, as
+        the legacy path re-seeds per image; values in C order) -- but the
+        comparison draws are generated in bounded chunks along the value
+        axis and packed immediately, so the full-stream ``float64`` draw
+        tensor and the byte-per-bit stream tensor never exist.  This is
+        the packed backend's input preamble.
 
         Args:
             images: ``(batch, channels, height, width)`` images in
@@ -491,206 +442,6 @@ class ScNetworkMapper:
         )
         return words.reshape(np.shape(q) + (words.shape[-1],))
 
-    def bit_exact_forward_batch(
-        self,
-        images: np.ndarray,
-        rng: np.random.Generator | None = None,
-        position_chunk: int | None = None,
-        return_streams: bool = False,
-    ) -> np.ndarray:
-        """Run a batch of images through actual bit streams and the blocks.
-
-        One call advances every block instance of a layer (every output
-        pixel / neuron, for all images) through the counter recurrences
-        simultaneously.  The stream randomness is drawn exactly as the
-        single-image path always did -- one comparison-draw tensor shared
-        by all images, then per-layer weight and bias streams -- so each
-        image's scores are bit-identical to running
-        :meth:`bit_exact_forward_legacy` on it alone.
-
-        Args:
-            images: ``(batch, channels, height, width)`` images in
-                ``[0, 1]`` (a single ``(channels, height, width)`` image is
-                also accepted).
-            rng: stream-generation random generator.
-            position_chunk: optional cap on CONV output positions / FC
-                neurons processed per product tensor; defaults to an
-                automatic choice fitting the memory budget.
-            return_streams: return the raw categorization-output bit
-                streams instead of their decoded means.  Any prefix of
-                these streams is exactly what the hardware would have
-                produced had it stopped that many cycles in (every block
-                is causal in the stream axis), which is what the
-                progressive checkpoints of the batched backend decode.
-
-        Returns:
-            ``(batch, n_classes)`` decoded class scores, or -- with
-            ``return_streams`` -- the 0/1 ``uint8`` output streams of
-            shape ``(batch, n_classes, N)``.
-        """
-        rng = rng or np.random.default_rng(self.seed)
-        n = self.stream_length
-        bits = self.input_stream_bits(images, rng)
-        dense_layers = [l for l in self.network.layers if isinstance(l, Dense)]
-        dense_seen = 0
-        for layer in self.network.layers:
-            if isinstance(layer, Conv2D):
-                bits = self._batched_conv(bits, layer, rng, position_chunk)
-            elif isinstance(layer, AvgPool2D):
-                bits = self._batched_pool(bits, layer)
-            elif isinstance(layer, Flatten):
-                bits = bits.reshape(bits.shape[0], -1, n)
-            elif isinstance(layer, Dense):
-                dense_seen += 1
-                is_output = dense_seen == len(dense_layers)
-                bits = self._batched_dense(bits, layer, rng, is_output, position_chunk)
-            elif isinstance(layer, (HardwareActivation, ClipActivation, LogitScale)):
-                continue
-            else:  # pragma: no cover - defensive
-                raise ConfigurationError(
-                    f"cannot map layer {type(layer).__name__} to SC hardware"
-                )
-        if return_streams:
-            return bits
-        return 2.0 * bits.mean(axis=-1) - 1.0
-
-    def bit_exact_forward(
-        self, image: np.ndarray, rng: np.random.Generator | None = None,
-        position_chunk: int | None = None,
-    ) -> np.ndarray:
-        """Run a single image through actual bit streams and the blocks.
-
-        Args:
-            image: ``(channels, height, width)`` image in ``[0, 1]``.
-            rng: stream-generation random generator.
-            position_chunk: how many output positions to process at a time
-                (memory / speed trade-off); ``None`` picks automatically.
-
-        Returns:
-            ``(n_classes,)`` decoded class scores.
-        """
-        image = np.asarray(image, dtype=np.float64)
-        if image.ndim != 3:
-            raise ShapeError(f"expected (channels, height, width), got {image.shape}")
-        return self.bit_exact_forward_batch(
-            image[None], rng=rng, position_chunk=position_chunk
-        )[0]
-
-    def _batched_conv(
-        self,
-        bits: np.ndarray,
-        layer: Conv2D,
-        rng: np.random.Generator,
-        position_chunk: int | None,
-    ) -> np.ndarray:
-        n = self.stream_length
-        batch, channels, height, width, _ = bits.shape
-        kernel = layer.kernel_size
-        stride = layer.stride
-        pad = (kernel - 1) // 2 if layer.padding == "same" else 0
-        if pad:
-            padded = np.pad(
-                bits, ((0, 0), (0, 0), (pad, pad), (pad, pad), (0, 0))
-            )
-        else:
-            padded = bits
-        out_h = (height + 2 * pad - kernel) // stride + 1
-        out_w = (width + 2 * pad - kernel) // stride + 1
-        # Zero-copy sliding windows over (H, W); patches are materialised
-        # only one position chunk at a time, so peak memory is bounded by
-        # the chunk, never by the whole im2col tensor.
-        windows = np.lib.stride_tricks.sliding_window_view(
-            padded, (kernel, kernel), axis=(2, 3)
-        )[:, :, ::stride, ::stride]  # (B, C, out_h, out_w, N, k, k)
-        weight_bits = self.weight_stream_bits(layer.weights, rng)  # (out_ch, fan_in, N)
-        bias_bits = self.weight_stream_bits(layer.bias, rng)  # (out_ch, N)
-        out_ch = layer.out_channels
-        fan_in = layer.fan_in
-        block = SorterFeatureExtractionBlock(fan_in + 1)
-        chunk = position_chunk or self._auto_chunk(batch * out_ch * (fan_in + 2) * n)
-        row_chunk = max(1, chunk // out_w)
-        output = np.empty((batch, out_ch, out_h * out_w, n), dtype=np.uint8)
-        for row_start in range(0, out_h, row_chunk):
-            row_end = min(out_h, row_start + row_chunk)
-            # (B, C, rows, out_w, N, k, k) -> (B, rows*out_w, fan_in, N),
-            # with the im2col channel-major (C, kh, kw) patch layout.
-            p_chunk = np.ascontiguousarray(
-                windows[:, :, row_start:row_end].transpose(0, 2, 3, 1, 5, 6, 4)
-            ).reshape(batch, (row_end - row_start) * out_w, fan_in, n)
-            pc = p_chunk.shape[1]
-            products = np.empty((batch, pc, out_ch, fan_in + 1, n), dtype=np.uint8)
-            np.bitwise_xor(
-                p_chunk[:, :, None, :, :],
-                weight_bits[None, None, :, :, :],
-                out=products[..., :fan_in, :],
-            )
-            np.bitwise_xor(
-                products[..., :fan_in, :], 1, out=products[..., :fan_in, :]
-            )
-            products[..., fan_in, :] = bias_bits[None, None, :, :]
-            activated = block.forward_products(products)  # (B, pc, out_ch, N)
-            start = row_start * out_w
-            output[:, :, start : start + pc] = activated.transpose(0, 2, 1, 3)
-        return output.reshape(batch, out_ch, out_h, out_w, n)
-
-    def _batched_pool(self, bits: np.ndarray, layer: AvgPool2D) -> np.ndarray:
-        batch, channels, height, width, n = bits.shape
-        p = layer.pool_size
-        out_h, out_w = height // p, width // p
-        trimmed = bits[:, :, : out_h * p, : out_w * p]
-        grouped = trimmed.reshape(batch, channels, out_h, p, out_w, p, n)
-        grouped = grouped.transpose(0, 1, 2, 4, 3, 5, 6).reshape(
-            batch, channels, out_h, out_w, p * p, n
-        )
-        block = SorterAveragePoolingBlock(p * p)
-        return block.forward_bits(grouped)  # closed form: (B, C, out_h, out_w, N)
-
-    def _batched_dense(
-        self,
-        bits: np.ndarray,
-        layer: Dense,
-        rng: np.random.Generator,
-        is_output: bool,
-        neuron_chunk: int | None,
-    ) -> np.ndarray:
-        n = self.stream_length
-        batch = bits.shape[0]
-        if bits.shape[1:] != (layer.in_features, n):
-            raise ShapeError(
-                f"dense layer expects (batch, {layer.in_features}, {n}) streams, "
-                f"got {bits.shape}"
-            )
-        in_features = layer.in_features
-        weight_bits = self.weight_stream_bits(layer.weights, rng)  # (out, in, N)
-        bias_bits = self.weight_stream_bits(layer.bias, rng)  # (out, N)
-        chunk = neuron_chunk or self._auto_chunk(batch * (in_features + 1) * n)
-        outputs = np.empty((batch, layer.out_features, n), dtype=np.uint8)
-        if is_output:
-            block = MajorityChainCategorizationBlock(in_features)
-        else:
-            block = SorterFeatureExtractionBlock(in_features + 1)
-        for start in range(0, layer.out_features, chunk):
-            w_chunk = weight_bits[start : start + chunk]  # (oc, in, N)
-            oc = w_chunk.shape[0]
-            if is_output:
-                products = np.bitwise_xor(bits[:, None, :, :], w_chunk[None, :, :, :])
-                np.bitwise_xor(products, 1, out=products)
-            else:
-                products = np.empty((batch, oc, in_features + 1, n), dtype=np.uint8)
-                np.bitwise_xor(
-                    bits[:, None, :, :],
-                    w_chunk[None, :, :, :],
-                    out=products[..., :in_features, :],
-                )
-                np.bitwise_xor(
-                    products[..., :in_features, :],
-                    1,
-                    out=products[..., :in_features, :],
-                )
-                products[..., in_features, :] = bias_bits[None, start : start + oc, :]
-            outputs[:, start : start + oc] = block.forward_products(products)
-        return outputs
-
     # -- legacy bit-exact reference ---------------------------------------------
 
     def bit_exact_forward_legacy(
@@ -699,17 +450,19 @@ class ScNetworkMapper:
     ) -> np.ndarray:
         """Per-image, small-chunk bit-exact simulation (legacy reference).
 
-        Kept verbatim as the equivalence oracle for
-        :meth:`bit_exact_forward_batch` and as the "legacy" end-to-end
-        baseline timed by ``benchmarks/bench_perf.py``.
+        Kept verbatim as the equivalence oracle of every bit-exact
+        backend and as the "legacy" end-to-end baseline timed by
+        ``benchmarks/bench_perf.py``.
 
         Args:
             image: ``(channels, height, width)`` image in ``[0, 1]``.
             rng: stream-generation random generator.
             position_chunk: how many output positions to process at a time.
             return_streams: return the raw ``(n_classes, N)`` output bit
-                streams instead of the decoded scores (see
-                :meth:`bit_exact_forward_batch`).
+                streams instead of the decoded scores.  Any prefix of
+                these streams is exactly what the hardware would have
+                produced had it stopped that many cycles in (every block
+                is causal in the stream axis).
 
         Returns:
             ``(n_classes,)`` decoded class scores (or the output streams).
@@ -752,11 +505,10 @@ class ScNetworkMapper:
     ) -> np.ndarray:
         """Bipolar bit streams for quantised weights (shape + ``(N,)``).
 
-        Part of the shared stream-generation contract (see
-        :meth:`input_stream_bits`): every bit-exact execution backend
-        draws its weight and bias streams through this method, in layer
-        order, so the RNG consumption -- and therefore the simulated
-        streams -- are identical across backends.
+        The legacy oracle draws its weight and bias streams through this
+        method, in layer order; :meth:`weight_stream_words` consumes the
+        RNG identically, so the simulated streams are identical across
+        backends.
         """
         q = self.quantized_weights(weights)
         p = (q + 1.0) / 2.0

@@ -9,12 +9,12 @@ Two sinks over the same observability data:
   ``# TYPE`` comment pairs followed by samples, histograms as cumulative
   ``_bucket{le=...}`` series plus ``_sum`` / ``_count``.
   :func:`validate_exposition` parses the text back and checks the format
-  invariants -- the golden-parse guard of the CI ``obs-smoke`` job.
+  invariants -- the golden-parse guard of the CI ``smoke`` job.
 * :class:`JsonlEventLog` appends structured JSON lines (sampled traces,
   fault events, mirrored log records) to a file; its
   :meth:`~JsonlEventLog.logging_handler` bridges the stdlib ``repro``
-  package logger into the same file, so replica restarts, circuit-breaker
-  trips and overload degradations land in one machine-readable stream.
+  package logger into the same file, so replica restarts, fleet worker
+  deaths and overload degradations land in one machine-readable stream.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ Design rules every wrapper follows:
   caller falls back.  No wrapper ever approximates.
 * **GIL-free.**  cffi ABI calls release the GIL for the duration of the
   kernel, which is what makes thread-sharded execution
-  (``executor="thread"`` in :mod:`repro.backends.parallel`) scale.
+  (:mod:`repro.backends.parallel`) scale.
 * **Allocation-free on the hot path.**  Scratch (CSA levels, output
   slabs) comes from the caller's :class:`~repro.workspace.Workspace`.
 

@@ -3,7 +3,7 @@
  * Compiled at first use into a small shared library (see _build.py) and
  * called through cffi's ABI mode, which releases the GIL around every
  * call -- that is what makes thread-sharded execution
- * (repro.backends.parallel, executor="thread") effective.
+ * (repro.backends.parallel) effective.
  *
  * Every kernel is bit-identical to its NumPy counterpart in
  * repro.sc.packed / repro.blocks.batched: same LSB-first word layout

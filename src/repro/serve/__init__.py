@@ -68,7 +68,6 @@ from repro.serve.faults import (
     FaultPlan,
     InjectedCrashError,
     PoisonedBatch,
-    PoolBreak,
     ReplicaCrash,
     SlowReplica,
     SlowWorker,
@@ -107,7 +106,6 @@ __all__ = [
     "ReplicaCrash",
     "SlowReplica",
     "PoisonedBatch",
-    "PoolBreak",
     "WorkerKill",
     "WorkerHang",
     "SlowWorker",

@@ -20,12 +20,6 @@ fires for that attempt:
   directly -- a *request-scoped* failure the service must route to the
   affected futures without restarting the replica or killing the worker
   thread.
-* :class:`PoolBreak` sabotages a process-sharded replica for real: it
-  kills the worker processes of a
-  :class:`~repro.backends.parallel.ParallelBackend` pool
-  (:meth:`~repro.backends.parallel.ParallelBackend.break_pool`), so the
-  next sharded call raises ``BrokenProcessPool`` and the backend's
-  circuit breaker engages.  Non-parallel replicas ignore the fault.
 
 Batch indices tick per *execution attempt* (a retried bucket advances
 the counter), so a ``ReplicaCrash(at_batch=k, times=1)`` fires exactly
@@ -50,7 +44,6 @@ __all__ = [
     "ReplicaCrash",
     "SlowReplica",
     "PoisonedBatch",
-    "PoolBreak",
     "WorkerKill",
     "WorkerHang",
     "SlowWorker",
@@ -159,18 +152,6 @@ class PoisonedBatch(_Fault):
 
 
 @dataclass
-class PoolBreak(_Fault):
-    """Kill the worker processes of a process-sharded replica's pool."""
-
-    kind = "pool_break"
-
-    def apply(self, replica) -> None:
-        break_pool = getattr(replica, "break_pool", None)
-        if callable(break_pool):
-            break_pool()
-
-
-@dataclass
 class WorkerKill(_Fault):
     """SIGKILL a fleet worker *process* as a request is dispatched to it.
 
@@ -242,8 +223,9 @@ class FaultPlan:
 
     Args:
         *faults: the injectors (:class:`ReplicaCrash`,
-            :class:`SlowReplica`, :class:`PoisonedBatch`,
-            :class:`PoolBreak`).
+            :class:`SlowReplica`, :class:`PoisonedBatch` in the service;
+            :class:`WorkerKill`, :class:`WorkerHang`, :class:`SlowWorker`
+            in the fleet router).
         seed: seed of the RNG behind rate-based injectors.  Matching is
             serialised under the plan lock, so a given seed and arrival
             order reproduce the same firing sequence.
@@ -285,10 +267,9 @@ class FaultPlan:
         """One execution attempt is starting on ``worker``.
 
         Called by the service worker thread before each bucket execution
-        attempt.  Sleeps (slow replica), sabotages the replica (pool
-        break), or raises (crash / poison) according to the plan; at most
-        one *raising* fault fires per attempt, but a sleep or sabotage
-        may precede it.
+        attempt.  Sleeps (slow replica) or raises (crash / poison)
+        according to the plan; at most one *raising* fault fires per
+        attempt, but a sleep may precede it.
         """
         with self._lock:
             worker_seq = self._worker_seq.get(worker, 0)

@@ -817,6 +817,14 @@ class FleetRouter:
     def _health_loop(self) -> None:
         interval_s = self.config.heartbeat_interval_ms / 1e3
         budget_s = interval_s * self.config.heartbeat_misses
+        # Workers start one by one before this loop runs, so nothing has
+        # pinged the earlier ones while their siblings started: their
+        # budget starts now, not at their ready frame.
+        with self._lock:
+            now = time.perf_counter()
+            for handle in self._slots:
+                if handle is not None and handle.state == READY:
+                    handle.last_pong = now
         while not self._stop.wait(interval_s):
             now = time.perf_counter()
             with self._lock:

@@ -66,12 +66,10 @@ class _Worker:
         from repro.serve.service import ScInferenceService
 
         self._slot = int(frame.get("slot", -1))
-        artifact = frame["artifact"]
-        model = ScModel.load(artifact)
+        model = ScModel.load(frame["artifact"])
         self._service = ScInferenceService(
             model.mapper(),
             frame["config"],
-            artifact_path=artifact,
             **(frame.get("backend_options") or {}),
         )
         self._stream.send(

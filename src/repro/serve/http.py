@@ -93,8 +93,6 @@ _OPTION_KEYS = (
     "checkpoints",
     "early_exit",
     "deadline_ms",
-    "workers",
-    "executor",
 )
 
 
@@ -820,8 +818,6 @@ class ScHttpServer:
                     checkpoints=(point,),
                     early_exit=False,
                     deadline_ms=remaining_ms,
-                    workers=opts.workers,
-                    executor=opts.executor,
                 )
                 try:
                     future = await loop.run_in_executor(

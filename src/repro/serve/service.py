@@ -59,13 +59,11 @@ import time
 from concurrent.futures import Future, InvalidStateError
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from repro.backends import backend_class, create_backend
+from repro.backends import create_backend
 from repro.backends.base import Backend
-from repro.backends.parallel import ParallelBackend
 from repro.config import PredictOptions, ResolvedPredictOptions, ServiceConfig
 from repro.errors import (
     ConfigurationError,
@@ -220,11 +218,6 @@ class ScInferenceService:
             (trained network, stream length, weight precision, seed).
         config: service knobs (:class:`repro.config.ServiceConfig`);
             ``None`` uses the defaults.
-        artifact_path: optional model-artifact directory; forwarded to
-            process-sharded replicas (``bit-exact-packed-mp``) so their
-            worker processes rehydrate mappers from the shared file
-            instead of unpickling per-replica payloads (sessions opened
-            via :meth:`repro.api.Session.from_artifact` wire this up).
         **backend_options: forwarded to every backend replica's
             constructor (e.g. ``position_chunk`` for the bit-exact
             backends).
@@ -238,7 +231,6 @@ class ScInferenceService:
         self,
         mapper: ScNetworkMapper,
         config: ServiceConfig | None = None,
-        artifact_path: str | Path | None = None,
         **backend_options: object,
     ) -> None:
         self.config = config or ServiceConfig()
@@ -246,30 +238,21 @@ class ScInferenceService:
         names = self.config.backend_names
         # Worker i runs a replica of shard i % len(names): a homogeneous
         # pool by default, round-robin sharding across several registry
-        # backends when the config names more than one.
-        self._replicas = []
-        # Construction recipe per worker slot, kept so the supervision
-        # path can rebuild a crashed replica from scratch (a replica
-        # built from an artifact path is rebuilt from the same path).
-        self._replica_specs: list[tuple[str, dict]] = []
-        for i in range(self.config.num_workers):
-            name = names[i % len(names)]
-            options = dict(backend_options)
-            if artifact_path is not None and issubclass(
-                backend_class(name), ParallelBackend
-            ):
-                options.setdefault("artifact_path", str(artifact_path))
-            self._replica_specs.append((name, options))
-            self._replicas.append(create_backend(name, mapper, **options))
+        # backends when the config names more than one.  Names and options
+        # are kept so supervision can rebuild a crashed replica.
+        self._replica_names = [
+            names[i % len(names)] for i in range(self.config.num_workers)
+        ]
+        self._backend_options = dict(backend_options)
+        self._replicas = [
+            create_backend(name, mapper, **backend_options)
+            for name in self._replica_names
+        ]
         self._shard_names = tuple(dict.fromkeys(names))
         # Per-request reduced stream lengths / explicit schedules need
         # stream-prefix evaluation on every shard; checked at submit().
-        # Read off the built replicas, not the registry classes --
-        # wrappers like ParallelBackend override the flag per instance
-        # to mirror their inner backend.
         self._all_progressive = all(
-            getattr(replica, "progressive", False)
-            for replica in self._replicas
+            replica.progressive for replica in self._replicas
         )
         self.stream_length = mapper.stream_length
         self.checkpoints = resolve_checkpoints(
@@ -736,8 +719,10 @@ class ScInferenceService:
             old.close()
         except Exception:  # pragma: no cover - close() contract says no
             pass
-        name, options = self._replica_specs[index]
-        self._replicas[index] = create_backend(name, self.mapper, **options)
+        name = self._replica_names[index]
+        self._replicas[index] = create_backend(
+            name, self.mapper, **self._backend_options
+        )
         self._restart_counts[index] = used + 1
         self.metrics.record_restart()
         _LOG.warning(
@@ -1227,8 +1212,8 @@ class ScInferenceService:
         self._scheduler.join()
         for worker in self._workers:
             worker.join()
-        # Release backend-held resources (e.g. the process pool of a
-        # ``bit-exact-packed-mp`` replica) once no worker can touch them.
+        # Release backend-held resources (e.g. workspace arenas) once no
+        # worker can touch them.
         for replica in self._replicas:
             replica.close()
         if self._log_mirror is not None:

@@ -13,7 +13,7 @@ Pins down the train-once / deploy-forever contracts of :mod:`repro.api`:
 * **the Session facade** routes predict/evaluate/serve through the same
   backends with identical scores, and the ``python -m repro`` CLI is a
   thin shell over it (its predict output matches an in-process run bit
-  for bit -- also asserted by the CI ``cli-smoke`` job).
+  for bit -- also asserted by the CI ``smoke`` job).
 """
 
 import json
@@ -24,38 +24,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from nets import tiny_cnn
 
 from repro.api import FORMAT_VERSION, PredictOptions, ScModel, Session
-from repro.backends import create_backend
+from repro.backends import ParallelBackend, create_backend
 from repro.config import ServiceConfig
 from repro.errors import ConfigurationError
-from repro.nn.architectures import LayerSpec, build_network
 from repro.nn.layers import Layer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
 
-def _tiny_cnn(seed: int = 5):
-    specs = [
-        LayerSpec(kind="conv", name="Conv3_x", kernel=3, channels=2),
-        LayerSpec(kind="pool", name="AvgPool", kernel=4, stride=4),
-        LayerSpec(kind="fc", name="FC16", units=16),
-        LayerSpec(kind="output", name="OutLayer", units=10),
-    ]
-    return build_network(
-        specs,
-        activation="hardware",
-        seed=seed,
-        name="tiny-test",
-        training_stream_length=128,
-    )
-
-
 @pytest.fixture(scope="module")
 def model():
     return ScModel(
-        _tiny_cnn(),
+        tiny_cnn(),
         weight_bits=10,
         stream_length=128,
         seed=7,
@@ -385,26 +369,54 @@ class TestSession:
         with pytest.raises(ConfigurationError, match="closed"):
             session.backend()
 
-    def test_parallel_backend_rehydrates_from_artifact(self, artifact, images):
-        with Session.from_artifact(artifact) as session:
-            expected = session.backend().forward(images)
-            parallel = session.backend("bit-exact-packed-mp", workers=2)
-            assert parallel.artifact_path == str(artifact)
-            assert np.array_equal(parallel.forward(images), expected)
-
-    def test_parallel_backend_rejects_mismatched_artifact(
-        self, artifact, tmp_path
+    def test_parallel_backend_rehydrates_from_artifact(
+        self, model, artifact, images
     ):
-        other = ScModel(_tiny_cnn(), stream_length=256, seed=7).save(
-            tmp_path / "other"
+        """The sharded replicas of an artifact session run the saved model."""
+        expected = create_backend("bit-exact-packed", model.mapper()).forward(
+            images
         )
         with Session.from_artifact(artifact) as session:
-            with pytest.raises(ConfigurationError, match="stream_length"):
-                session.backend(
-                    "bit-exact-packed-mp",
-                    workers=2,
-                    artifact_path=str(other),
-                )
+            result = session.predict(images, PredictOptions(workers=2))
+        assert np.array_equal(result.scores, expected)
+
+    def test_sharded_backends_are_cached_and_closed(self, artifact, images):
+        session = Session.from_artifact(artifact)
+        options = PredictOptions(workers=2)
+        session.predict(images, options)
+        session.predict(images, options)
+        sharded = [
+            b for b in session._backends.values() if isinstance(b, ParallelBackend)
+        ]
+        assert len(sharded) == 1  # one cached wrapper, reused
+        session.close()
+        with pytest.raises(ConfigurationError, match="closed"):
+            sharded[0].forward(images)
+
+    @pytest.mark.parametrize("backend", ["bit-exact-packed", "bit-exact-native"])
+    @pytest.mark.parametrize("checkpoints", [None, (32, 64, 128)])
+    def test_predict_workers_bit_identical(
+        self, artifact, images, backend, checkpoints
+    ):
+        """Thread sharding is a placement decision: scores never move."""
+        with Session.from_artifact(artifact, backend=backend) as session:
+            plain = session.predict(images, PredictOptions(checkpoints=checkpoints))
+            sharded = session.predict(
+                images, PredictOptions(checkpoints=checkpoints, workers=2)
+            )
+        assert sharded.backend == backend
+        assert np.array_equal(sharded.scores, plain.scores)
+        if checkpoints is not None:
+            assert np.array_equal(
+                sharded.checkpoint_scores, plain.checkpoint_scores
+            )
+
+    def test_evaluate_workers_matches_unsharded(self, artifact, images):
+        labels = [0, 1, 2, 3]
+        with Session.from_artifact(artifact) as session:
+            plain = session.evaluate(images, labels)
+            sharded = session.evaluate(images, labels, workers=2)
+        assert sharded == plain
 
     def test_serve_through_artifact_is_bit_identical(self, artifact, images):
         config = ServiceConfig(
@@ -422,7 +434,7 @@ class TestSession:
     def test_engine_delegates_to_session(self, images):
         from repro.nn import ScInferenceEngine
 
-        network = _tiny_cnn()
+        network = tiny_cnn()
         engine = ScInferenceEngine(network, stream_length=128, seed=7)
         result = engine.evaluate(images, [0, 1, 2, 3], backend="bit-exact-packed")
         direct = engine.session.evaluate(
@@ -431,10 +443,19 @@ class TestSession:
         assert result.accuracy == direct.accuracy
         assert engine.session.mapper is engine.mapper
 
+    def test_engine_classify_bit_exact_matches_legacy_oracle(self, images):
+        from repro.nn import ScInferenceEngine
+
+        engine = ScInferenceEngine(tiny_cnn(), stream_length=128, seed=7)
+        label, scores = engine.classify_bit_exact(images[0])
+        expected = engine.mapper.bit_exact_forward_legacy(images[0])
+        assert np.array_equal(scores, expected)
+        assert label == int(np.argmax(expected))
+
     def test_engine_save_exports_loadable_artifact(self, images, tmp_path):
         from repro.nn import ScInferenceEngine
 
-        engine = ScInferenceEngine(_tiny_cnn(), stream_length=128, seed=7)
+        engine = ScInferenceEngine(tiny_cnn(), stream_length=128, seed=7)
         path = engine.save(tmp_path / "engine_model")
         expected = engine.backend("bit-exact-packed").forward(images)
         with Session.from_artifact(path) as session:
@@ -503,6 +524,41 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert "accuracy over served requests" in out
+
+    def test_predict_workers_flag_is_bit_identical(self, tmp_path):
+        artifact = ScModel(
+            tiny_cnn(),
+            stream_length=128,
+            seed=7,
+            metadata={"dataset": {"n_train": 20, "n_test": 10, "seed": 1}},
+        ).save(tmp_path / "model")
+        for name, extra in (("plain", ()), ("sharded", ("--workers", "2"))):
+            self._run(
+                "predict",
+                "--model",
+                str(artifact),
+                "--images",
+                "4",
+                "--json",
+                str(tmp_path / f"{name}.json"),
+                *extra,
+            )
+        plain, sharded = (
+            json.loads((tmp_path / f"{name}.json").read_text())
+            for name in ("plain", "sharded")
+        )
+        assert sharded["backend"] == plain["backend"] == "bit-exact-packed"
+        assert sharded["scores"] == plain["scores"]
+
+    def test_serving_subcommands_have_no_workers_flag(self, artifact, capsys):
+        # Services scale by --service-workers replicas, fleets by
+        # --fleet-workers processes; --workers only ever shards one batch.
+        from repro.cli import main
+
+        for command in ("serve", "metrics", "trace"):
+            with pytest.raises(SystemExit):
+                main([command, "--model", str(artifact), "--workers", "2"])
+            assert "--workers" in capsys.readouterr().err
 
     def test_backends_lists_registry(self, capsys):
         self._run("backends")

@@ -5,10 +5,10 @@ Covers the three contracts of :mod:`repro.backends`:
 * **registry round-trip** -- every registered name constructs a backend
   that runs, and unknown names fail with an actionable
   :class:`~repro.errors.ConfigurationError`;
-* **cross-backend equivalence** -- the three ``bit-exact-*`` backends
-  produce *identical* scores (the packed data plane is a faster
-  representation of the same hardware, not an approximation), and the
-  fast statistical backend matches the historical fast path exactly;
+* **cross-backend equivalence** -- every ``bit-exact-*`` backend produces
+  scores *identical* to the legacy oracle (the packed data plane is a
+  faster representation of the same hardware, not an approximation), and
+  the fast statistical backend matches the historical fast path exactly;
 * **word-blocked stepper** -- both execution strategies of
   :func:`repro.blocks.batched.feature_extraction_recurrence_words` are
   bit-identical to the scalar sorted-vector block model.
@@ -16,10 +16,13 @@ Covers the three contracts of :mod:`repro.backends`:
 
 import numpy as np
 import pytest
+from nets import tiny_cnn
 
+from repro.api import PredictOptions, Session
 from repro.backends import (
     Backend,
     BitExactPackedBackend,
+    ParallelBackend,
     backend_class,
     backend_names,
     create_backend,
@@ -33,26 +36,13 @@ from repro.blocks.feature_extraction import SorterFeatureExtractionBlock
 from repro.config import ExperimentConfig
 from repro.errors import ConfigurationError
 from repro.nn import ScInferenceEngine
-from repro.nn.architectures import LayerSpec, build_network
 from repro.nn.sc_layers import ScNetworkMapper
 from repro.sc.packed import pack_bits, packed_column_counts, unpack_bits
 
 
-def _tiny_cnn():
-    specs = [
-        LayerSpec(kind="conv", name="Conv3_x", kernel=3, channels=2),
-        LayerSpec(kind="pool", name="AvgPool", kernel=4, stride=4),
-        LayerSpec(kind="fc", name="FC16", units=16),
-        LayerSpec(kind="output", name="OutLayer", units=10),
-    ]
-    return build_network(
-        specs, activation="hardware", seed=5, training_stream_length=128
-    )
-
-
 @pytest.fixture(scope="module")
 def mapper():
-    return ScNetworkMapper(_tiny_cnn(), stream_length=128, seed=7)
+    return ScNetworkMapper(tiny_cnn(), stream_length=128, seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -62,15 +52,13 @@ def images():
 
 class TestRegistry:
     def test_expected_backends_registered(self):
-        names = backend_names()
-        for expected in (
+        assert backend_names() == (
+            "bit-exact-legacy",
+            "bit-exact-native",
+            "bit-exact-packed",
             "float",
             "sc-fast",
-            "bit-exact-legacy",
-            "bit-exact-batched",
-            "bit-exact-packed",
-        ):
-            assert expected in names
+        )
 
     def test_round_trip_every_name_constructs_and_runs(self, mapper, images):
         """Every registered backend constructs and produces class scores."""
@@ -110,34 +98,31 @@ class TestRegistry:
         assert backend_class("float").stochastic is False
         assert backend_class("bit-exact-packed").bit_exact is True
         assert backend_class("bit-exact-packed").packed_data_plane is True
-        assert backend_class("bit-exact-batched").packed_data_plane is False
+        assert backend_class("bit-exact-legacy").packed_data_plane is False
+        assert backend_class("bit-exact-packed").batch_invariant
+        assert not backend_class("sc-fast").batch_invariant
 
 
 class TestCrossBackendEquivalence:
     def test_bit_exact_backends_are_bit_identical(self, mapper, images):
-        """Legacy, batched and packed backends produce identical scores."""
+        """Legacy, packed and native backends produce identical scores."""
         legacy = create_backend("bit-exact-legacy", mapper).forward(images)
-        batched = create_backend("bit-exact-batched", mapper).forward(images)
         packed = create_backend("bit-exact-packed", mapper).forward(images)
-        assert np.array_equal(legacy, batched)
+        native = create_backend("bit-exact-native", mapper).forward(images)
         assert np.array_equal(legacy, packed)
+        assert np.array_equal(legacy, native)
 
-    def test_packed_matches_batched_on_thirty_two_images(self, mapper):
-        """Packed scores are bit-identical on a full 32-image batch.
-
-        Together with the 32-image legacy-vs-batched equivalence of
-        ``test_integration.py`` this pins the packed backend to the
-        legacy oracle on >= 32 images.
-        """
+    def test_packed_matches_legacy_on_thirty_two_images(self, mapper):
+        """Packed scores equal the legacy oracle on a full 32-image batch."""
         batch = np.random.default_rng(29).random((32, 1, 28, 28))
-        batched = create_backend("bit-exact-batched", mapper).forward(batch)
+        legacy = create_backend("bit-exact-legacy", mapper).forward(batch)
         packed = create_backend("bit-exact-packed", mapper).forward(batch)
-        assert batched.shape == (32, 10)
-        assert np.array_equal(batched, packed)
+        assert legacy.shape == (32, 10)
+        assert np.array_equal(legacy, packed)
 
     def test_packed_matches_legacy_on_odd_stream_length(self, images):
         """Tail-word masking: equivalence holds when N % 64 != 0."""
-        odd_mapper = ScNetworkMapper(_tiny_cnn(), stream_length=100, seed=3)
+        odd_mapper = ScNetworkMapper(tiny_cnn(), stream_length=100, seed=3)
         legacy = create_backend("bit-exact-legacy", odd_mapper).forward(images)
         packed = create_backend("bit-exact-packed", odd_mapper).forward(images)
         assert np.array_equal(legacy, packed)
@@ -168,7 +153,7 @@ class TestCrossBackendEquivalence:
 
 class TestEngineFacade:
     def test_evaluate_selects_backend_by_name(self, images):
-        engine = ScInferenceEngine(_tiny_cnn(), stream_length=128, seed=7)
+        engine = ScInferenceEngine(tiny_cnn(), stream_length=128, seed=7)
         labels = np.zeros(3, dtype=int)
         for name in ("float", "sc-fast", "bit-exact-packed"):
             result = engine.evaluate(images, labels, backend=name)
@@ -177,16 +162,16 @@ class TestEngineFacade:
             assert 0.0 <= result.accuracy <= 1.0
 
     def test_evaluate_unknown_backend_raises(self, images):
-        engine = ScInferenceEngine(_tiny_cnn(), stream_length=128, seed=7)
+        engine = ScInferenceEngine(tiny_cnn(), stream_length=128, seed=7)
         with pytest.raises(ConfigurationError, match="unknown backend"):
             engine.evaluate(images, np.zeros(3, dtype=int), backend="typo")
 
     def test_engine_rejects_unknown_default_backend(self):
         with pytest.raises(ConfigurationError, match="unknown backend"):
-            ScInferenceEngine(_tiny_cnn(), stream_length=128, default_backend="nope")
+            ScInferenceEngine(tiny_cnn(), stream_length=128, default_backend="nope")
 
     def test_default_backend_comes_from_config(self):
-        engine = ScInferenceEngine(_tiny_cnn(), stream_length=128)
+        engine = ScInferenceEngine(tiny_cnn(), stream_length=128)
         assert engine.default_backend == ExperimentConfig().default_backend
 
     def test_config_backend_knob(self):
@@ -196,7 +181,7 @@ class TestEngineFacade:
             ExperimentConfig(default_backend="")
 
     def test_legacy_bit_exact_wrapper_keeps_mode_label(self, images):
-        engine = ScInferenceEngine(_tiny_cnn(), stream_length=128, seed=7)
+        engine = ScInferenceEngine(tiny_cnn(), stream_length=128, seed=7)
         labels = np.zeros(3, dtype=int)
         result = engine.evaluate_sc_bit_exact(
             images, labels, max_images=2, backend="bit-exact-packed"
@@ -247,67 +232,92 @@ class TestWordBlockedStepper:
 
 
 class TestParallelBackend:
-    """Process-sharded execution is bit-identical to the inner backend."""
+    """Thread-sharded execution is bit-identical to the inner backend."""
 
-    def test_registered_with_capabilities(self):
-        cls = backend_class("bit-exact-packed-mp")
-        assert cls.bit_exact
-        assert cls.progressive
-        assert cls.batch_invariant
-        assert backend_class("bit-exact-packed").batch_invariant
-        assert not backend_class("sc-fast").batch_invariant
+    def test_not_registered_and_named_after_inner(self, mapper):
+        assert "ParallelBackend" not in {
+            backend_class(n).__name__ for n in backend_names()
+        }
+        with ParallelBackend(
+            mapper, workers=2, inner_backend="bit-exact-legacy"
+        ) as parallel:
+            assert parallel.name == "bit-exact-legacy"
+            assert parallel.bit_exact and parallel.progressive
+            assert parallel.batch_invariant
 
     def test_forward_matches_packed(self, mapper, images):
         packed = create_backend("bit-exact-packed", mapper)
         expected = packed.forward(images)
-        with create_backend(
-            "bit-exact-packed-mp", mapper, workers=2
-        ) as parallel:
+        with ParallelBackend(mapper, workers=2) as parallel:
             got = parallel.forward(images)
             assert np.array_equal(got, expected)
-            # Repeat on the warm pool (worker replicas + arenas reused).
+            # Repeat on the warm pool (replicas + arenas reused).
             assert np.array_equal(parallel.forward(images), expected)
 
     def test_forward_partial_matches_packed_odd_length(self):
-        odd_mapper = ScNetworkMapper(_tiny_cnn(), stream_length=100, seed=3)
+        odd_mapper = ScNetworkMapper(tiny_cnn(), stream_length=100, seed=3)
         images = np.random.default_rng(5).random((4, 1, 28, 28))
         packed = create_backend("bit-exact-packed", odd_mapper)
         checkpoints = (13, 50, 100)
         expected = packed.forward_partial(images, checkpoints)
-        with create_backend(
-            "bit-exact-packed-mp", odd_mapper, workers=2
-        ) as parallel:
+        with ParallelBackend(odd_mapper, workers=2) as parallel:
             got = parallel.forward_partial(images, checkpoints)
             assert np.array_equal(got, expected)
             assert np.array_equal(got[-1], packed.forward(images))
 
     def test_single_image_uses_inner_replica(self, mapper, images):
         packed = create_backend("bit-exact-packed", mapper)
-        with create_backend(
-            "bit-exact-packed-mp", mapper, workers=2
-        ) as parallel:
+        with ParallelBackend(mapper, workers=2) as parallel:
             got = parallel.forward(images[:1])
             assert np.array_equal(got, packed.forward(images[:1]))
-            # One image cannot shard: the in-process replica served it
-            # without ever starting the pool.
-            assert parallel._executor is None
+            # One image cannot shard: the first replica served it inline,
+            # without ever starting the thread pool.
+            assert parallel._thread_pool is None
+
+    def test_more_workers_than_images(self, mapper, images):
+        expected = create_backend("bit-exact-packed", mapper).forward(images)
+        with ParallelBackend(mapper, workers=8) as parallel:
+            assert np.array_equal(parallel.forward(images), expected)
+            # One replica per shard at most: never more than the images.
+            assert len(parallel._replicas) <= images.shape[0]
+
+    def test_backend_options_reach_every_replica(self, mapper, images):
+        expected = create_backend("bit-exact-packed", mapper).forward(images)
+        with ParallelBackend(mapper, workers=2, position_chunk=5) as parallel:
+            assert np.array_equal(parallel.forward(images), expected)
+            assert len(parallel._replicas) == 2
+            for replica in parallel._replicas:
+                assert replica.position_chunk == 5
+
+    def test_kernel_snapshot_aggregates_replicas(self, mapper, images):
+        with ParallelBackend(mapper, workers=3) as parallel:
+            parallel.forward(images)  # three shards on leased replicas
+            merged = parallel.kernel_snapshot()
+            per_replica = [r.kernel_snapshot() for r in parallel._replicas]
+
+        def calls(snapshot):
+            return sum(
+                tier["calls"]
+                for kernel in snapshot.values()
+                for tier in kernel.values()
+            )
+
+        assert calls(merged) == sum(calls(snap) for snap in per_replica) > 0
 
     def test_rejects_non_batch_invariant_inner(self, mapper):
-        with pytest.raises(ConfigurationError):
-            create_backend(
-                "bit-exact-packed-mp", mapper, inner_backend="sc-fast"
-            )
+        with pytest.raises(ConfigurationError, match="sc-fast"):
+            ParallelBackend(mapper, workers=2, inner_backend="sc-fast")
 
     def test_rejects_bad_workers(self, mapper):
         with pytest.raises(ConfigurationError):
-            create_backend("bit-exact-packed-mp", mapper, workers=0)
+            ParallelBackend(mapper, workers=0)
 
     def test_close_is_idempotent(self, mapper, images):
-        parallel = create_backend("bit-exact-packed-mp", mapper, workers=2)
+        parallel = ParallelBackend(mapper, workers=2)
         parallel.forward(images)
         parallel.close()
         parallel.close()
-        assert parallel._executor is None
+        assert parallel._thread_pool is None
 
 
 class TestWorkspaceReuseAcrossForwards:
@@ -331,61 +341,85 @@ class TestDeepNetworkEquivalence:
     layers diverge while every small-net test stayed green.
     """
 
-    def test_snn_packed_equals_batched(self):
+    def test_snn_packed_equals_legacy(self):
         from repro.nn import build_snn
 
         network = build_snn(seed=1, training_stream_length=64)
         snn_mapper = ScNetworkMapper(network, stream_length=100, seed=3)
         image = np.random.default_rng(0).random((1, 1, 28, 28))
         packed = create_backend("bit-exact-packed", snn_mapper).forward(image)
-        batched = create_backend("bit-exact-batched", snn_mapper).forward(image)
-        assert np.array_equal(packed, batched)
+        legacy = create_backend("bit-exact-legacy", snn_mapper).forward(image)
+        assert np.array_equal(packed, legacy)
 
 
 class TestResolveParallelBackend:
-    """The shared --workers CLI mapping policy."""
+    """The ``workers`` policy: shard a batch-invariant backend or refuse."""
 
-    def test_no_workers_is_identity(self):
-        from repro.backends import resolve_parallel_backend
+    @pytest.fixture(scope="class")
+    def session(self):
+        with Session.from_network(tiny_cnn(), stream_length=128, seed=7) as s:
+            yield s
 
-        assert resolve_parallel_backend("sc-fast", None) == ("sc-fast", {})
-        assert resolve_parallel_backend("bit-exact-packed", 1) == (
-            "bit-exact-packed",
-            {},
+    def test_no_workers_is_identity(self, session, images):
+        # No wrapper at all: even a backend that cannot shard answers.
+        for workers in (None, 1):
+            result = session.predict(
+                images, PredictOptions(workers=workers), backend="sc-fast"
+            )
+            assert result.backend == "sc-fast"
+
+    def test_shardable_backend_rides_along_as_inner(self, session, images):
+        expected = session.backend("bit-exact-legacy").forward(images)
+        result = session.predict(
+            images, PredictOptions(workers=4), backend="bit-exact-legacy"
         )
+        assert result.backend == "bit-exact-legacy"
+        assert np.array_equal(result.scores, expected)
 
-    def test_shardable_backend_rides_along_as_inner(self):
-        from repro.backends import resolve_parallel_backend
-
-        name, options = resolve_parallel_backend("bit-exact-batched", 4)
-        assert name == "bit-exact-packed-mp"
-        assert options == {"workers": 4, "inner_backend": "bit-exact-batched"}
-
-    def test_non_invariant_and_wrapper_fall_back_to_packed(self):
-        from repro.backends import resolve_parallel_backend
-
-        for chosen in ("sc-fast", "bit-exact-packed-mp"):
-            name, options = resolve_parallel_backend(chosen, 2)
-            assert name == "bit-exact-packed-mp"
-            assert options["inner_backend"] == "bit-exact-packed"
+    def test_non_invariant_backend_refuses_workers(self, session, images):
+        # Sharding sc-fast would change its scores; running another
+        # backend instead would change the model.  Both fail loudly.
+        with pytest.raises(ConfigurationError, match="'sc-fast'"):
+            session.predict(images, PredictOptions(workers=2), backend="sc-fast")
+        with pytest.raises(ConfigurationError, match="'sc-fast'"):
+            session.evaluate(
+                images, np.zeros(3, dtype=int), backend="sc-fast", workers=2
+            )
 
 
 class TestParallelCapabilitiesFollowInner:
     def test_non_progressive_inner_clears_progressive_flag(self, mapper):
         # "float" is the only batch-invariant, non-progressive backend
         # left now that every bit-exact backend reads stream prefixes.
-        parallel = create_backend(
-            "bit-exact-packed-mp",
-            mapper,
-            workers=2,
-            inner_backend="float",
-        )
-        try:
-            # The serving layer's early-exit gate reads this attribute;
-            # advertising progressive support the inner lacks would
-            # route merged batches into forward_partial calls the
-            # replicas cannot answer.
+        with ParallelBackend(mapper, workers=2, inner_backend="float") as parallel:
+            # The early-exit gate reads this attribute; advertising
+            # progressive support the inner lacks would route batches
+            # into forward_partial calls the replicas cannot answer.
             assert parallel.progressive is False
             assert parallel.bit_exact is False
-        finally:
-            parallel.close()
+
+
+class TestBenchPerfThreadSweep:
+    """``bench_perf.py`` never reports an oversubscribed sweep point."""
+
+    @pytest.fixture(scope="class")
+    def bench(self):
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_perf.py"
+        spec = importlib.util.spec_from_file_location("bench_perf", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_points_beyond_cpu_count_are_skipped(self, bench):
+        import os
+
+        workers = (os.cpu_count() or 1) + 1
+        (entry,) = bench.bench_thread_scaling(64, 2, (workers,))
+        assert entry["workers"] == workers
+        assert "skipped" in entry
+        assert "speedup" not in entry and "new_seconds" not in entry
+        # The guard ignores skipped points instead of reading a speedup.
+        bench._scaling_guard([entry], quick=False)

@@ -15,11 +15,8 @@ deterministic fault injectors of :mod:`repro.serve.faults`:
   without bound, and unmeetable deadlines are shed at submit;
 * **progressive degradation** -- overload answers from a truncated
   checkpoint schedule, flagged on the response and never cached;
-* **pool breakage** -- a :class:`~repro.backends.parallel.ParallelBackend`
-  whose worker processes die serves bit-identically through its circuit
-  breaker and rebuilds the pool after the cooldown;
-* **chaos** -- a 500-request run under injected crash + straggler +
-  pool break: every submitted future resolves (result or typed error),
+* **chaos** -- a 500-request run under injected crash + straggler: every
+  submitted future resolves (result or typed error),
   non-degraded scores are bit-identical to a fault-free evaluation, and
   the metrics account for every injected event.
 """
@@ -29,42 +26,29 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 import numpy as np
 import pytest
+from nets import tiny_cnn
 
-from repro.backends import create_backend
+from repro.backends import ParallelBackend, create_backend
 from repro.config import PredictOptions, ServiceConfig
 from repro.errors import (
     ConfigurationError,
     InferenceError,
     ServiceOverloadError,
 )
-from repro.nn.architectures import LayerSpec, build_network
 from repro.nn.sc_layers import ScNetworkMapper
 from repro.serve import (
     FaultPlan,
     InjectedCrashError,
     PoisonedBatch,
-    PoolBreak,
     ReplicaCrash,
     ScInferenceService,
     SlowReplica,
 )
 
 
-def _tiny_cnn():
-    specs = [
-        LayerSpec(kind="conv", name="Conv3_x", kernel=3, channels=2),
-        LayerSpec(kind="pool", name="AvgPool", kernel=4, stride=4),
-        LayerSpec(kind="fc", name="FC16", units=16),
-        LayerSpec(kind="output", name="OutLayer", units=10),
-    ]
-    return build_network(
-        specs, activation="hardware", seed=5, training_stream_length=128
-    )
-
-
 @pytest.fixture(scope="module")
 def mapper():
-    return ScNetworkMapper(_tiny_cnn(), stream_length=128, seed=7)
+    return ScNetworkMapper(tiny_cnn(), stream_length=128, seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -155,12 +139,6 @@ class TestFaultPlanUnit:
         with pytest.raises(InjectedCrashError):
             plan.before_batch(worker=0)  # fires again after reset
         assert plan.fired == {"replica_crash": 1}
-
-    def test_pool_break_ignores_non_parallel_replicas(self, mapper):
-        plan = FaultPlan(PoolBreak(at_batch=0))
-        replica = create_backend("bit-exact-packed", mapper)
-        plan.before_batch(worker=0, replica=replica)  # no break_pool: no-op
-        assert plan.fired == {"pool_break": 1}
 
     def test_fault_plan_validated_by_service_config(self):
         with pytest.raises(ConfigurationError):
@@ -359,59 +337,15 @@ class TestCancelOnTimeout:
 
 class TestParallelBackendRobustness:
     def test_double_close_and_use_after_close(self, mapper, images):
-        backend = create_backend("bit-exact-packed-mp", mapper, workers=2)
+        backend = ParallelBackend(mapper, workers=2)
         backend.forward(images)
         backend.close()
         backend.close()  # idempotent
-        assert backend._executor is None
+        assert backend._thread_pool is None
         with pytest.raises(ConfigurationError):
             backend.forward(images)
         with pytest.raises(ConfigurationError):
             backend.forward_partial(images, (64, 128))
-        assert not backend.break_pool()  # nothing to break once closed
-
-    def test_pool_break_falls_back_bit_identically(
-        self, mapper, images, reference
-    ):
-        backend = create_backend(
-            "bit-exact-packed-mp", mapper, workers=2, breaker_cooldown_s=30.0
-        )
-        try:
-            assert backend.break_pool()
-            out = backend.forward(images)
-            np.testing.assert_array_equal(out, reference["full"])
-            assert backend.pool_breaks == 1
-            assert backend.breaker_open
-            # While open, calls short-circuit to the inner replica (no
-            # pool is rebuilt) and stay bit-identical.
-            partial = backend.forward_partial(
-                images, reference["checkpoints"]
-            )
-            np.testing.assert_array_equal(partial, reference["partial"])
-            assert backend._executor is None
-        finally:
-            backend.close()
-
-    def test_breaker_closes_after_cooldown_and_pool_rebuilds(
-        self, mapper, images, reference
-    ):
-        backend = create_backend(
-            "bit-exact-packed-mp", mapper, workers=2, breaker_cooldown_s=0.05
-        )
-        try:
-            backend.break_pool()
-            np.testing.assert_array_equal(
-                backend.forward(images), reference["full"]
-            )
-            time.sleep(0.1)
-            assert not backend.breaker_open
-            # Sharded path again, through a fresh pool, still bit-exact.
-            np.testing.assert_array_equal(
-                backend.forward(images), reference["full"]
-            )
-            assert backend._executor is not None
-        finally:
-            backend.close()
 
 
 class TestChaos:
@@ -419,17 +353,13 @@ class TestChaos:
         self, mapper, images, reference
     ):
         n_requests = 500
-        # The crash targets worker 0 so the restart never replaces
-        # worker 1's parallel replica (whose breaker absorbed the
-        # injected pool break -- the evidence the test asserts on).
         plan = FaultPlan(
             ReplicaCrash(worker=0, at_batch=3),
             SlowReplica(at_batch=10, delay_s=0.05),
-            PoolBreak(worker=1, at_batch=0),
             seed=0,
         )
         config = ServiceConfig(
-            backend="bit-exact-packed-mp",
+            backend="bit-exact-packed",
             max_batch_size=8,
             max_wait_ms=1.0,
             num_workers=2,
@@ -442,11 +372,7 @@ class TestChaos:
             restart_backoff_ms=1.0,
         )
         answered, failed, shed = [], 0, 0
-        # workers=2 forces the process-sharded path even on a single-CPU
-        # host (the default sizes the pool to the CPU count, under which
-        # small batches would always take the in-process path and the
-        # injected pool break would have nothing to hit).
-        with ScInferenceService(mapper, config, workers=2) as service:
+        with ScInferenceService(mapper, config) as service:
             futures = []
             for i in range(n_requests):
                 try:
@@ -464,14 +390,6 @@ class TestChaos:
                 except InferenceError:
                     failed += 1
             snapshot = service.metrics.snapshot()
-            # Drive the sabotaged replica once more, directly: whether or
-            # not its breaker tripped during the burst, the broken pool
-            # must be absorbed and the fallback stay bit-identical.
-            mp_replica = service._replicas[1]
-            np.testing.assert_array_equal(
-                mp_replica.forward(images), reference["full"]
-            )
-            pool_breaks = mp_replica.pool_breaks
         # Every submitted future resolved: a result or a typed error.
         assert len(answered) + failed + shed == n_requests
         assert len(answered) > 0
@@ -491,8 +409,6 @@ class TestChaos:
         assert plan.fired.get("replica_crash") == 1
         assert counters["restarts"] >= 1
         assert counters["retries"] >= 1
-        assert plan.fired.get("pool_break") == 1
-        assert pool_breaks >= 1  # breaker absorbed the injected break
         assert shed > 0 and counters["shed"]["queue_full"] == shed
         assert counters["degraded_requests"] > 0
         assert counters["degraded_requests"] == sum(

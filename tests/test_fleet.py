@@ -31,6 +31,7 @@ import time
 
 import numpy as np
 import pytest
+from nets import tiny_cnn
 
 from repro.api import ScModel, Session
 from repro.backends import create_backend
@@ -43,7 +44,6 @@ from repro.errors import (
     ServiceOverloadError,
     ShapeError,
 )
-from repro.nn.architectures import LayerSpec, build_network
 from repro.serve import FaultPlan, FleetRouter, SlowWorker, WorkerHang, WorkerKill
 from repro.serve.rpc import (
     FrameStream,
@@ -54,22 +54,10 @@ from repro.serve.rpc import (
 )
 
 
-def _tiny_cnn():
-    specs = [
-        LayerSpec(kind="conv", name="Conv3_x", kernel=3, channels=2),
-        LayerSpec(kind="pool", name="AvgPool", kernel=4, stride=4),
-        LayerSpec(kind="fc", name="FC16", units=16),
-        LayerSpec(kind="output", name="OutLayer", units=10),
-    ]
-    return build_network(
-        specs, activation="hardware", seed=5, training_stream_length=128
-    )
-
-
 @pytest.fixture(scope="module")
 def artifact(tmp_path_factory):
     """A saved ScModel every fleet worker process rehydrates from."""
-    model = ScModel(_tiny_cnn(), weight_bits=10, stream_length=128, seed=7)
+    model = ScModel(tiny_cnn(), weight_bits=10, stream_length=128, seed=7)
     return str(model.save(tmp_path_factory.mktemp("fleet") / "artifact"))
 
 
@@ -325,7 +313,7 @@ class TestFleetServing:
         np.testing.assert_array_equal(response.scores[0], reference[0])
 
     def test_session_serve_fleet_requires_artifact(self):
-        with Session.from_network(_tiny_cnn(), stream_length=128, seed=7) as s:
+        with Session.from_network(tiny_cnn(), stream_length=128, seed=7) as s:
             with pytest.raises(ConfigurationError, match="artifact"):
                 s.serve_fleet()
 
@@ -420,6 +408,16 @@ class TestSupervision:
         assert snap["restarts"] == 1
         assert snap["retries"] >= 1
         assert snap["completed"] == 6
+
+    def test_start_does_not_kill_a_healthy_worker(self, artifact):
+        # A heartbeat budget shorter than one worker start: worker 0 sat
+        # unpinged while worker 1 started, which must not read as a hang.
+        config = _fleet_config(heartbeat_interval_ms=50.0, heartbeat_misses=4)
+        with FleetRouter(artifact, config) as router:
+            time.sleep(1.0)  # five budgets
+            snap = router.metrics.snapshot()
+        assert snap["worker_deaths"] == 0
+        assert snap["restarts"] == 0
 
     def test_hung_worker_is_shot_and_restarted(
         self, artifact, images, reference

@@ -28,11 +28,11 @@ import time
 
 import numpy as np
 import pytest
+from nets import tiny_cnn
 
 from repro.api import PredictOptions, ScModel, Session
 from repro.config import HttpConfig, ServiceConfig
 from repro.errors import ConfigurationError, ModelNotFoundError
-from repro.nn.architectures import LayerSpec, build_network
 from repro.obs import validate_exposition
 from repro.serve import ModelRegistry, ScHttpServer, describe_artifact
 
@@ -40,25 +40,9 @@ BACKEND = "bit-exact-packed"
 STREAM_LENGTH = 128
 
 
-def _tiny_cnn(seed: int):
-    specs = [
-        LayerSpec(kind="conv", name="Conv3_x", kernel=3, channels=2),
-        LayerSpec(kind="pool", name="AvgPool", kernel=4, stride=4),
-        LayerSpec(kind="fc", name="FC16", units=16),
-        LayerSpec(kind="output", name="OutLayer", units=10),
-    ]
-    return build_network(
-        specs,
-        activation="hardware",
-        seed=seed,
-        name="tiny-test",
-        training_stream_length=STREAM_LENGTH,
-    )
-
-
 def _tiny_model(seed: int) -> ScModel:
     return ScModel(
-        _tiny_cnn(seed), weight_bits=10, stream_length=STREAM_LENGTH, seed=7
+        tiny_cnn(seed), weight_bits=10, stream_length=STREAM_LENGTH, seed=7
     )
 
 
@@ -343,14 +327,22 @@ class TestTypedRejections:
         assert payload["error"]["reason"] == "bad_images"
 
     def test_unknown_option_400(self, server):
-        status, payload = _request(
-            server.port,
-            "POST",
-            "/v1/models/m1/predict",
-            {"images": [[0.5]], "options": {"temperature": 2}},
-        )
-        assert status == 400
-        assert payload["error"]["reason"] == "bad_options"
+        # workers shards a batch inside one Session.predict call and
+        # executor is gone; the service and fleet never honoured either.
+        for options in (
+            {"temperature": 2},
+            {"workers": 2},
+            {"executor": "thread"},
+        ):
+            for route in ("predict", "predict/stream"):
+                status, payload = _request(
+                    server.port,
+                    "POST",
+                    f"/v1/models/m1/{route}",
+                    {"images": [[0.5]], "options": options},
+                )
+                assert status == 400, (options, route)
+                assert payload["error"]["reason"] == "bad_options"
 
     def test_unknown_model_404(self, server, images):
         status, payload = _request(

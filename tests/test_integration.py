@@ -7,6 +7,7 @@ quantise -> SC-inference pipeline on a small network.
 
 import numpy as np
 import pytest
+from nets import tiny_cnn
 
 from repro.aqfp import balance_netlist, estimate_cost, simulate, AqfpTechnology
 from repro.blocks import (
@@ -184,34 +185,23 @@ class TestEndToEndTraining:
 
 
 class TestBatchedBitExact:
-    """Whole-network batched bit-exact inference (word-packed engine PR)."""
-
-    @staticmethod
-    def _tiny_cnn(stream_length=128):
-        from repro.nn.architectures import LayerSpec, build_network
-
-        specs = [
-            LayerSpec(kind="conv", name="Conv3_x", kernel=3, channels=4),
-            LayerSpec(kind="pool", name="AvgPool", kernel=4, stride=4),
-            LayerSpec(kind="fc", name="FC32", units=32),
-            LayerSpec(kind="output", name="OutLayer", units=10),
-        ]
-        return build_network(
-            specs, activation="hardware", seed=5,
-            training_stream_length=stream_length,
-        )
+    """Whole-network bit-exact inference on a batch (word-packed engine)."""
 
     def test_batched_path_matches_legacy_per_image(self, tiny_dataset):
         """Batched scores must be bit-identical to the legacy per-image path."""
-        engine = ScInferenceEngine(self._tiny_cnn(), stream_length=128, seed=7)
+        engine = ScInferenceEngine(
+            tiny_cnn(channels=4, units=32), stream_length=128, seed=7
+        )
         images = tiny_dataset.test_images[:3, None]
         legacy = np.stack(
             [engine.mapper.bit_exact_forward_legacy(img) for img in images]
         )
-        batched = engine.mapper.bit_exact_forward_batch(images)
+        batched = engine.backend("bit-exact-packed").forward(images)
         assert np.array_equal(batched, legacy)
         # Position chunking is a memory knob only: it must not change bits.
-        chunked = engine.mapper.bit_exact_forward_batch(images, position_chunk=17)
+        chunked = engine.backend(
+            "bit-exact-packed", position_chunk=17
+        ).forward(images)
         assert np.array_equal(chunked, batched)
 
     def test_thirty_two_images_bit_exact(self, tiny_dataset):
@@ -220,7 +210,9 @@ class TestBatchedBitExact:
         The seed implementation restricted bit-exact validation to "a
         handful" of images; the batched engine makes 32 routine.
         """
-        engine = ScInferenceEngine(self._tiny_cnn(), stream_length=128, seed=7)
+        engine = ScInferenceEngine(
+            tiny_cnn(channels=4, units=32), stream_length=128, seed=7
+        )
         images = tiny_dataset.test_images[:32, None]
         labels = tiny_dataset.test_labels[:32]
         result = engine.evaluate_sc_bit_exact(images, labels, max_images=32)
@@ -228,7 +220,7 @@ class TestBatchedBitExact:
         assert result.mode == "sc-bit-exact"
         # The reported accuracy must be exactly the argmax accuracy of the
         # batched engine's scores (same seed => same streams => same bits).
-        scores = engine.mapper.bit_exact_forward_batch(images)
+        scores = engine.backend("bit-exact-packed").forward(images)
         assert scores.shape == (32, 10)
         expected = float((np.argmax(scores, axis=1) == labels).mean())
         assert result.accuracy == expected

@@ -3,9 +3,8 @@
 The contract under test is the one the backend registry advertises:
 ``bit-exact-native`` is a pure drop-in for ``bit-exact-packed`` --
 bit-identical scores whether or not the compiled tier is available, with
-graceful degradation (never an error) when it is not -- and
-``bit-exact-native-mp`` shards batches across threads without changing a
-single score.
+graceful degradation (never an error) when it is not -- and ``workers``
+shards its batches across threads without changing a single score.
 """
 
 import os
@@ -15,17 +14,17 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from nets import tiny_cnn
 
+from repro.api import PredictOptions, Session
 from repro.backends import (
     BitExactNativeBackend,
-    NativeParallelBackend,
     ParallelBackend,
     create_backend,
     describe_backends,
-    resolve_parallel_backend,
 )
 from repro.blocks.batched import feature_extraction_recurrence_words
-from repro.nn.architectures import LayerSpec, build_network
+from repro.errors import ConfigurationError
 from repro.nn.sc_layers import ScNetworkMapper
 from repro.sc import native
 from repro.sc.packed import (
@@ -43,21 +42,9 @@ needs_native = pytest.mark.skipif(
 )
 
 
-def _tiny_cnn():
-    specs = [
-        LayerSpec(kind="conv", name="Conv3_x", kernel=3, channels=2),
-        LayerSpec(kind="pool", name="AvgPool", kernel=4, stride=4),
-        LayerSpec(kind="fc", name="FC16", units=16),
-        LayerSpec(kind="output", name="OutLayer", units=10),
-    ]
-    return build_network(
-        specs, activation="hardware", seed=5, training_stream_length=128
-    )
-
-
 @pytest.fixture(scope="module")
 def network():
-    return _tiny_cnn()
+    return tiny_cnn()
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +197,7 @@ def test_env_var_disables_tier_without_breaking_backend(network):
         "from repro.sc import native\n"
         "assert not native.available()\n"
         "assert 'unavailable' in native.describe()\n"
-        "from repro.backends import create_backend, describe_backends\n"
+        "from repro.backends import ParallelBackend, create_backend\n"
         "from repro.nn.architectures import LayerSpec, build_network\n"
         "from repro.nn.sc_layers import ScNetworkMapper\n"
         "specs = [\n"
@@ -227,9 +214,10 @@ def test_env_var_disables_tier_without_breaking_backend(network):
         "assert not nat.native_active\n"
         "ref = create_backend('bit-exact-packed', mapper).forward(images)\n"
         "np.testing.assert_array_equal(nat.forward(images), ref)\n"
-        "mp = create_backend('bit-exact-native-mp', mapper, workers=2)\n"
-        "np.testing.assert_array_equal(mp.forward(images), ref)\n"
-        "mp.close()\n"
+        "with ParallelBackend(\n"
+        "    mapper, 2, inner_backend='bit-exact-native'\n"
+        ") as mp:\n"
+        "    np.testing.assert_array_equal(mp.forward(images), ref)\n"
     )
     env = dict(os.environ, REPRO_NATIVE="0")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -243,7 +231,7 @@ def test_env_var_disables_tier_without_breaking_backend(network):
     )
 
 
-# -- thread-sharded parallel backend ------------------------------------------
+# -- thread-sharded execution (``workers``) ------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -251,12 +239,14 @@ def thread_mapper(network):
     return ScNetworkMapper(network, stream_length=200, seed=7)
 
 
+def _sharded(mapper, workers):
+    """The wrapper every ``workers`` option builds, over native replicas."""
+    return ParallelBackend(mapper, workers, inner_backend="bit-exact-native")
+
+
 def test_thread_mode_forward_bit_identical(thread_mapper, images):
     reference = create_backend("bit-exact-packed", thread_mapper).forward(images)
-    with create_backend(
-        "bit-exact-native-mp", thread_mapper, workers=3
-    ) as backend:
-        assert backend.executor_mode == "thread"
+    with _sharded(thread_mapper, 3) as backend:
         np.testing.assert_array_equal(backend.forward(images), reference)
 
 
@@ -265,9 +255,7 @@ def test_thread_mode_forward_partial_bit_identical(thread_mapper, images):
     reference = create_backend("bit-exact-packed", thread_mapper).forward_partial(
         images, points
     )
-    with create_backend(
-        "bit-exact-native-mp", thread_mapper, workers=3
-    ) as backend:
+    with _sharded(thread_mapper, 3) as backend:
         np.testing.assert_array_equal(
             backend.forward_partial(images, points), reference
         )
@@ -276,120 +264,58 @@ def test_thread_mode_forward_partial_bit_identical(thread_mapper, images):
 def test_thread_mode_deterministic_under_concurrent_submits(
     thread_mapper, images
 ):
-    """Concurrent forward calls share the replica pool without cross-talk."""
+    """Concurrent forward calls share the replica pool without cross-talk.
+
+    Single-image calls are mixed in: they run inline, on a leased replica
+    like any shard, so they never share a workspace arena with a shard.
+    """
     reference = create_backend("bit-exact-packed", thread_mapper).forward(images)
-    with create_backend(
-        "bit-exact-native-mp", thread_mapper, workers=2
-    ) as backend:
+    batches = [images if i % 2 else images[i % 6 : i % 6 + 1] for i in range(8)]
+    expected = [
+        reference if i % 2 else reference[i % 6 : i % 6 + 1] for i in range(8)
+    ]
+    with _sharded(thread_mapper, 2) as backend:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [
-                pool.submit(backend.forward, images) for _ in range(8)
-            ]
-            results = [f.result() for f in futures]
-    for result in results:
-        np.testing.assert_array_equal(result, reference)
-
-
-def test_thread_mode_break_pool_is_a_noop(thread_mapper):
-    with create_backend(
-        "bit-exact-native-mp", thread_mapper, workers=2
-    ) as backend:
-        assert backend.break_pool() is False
-        assert backend.pool_breaks == 0
+            results = list(pool.map(backend.forward, batches))
+    for result, want in zip(results, expected):
+        np.testing.assert_array_equal(result, want)
 
 
 def test_thread_mode_use_after_close_raises(thread_mapper, images):
-    backend = create_backend("bit-exact-native-mp", thread_mapper, workers=2)
+    backend = _sharded(thread_mapper, 2)
     backend.close()
-    from repro.errors import ConfigurationError
-
     with pytest.raises(ConfigurationError):
         backend.forward(images)
-
-
-def test_thread_mode_serves_through_inference_service(thread_mapper, images):
-    """bit-exact-native-mp is a drop-in replica backend for the service."""
-    from repro.config import ServiceConfig
-    from repro.serve import ScInferenceService
-
-    direct = create_backend("bit-exact-packed", thread_mapper).forward(images)
-    config = ServiceConfig(
-        backend="bit-exact-native-mp",
-        num_workers=1,  # one service thread whose replica owns the thread pool
-        max_batch_size=8,
-        max_wait_ms=20.0,
-        early_exit=False,
-        cache_capacity=0,
-    )
-    with ScInferenceService(thread_mapper, config, workers=2) as service:
-        response = service.infer(images, timeout=300)
-    np.testing.assert_array_equal(response.scores, direct)
-
-
-def test_process_mode_still_default_for_packed(thread_mapper):
-    with create_backend(
-        "bit-exact-packed-mp", thread_mapper, workers=2
-    ) as backend:
-        assert backend.executor_mode == "process"
-
-
-def test_executor_validation(thread_mapper):
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        ParallelBackend(thread_mapper, workers=2, executor="fibers")
 
 
 # -- resolution policy ---------------------------------------------------------
 
 
-def test_resolve_policy_picks_threads_for_native():
-    assert resolve_parallel_backend("bit-exact-native", 4) == (
-        "bit-exact-native-mp",
-        {"workers": 4, "inner_backend": "bit-exact-native"},
-    )
-    assert resolve_parallel_backend("bit-exact-native-mp", 4) == (
-        "bit-exact-native-mp",
-        {"workers": 4, "inner_backend": "bit-exact-native"},
-    )
+def test_resolve_policy_picks_threads_for_native(network, images):
+    with Session.from_network(
+        network, stream_length=200, seed=7, backend="bit-exact-native"
+    ) as session:
+        expected = session.predict(images).scores
+        result = session.predict(images, PredictOptions(workers=4))
+        sharded = [
+            b for b in session._backends.values() if isinstance(b, ParallelBackend)
+        ]
+    assert [(b.workers, b.inner_backend) for b in sharded] == [
+        (4, "bit-exact-native")
+    ]
+    assert result.backend == "bit-exact-native"
+    np.testing.assert_array_equal(result.scores, expected)
 
 
-def test_resolve_policy_keeps_processes_for_packed():
-    assert resolve_parallel_backend("bit-exact-packed", 4) == (
-        "bit-exact-packed-mp",
-        {"workers": 4, "inner_backend": "bit-exact-packed"},
-    )
-
-
-def test_resolve_policy_explicit_executor_wins():
-    name, options = resolve_parallel_backend(
-        "bit-exact-native", 4, executor="process"
-    )
-    assert name == "bit-exact-packed-mp"
-    assert options["inner_backend"] == "bit-exact-native"
-    name, options = resolve_parallel_backend(
-        "bit-exact-packed", 4, executor="thread"
-    )
-    assert name == "bit-exact-native-mp"
-    assert options["inner_backend"] == "bit-exact-packed"
-
-
-def test_resolve_policy_single_worker_passthrough():
-    assert resolve_parallel_backend("bit-exact-native", None) == (
-        "bit-exact-native",
-        {},
-    )
-    assert resolve_parallel_backend("bit-exact-native", 1) == (
-        "bit-exact-native",
-        {},
-    )
-
-
-def test_resolve_policy_rejects_bad_executor():
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        resolve_parallel_backend("bit-exact-packed", 4, executor="fibers")
+def test_resolve_policy_single_worker_passthrough(network, images):
+    with Session.from_network(
+        network, stream_length=200, seed=7, backend="bit-exact-native"
+    ) as session:
+        for workers in (None, 1):
+            session.predict(images, PredictOptions(workers=workers))
+        assert [type(b) for b in session._backends.values()] == [
+            BitExactNativeBackend
+        ]
 
 
 # -- wide-slab regression (word-blocked per-cycle fallback) --------------------

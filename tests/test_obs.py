@@ -24,11 +24,11 @@ import threading
 
 import numpy as np
 import pytest
+from nets import tiny_cnn
 
 from repro.backends import create_backend
 from repro.config import ServiceConfig
 from repro.errors import ConfigurationError
-from repro.nn.architectures import LayerSpec, build_network
 from repro.nn.sc_layers import ScNetworkMapper
 from repro.obs import (
     JsonlEventLog,
@@ -45,21 +45,9 @@ from repro.serve import ScInferenceService
 from repro.serve.metrics import ServiceMetrics
 
 
-def _tiny_cnn():
-    specs = [
-        LayerSpec(kind="conv", name="Conv3_x", kernel=3, channels=2),
-        LayerSpec(kind="pool", name="AvgPool", kernel=4, stride=4),
-        LayerSpec(kind="fc", name="FC16", units=16),
-        LayerSpec(kind="output", name="OutLayer", units=10),
-    ]
-    return build_network(
-        specs, activation="hardware", seed=5, training_stream_length=128
-    )
-
-
 @pytest.fixture(scope="module")
 def mapper():
-    return ScNetworkMapper(_tiny_cnn(), stream_length=128, seed=7)
+    return ScNetworkMapper(tiny_cnn(), stream_length=128, seed=7)
 
 
 @pytest.fixture(scope="module")

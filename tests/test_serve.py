@@ -22,12 +22,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from nets import tiny_cnn
 
 from repro.backends import Backend, backend_names, create_backend, describe_backends
 from repro.backends.registry import backend_class
 from repro.config import PredictOptions, ServiceConfig
 from repro.errors import ConfigurationError, EncodingError, ShapeError
-from repro.nn.architectures import LayerSpec, build_network
 from repro.nn.sc_layers import ScNetworkMapper
 from repro.sc.packed import pack_bits, prefix_ones_counts
 from repro.serve import (
@@ -41,21 +41,9 @@ from repro.serve import (
 )
 
 
-def _tiny_cnn():
-    specs = [
-        LayerSpec(kind="conv", name="Conv3_x", kernel=3, channels=2),
-        LayerSpec(kind="pool", name="AvgPool", kernel=4, stride=4),
-        LayerSpec(kind="fc", name="FC16", units=16),
-        LayerSpec(kind="output", name="OutLayer", units=10),
-    ]
-    return build_network(
-        specs, activation="hardware", seed=5, training_stream_length=128
-    )
-
-
 @pytest.fixture(scope="module")
 def mapper():
-    return ScNetworkMapper(_tiny_cnn(), stream_length=128, seed=7)
+    return ScNetworkMapper(tiny_cnn(), stream_length=128, seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +138,7 @@ class TestForwardPartial:
 
     def test_packed_prefixes_on_odd_stream_length(self, images):
         """Tail-word masking: prefix counts stay exact when N % 64 != 0."""
-        odd = ScNetworkMapper(_tiny_cnn(), stream_length=100, seed=3)
+        odd = ScNetworkMapper(tiny_cnn(), stream_length=100, seed=3)
         backend = create_backend("bit-exact-packed", odd)
         partial = backend.forward_partial(images[:2], (13, 50, 100))
         assert np.array_equal(partial[-1], backend.forward(images[:2]))
@@ -230,30 +218,29 @@ class TestForwardPartial:
         assert backend_class("sc-fast").progressive is True
         assert backend_class("bit-exact-packed").progressive is True
         assert backend_class("float").progressive is False
-        # Since the batched/legacy prefix-popcount path landed, every
-        # bit-exact backend is progressive.
-        assert backend_class("bit-exact-batched").progressive is True
+        # Every bit-exact backend reads checkpoints as stream prefixes.
         assert backend_class("bit-exact-legacy").progressive is True
+        assert backend_class("bit-exact-native").progressive is True
 
-    def test_batched_and_legacy_prefixes_match_packed(self, mapper, images):
+    def test_legacy_prefixes_match_packed(self, mapper, images):
         """All bit-exact backends decode identical checkpoint scores."""
         checkpoints = (13, 64, 128)
         packed = create_backend("bit-exact-packed", mapper).forward_partial(
             images, checkpoints
         )
-        batched = create_backend("bit-exact-batched", mapper).forward_partial(
+        native = create_backend("bit-exact-native", mapper).forward_partial(
             images, checkpoints
         )
         legacy = create_backend("bit-exact-legacy", mapper).forward_partial(
             images[:2], checkpoints
         )
-        assert np.array_equal(batched, packed)
+        assert np.array_equal(native, packed)
         assert np.array_equal(legacy, packed[:, :2])
 
-    def test_batched_final_checkpoint_is_bit_exact(self, mapper, images):
-        backend = create_backend("bit-exact-batched", mapper)
-        partial = backend.forward_partial(images, (64, 128))
-        assert np.array_equal(partial[-1], backend.forward(images))
+    def test_legacy_final_checkpoint_is_bit_exact(self, mapper, images):
+        backend = create_backend("bit-exact-legacy", mapper)
+        partial = backend.forward_partial(images[:2], (64, 128))
+        assert np.array_equal(partial[-1], backend.forward(images[:2]))
 
 
 class TestImageValidation:
@@ -381,7 +368,7 @@ class TestService:
         """A pool sharded across bit-exact backends answers identically."""
         direct = create_backend("bit-exact-packed", mapper).forward(images)
         config = ServiceConfig(
-            backend=("bit-exact-packed", "bit-exact-batched"),
+            backend=("bit-exact-packed", "bit-exact-legacy"),
             num_workers=2,
             max_batch_size=2,
             max_wait_ms=5.0,
@@ -481,16 +468,6 @@ class TestService:
     def test_explicit_schedule_needs_progressive_shards(self, mapper, images):
         config = ServiceConfig(backend="float", num_workers=1)
         with ScInferenceService(mapper, config) as service:
-            with pytest.raises(ConfigurationError, match="progressive"):
-                service.submit(images[:1], PredictOptions(stream_length=64))
-
-    def test_progressive_gate_reads_replica_instances(self, mapper, images):
-        """ParallelBackend mirrors its inner backend's flags per instance;
-        the submit-time gate must read the replica, not the class."""
-        config = ServiceConfig(backend="bit-exact-packed-mp", num_workers=1)
-        with ScInferenceService(
-            mapper, config, workers=2, inner_backend="float"
-        ) as service:
             with pytest.raises(ConfigurationError, match="progressive"):
                 service.submit(images[:1], PredictOptions(stream_length=64))
 
@@ -686,50 +663,3 @@ class TestBenchServe:
         assert on_disk["load_sweep"][0]["latency_ms"]["p50"] > 0
         assert on_disk["cache"]["hit_rate"] == pytest.approx(2 / 3)
         assert report["early_exit"]["cycle_reduction"] >= 1.5
-
-
-class TestParallelBackendServing:
-    """The process-sharded backend slots into the service unchanged."""
-
-    def test_service_on_parallel_backend(self, mapper, images):
-        direct = create_backend("bit-exact-packed", mapper).forward(images)
-        config = ServiceConfig(
-            backend="bit-exact-packed-mp",
-            num_workers=1,  # one service thread whose replica owns the pool
-            max_batch_size=8,
-            max_wait_ms=20.0,
-            early_exit=False,
-            cache_capacity=0,
-        )
-        with ScInferenceService(mapper, config, workers=2) as service:
-            response = service.infer(images, timeout=300)
-        assert np.array_equal(response.scores, direct)
-        # close() released every replica (the pool is shut down).
-        assert all(
-            getattr(replica, "_executor", None) is None
-            for replica in service._replicas
-        )
-
-    def test_progressive_early_exit_through_parallel_backend(
-        self, mapper, images
-    ):
-        reference = create_backend("bit-exact-packed", mapper)
-        config = ServiceConfig(
-            backend="bit-exact-packed-mp",
-            num_workers=1,
-            max_batch_size=8,
-            max_wait_ms=20.0,
-            early_exit=True,
-            cache_capacity=0,
-        )
-        with ScInferenceService(mapper, config, workers=2) as service:
-            response = service.infer(images, timeout=300)
-        # Early exits are exact prefixes: every prediction matches the
-        # full-stream forward (stability + margin policy only fires when
-        # the prefix decision already agrees with later checkpoints; the
-        # fallback checkpoint is the exact full stream).
-        checkpoints = service.checkpoints
-        partial = reference.forward_partial(images, checkpoints)
-        for row, exit_point in enumerate(response.exit_checkpoints):
-            k = checkpoints.index(int(exit_point))
-            assert np.array_equal(response.scores[row], partial[k, row])
