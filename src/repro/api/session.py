@@ -57,8 +57,8 @@ class PredictResult:
         checkpoints: the evaluated checkpoint schedule (``(N,)`` for a
             plain full-stream forward pass).
         checkpoint_scores: ``(n_checkpoints, batch, n_classes)`` scores at
-            every checkpoint when a progressive schedule was evaluated,
-            else ``None``.
+            every checkpoint (``scores[None]`` after a plain full-stream
+            forward pass).
         backend: registry name of the backend that produced the scores.
     """
 
@@ -67,7 +67,7 @@ class PredictResult:
     exit_checkpoints: np.ndarray
     stream_length: int
     checkpoints: tuple[int, ...]
-    checkpoint_scores: np.ndarray | None
+    checkpoint_scores: np.ndarray
     backend: str
 
 
@@ -238,42 +238,19 @@ class Session:
                 "stream lengths / checkpoint schedules need stream-prefix "
                 "evaluation (pick a backend whose 'progressive' flag is set)"
             )
-        if resolved.early_exit:
-            result = progressive_forward(
-                executor, images, checkpoints=resolved.checkpoints
-            )
-            return PredictResult(
-                scores=result.scores,
-                predictions=result.predictions,
-                exit_checkpoints=result.exit_checkpoints,
-                stream_length=resolved.stream_length,
-                checkpoints=result.checkpoints,
-                checkpoint_scores=result.checkpoint_scores,
-                backend=executor.name,
-            )
-        if resolved.explicit_schedule:
-            checkpoint_scores = np.asarray(
-                executor.forward_partial(images, resolved.checkpoints)
-            )
-            scores = checkpoint_scores[-1]
-            exits = np.full(scores.shape[0], resolved.checkpoints[-1])
-            return PredictResult(
-                scores=scores,
-                predictions=np.argmax(scores, axis=-1),
-                exit_checkpoints=exits,
-                stream_length=resolved.stream_length,
-                checkpoints=resolved.checkpoints,
-                checkpoint_scores=checkpoint_scores,
-                backend=executor.name,
-            )
-        scores = np.asarray(executor.forward(images))
+        result = progressive_forward(
+            executor,
+            images,
+            resolved.checkpoints if resolved.explicit_schedule else None,
+            early_exit=resolved.early_exit,
+        )
         return PredictResult(
-            scores=scores,
-            predictions=np.argmax(scores, axis=-1),
-            exit_checkpoints=np.full(scores.shape[0], resolved.stream_length),
+            scores=result.scores,
+            predictions=result.predictions,
+            exit_checkpoints=result.exit_checkpoints,
             stream_length=resolved.stream_length,
-            checkpoints=(resolved.stream_length,),
-            checkpoint_scores=None,
+            checkpoints=result.checkpoints,
+            checkpoint_scores=result.checkpoint_scores,
             backend=executor.name,
         )
 

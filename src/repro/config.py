@@ -100,9 +100,8 @@ class ServiceConfig:
     """Knobs of the micro-batching inference service (:mod:`repro.serve`).
 
     Attributes:
-        backend: registry name of the execution backend each worker
-            replica runs, or a tuple of names to shard the worker pool
-            across several backends (workers are assigned round-robin).
+        backend: registry name of the execution backend every worker
+            replica runs.
         max_batch_size: the scheduler dispatches a merged batch as soon
             as this many images are pending.
         max_wait_ms: ... or once the oldest queued request has waited
@@ -139,14 +138,15 @@ class ServiceConfig:
             with a typed :class:`~repro.errors.InferenceError`.
         degrade_queue_depth: overload controller trigger -- when more
             than this many admitted requests are unfinished, progressive
-            replicas answer at reduced checkpoint schedules
+            replicas cap exits at an earlier checkpoint
             (``None`` = queue depth never triggers degradation).
         degrade_p99_ms: ... or when the recent p99 latency exceeds this
             many milliseconds (``None`` = latency never triggers it).
-        degraded_max_fraction: under degradation, checkpoint schedules
-            are capped at this fraction of the stream length (default
-            ``0.5``: answers come from the ``N/8 .. N/2`` prefixes).
-            Degraded results are never stored in the result cache.
+        degraded_max_fraction: under degradation, exits are capped at
+            the last checkpoint within this fraction of the stream length
+            (default ``0.5``: answers come from the ``N/8 .. N/2``
+            prefixes).  Degraded results are never stored in the result
+            cache.
         fault_plan: optional fault-injection hook
             (:class:`repro.serve.faults.FaultPlan`, or any object with a
             compatible ``before_batch(worker, replica)`` method) invoked
@@ -168,7 +168,7 @@ class ServiceConfig:
             logger hierarchy while the service runs.
     """
 
-    backend: str | tuple[str, ...] = DEFAULT_BACKEND
+    backend: str = DEFAULT_BACKEND
     max_batch_size: int = 32
     max_wait_ms: float = 2.0
     num_workers: int = 2
@@ -192,15 +192,10 @@ class ServiceConfig:
     event_log_path: str | None = None
 
     def __post_init__(self) -> None:
-        names = (
-            (self.backend,) if isinstance(self.backend, str) else self.backend
-        )
-        if not names or not all(
-            isinstance(n, str) and n for n in names
-        ):
+        if not isinstance(self.backend, str) or not self.backend:
             raise ConfigurationError(
-                f"backend must be a non-empty backend name (or a tuple of "
-                f"them), got {self.backend!r}"
+                f"backend must be a non-empty backend name, got "
+                f"{self.backend!r}"
             )
         if self.max_batch_size < 1:
             raise ConfigurationError(
@@ -290,13 +285,6 @@ class ServiceConfig:
                 f"method (see repro.serve.faults.FaultPlan), got "
                 f"{self.fault_plan!r}"
             )
-
-    @property
-    def backend_names(self) -> tuple[str, ...]:
-        """The backend shard names as a tuple (single names wrapped)."""
-        if isinstance(self.backend, str):
-            return (self.backend,)
-        return tuple(self.backend)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ stream cycles can each request get away with*.  It contains:
 
 * :class:`~repro.serve.service.ScInferenceService` -- the front door:
   futures-based request submission, a FIFO micro-batching scheduler
-  (``max_batch_size`` / ``max_wait_ms``), and a worker pool of backend
-  replicas, optionally sharded across several registry backends.
+  (``max_batch_size`` / ``max_wait_ms``), and a worker pool of replicas
+  of one registry backend.
 * :mod:`~repro.serve.progressive` -- the progressive-precision engine:
   class scores evaluated at stream-length checkpoints
   (:meth:`~repro.backends.base.Backend.forward_partial`) with a

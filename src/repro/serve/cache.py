@@ -13,14 +13,17 @@ two requests that differ only in checkpoint schedule or per-request
 stream length from ever sharing an entry -- the scores stored for one
 schedule are stale for the other.
 
-Only *nominal* results enter the cache.  Deadline-truncated answers
+An entry holds the image's scores at every checkpoint of the evaluated
+schedule, not only at its exit, so a response mixing cached and computed
+images still carries one ``(n_checkpoints, batch, n_classes)`` array.
+
+Only *nominal* results enter the cache.  Deadline-capped answers
 (wall-clock artefacts of one request's latency budget) and
-overload-degraded answers (truncated schedules served while the
-service's degradation controller is engaged, see
-:mod:`repro.serve.service`) are never stored: a later request at the
-same key expects full-precision scores, and a cache poisoned with an
-early-checkpoint answer would silently serve it long after the overload
-has passed.
+overload-degraded answers (exits capped while the service's degradation
+controller is engaged, see :mod:`repro.serve.service`) are never stored:
+a later request at the same key expects uncapped exits, and a cache
+poisoned with an early-checkpoint answer would silently serve it long
+after the overload has passed.
 """
 
 from __future__ import annotations
@@ -53,11 +56,14 @@ class CachedResult:
         scores: ``(n_classes,)`` class scores at the exit checkpoint.
         prediction: predicted class index.
         exit_checkpoint: stream cycles the original evaluation consumed.
+        checkpoint_scores: ``(n_checkpoints, n_classes)`` class scores at
+            every checkpoint of the evaluated schedule.
     """
 
     scores: np.ndarray
     prediction: int
     exit_checkpoint: int
+    checkpoint_scores: np.ndarray
 
 
 class LruResultCache:

@@ -19,27 +19,29 @@ Routes:
 ========================================  ====================================
 
 The streaming route is the paper's progressive-precision story on the
-wire: each Server-Sent Event carries the class scores at one stream-length
-checkpoint -- the client sees the ``N/8`` answer as soon as it lands, then
-refinements until the stability + margin policy exits.  Every streamed
-score plane is an **exact prefix evaluation**: checkpoint ``c`` is
-submitted to the pool as its own single-point schedule
-``PredictOptions(stream_length=c, checkpoints=(c,))``, which for the
-bit-exact backends is literally a prefix popcount -- so streamed scores
-are bit-identical to in-process :meth:`~repro.api.Session.predict`
-prefixes (asserted in ``tests/test_http.py``), and the early-exit
-decisions replicate :func:`~repro.serve.progressive.early_exit_from_scores`
-checkpoint by checkpoint.
+wire.  In stochastic computing the first ``P`` cycles of an ``N``-cycle
+stream already are the lower-precision answer, so the pool's one
+evaluation of a request yields every checkpoint of its schedule.  A
+stream is that one request: its response carries the per-checkpoint score
+planes (:attr:`~repro.serve.InferenceResponse.checkpoint_scores`), and the
+route writes one Server-Sent Event per checkpoint from them, then a
+terminal ``done`` event.  Event ``k`` lists the images whose exit is at or
+after checkpoint ``k``; its ``exited`` field names the images that stop
+there.  All events are written when the evaluation ends.  Every streamed
+score plane is an exact prefix evaluation, bit-identical to in-process
+:meth:`~repro.api.Session.predict` prefixes (asserted in
+``tests/test_http.py``), and the exits are the service's own early-exit,
+deadline and overload decisions.
 
 Typed failures keep their semantics across the wire: deadline-shed
 requests return HTTP 504 with ``reason="deadline"`` (and, because a
 deadline-budgeted request is never cacheable, they can never poison the
 result cache); queue-full shedding is 429; a draining or worker-less
 fleet is 503; malformed requests are 4xx with machine-readable ``type`` /
-``reason`` fields.  Graceful drain extends through open connections:
-keep-alive loops finish the request in flight and close, open checkpoint
-streams emit a terminal ``{"kind": "done", "reason": "draining"}`` event
-rather than dying mid-chunk.
+``reason`` fields.  A stream refused after its head went out ends with
+the same payload as a typed ``error`` event.  Graceful drain extends
+through open connections: keep-alive loops finish the request in flight
+and close, and an open stream finishes its one evaluation.
 """
 
 from __future__ import annotations
@@ -156,14 +158,6 @@ def _json_bytes(payload: dict) -> bytes:
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
-def _margins(scores: np.ndarray) -> np.ndarray:
-    """Top-1/top-2 score gaps, exactly as ``early_exit_from_scores``."""
-    if scores.shape[-1] >= 2:
-        top2 = np.sort(scores, axis=-1)[..., -2:]
-        return top2[..., 1] - top2[..., 0]
-    return np.full(scores.shape[0], np.inf)
-
-
 class ScHttpServer:
     """Asyncio HTTP front end over a :class:`ModelRegistry`.
 
@@ -221,8 +215,8 @@ class ScHttpServer:
         """Graceful shutdown: stop accepting, finish open connections.
 
         Sets the draining flag (keep-alive loops close after the request
-        in flight; open checkpoint streams emit a terminal ``"draining"``
-        event), closes the listener, then waits up to
+        in flight; open streams finish their one evaluation), closes the
+        listener, then waits up to
         ``drain_timeout_s`` for connection handlers before cancelling
         stragglers.
         """
@@ -727,31 +721,36 @@ class ScHttpServer:
             timeout = min(timeout, budget)
         return timeout
 
-    async def _await_future(self, name: str, future, timeout: float):
-        """Await a pool future, cancelling it on server-side timeout."""
+    async def _submit(self, name: str, images, options):
+        """Submit one request; returns the pool that took it and its answer.
+
+        A server-side timeout cancels the request on that same pool: after
+        a hot reload the registry's current pool is another one.
+        """
+        loop = asyncio.get_running_loop()
+        pool, future = await loop.run_in_executor(
+            None,
+            functools.partial(self.registry.submit, name, images, options),
+        )
+        timeout = self._timeout_for(options)
         try:
-            return await asyncio.wait_for(asyncio.wrap_future(future), timeout)
+            response = await asyncio.wait_for(
+                asyncio.wrap_future(future), timeout
+            )
         except (TimeoutError, asyncio.TimeoutError):
             with contextlib.suppress(Exception):
-                self.registry.pool(name).cancel(future)
+                pool.cancel(future)
             raise HttpError(
                 504,
                 "DeadlineExceeded",
                 f"request exceeded its {timeout * 1000:.0f} ms budget",
                 reason="deadline",
             ) from None
+        return pool, response
 
     async def _predict_unary(self, name: str, payload: dict) -> dict:
         images, options = self._parse_predict_payload(payload)
-        loop = asyncio.get_running_loop()
-        future = await loop.run_in_executor(
-            None,
-            functools.partial(self.registry.submit, name, images, options),
-        )
-        response = await self._await_future(
-            name, future, self._timeout_for(options)
-        )
-        pool = self.registry.pool(name)
+        pool, response = await self._submit(name, images, options)
         return {
             "model": name,
             "generation": pool.generation,
@@ -765,23 +764,16 @@ class ScHttpServer:
         }
 
     async def _predict_stream(self, name, payload, writer) -> bool:
-        """SSE stream of progressive checkpoints; always closes the
+        """SSE stream of one request's checkpoints; always closes the
         connection when done (the stream body is EOF-delimited chunked
         encoding, so reuse is not worth the bookkeeping)."""
         images, options = self._parse_predict_payload(payload)
-        loop = asyncio.get_running_loop()
-        pool = await loop.run_in_executor(None, self.registry.pool, name)
-        opts = options or PredictOptions()
-        resolved = opts.resolve(
-            pool.stream_length,
-            pool.service_config.checkpoint_fractions,
-            pool.service_config.early_exit,
-        )
-        schedule = resolved.checkpoints
-        margin = pool.service_config.margin
-        stable = pool.service_config.stable_checkpoints
+        # Requests the model can never serve are a 4xx, not an event:
+        # an unknown name (404) or a schedule past its stream (400).
+        info = self.registry.info(name)
+        if options is not None:
+            options.resolve(info.stream_length)
         start = time.monotonic()
-
         head = (
             "HTTP/1.1 200 OK\r\n"
             "Content-Type: text/event-stream\r\n"
@@ -792,99 +784,8 @@ class ScHttpServer:
         )
         writer.write(head.encode("latin-1"))
         await writer.drain()
-
-        batch = images.shape[0]
-        n_points = len(schedule)
-        active = np.arange(batch)
-        checkpoint_preds = np.full((n_points, batch), -1, dtype=np.int64)
-        final_scores: np.ndarray | None = None
-        final_preds = np.zeros(batch, dtype=np.int64)
-        exit_checkpoints = np.zeros(batch, dtype=np.int64)
-        reason = "complete"
         try:
-            for k, point in enumerate(schedule):
-                if self._draining.is_set():
-                    reason = "draining"
-                    break
-                remaining_ms: float | None = None
-                if opts.deadline_ms is not None:
-                    elapsed_ms = (time.monotonic() - start) * 1000.0
-                    remaining_ms = opts.deadline_ms - elapsed_ms
-                    if remaining_ms <= 0:
-                        reason = "deadline"
-                        break
-                step_options = PredictOptions(
-                    stream_length=point,
-                    checkpoints=(point,),
-                    early_exit=False,
-                    deadline_ms=remaining_ms,
-                )
-                try:
-                    future = await loop.run_in_executor(
-                        None,
-                        functools.partial(
-                            self.registry.submit,
-                            name,
-                            images[active],
-                            step_options,
-                        ),
-                    )
-                    response = await self._await_future(
-                        name, future, self._timeout_for(step_options)
-                    )
-                except (ServiceOverloadError, FleetError, HttpError) as exc:
-                    shed_reason = getattr(exc, "reason", "")
-                    if shed_reason in ("deadline", "draining"):
-                        reason = shed_reason
-                        break
-                    raise
-                scores = np.asarray(response.scores)
-                if final_scores is None:
-                    final_scores = np.zeros(
-                        (batch, scores.shape[-1]), dtype=scores.dtype
-                    )
-                checkpoint_preds[k, active] = response.predictions
-                final_scores[active] = scores
-                final_preds[active] = response.predictions
-                exit_checkpoints[active] = point
-
-                # Replicate early_exit_from_scores incrementally: an image
-                # exits at the first non-final checkpoint where the last
-                # `stable` predictions agree and the top-1/top-2 gap
-                # clears `margin`; the final checkpoint needs no check.
-                exited: np.ndarray = np.array([], dtype=np.int64)
-                if (
-                    resolved.early_exit
-                    and k < n_points - 1
-                    and k >= stable - 1
-                ):
-                    stable_mask = np.ones(len(active), dtype=bool)
-                    for j in range(k - stable + 1, k):
-                        stable_mask &= (
-                            checkpoint_preds[j, active]
-                            == checkpoint_preds[k, active]
-                        )
-                    exits = stable_mask & (_margins(scores) >= margin)
-                    exited = active[exits]
-                await self._sse_event(
-                    writer,
-                    {
-                        "kind": "checkpoint",
-                        "index": k,
-                        "checkpoint": int(point),
-                        "images": active.tolist(),
-                        "scores": scores.tolist(),
-                        "predictions": response.predictions.tolist(),
-                        "cached": response.cached.tolist(),
-                        "exited": exited.tolist(),
-                    },
-                )
-                if len(exited):
-                    keep = ~np.isin(active, exited)
-                    active = active[keep]
-                if not len(active):
-                    reason = "early_exit" if k < n_points - 1 else "complete"
-                    break
+            pool, response = await self._submit(name, images, options)
         except Exception as exc:  # noqa: BLE001 - typed error event
             if isinstance(exc, (ConnectionResetError, BrokenPipeError)):
                 raise
@@ -895,37 +796,44 @@ class ScHttpServer:
             await self._sse_event(writer, payload)
             await self._end_chunks(writer)
             return False
-        if final_scores is None:
-            # Not a single checkpoint landed (immediate drain/deadline).
-            status, payload = error_response(
-                ServiceOverloadError(
-                    f"stream ended before any checkpoint ({reason})",
-                    reason=reason,
-                )
-                if reason == "deadline"
-                else FleetError(
-                    f"stream ended before any checkpoint ({reason})",
-                    reason="draining",
-                )
+        points = response.checkpoints
+        last = len(points) - 1
+        exit_index = np.searchsorted(points, response.exit_checkpoints)
+        for k in range(int(exit_index.max()) + 1):
+            members = np.flatnonzero(exit_index >= k)
+            scores = response.checkpoint_scores[k, members]
+            exited = members[exit_index[members] == k]
+            if k == last:
+                exited = members[:0]  # the final checkpoint is no exit
+            await self._sse_event(
+                writer,
+                {
+                    "kind": "checkpoint",
+                    "index": k,
+                    "checkpoint": int(points[k]),
+                    "images": members.tolist(),
+                    "scores": scores.tolist(),
+                    "predictions": np.argmax(scores, axis=-1).tolist(),
+                    "cached": response.cached[members].tolist(),
+                    "exited": exited.tolist(),
+                },
             )
-            payload["kind"] = "error"
-            await self._sse_event(writer, payload)
-            await self._end_chunks(writer)
-            return False
-        evaluated = exit_checkpoints > 0
         await self._sse_event(
             writer,
             {
                 "kind": "done",
-                "reason": reason,
+                "reason": (
+                    "early_exit" if exit_index.max() < last else "complete"
+                ),
                 "model": name,
                 "generation": pool.generation,
-                "scores": final_scores.tolist(),
-                "predictions": final_preds.tolist(),
-                "exit_checkpoints": exit_checkpoints.tolist(),
-                "evaluated": evaluated.tolist(),
-                "stream_length": int(resolved.stream_length),
+                "scores": response.scores.tolist(),
+                "predictions": response.predictions.tolist(),
+                "exit_checkpoints": response.exit_checkpoints.tolist(),
+                "evaluated": [True] * len(exit_index),
+                "stream_length": int(points[-1]),
                 "latency_ms": (time.monotonic() - start) * 1000.0,
+                "degraded": response.degraded,
             },
         )
         await self._end_chunks(writer)

@@ -19,6 +19,10 @@ This module turns that into a serving policy:
    full-length checkpoint, whose scores equal the ordinary full-stream
    forward pass exactly.
 
+Overload degradation and per-request deadlines do not change the
+schedule: they cap each image's exit index (:func:`exit_cap`), so every
+answer is still an exact prefix of the one evaluated pass.
+
 The exit checkpoint is the number of stream cycles the hardware would
 actually have spent, so ``stream_length / mean(exit_checkpoints)`` is the
 mean stream-cycle (and hence energy/latency) reduction -- the quantity
@@ -38,26 +42,22 @@ from repro.errors import ConfigurationError, ShapeError
 __all__ = [
     "ProgressiveResult",
     "resolve_checkpoints",
-    "cap_checkpoints",
+    "exit_cap",
     "early_exit_from_scores",
     "progressive_forward",
 ]
 
 
-def cap_checkpoints(
-    checkpoints: tuple[int, ...], cap: int
-) -> tuple[int, ...]:
-    """Truncate a checkpoint schedule to the points at or below ``cap``.
+def exit_cap(checkpoints: tuple[int, ...], cycles: float) -> int:
+    """Index of the last checkpoint at or below ``cycles`` stream cycles.
 
-    The degradation lever behind overload control: because checkpoint
-    scores are exact stream prefixes, a schedule cut short still yields
-    *correct* (reduced-precision) answers — the service answers at
-    ``N/8..cap`` instead of shedding.  When every point exceeds ``cap``
-    the first point alone survives: an early answer is the whole point
-    of degrading, so the schedule never becomes empty.
+    The one cap behind overload degradation and deadline budgets: an
+    image's exit index is lowered to it, so a capped answer is still an
+    exact stream prefix, just an earlier one.  When every point exceeds
+    ``cycles`` the cap is the first checkpoint: an early answer is the
+    whole point of capping, so there is always one.
     """
-    capped = tuple(p for p in checkpoints if p <= cap)
-    return capped if capped else checkpoints[:1]
+    return max(0, int(np.searchsorted(checkpoints, cycles, side="right")) - 1)
 
 
 @dataclass(frozen=True)
@@ -162,13 +162,22 @@ def early_exit_from_scores(
         exits = undecided & stable & (margins[k] >= margin)
         exit_index[exits] = k
         undecided &= ~exits
-    rows = np.arange(batch)
+    return _exit_at(scores, points, exit_index)
+
+
+def _exit_at(
+    checkpoint_scores: np.ndarray,
+    points: tuple[int, ...],
+    exit_index: np.ndarray,
+) -> ProgressiveResult:
+    """The result of every image exiting at its ``exit_index``."""
+    scores = checkpoint_scores[exit_index, np.arange(len(exit_index))]
     return ProgressiveResult(
-        scores=scores[exit_index, rows],
-        predictions=predictions[exit_index, rows],
+        scores=scores,
+        predictions=np.argmax(scores, axis=-1),
         exit_checkpoints=np.asarray(points)[exit_index],
         checkpoints=points,
-        checkpoint_scores=scores,
+        checkpoint_scores=checkpoint_scores,
     )
 
 
@@ -178,37 +187,50 @@ def progressive_forward(
     checkpoints=None,
     margin: float = 0.1,
     stable_checkpoints: int = 2,
+    early_exit: bool = True,
 ) -> ProgressiveResult:
-    """Evaluate a batch with progressive early exit (when supported).
+    """Score a batch over a checkpoint schedule and pick each image's exit.
 
-    Progressive backends are scored at every checkpoint with one
-    :meth:`~repro.backends.base.Backend.forward_partial` call and the
-    stability + margin policy picks each image's exit.  Non-progressive
-    backends degrade gracefully: one full forward pass, every image
-    "exits" at the full stream length.
+    The one evaluation path behind :meth:`repro.api.Session.predict` and
+    :class:`~repro.serve.ScInferenceService`.  A progressive backend
+    scores every checkpoint with one
+    :meth:`~repro.backends.base.Backend.forward_partial` call; with
+    ``early_exit`` the stability + margin policy picks each image's exit,
+    without it every image exits at the final checkpoint.  One plain
+    :meth:`~repro.backends.base.Backend.forward` pass runs instead, every
+    image exiting at the full stream length, on a non-progressive backend
+    and when neither early exit nor an explicit schedule asks for
+    checkpoints.
 
     Args:
         backend: the execution backend.
         images: ``(batch, channels, height, width)`` images in ``[0, 1]``.
         checkpoints: explicit checkpoint schedule; ``None`` derives the
             default ``N/8, N/4, N/2, N`` schedule from the backend's
-            stream length.
+            stream length for early exit.
         margin: minimum top-1/top-2 gap for an exit.
         stable_checkpoints: consecutive agreeing checkpoints required.
+        early_exit: apply the early-exit policy.
     """
-    if not backend.progressive:
+    if not backend.progressive or (checkpoints is None and not early_exit):
         scores = np.asarray(backend.forward(images))
-        n = backend.stream_length
-        return ProgressiveResult(
-            scores=scores,
-            predictions=np.argmax(scores, axis=-1),
-            exit_checkpoints=np.full(scores.shape[0], n),
-            checkpoints=(n,),
-            checkpoint_scores=scores[None],
+        return _exit_at(
+            scores[None],
+            (backend.stream_length,),
+            np.zeros(scores.shape[0], dtype=int),
         )
-    if checkpoints is None:
-        checkpoints = resolve_checkpoints(backend.stream_length)
-    checkpoint_scores = backend.forward_partial(images, checkpoints)
-    return early_exit_from_scores(
-        checkpoint_scores, checkpoints, margin, stable_checkpoints
+    points = (
+        resolve_checkpoints(backend.stream_length)
+        if checkpoints is None
+        else tuple(int(p) for p in checkpoints)
+    )
+    checkpoint_scores = np.asarray(backend.forward_partial(images, points))
+    if early_exit:
+        return early_exit_from_scores(
+            checkpoint_scores, points, margin, stable_checkpoints
+        )
+    return _exit_at(
+        checkpoint_scores,
+        points,
+        np.full(checkpoint_scores.shape[1], len(points) - 1),
     )

@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -150,7 +151,7 @@ class _ModelPool:
             self.service_config = service_config
             self._router = None
             self._session = Session.from_artifact(
-                info.path, backend=service_config.backend_names[0]
+                info.path, backend=service_config.backend
             )
             self._backend = self._session.serve(service_config)
 
@@ -316,9 +317,17 @@ class ModelRegistry:
                 entry.pool = self._build_pool(entry.info)
             return entry.pool
 
-    def submit(self, name: str, images: np.ndarray, options=None):
-        """Submit to the model's current pool; the future resolves to an
-        :class:`~repro.serve.InferenceResponse`.
+    def submit(
+        self, name: str, images: np.ndarray, options=None
+    ) -> tuple[_ModelPool, Future]:
+        """Submit to the model's current pool.
+
+        Returns the pool that took the request together with its future,
+        which resolves to an :class:`~repro.serve.InferenceResponse`.  A
+        hot reload may swap the model's pool while the request is in
+        flight, so callers label the answer with this pool's
+        ``generation`` and cancel through this pool, never through a
+        fresh :meth:`pool` lookup.
 
         A request can race a hot-reload: the looked-up pool may finish
         draining between the lookup and the submit.  That narrow window
@@ -330,7 +339,7 @@ class ModelRegistry:
         for attempt in range(2):
             pool = self.pool(name)
             try:
-                return pool.submit(images, options)
+                return pool, pool.submit(images, options)
             except (ConfigurationError, FleetError) as exc:
                 with self._lock:
                     entry = self._entries.get(name)

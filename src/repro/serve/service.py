@@ -5,12 +5,14 @@ backends (:mod:`repro.backends`): clients submit single images or small
 batches and receive futures; a scheduler thread coalesces queued requests
 into merged batches (dispatching as soon as ``max_batch_size`` images are
 pending or the oldest request has waited ``max_wait_ms``); a pool of
-worker threads -- each owning one backend replica, optionally sharded
-across several registry backends -- executes the merged batches.  Per
-image the service consults the LRU result cache first and, on progressive
-backends, answers through the early-exit engine
-(:mod:`repro.serve.progressive`) so confidently classified images stop
-streaming at an early checkpoint.
+worker threads -- each owning one replica of the configured backend --
+executes the merged batches.  Per image the service consults the LRU
+result cache first and, on progressive backends, answers through the
+early-exit engine (:mod:`repro.serve.progressive`) so confidently
+classified images stop streaming at an early checkpoint.  One pass per
+bucket scores every checkpoint of the schedule, and the response carries
+all of them, so a caller that streams checkpoints needs no second
+request.
 
 Requests carry typed per-request options
 (:class:`~repro.config.PredictOptions`): a reduced stream length or an
@@ -43,10 +45,10 @@ Bounded admission (``max_queue_depth``) fast-rejects submits with
 bound, and ``shed_unmeetable_deadlines`` rejects requests whose
 ``deadline_ms`` cannot buy even the first checkpoint at the observed
 streaming rate.  Under overload (queue depth or recent p99 latency past
-the ``degrade_*`` thresholds) the service answers progressive requests
-from a truncated checkpoint schedule (``degraded_max_fraction`` of the
-stream); degraded answers are flagged on the response and never enter
-the result cache.  Deterministic fault injection for all of this lives
+the ``degrade_*`` thresholds) the service caps progressive answers at
+the last checkpoint within ``degraded_max_fraction`` of the stream;
+degraded answers are flagged on the response and never enter the result
+cache.  Deterministic fault injection for all of this lives
 in :mod:`repro.serve.faults`.
 """
 
@@ -81,8 +83,8 @@ from repro.obs import (
 from repro.serve.cache import CachedResult, LruResultCache, image_digest
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.progressive import (
-    cap_checkpoints,
-    early_exit_from_scores,
+    exit_cap,
+    progressive_forward,
     resolve_checkpoints,
 )
 
@@ -109,8 +111,15 @@ class InferenceResponse:
         cached: ``(batch,)`` boolean mask of images served from the cache.
         stream_length: full stream length ``N`` of the service.
         latency_seconds: submit-to-response wall time.
-        degraded: True when overload shedding answered this request from
-            a truncated checkpoint schedule (the scores are exact prefix
+        checkpoints: the checkpoint schedule that was evaluated (``(N,)``
+            after a plain full-stream forward pass).
+        checkpoint_scores: ``(n_checkpoints, batch, n_classes)`` scores at
+            every checkpoint: the exact prefix planes of the one pass that
+            scored each image (cached images included), or ``scores[None]``
+            after a plain forward pass.  An image's planes past its exit
+            checkpoint were computed but not chosen.
+        degraded: True when overload shedding capped this request's exits
+            below the last checkpoint (the scores are exact prefix
             evaluations, just earlier ones than the request asked for);
             degraded results never enter the result cache.
         trace: :class:`repro.obs.TraceSummary` of the request's lifecycle
@@ -125,6 +134,8 @@ class InferenceResponse:
     cached: np.ndarray
     stream_length: int
     latency_seconds: float
+    checkpoints: tuple[int, ...]
+    checkpoint_scores: np.ndarray
     degraded: bool = False
     trace: TraceSummary | None = None
 
@@ -193,20 +204,21 @@ class _PendingRequest:
     def n_compute(self) -> int:
         return len(self.compute_indices)
 
-    def response(self) -> InferenceResponse:
+    def response(self, **fields) -> InferenceResponse:
         """Assemble the response once every row is filled."""
-        scores = np.stack([row.scores for row in self.rows])
         cached = np.ones(self.n_images, dtype=bool)
         cached[self.compute_indices] = False
         return InferenceResponse(
-            scores=scores,
+            scores=np.stack([row.scores for row in self.rows]),
             predictions=np.asarray([row.prediction for row in self.rows]),
             exit_checkpoints=np.asarray(
                 [row.exit_checkpoint for row in self.rows]
             ),
             cached=cached,
-            stream_length=0,  # patched by the service (see _finish)
-            latency_seconds=0.0,
+            checkpoint_scores=np.stack(
+                [row.checkpoint_scores for row in self.rows], axis=1
+            ),
+            **fields,
         )
 
 
@@ -235,25 +247,15 @@ class ScInferenceService:
     ) -> None:
         self.config = config or ServiceConfig()
         self.mapper = mapper
-        names = self.config.backend_names
-        # Worker i runs a replica of shard i % len(names): a homogeneous
-        # pool by default, round-robin sharding across several registry
-        # backends when the config names more than one.  Names and options
-        # are kept so supervision can rebuild a crashed replica.
-        self._replica_names = [
-            names[i % len(names)] for i in range(self.config.num_workers)
-        ]
+        # Options are kept so supervision can rebuild a crashed replica.
         self._backend_options = dict(backend_options)
         self._replicas = [
-            create_backend(name, mapper, **backend_options)
-            for name in self._replica_names
+            create_backend(self.config.backend, mapper, **backend_options)
+            for _ in range(self.config.num_workers)
         ]
-        self._shard_names = tuple(dict.fromkeys(names))
-        # Per-request reduced stream lengths / explicit schedules need
-        # stream-prefix evaluation on every shard; checked at submit().
-        self._all_progressive = all(
-            replica.progressive for replica in self._replicas
-        )
+        # Progressive replicas score a request's whole schedule in every
+        # pass; the others run one full-stream forward pass.
+        self._progressive = self._replicas[0].progressive
         self.stream_length = mapper.stream_length
         self.checkpoints = resolve_checkpoints(
             self.stream_length, self.config.checkpoint_fractions
@@ -364,7 +366,7 @@ class ScInferenceService:
         if self.cache.capacity:
             digests = [image_digest(image) for image in arr]
             rows: list[CachedResult | None] = [
-                self._cache_lookup(digest, resolved.cache_token)
+                self.cache.get(self._cache_key(digest, resolved))
                 for digest in digests
             ]
         else:
@@ -477,10 +479,10 @@ class ScInferenceService:
 
         On ``timeout`` the request is *cancelled* before re-raising: an
         abandoned request must not keep occupying an admission slot and
-        worker time nobody will read.  Cancellation only succeeds while
-        the request is still queued (futures never enter the running
-        state here); a request a worker is already computing completes
-        normally and its result is dropped.
+        worker time nobody will read.  Cancellation succeeds until a
+        worker records the answer (only then does the future enter the
+        running state); a request cancelled while a worker computes it
+        completes and its result is dropped.
         """
         future = self.submit(images, options)
         try:
@@ -520,7 +522,7 @@ class ScInferenceService:
 
         Raises in the submitting caller when the request demands
         stream-prefix evaluation (reduced stream length / explicit
-        checkpoints) but a configured shard backend cannot provide it.
+        checkpoints) but the configured backend cannot provide it.
         """
         if options is None:
             return self._default_resolved
@@ -529,25 +531,19 @@ class ScInferenceService:
             self.config.checkpoint_fractions,
             self.config.early_exit,
         )
-        if resolved.explicit_schedule and not self._all_progressive:
+        if resolved.explicit_schedule and not self._progressive:
             raise ConfigurationError(
                 "per-request stream lengths / checkpoint schedules need "
-                "progressive backends, but this service is configured with "
-                f"{self._shard_names} (pick backends whose 'progressive' "
-                "capability flag is set)"
+                "a progressive backend, but this service is configured "
+                f"with {self.config.backend!r} (pick a backend whose "
+                "'progressive' capability flag is set)"
             )
         return resolved
 
-    def _cache_lookup(
-        self, digest: str, token: tuple
-    ) -> CachedResult | None:
-        for name in self._shard_names:
-            entry = self.cache.get(
-                LruResultCache.key(digest, name, self.stream_length, token)
-            )
-            if entry is not None:
-                return entry
-        return None
+    def _cache_key(self, digest: str, resolved: ResolvedPredictOptions):
+        return LruResultCache.key(
+            digest, self.config.backend, self.stream_length, resolved.cache_token
+        )
 
     # -- scheduler -------------------------------------------------------------
 
@@ -719,7 +715,7 @@ class ScInferenceService:
             old.close()
         except Exception:  # pragma: no cover - close() contract says no
             pass
-        name = self._replica_names[index]
+        name = self.config.backend
         self._replicas[index] = create_backend(
             name, self.mapper, **self._backend_options
         )
@@ -783,81 +779,52 @@ class ScInferenceService:
             request.worker = index
             request.replica_name = replica.name
         resolved = bucket[0].resolved
-        points = resolved.checkpoints
         images = np.concatenate(
             [request.compute_images for request in bucket], axis=0
         )
-        has_deadline = any(r.deadline_at is not None for r in bucket)
-        # Overload degradation: when the controller reports a cap, the
-        # bucket's schedule is truncated to the checkpoints at or below
-        # it (keeping at least the first).  The answers are still exact
-        # prefix evaluations -- just earlier ones -- and are flagged
-        # degraded so they never poison the full-precision cache.
-        degrade_cap = self._degrade_cap()
-        degraded = False
-        if degrade_cap is not None and replica.progressive:
-            capped = cap_checkpoints(points, degrade_cap)
-            if capped != points:
-                points = capped
-                degraded = True
-                _LOG.info(
-                    "overload degradation: bucket of %d request(s) capped "
-                    "at %d stream cycles",
-                    len(bucket),
-                    degrade_cap,
-                    extra={
-                        "obs_event": {
-                            "kind": "degraded",
-                            "worker": index,
-                            "batch_seq": seq,
-                            "requests": len(bucket),
-                            "cap_cycles": degrade_cap,
-                        }
-                    },
-                )
-        # Deadline-budgeted requests force the checkpoint path even with
-        # early exit off: the cap needs per-checkpoint scores to fall
-        # back on.  Non-progressive replicas degrade to a full forward
-        # pass (explicit schedules were already rejected at submit()).
-        use_checkpoints = replica.progressive and (
-            resolved.early_exit
-            or resolved.explicit_schedule
-            or has_deadline
-            or degraded
-        )
+        # Progressive replicas always score the whole schedule, even with
+        # early exit off: deadline and overload caps fall back on its
+        # earlier checkpoints, and every row of a response (cached rows
+        # included) then covers the same schedule.
         started = time.perf_counter()
-        ran_policy = False
-        if use_checkpoints:
-            checkpoint_scores = np.asarray(
-                replica.forward_partial(images, points)
-            )
-            forward_ended = time.perf_counter()
-            if resolved.early_exit:
-                ran_policy = True
-                policy = early_exit_from_scores(
-                    checkpoint_scores,
-                    points,
-                    margin=self.config.margin,
-                    stable_checkpoints=self.config.stable_checkpoints,
-                )
-                exit_index = np.searchsorted(
-                    np.asarray(points), policy.exit_checkpoints
-                )
-            else:
-                exit_index = np.full(images.shape[0], len(points) - 1)
-        else:
-            scores_full = np.asarray(replica.forward(images))
-            forward_ended = time.perf_counter()
-            checkpoint_scores = scores_full[None]
-            points = (resolved.stream_length,)
-            exit_index = np.zeros(images.shape[0], dtype=int)
+        result = progressive_forward(
+            replica,
+            images,
+            resolved.checkpoints,
+            margin=self.config.margin,
+            stable_checkpoints=self.config.stable_checkpoints,
+            early_exit=resolved.early_exit,
+        )
+        now = time.perf_counter()
         # The work done is always a full-stream simulation (progressive
         # backends read checkpoints as prefixes of the complete streams),
         # so the rate is priced in full-N cycles regardless of the
         # bucket's schedule.
-        self._observe_rate(self.stream_length, time.perf_counter() - started)
-        now = time.perf_counter()
-        cycles = np.asarray(points)
+        self._observe_rate(self.stream_length, now - started)
+        points = result.checkpoints
+        exit_index = np.searchsorted(points, result.exit_checkpoints)
+        # Overload degradation caps the bucket's exits.  The answers are
+        # still exact prefix evaluations -- just earlier ones -- and are
+        # flagged degraded so they never poison the full-precision cache.
+        degrade_cap = self._degrade_cap(points)
+        degraded = degrade_cap is not None and degrade_cap < len(points) - 1
+        if degraded:
+            exit_index = np.minimum(exit_index, degrade_cap)
+            _LOG.info(
+                "overload degradation: bucket of %d request(s) capped "
+                "at %d stream cycles",
+                len(bucket),
+                points[degrade_cap],
+                extra={
+                    "obs_event": {
+                        "kind": "degraded",
+                        "worker": index,
+                        "batch_seq": seq,
+                        "requests": len(bucket),
+                        "cap_cycles": points[degrade_cap],
+                    }
+                },
+            )
         offset = 0
         for request in bucket:
             k = request.n_compute
@@ -865,27 +832,24 @@ class ScInferenceService:
             cap = self._deadline_cap(request, points, now)
             if cap is not None:
                 exits_here = np.minimum(exits_here, cap)
-            rows = np.arange(offset, offset + k)
-            scores = checkpoint_scores[exits_here, rows]
             if request.trace is not None:
                 self._record_bucket_spans(
                     request,
                     exec_start=exec_start,
                     forward_started=started,
-                    forward_ended=forward_ended,
                     ended=now,
                     points=points,
                     batch_images=images.shape[0],
-                    used_checkpoints=use_checkpoints,
-                    ran_policy=ran_policy,
+                    forward_name=(
+                        "forward_partial" if replica.progressive else "forward"
+                    ),
                     degraded=degraded,
                 )
             self._fulfill(
                 request,
-                replica,
-                scores,
-                np.argmax(scores, axis=-1),
-                cycles[exits_here],
+                result.checkpoint_scores[:, offset : offset + k],
+                points,
+                exits_here,
                 degraded=degraded,
             )
             offset += k
@@ -895,12 +859,10 @@ class ScInferenceService:
         request: _PendingRequest,
         exec_start: float,
         forward_started: float,
-        forward_ended: float,
         ended: float,
         points: tuple[int, ...],
         batch_images: int,
-        used_checkpoints: bool,
-        ran_policy: bool,
+        forward_name: str,
         degraded: bool = False,
     ) -> None:
         """Record one request's compute-side spans (successful attempt).
@@ -935,25 +897,21 @@ class ScInferenceService:
             degraded=degraded,
         )
         trace.add_span(
-            "forward_partial" if used_checkpoints else "forward",
+            forward_name,
             forward_started,
-            forward_ended,
+            ended,
             parent=compute,
             checkpoints=list(points),
             batch_images=batch_images,
         )
-        if ran_policy:
-            trace.add_span(
-                "early_exit", forward_ended, ended, parent=compute
-            )
 
-    def _degrade_cap(self) -> int | None:
-        """Stream-cycle cap of the overload controller, or None.
+    def _degrade_cap(self, points: tuple[int, ...]) -> int | None:
+        """Exit-index cap of the overload controller, or None.
 
         Overload is either queue pressure (``degrade_queue_depth``
         requests in flight) or latency pressure (recent p99 past
-        ``degrade_p99_ms``).  While overloaded, progressive buckets are
-        answered from checkpoints at or below
+        ``degrade_p99_ms``).  While overloaded, progressive buckets exit
+        no later than the last checkpoint at or below
         ``degraded_max_fraction * N``.  Reads of ``_inflight`` are
         intentionally lock-free: an off-by-one cap decision is harmless.
         """
@@ -969,7 +927,7 @@ class ScInferenceService:
             overloaded = p99 is not None and p99 > cfg.degrade_p99_ms
         if not overloaded:
             return None
-        return max(1, int(cfg.degraded_max_fraction * self.stream_length))
+        return exit_cap(points, cfg.degraded_max_fraction * self.stream_length)
 
     def _observe_rate(self, full_cycles: int, duration: float) -> None:
         """Fold one batch evaluation into the streaming-rate estimate.
@@ -1007,29 +965,29 @@ class ScInferenceService:
         rate = self._cycles_per_second
         if rate is None:
             return None
-        budget_cycles = remaining * rate
-        cap = int(np.searchsorted(points, budget_cycles, side="right")) - 1
-        return max(0, cap)
+        return exit_cap(points, remaining * rate)
 
     def _fulfill(
         self,
         request: _PendingRequest,
-        replica: Backend,
-        scores: np.ndarray,
-        predictions: np.ndarray,
-        exits: np.ndarray,
+        checkpoint_scores: np.ndarray,
+        points: tuple[int, ...],
+        exit_index: np.ndarray,
         degraded: bool = False,
     ) -> None:
         cache_started = time.perf_counter()
         cached_rows = 0
+        scores = checkpoint_scores[exit_index, np.arange(len(exit_index))]
+        exits = np.asarray(points)[exit_index]
         for j, index in enumerate(request.compute_indices):
             row = CachedResult(
                 scores=np.array(scores[j]),
-                prediction=int(predictions[j]),
+                prediction=int(np.argmax(scores[j])),
                 exit_checkpoint=int(exits[j]),
+                checkpoint_scores=np.array(checkpoint_scores[:, j]),
             )
             request.rows[index] = row
-            # Deadline-truncated results are wall-clock artefacts and
+            # Deadline-capped results are wall-clock artefacts and
             # degraded results are overload artefacts: neither may ever
             # satisfy a later full-precision request.
             if (
@@ -1038,12 +996,7 @@ class ScInferenceService:
                 and not degraded
             ):
                 self.cache.put(
-                    LruResultCache.key(
-                        request.digests[index],
-                        replica.name,
-                        self.stream_length,
-                        request.resolved.cache_token,
-                    ),
+                    self._cache_key(request.digests[index], request.resolved),
                     row,
                 )
                 cached_rows += 1
@@ -1084,23 +1037,25 @@ class ScInferenceService:
             if request.trace is not None
             else None
         )
-        base = request.response()
-        response = InferenceResponse(
-            scores=base.scores,
-            predictions=base.predictions,
-            exit_checkpoints=base.exit_checkpoints,
-            cached=base.cached,
+        response = request.response(
             stream_length=self.stream_length,
             latency_seconds=latency,
+            checkpoints=(
+                request.resolved.checkpoints
+                if self._progressive
+                else (self.stream_length,)
+            ),
             degraded=degraded,
             trace=summary,
         )
-        try:
-            request.future.set_result(response)
-        except InvalidStateError:
-            # Cancelled between dispatch and completion: the result is
-            # dropped and the admission slot was released by cancel().
+        future = request.future
+        if future.done() or not future.set_running_or_notify_cancel():
+            # Cancelled between dispatch and completion (the result is
+            # dropped and cancel() released the admission slot), or
+            # answered by an earlier attempt of a retried bucket.
             return
+        # Account for the request before resolving it: a caller holding
+        # the answer already finds it in the metrics.
         self._release(request)
         self.metrics.record_request(
             latency,
@@ -1113,6 +1068,7 @@ class ScInferenceService:
         )
         if degraded:
             self.metrics.record_degraded()
+        future.set_result(response)
 
     def _summarise_trace(
         self,
@@ -1230,7 +1186,7 @@ class ScInferenceService:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ScInferenceService(backends={self.config.backend_names}, "
+            f"ScInferenceService(backend={self.config.backend!r}, "
             f"workers={self.config.num_workers}, "
             f"stream_length={self.stream_length}, "
             f"checkpoints={self.checkpoints})"

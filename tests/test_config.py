@@ -58,7 +58,7 @@ class TestConfig:
 
     def test_service_config_defaults_valid(self):
         config = ServiceConfig()
-        assert config.backend_names == (ExperimentConfig().default_backend,)
+        assert config.backend == ExperimentConfig().default_backend
         assert config.checkpoint_fractions[-1] == 1.0
 
     def test_version_exposed(self):

@@ -264,14 +264,14 @@ class TestBoundedAdmission:
 
 
 class TestProgressiveDegradation:
-    def test_cap_checkpoints(self):
-        from repro.serve.progressive import cap_checkpoints
+    def test_exit_cap(self):
+        from repro.serve.progressive import exit_cap
 
-        assert cap_checkpoints((16, 32, 64, 128), 64) == (16, 32, 64)
-        assert cap_checkpoints((16, 32, 64, 128), 128) == (16, 32, 64, 128)
-        # Every point above the cap: the first survives so the schedule
-        # never goes empty (an early answer is the point of degrading).
-        assert cap_checkpoints((16, 32, 64, 128), 8) == (16,)
+        assert exit_cap((16, 32, 64, 128), 64) == 2
+        assert exit_cap((16, 32, 64, 128), 128) == 3
+        # Every point above the cap: the first checkpoint stays the cap
+        # (an early answer is the point of degrading).
+        assert exit_cap((16, 32, 64, 128), 8) == 0
 
     def test_overload_truncates_schedule_and_skips_cache(
         self, mapper, images, reference

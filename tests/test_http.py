@@ -7,18 +7,22 @@ Pins down the network-surface contracts of :mod:`repro.serve.http` and
   checkpoint event are bit-identical to in-process
   :meth:`~repro.api.Session.predict` (checkpoint events against the
   matching single-point prefix schedule, the terminal event against the
-  full early-exit result, exit checkpoints included);
+  full early-exit result, exit checkpoints included), in-process and
+  through a fleet worker;
+* **a stream is one request** -- its events come from the planes of one
+  service evaluation, cached or computed, and overload caps its exits;
 * **typed errors survive HTTP** -- malformed JSON / oversized bodies /
   unknown models / unknown options map to 4xx with machine-readable
   ``type``/``reason`` fields, deadline shedding maps to 504 with
   ``reason="deadline"`` and never writes the result cache (the PR 6
   invariant extended to the wire);
 * **hot reload is atomic** -- overwriting an artifact and scanning swaps
-  the replica pool with zero dropped requests under concurrent load, and
-  every response is bit-exact against one of the two artifact versions;
-* **drain extends through open connections** -- a checkpoint stream open
-  across ``close()`` ends with a terminal ``"draining"`` event instead
-  of a dead socket.
+  the replica pool with zero dropped requests under concurrent load,
+  every response is bit-exact against one of the two artifact versions,
+  and a request in flight across the swap is labelled with the
+  generation that answered it;
+* **drain extends through open connections** -- a stream open across
+  ``close()`` finishes its evaluation instead of dying mid-chunk.
 """
 
 import http.client
@@ -31,7 +35,7 @@ import pytest
 from nets import tiny_cnn
 
 from repro.api import PredictOptions, ScModel, Session
-from repro.config import HttpConfig, ServiceConfig
+from repro.config import FleetConfig, HttpConfig, ServiceConfig
 from repro.errors import ConfigurationError, ModelNotFoundError
 from repro.obs import validate_exposition
 from repro.serve import ModelRegistry, ScHttpServer, describe_artifact
@@ -87,6 +91,23 @@ def _stream(port, path, body, timeout=120.0):
         return _read_events(resp)
     finally:
         conn.close()
+
+
+def _assert_exact_prefixes(session, images, events):
+    """Every checkpoint event equals ``Session.predict`` at its prefix."""
+    checkpoints = [e for e in events if e["kind"] == "checkpoint"]
+    assert checkpoints
+    for event in checkpoints:
+        point = event["checkpoint"]
+        reference = session.predict(
+            images[event["images"]],
+            PredictOptions(
+                stream_length=point, checkpoints=(point,), early_exit=False
+            ),
+        )
+        assert np.array_equal(
+            np.asarray(event["scores"]), reference.scores
+        ), f"checkpoint {point} not an exact prefix"
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +314,93 @@ class TestStreaming:
             np.asarray(events[-1]["scores"]), reference.scores
         )
 
+    def test_stream_is_one_request(self, artifact, images):
+        registry = ModelRegistry(
+            models={"m1": artifact}, service=_service_config()
+        )
+        try:
+            with ScHttpServer(registry, HttpConfig()) as server:
+                events = _stream(
+                    server.port,
+                    "/v1/models/m1/predict/stream",
+                    {"images": images.tolist(), "options": {"early_exit": False}},
+                )
+                requests = registry.pool("m1").snapshot()["requests"]
+        finally:
+            registry.close()
+        checkpoints = [e["checkpoint"] for e in events if e["kind"] == "checkpoint"]
+        assert checkpoints == [16, 32, 64, 128]
+        assert requests == 1
+
+    def test_cached_stream_matches_cold_stream(self, server):
+        fresh = np.random.default_rng(43).random((3, 1, 28, 28))
+        body = {"images": fresh.tolist()}
+        path = "/v1/models/m1/predict/stream"
+        cold = _stream(server.port, path, body)
+        warm = _stream(server.port, path, body)
+
+        def checkpoint_events(events, cached):
+            out = []
+            for event in events:
+                if event["kind"] == "checkpoint":
+                    assert event["cached"] == [cached] * len(event["images"])
+                    out.append({**event, "cached": None})
+            return out
+
+        assert checkpoint_events(warm, True) == checkpoint_events(cold, False)
+        for key in ("reason", "scores", "predictions", "exit_checkpoints"):
+            assert warm[-1][key] == cold[-1][key]
+
+    def test_fleet_stream_bit_identical_to_prefixes(
+        self, artifact, session, images
+    ):
+        fleet = FleetConfig(
+            num_workers=1, heartbeat_misses=15, service=_service_config()
+        )
+        registry = ModelRegistry(models={"m1": artifact}, fleet=fleet)
+        try:
+            with ScHttpServer(registry, HttpConfig()) as server:
+                events = _stream(
+                    server.port,
+                    "/v1/models/m1/predict/stream",
+                    {"images": images.tolist()},
+                )
+        finally:
+            registry.close()
+        _assert_exact_prefixes(session, images, events)
+        done = events[-1]
+        reference = session.predict(images, PredictOptions(early_exit=True))
+        assert np.array_equal(np.asarray(done["scores"]), reference.scores)
+        assert done["exit_checkpoints"] == reference.exit_checkpoints.tolist()
+
+    def test_overloaded_stream_stays_under_its_cap(
+        self, artifact, session, images
+    ):
+        # degrade_queue_depth=1: the stream's own request overloads the
+        # service, which caps exits at the last checkpoint <= N/2.
+        registry = ModelRegistry(
+            models={"m1": artifact},
+            service=_service_config(
+                degrade_queue_depth=1, degraded_max_fraction=0.5
+            ),
+        )
+        try:
+            with ScHttpServer(registry, HttpConfig()) as server:
+                events = _stream(
+                    server.port,
+                    "/v1/models/m1/predict/stream",
+                    {"images": images.tolist(), "options": {"early_exit": False}},
+                )
+        finally:
+            registry.close()
+        done = events[-1]
+        assert done["kind"] == "done" and done["degraded"]
+        cap = STREAM_LENGTH // 2
+        checkpoints = [e["checkpoint"] for e in events if e["kind"] == "checkpoint"]
+        assert checkpoints == [16, 32, cap]
+        assert done["exit_checkpoints"] == [cap] * images.shape[0]
+        _assert_exact_prefixes(session, images, events)
+
 
 class TestTypedRejections:
     def test_malformed_json_400(self, server):
@@ -345,15 +453,29 @@ class TestTypedRejections:
                 assert payload["error"]["reason"] == "bad_options"
 
     def test_unknown_model_404(self, server, images):
+        for route in ("predict", "predict/stream"):
+            status, payload = _request(
+                server.port,
+                "POST",
+                f"/v1/models/ghost/{route}",
+                {"images": images.tolist()},
+            )
+            assert status == 404, route
+            assert payload["error"]["type"] == "ModelNotFoundError"
+            assert payload["error"]["reason"] == "unknown_model"
+
+    def test_stream_past_the_model_400(self, server, images):
         status, payload = _request(
             server.port,
             "POST",
-            "/v1/models/ghost/predict",
-            {"images": images.tolist()},
+            "/v1/models/m1/predict/stream",
+            {
+                "images": images.tolist(),
+                "options": {"stream_length": 2 * STREAM_LENGTH},
+            },
         )
-        assert status == 404
-        assert payload["error"]["type"] == "ModelNotFoundError"
-        assert payload["error"]["reason"] == "unknown_model"
+        assert status == 400
+        assert payload["error"]["type"] == "ConfigurationError"
 
     def test_oversized_body_413(self, artifact):
         registry = ModelRegistry(
@@ -580,11 +702,47 @@ class TestHotReload:
         finally:
             registry.close()
 
+    def test_in_flight_request_keeps_its_generation(self, tmp_path, images):
+        # A slow batching window holds the request on generation 1 while
+        # the reload swaps generation 2 in.
+        path = _tiny_model(seed=5).save(tmp_path / "m")
+        registry = ModelRegistry(
+            models={"m": path}, service=_service_config(max_wait_ms=1500.0)
+        )
+        with Session.from_artifact(path, backend=BACKEND) as sess:
+            v1 = sess.predict(images, PredictOptions(early_exit=True))
+        answers: list = []
+        try:
+            with ScHttpServer(registry, HttpConfig()) as server:
+                registry.pool("m")  # build generation 1 up front
+                request = threading.Thread(
+                    target=lambda: answers.append(
+                        _request(
+                            server.port,
+                            "POST",
+                            "/v1/models/m/predict",
+                            {"images": images.tolist()},
+                        )
+                    )
+                )
+                request.start()
+                time.sleep(0.5)
+                _tiny_model(seed=17).save(tmp_path / "m")
+                assert registry.scan()["reloaded"] == ["m"]
+                request.join(timeout=120)
+                assert not request.is_alive()
+        finally:
+            registry.close()
+        ((status, payload),) = answers
+        assert status == 200, payload
+        assert np.array_equal(np.asarray(payload["scores"]), v1.scores)
+        assert payload["generation"] == 1
+
 
 class TestDrain:
     def test_drain_with_open_stream_ends_typed(self, artifact, images):
-        # A slow micro-batching window stretches each checkpoint chunk,
-        # holding the stream open long enough to drain across it.
+        # A slow micro-batching window holds the stream's evaluation
+        # open long enough to drain across it.
         registry = ModelRegistry(
             models={"m1": artifact},
             service=_service_config(max_wait_ms=200.0),

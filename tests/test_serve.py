@@ -301,7 +301,7 @@ class TestLruCache:
         cache = LruResultCache(4)
         key = LruResultCache.key("digest", "sc-fast", 128)
         assert cache.get(key) is None
-        cache.put(key, CachedResult(np.zeros(10), 3, 64))
+        cache.put(key, CachedResult(np.zeros(10), 3, 64, np.zeros((1, 10))))
         hit = cache.get(key)
         assert hit is not None and hit.prediction == 3
         assert cache.stats() == {
@@ -314,7 +314,9 @@ class TestLruCache:
 
     def test_lru_eviction_order(self):
         cache = LruResultCache(2)
-        rows = [CachedResult(np.zeros(1), i, 1) for i in range(3)]
+        rows = [
+            CachedResult(np.zeros(1), i, 1, np.zeros((1, 1))) for i in range(3)
+        ]
         for i, row in enumerate(rows):
             cache.put(LruResultCache.key(str(i), "b", 1), row)
         assert cache.get(LruResultCache.key("0", "b", 1)) is None  # evicted
@@ -322,7 +324,8 @@ class TestLruCache:
 
     def test_zero_capacity_disables(self):
         cache = LruResultCache(0)
-        cache.put(LruResultCache.key("d", "b", 1), CachedResult(np.zeros(1), 0, 1))
+        row = CachedResult(np.zeros(1), 0, 1, np.zeros((1, 1)))
+        cache.put(LruResultCache.key("d", "b", 1), row)
         assert len(cache) == 0
 
     def test_digest_distinguishes_images(self, images):
@@ -364,23 +367,20 @@ class TestService:
         assert np.array_equal(response.scores, direct[:4])
         assert np.array_equal(tail.scores, direct[4:])
 
-    def test_sharded_backends_stay_bit_identical(self, mapper, images):
-        """A pool sharded across bit-exact backends answers identically."""
-        direct = create_backend("bit-exact-packed", mapper).forward(images)
+    def test_answers_are_counted_before_they_resolve(self, mapper, images):
+        """A done callback -- how the HTTP and fleet layers learn of an
+        answer -- already finds the request in the metrics."""
         config = ServiceConfig(
-            backend=("bit-exact-packed", "bit-exact-legacy"),
-            num_workers=2,
-            max_batch_size=2,
-            max_wait_ms=5.0,
-            early_exit=False,
-            cache_capacity=0,
+            backend="sc-fast", num_workers=1, max_wait_ms=50.0, cache_capacity=0
         )
+        counted = []
         with ScInferenceService(mapper, config) as service:
-            futures = [service.submit(image) for image in images]
-            scores = np.concatenate(
-                [future.result(timeout=120).scores for future in futures]
+            future = service.submit(images[0])
+            future.add_done_callback(
+                lambda _: counted.append(service.metrics.snapshot()["requests"])
             )
-        assert np.array_equal(scores, direct)
+            future.result(timeout=60)
+        assert counted == [1]
 
     def test_scheduler_coalesces_waiting_requests(self, mapper, images):
         config = ServiceConfig(
@@ -565,6 +565,26 @@ class TestPerRequestOptions:
             assert hurried.cached[0]
             assert hurried.exit_checkpoints[0] == mapper.stream_length
 
+    def test_partly_cached_response_carries_every_checkpoint(
+        self, mapper, images
+    ):
+        """Cached and computed rows cover the same schedule, so one
+        response stacks their planes -- a deadline-capped row included."""
+        reference = create_backend("bit-exact-packed", mapper)
+        with self._service(mapper) as service:
+            service.infer(images[:1], timeout=300)
+            mixed = service.infer(
+                images[:2], PredictOptions(deadline_ms=1e-6), timeout=300
+            )
+        planes = reference.forward_partial(images[:2], service.checkpoints)
+        assert mixed.cached.tolist() == [True, False]
+        assert mixed.checkpoints == service.checkpoints
+        assert np.array_equal(mixed.checkpoint_scores, planes)
+        assert mixed.exit_checkpoints.tolist() == [
+            mapper.stream_length,
+            service.checkpoints[0],
+        ]
+
     def test_mixed_option_batches_stay_bit_identical(self, mapper, images):
         """One merged batch, three different schedules: every request is
         answered as if it ran alone (bucketed evaluation)."""
@@ -609,18 +629,14 @@ class TestPerRequestOptions:
 class TestServiceConfig:
     def test_defaults_resolve(self):
         config = ServiceConfig()
-        assert config.backend_names == ("sc-fast",)
+        assert config.backend == "sc-fast"
         assert config.max_batch_size >= 1
-
-    def test_sharded_backend_names(self):
-        config = ServiceConfig(backend=("a", "b"))
-        assert config.backend_names == ("a", "b")
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"backend": ""},
-            {"backend": ()},
+            {"backend": ("a", "b")},
             {"max_batch_size": 0},
             {"max_wait_ms": -1.0},
             {"num_workers": 0},
