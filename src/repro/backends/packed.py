@@ -7,12 +7,16 @@ maps **word-packed** (64 stream bits per ``uint64``) from the SNG output
 all the way to the categorization chain, and executes every layer through
 *fused* kernels over a reusable buffer arena:
 
-* Stream generation is **word-direct**: the SNG comparison draws are
-  generated in bounded chunks and packed immediately
-  (:meth:`~repro.nn.sc_layers.ScNetworkMapper.input_stream_words` /
-  :meth:`~repro.nn.sc_layers.ScNetworkMapper.weight_stream_words`), so the
-  full-stream ``float64`` draw tensors -- formerly the peak allocation of
-  a forward pass -- never exist.
+* Stream generation reads the mapper's **stream plane**
+  (:meth:`~repro.nn.sc_layers.ScNetworkMapper.stream_plane`): the input
+  comparison draws and every layer's packed weight and bias words depend
+  only on the model, its seed, ``N`` and the input shape, so they are
+  drawn once per mapper and shape and shared read-only by every backend,
+  service replica and ``workers`` shard built on it.  A forward's SNG is
+  then one compare-and-pack of the images against the cached draws
+  (:meth:`~repro.nn.sc_layers.ScNetworkMapper.input_stream_words`).
+  Entries past the mapper's byte budget are redrawn word-direct from
+  their recorded generator state, in bounded chunks.
 * CONV layers gather im2col patches directly over packed words (zero-copy
   sliding windows, the word axis rides along) and reduce the XNOR product
   streams to per-cycle column counts with the **fused streaming
@@ -65,7 +69,7 @@ from repro.nn.layers import (
     HardwareActivation,
     LogitScale,
 )
-from repro.nn.sc_layers import ScNetworkMapper
+from repro.nn.sc_layers import ScNetworkMapper, StreamPlane
 from repro.obs.counters import GLOBAL_COUNTERS, KernelCounters, kernel_note
 from repro.sc.packed import (
     fused_xnor_column_counts,
@@ -199,16 +203,18 @@ class BitExactPackedBackend(Backend):
         self._record_kernel("stream_words", tier, started, words.nbytes)
         return words
 
-    def output_stream_words(
-        self, images: np.ndarray, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
+    def output_stream_words(self, images: np.ndarray) -> np.ndarray:
         """Packed categorization-output streams for a batch of images.
 
-        The stream randomness is drawn in exactly the order and shape of
-        the legacy path (one shared comparison-draw tensor,
-        then per-layer weight and bias streams), so the decoded scores are
-        bit-identical to
+        The stream randomness comes from the mapper's stream plane
+        (:meth:`~repro.nn.sc_layers.ScNetworkMapper.stream_plane`), drawn
+        in exactly the order and shape of the legacy path (one shared
+        comparison-draw tensor, then per-layer weight and bias streams),
+        so the decoded scores are bit-identical to
         :meth:`~repro.nn.sc_layers.ScNetworkMapper.bit_exact_forward_legacy`.
+        The first forward of an input shape on a mapper builds the plane
+        through this backend's comparator seam; every forward then
+        compares and packs the images against the plane's input draws.
         Keeping the *streams* (rather than only their decoded means)
         available is what the progressive early exit builds on: any prefix
         of these words is exactly the stream the hardware would have
@@ -218,7 +224,6 @@ class BitExactPackedBackend(Backend):
             images: ``(batch, channels, height, width)`` images in
                 ``[0, 1]`` (a single ``(channels, height, width)`` image
                 is also accepted).
-            rng: stream-generation random generator.
 
         Returns:
             ``(batch, n_classes, ceil(N / 64))`` packed ``uint64`` output
@@ -228,11 +233,11 @@ class BitExactPackedBackend(Backend):
         """
         mapper = self.mapper
         images = self._check_images(images)
-        rng = rng or np.random.default_rng(mapper.seed)
-        # The shared SNG preamble keeps the RNG consumption identical to
-        # the batched/legacy paths (the bit-exactness contract).
+        plane = mapper.stream_plane(images.shape[1:], self._stream_words)
         started = time.perf_counter()
-        words = mapper.input_stream_words(images, rng, packer=self._stream_packer)
+        words = mapper.input_stream_words(
+            images, plane.source(plane.input_draws), packer=self._stream_packer
+        )
         self._record_kernel(
             "stream_words",
             "numpy" if self._stream_packer is None else "native",
@@ -243,7 +248,9 @@ class BitExactPackedBackend(Backend):
         dense_seen = 0
         for index, layer in enumerate(mapper.network.layers):
             if isinstance(layer, Conv2D):
-                words = self._packed_conv(words, layer, rng, index)
+                words = self._packed_conv(
+                    words, layer, self._layer_words(plane, index, layer), index
+                )
             elif isinstance(layer, AvgPool2D):
                 words = self._packed_pool(words, layer, index)
             elif isinstance(layer, Flatten):
@@ -251,7 +258,13 @@ class BitExactPackedBackend(Backend):
             elif isinstance(layer, Dense):
                 dense_seen += 1
                 is_output = dense_seen == len(dense_layers)
-                words = self._packed_dense(words, layer, rng, is_output, index)
+                words = self._packed_dense(
+                    words,
+                    layer,
+                    self._layer_words(plane, index, layer),
+                    is_output,
+                    index,
+                )
             elif isinstance(layer, (HardwareActivation, ClipActivation, LogitScale)):
                 continue
             else:  # pragma: no cover - defensive
@@ -260,29 +273,21 @@ class BitExactPackedBackend(Backend):
                 )
         return words
 
-    def forward(
-        self, images: np.ndarray, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
+    def forward(self, images: np.ndarray) -> np.ndarray:
         """Decoded class scores: popcount of the full output streams.
 
         Args:
             images: ``(batch, channels, height, width)`` images in
                 ``[0, 1]`` (a single ``(channels, height, width)`` image
                 is also accepted).
-            rng: stream-generation random generator.
 
         Returns:
             ``(batch, n_classes)`` decoded class scores.
         """
-        words = self.output_stream_words(images, rng)
+        words = self.output_stream_words(images)
         return 2.0 * (ones_count(words) / float(self.mapper.stream_length)) - 1.0
 
-    def forward_partial(
-        self,
-        images: np.ndarray,
-        checkpoints,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
+    def forward_partial(self, images: np.ndarray, checkpoints) -> np.ndarray:
         """Class scores at stream prefixes, via prefix popcounts.
 
         One full simulation produces the packed output streams; every
@@ -295,10 +300,22 @@ class BitExactPackedBackend(Backend):
         :meth:`forward` bit for bit.
         """
         points = self._check_checkpoints(checkpoints)
-        words = self.output_stream_words(images, rng)
+        words = self.output_stream_words(images)
         return prefix_chain_scores(words, points, self.mapper.stream_length)
 
     # -- layer kernels ---------------------------------------------------------
+
+    def _layer_words(
+        self, plane: StreamPlane, index: int, layer: Conv2D | Dense
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A layer's packed weight and bias words from the stream plane
+        (redrawn through the comparator seam when past its budget)."""
+        words = []
+        for values, entry in zip((layer.weights, layer.bias), plane.params[index]):
+            if not isinstance(entry, np.ndarray):
+                entry = self._stream_words(values, plane.source(entry))
+            words.append(entry)
+        return tuple(words)
 
     @staticmethod
     def _count_dtype(m_total: int):
@@ -349,7 +366,7 @@ class BitExactPackedBackend(Backend):
         self,
         words: np.ndarray,
         layer: Conv2D,
-        rng: np.random.Generator,
+        layer_words: tuple[np.ndarray, np.ndarray],
         layer_key: int,
     ) -> np.ndarray:
         n = self.mapper.stream_length
@@ -376,8 +393,7 @@ class BitExactPackedBackend(Backend):
         windows = np.lib.stride_tricks.sliding_window_view(
             padded, (kernel, kernel), axis=(2, 3)
         )[:, :, ::stride, ::stride]  # (B, C, out_h, out_w, words, k, k)
-        weight_words = self._stream_words(layer.weights, rng)
-        bias_words = self._stream_words(layer.bias, rng)
+        weight_words, bias_words = layer_words
         out_ch = layer.out_channels
         fan_in = layer.fan_in
         m = fan_in + 1
@@ -464,7 +480,7 @@ class BitExactPackedBackend(Backend):
         self,
         words: np.ndarray,
         layer: Dense,
-        rng: np.random.Generator,
+        layer_words: tuple[np.ndarray, np.ndarray],
         is_output: bool,
         layer_key: int,
     ) -> np.ndarray:
@@ -477,8 +493,7 @@ class BitExactPackedBackend(Backend):
                 f"packed streams, got {words.shape}"
             )
         in_features = layer.in_features
-        weight_words = self._stream_words(layer.weights, rng)
-        bias_words = self._stream_words(layer.bias, rng)
+        weight_words, bias_words = layer_words
         ws = self.workspace
         if is_output:
             # The categorization layer's words are returned to the caller

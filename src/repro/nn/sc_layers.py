@@ -15,7 +15,10 @@ and executes it in the stochastic-computing domain in two ways:
   oracle and the perf baseline of ``benchmarks/bench_perf.py``, plus the
   word-packed stream generation (:meth:`ScNetworkMapper.input_stream_words`,
   :meth:`ScNetworkMapper.weight_stream_words`) the fast backends of
-  :mod:`repro.backends` build on.
+  :mod:`repro.backends` build on, and the **stream plane**
+  (:meth:`ScNetworkMapper.stream_plane`): the model-constant part of that
+  randomness, drawn once per input shape and shared read-only by every
+  backend on the mapper.
 
 The mapper also produces the per-layer block inventory (how many feature
 extraction / pooling / categorization / SNG blocks of which size), which the
@@ -24,6 +27,7 @@ network-level hardware report (Table 9) consumes.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +52,7 @@ from repro.nn.layers import (
 )
 from repro.nn.quantization import quantize_weights
 
-__all__ = ["LayerInventory", "ScNetworkMapper"]
+__all__ = ["LayerInventory", "ScNetworkMapper", "StreamPlane"]
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,43 @@ class LayerInventory:
     sng_inputs: int
 
 
+@dataclass(frozen=True)
+class StreamPlane:
+    """The model-constant stream randomness of one input shape.
+
+    A bit-exact forward consumes ``default_rng(seed)`` in one fixed order:
+    the input comparison draws (one ``(C*H*W, N)`` tensor shared by every
+    image of a batch), then the packed weight and bias streams of each
+    ``Conv2D``/``Dense`` layer in network order.  None of it depends on
+    the images, so :meth:`ScNetworkMapper.stream_plane` draws it once.
+
+    Every entry is either its cached read-only array or, past the mapper's
+    byte budget, the generator state its draws start from;
+    :meth:`source` turns such a state into a fresh generator, so the entry
+    is redrawn exactly as it would be drawn without a plane.
+
+    Attributes:
+        input_draws: ``(C*H*W, N)`` ``float64`` comparison draws (or
+            their start state).
+        params: ``{layer index: (weight entry, bias entry)}`` for every
+            ``Conv2D``/``Dense`` layer; a cached entry holds the packed
+            ``uint64`` words, of the parameter's shape plus
+            ``(ceil(N / 64),)``.
+    """
+
+    input_draws: np.ndarray | dict
+    params: dict[int, tuple[np.ndarray | dict, np.ndarray | dict]]
+
+    @staticmethod
+    def source(entry: np.ndarray | dict) -> np.ndarray | np.random.Generator:
+        """A cached entry as is, or a generator at an uncached one's start."""
+        if isinstance(entry, np.ndarray):
+            return entry
+        bit_generator = getattr(np.random, entry["bit_generator"])()
+        bit_generator.state = entry
+        return np.random.Generator(bit_generator)
+
+
 class ScNetworkMapper:
     """Execute a trained float network in the SC domain.
 
@@ -89,6 +130,10 @@ class ScNetworkMapper:
             what ``quantize_weights(param, weight_bits)`` would produce,
             which :func:`repro.nn.quantization.dequantize_weights` of the
             stored codes guarantees exactly.
+
+    The mapper treats the network's parameters as fixed: the stream plane
+    of an input shape is drawn from them by the first packed forward of
+    that shape and reused afterwards.
     """
 
     def __init__(
@@ -123,6 +168,9 @@ class ScNetworkMapper:
                     )
                 stored.append(q)
             self._quantized_params = stored
+        self._planes: dict[tuple[int, int, int], StreamPlane] = {}
+        self._plane_bytes = 0
+        self._plane_lock = threading.Lock()
 
     def quantized_weights(self, weights: np.ndarray) -> np.ndarray:
         """Quantised values of a network parameter array.
@@ -140,6 +188,39 @@ class ScNetworkMapper:
                 if param is weights:
                     return q
         return quantize_weights(weights, self.weight_bits)
+
+    def check_input_shape(self, shape: tuple[int, int, int]) -> None:
+        """Raise :class:`~repro.errors.ShapeError` unless images of
+        ``(channels, height, width)`` shape map onto the network.
+
+        The channels must match the first convolution and the flattened
+        feature map the first dense layer, through the convolution and
+        pooling geometry the bit-exact backends execute.
+        """
+        channels, height, width = (int(d) for d in shape)
+        for layer in self.network.layers:
+            if isinstance(layer, Conv2D):
+                if channels != layer.in_channels:
+                    raise ShapeError(
+                        f"images with {channels} channel(s) do not map onto "
+                        f"a convolution over {layer.in_channels}"
+                    )
+                pad = (layer.kernel_size - 1) // 2 if layer.padding == "same" else 0
+                height = (height + 2 * pad - layer.kernel_size) // layer.stride + 1
+                width = (width + 2 * pad - layer.kernel_size) // layer.stride + 1
+                channels = layer.out_channels
+            elif isinstance(layer, AvgPool2D):
+                height, width = height // layer.pool_size, width // layer.pool_size
+            elif isinstance(layer, Dense):
+                if channels * height * width != layer.in_features:
+                    raise ShapeError(
+                        f"{tuple(shape)} images flatten to "
+                        f"{channels * height * width} features; the first "
+                        f"dense layer takes {layer.in_features}"
+                    )
+                return
+            if height < 1 or width < 1:
+                raise ShapeError(f"{tuple(shape)} images are too small for the network")
 
     # -- inventory -------------------------------------------------------------
 
@@ -339,20 +420,20 @@ class ScNetworkMapper:
         return max(1, self._DRAWS_BYTES_BUDGET // (8 * self.stream_length))
 
     def _packed_comparator_streams(
-        self, p: np.ndarray, rng: np.random.Generator, packer=None
+        self, p: np.ndarray, rng: np.random.Generator | np.ndarray, packer=None
     ) -> np.ndarray:
         """Chunked draw -> compare -> pack core of the word-direct paths.
 
         One comparison-draw row is consumed per value (last axis of
         ``p``), in C order, exactly as the byte-per-bit oracle consumes
-        them -- this single loop is what keeps the RNG-consumption
-        contract of :meth:`input_stream_words` and
-        :meth:`weight_stream_words` in one place.  Leading axes of ``p``
-        share the draws (the batch axis of the input SNG).
+        them.  Leading axes of ``p`` share the draws (the batch axis of
+        the input SNG).
 
         Args:
             p: ones-probabilities of shape ``(..., V)``.
-            rng: stream-generation random generator.
+            rng: stream-generation random generator, or the ``(V, N)``
+                draws it would produce (a stream plane's cached input
+                draws), which are then only compared and packed.
             packer: optional word-direct comparator kernel with the
                 signature of
                 :func:`repro.sc.native.pack_comparator_floats`; the draws
@@ -368,6 +449,11 @@ class ScNetworkMapper:
 
         n = self.stream_length
         n_values = p.shape[-1]
+        drawn = isinstance(rng, np.ndarray)
+        if drawn and rng.shape != (n_values, n):
+            raise ShapeError(
+                f"expected ({n_values}, {n}) comparison draws, got {rng.shape}"
+            )
         out = np.empty(
             p.shape + (words_for_length(n),), dtype=np.uint64
         )
@@ -378,7 +464,7 @@ class ScNetworkMapper:
         chunk = max(1, self._stream_value_chunk() // lead)
         for start in range(0, n_values, chunk):
             stop = min(n_values, start + chunk)
-            draws = rng.random((stop - start, n))
+            draws = rng[start:stop] if drawn else rng.random((stop - start, n))
             if packer is not None and packer(
                 draws, p[..., start:stop], out[..., start:stop, :]
             ) is not None:
@@ -389,7 +475,7 @@ class ScNetworkMapper:
         return out
 
     def input_stream_words(
-        self, images: np.ndarray, rng: np.random.Generator, packer=None
+        self, images: np.ndarray, rng: np.random.Generator | np.ndarray, packer=None
     ) -> np.ndarray:
         """Word-packed SNG conversion of a batch of images.
 
@@ -406,7 +492,9 @@ class ScNetworkMapper:
             images: ``(batch, channels, height, width)`` images in
                 ``[0, 1]`` (a single ``(channels, height, width)`` image
                 is also accepted).
-            rng: stream-generation random generator.
+            rng: stream-generation random generator, or its
+                ``(channels * height * width, N)`` comparison draws (the
+                stream plane's ``input_draws``).
 
         Returns:
             ``uint64`` array of shape ``(batch, channels, height, width,
@@ -441,6 +529,73 @@ class ScNetworkMapper:
             ((q + 1.0) / 2.0).reshape(-1), rng, packer=packer
         )
         return words.reshape(np.shape(q) + (words.shape[-1],))
+
+    #: Bytes of stream planes (over every input shape) the mapper keeps
+    #: cached.  Entries are cached in RNG-consumption order while the
+    #: total fits; an entry past it is redrawn by every forward instead.
+    _PLANE_BYTES_BUDGET = 256 * 1024 * 1024
+
+    def stream_plane(self, shape: tuple[int, int, int], stream_words) -> StreamPlane:
+        """The :class:`StreamPlane` of ``(channels, height, width)`` images.
+
+        Built by the first caller of a shape, under a lock, and then
+        shared read-only by every backend on this mapper.  The build is
+        the one place the RNG-consumption contract of a bit-exact forward
+        lives: it replays the legacy path's draws from
+        ``default_rng(seed)`` -- input comparison draws first, then the
+        weight and bias streams of each ``Conv2D``/``Dense`` layer in
+        network order -- and steps an uncached entry's generator past it
+        without drawing.
+
+        Args:
+            shape: the image shape; checked by :meth:`check_input_shape`
+                before anything is drawn.
+            stream_words: ``stream_words(values, rng)`` -> packed words,
+                the calling backend's comparator seam; the build draws
+                every cached weight and bias entry through it.
+        """
+        shape = tuple(int(d) for d in shape)
+        plane = self._planes.get(shape)
+        if plane is None:
+            with self._plane_lock:
+                plane = self._planes.get(shape)
+                if plane is None:
+                    plane = self._planes[shape] = self._build_plane(
+                        shape, stream_words
+                    )
+        return plane
+
+    def _build_plane(self, shape, stream_words) -> StreamPlane:
+        from repro.sc.packed import words_for_length
+
+        self.check_input_shape(shape)
+        n = self.stream_length
+        rng = np.random.default_rng(self.seed)
+
+        def entry(n_values: int, value_bytes: int, draw):
+            nbytes = n_values * value_bytes
+            if self._plane_bytes + nbytes > self._PLANE_BYTES_BUDGET:
+                state = rng.bit_generator.state
+                # Each float64 draw consumes one 64-bit generator output.
+                rng.bit_generator.advance(n_values * n)
+                return state
+            array = draw()
+            array.flags.writeable = False
+            self._plane_bytes += nbytes
+            return array
+
+        n_inputs = int(np.prod(shape))
+        input_draws = entry(n_inputs, 8 * n, lambda: rng.random((n_inputs, n)))
+        word_bytes = 8 * words_for_length(n)
+        params = {
+            index: tuple(
+                entry(values.size, word_bytes, lambda v=values: stream_words(v, rng))
+                for values in (layer.weights, layer.bias)
+            )
+            for index, layer in enumerate(self.network.layers)
+            if isinstance(layer, (Conv2D, Dense))
+        }
+        return StreamPlane(input_draws, params)
 
     # -- legacy bit-exact reference ---------------------------------------------
 

@@ -29,8 +29,9 @@ Micro-batching is *transparent* for the bit-exact backends: every image's
 streams are generated from draw tensors shared across the batch, so its
 scores are bit-identical no matter which requests it was coalesced with
 -- the property ``tests/test_serve.py`` pins down.  Merged batches may
-mix requests with different effective options; the worker buckets them by
-evaluation plan, which preserves that transparency per bucket.
+mix requests with different effective options or image shapes; the
+worker buckets them by evaluation plan and shape, which preserves that
+transparency per bucket.
 
 **Fault tolerance.**  A worker thread never dies with its batch: failures
 are classified by exception type.  :class:`~repro.errors.InferenceError`
@@ -334,7 +335,8 @@ class ScInferenceService:
         :class:`InferenceResponse`.
 
         Validation is *fail-fast*: malformed images
-        (:class:`~repro.errors.ShapeError` /
+        (:class:`~repro.errors.ShapeError` -- also for a shape the
+        model's network cannot map -- /
         :class:`~repro.errors.EncodingError`) and invalid or unsupported
         options (:class:`~repro.errors.ConfigurationError`) raise here,
         in the caller, never as a worker-side future error.
@@ -361,6 +363,7 @@ class ScInferenceService:
         arr = Backend._check_images(images)
         if arr.shape[0] == 0:
             raise ConfigurationError("a request needs at least one image")
+        self.mapper.check_input_shape(arr.shape[1:])
         resolved = self._resolve_options(options)
         trace = self.tracer.begin()
         if self.cache.capacity:
@@ -622,15 +625,17 @@ class ScInferenceService:
         self, seq: int, group: list[_PendingRequest], index: int
     ) -> None:
         # A merged batch may mix requests with different effective
-        # options; bucketing by evaluation plan keeps each sub-batch on
-        # one schedule (micro-batching stays transparent per bucket).
+        # options or image shapes; bucketing by evaluation plan and shape
+        # keeps each sub-batch on one schedule and one stackable shape
+        # (micro-batching stays transparent per bucket).
         # Requests cancelled while queued are dropped here, before any
         # compute is spent on them (their slot was already released).
         buckets: dict[tuple, list[_PendingRequest]] = {}
         for request in group:
             if request.future.cancelled():
                 continue
-            buckets.setdefault(request.resolved.cache_token, []).append(request)
+            key = (request.resolved.cache_token, request.compute_images.shape[1:])
+            buckets.setdefault(key, []).append(request)
         for bucket in buckets.values():
             self._execute_bucket(bucket, index, seq)
 

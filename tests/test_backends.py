@@ -11,11 +11,21 @@ Covers the three contracts of :mod:`repro.backends`:
   the fast statistical backend matches the historical fast path exactly;
 * **word-blocked stepper** -- both execution strategies of
   :func:`repro.blocks.batched.feature_extraction_recurrence_words` are
-  bit-identical to the scalar sorted-vector block model.
+  bit-identical to the scalar sorted-vector block model;
+* **stream plane** -- the model-constant SNG randomness is drawn once
+  per mapper and input shape, shared read-only by every backend on the
+  mapper, and leaves every score bit-identical to legacy, within and past
+  its byte budget.
 """
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from nets import tiny_cnn
 
 from repro.api import PredictOptions, Session
@@ -36,8 +46,14 @@ from repro.blocks.feature_extraction import SorterFeatureExtractionBlock
 from repro.config import ExperimentConfig
 from repro.errors import ConfigurationError
 from repro.nn import ScInferenceEngine
+from repro.nn.layers import Conv2D
 from repro.nn.sc_layers import ScNetworkMapper
-from repro.sc.packed import pack_bits, packed_column_counts, unpack_bits
+from repro.sc.packed import (
+    pack_bits,
+    packed_column_counts,
+    unpack_bits,
+    words_for_length,
+)
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +366,142 @@ class TestDeepNetworkEquivalence:
         packed = create_backend("bit-exact-packed", snn_mapper).forward(image)
         legacy = create_backend("bit-exact-legacy", snn_mapper).forward(image)
         assert np.array_equal(packed, legacy)
+
+
+def _stream_word_calls(backend) -> int:
+    """``stream_words`` calls the backend booked, over both tiers."""
+    cells = backend.kernel_snapshot().get("stream_words", {})
+    return sum(cell["calls"] for cell in cells.values())
+
+
+TIERS = ["bit-exact-packed", "bit-exact-native"]
+
+
+class TestStreamPlane:
+    """One draw of the model-constant randomness per mapper and shape."""
+
+    @pytest.fixture(scope="class")
+    def network(self):
+        return tiny_cnn()
+
+    @pytest.fixture(scope="class")
+    def legacy_scores(self, network, images):
+        mapper = ScNetworkMapper(network, stream_length=128, seed=7)
+        return create_backend("bit-exact-legacy", mapper).forward(images)
+
+    @pytest.fixture(scope="class", params=[100, 1000])
+    def legacy_planes(self, request, network, images):
+        """Legacy prefix scores at checkpoints off the 64-bit word grid."""
+        n = request.param
+        points = tuple(sorted({1, 65, n // 3, n}))
+        mapper = ScNetworkMapper(network, stream_length=n, seed=7)
+        partial = create_backend("bit-exact-legacy", mapper).forward_partial(
+            images, points
+        )
+        return n, points, partial
+
+    @pytest.mark.parametrize("name", TIERS)
+    def test_first_and_second_forward_equal_legacy(
+        self, network, legacy_planes, images, name
+    ):
+        n, points, partial = legacy_planes
+        backend = create_backend(
+            name, ScNetworkMapper(network, stream_length=n, seed=7)
+        )
+        for _ in range(2):
+            assert np.array_equal(backend.forward(images), partial[-1])
+        backend = create_backend(
+            name, ScNetworkMapper(network, stream_length=n, seed=7)
+        )
+        for _ in range(2):
+            assert np.array_equal(backend.forward_partial(images, points), partial)
+
+    def test_build_is_booked_once_per_mapper(self, network, images):
+        mapper = ScNetworkMapper(network, stream_length=128, seed=7)
+        packed = create_backend("bit-exact-packed", mapper)
+        packed.forward(images)
+        # The input compare plus weights and bias of conv, fc and output.
+        assert _stream_word_calls(packed) == 7
+        packed.forward(images)
+        packed.forward_partial(images, (64, 128))
+        assert _stream_word_calls(packed) == 9
+        other = create_backend("bit-exact-native", mapper)
+        other.forward(images)
+        assert _stream_word_calls(other) == 1
+
+    def test_concurrent_first_forwards_build_once(
+        self, network, images, legacy_scores
+    ):
+        mapper = ScNetworkMapper(network, stream_length=128, seed=7)
+        backends = [create_backend(name, mapper) for name in TIERS * 2]
+        start = threading.Barrier(len(backends), timeout=60)
+
+        def first_forward(backend):
+            start.wait()
+            return backend.forward(images)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(backends)) as pool:
+                scores = list(pool.map(first_forward, backends, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        # Six weight/bias entries drawn once, one input compare each.
+        assert sum(_stream_word_calls(b) for b in backends) == 6 + len(backends)
+        for row in scores:
+            assert np.array_equal(row, legacy_scores)
+
+    @pytest.mark.parametrize("budget", ["nothing", "input_and_conv"])
+    def test_entries_past_the_budget_are_redrawn(
+        self, monkeypatch, network, images, legacy_scores, budget
+    ):
+        n = 128
+        conv = next(l for l in network.layers if isinstance(l, Conv2D))
+        fits = 0
+        redrawn = 6
+        if budget == "input_and_conv":
+            conv_values = conv.weights.size + conv.bias.size
+            fits = 8 * (28 * 28 * n + conv_values * words_for_length(n))
+            redrawn = 4
+        monkeypatch.setattr(ScNetworkMapper, "_PLANE_BYTES_BUDGET", fits)
+        mapper = ScNetworkMapper(network, stream_length=n, seed=7)
+        backend = create_backend("bit-exact-packed", mapper)
+        assert np.array_equal(backend.forward(images), legacy_scores)
+        assert _stream_word_calls(backend) == 7
+        assert np.array_equal(backend.forward(images), legacy_scores)
+        assert _stream_word_calls(backend) == 7 + 1 + redrawn
+        assert mapper._plane_bytes == fits
+
+    def test_plane_arrays_are_read_only(self, network, images):
+        mapper = ScNetworkMapper(network, stream_length=100, seed=7)
+        backend = create_backend("bit-exact-packed", mapper)
+        backend.forward(images[:1])
+        plane = mapper.stream_plane(images.shape[1:], backend._stream_words)
+        arrays = [plane.input_draws] + [
+            entry for pair in plane.params.values() for entry in pair
+        ]
+        assert len(arrays) == 7
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.reshape(-1)[0] = 0
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        stream_length=st.integers(1, 200),
+        seed=st.integers(0, 2**63 - 1),
+        batch=st.integers(1, 3),
+    )
+    def test_fresh_mapper_packed_equals_legacy(
+        self, network, stream_length, seed, batch
+    ):
+        mapper = ScNetworkMapper(network, stream_length=stream_length, seed=seed)
+        images = np.random.default_rng(seed).random((batch, 1, 28, 28))
+        assert np.array_equal(
+            create_backend("bit-exact-packed", mapper).forward(images),
+            create_backend("bit-exact-legacy", mapper).forward(images),
+        )
 
 
 class TestResolveParallelBackend:

@@ -503,6 +503,25 @@ class TestTypedRejections:
         assert status == 400
         assert payload["error"]["type"] in ("ShapeError", "EncodingError")
 
+    def test_unmappable_image_400_without_restart(self, artifact):
+        registry = ModelRegistry(
+            models={"m1": artifact}, service=_service_config()
+        )
+        try:
+            with ScHttpServer(registry, HttpConfig()) as server:
+                status, payload = _request(
+                    server.port,
+                    "POST",
+                    "/v1/models/m1/predict",
+                    {"images": np.full((1, 1, 20, 20), 0.5).tolist()},
+                )
+                snapshot = registry.snapshot()["m1"]["snapshot"]
+        finally:
+            registry.close()
+        assert status == 400
+        assert payload["error"]["type"] == "ShapeError"
+        assert snapshot["faults"]["restarts"] == 0
+
 
 class TestDeadlineOnTheWire:
     """The PR 6 deadline invariant extended through HTTP."""

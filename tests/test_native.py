@@ -181,6 +181,26 @@ def test_use_native_false_runs_numpy_kernels(network, images):
     )
 
 
+def _stream_word_calls(backend) -> int:
+    cells = backend.kernel_snapshot().get("stream_words", {})
+    return sum(cell["calls"] for cell in cells.values())
+
+
+def test_warm_forward_compares_against_the_plane(network, images):
+    """After the first forward, a forward's only SNG call is the compare of
+    the images against the plane's input draws -- on the compiled tier
+    when it is active -- and the scores stay equal to legacy."""
+    mapper = ScNetworkMapper(network, stream_length=1000, seed=7)
+    legacy = create_backend("bit-exact-legacy", mapper).forward(images[:2])
+    backend = create_backend("bit-exact-native", mapper)
+    np.testing.assert_array_equal(backend.forward(images[:2]), legacy)
+    before = _stream_word_calls(backend)
+    np.testing.assert_array_equal(backend.forward(images[:2]), legacy)
+    assert _stream_word_calls(backend) == before + 1
+    tiers = set(backend.kernel_snapshot()["stream_words"])
+    assert tiers == ({"native"} if backend.native_active else {"numpy"})
+
+
 def test_availability_reported_by_registry():
     lines = describe_backends().splitlines()
     native_lines = [l for l in lines if l.startswith("bit-exact-native ")]
@@ -279,6 +299,17 @@ def test_thread_mode_deterministic_under_concurrent_submits(
             results = list(pool.map(backend.forward, batches))
     for result, want in zip(results, expected):
         np.testing.assert_array_equal(result, want)
+
+
+def test_thread_shards_share_one_plane(network, images):
+    mapper = ScNetworkMapper(network, stream_length=200, seed=7)
+    with _sharded(mapper, 3) as backend:
+        scores = backend.forward(images)
+        # Six weight/bias entries drawn once, one input compare per shard.
+        assert _stream_word_calls(backend) == 6 + 3
+    np.testing.assert_array_equal(
+        scores, create_backend("bit-exact-legacy", mapper).forward(images)
+    )
 
 
 def test_thread_mode_use_after_close_raises(thread_mapper, images):

@@ -321,6 +321,9 @@ class TestKernelCounters:
 
     def test_tier_totals_bit_identical(self, mapper, images):
         """Same workload, same seams, same bytes -- regardless of tier."""
+        # Build the mapper's stream plane first: whichever backend builds
+        # it books the build, and this test compares steady-state forwards.
+        create_backend("bit-exact-packed", mapper).forward(images[:2])
         packed = create_backend("bit-exact-packed", mapper)
         compiled = create_backend("bit-exact-native", mapper)
         packed.forward(images[:2])

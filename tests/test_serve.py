@@ -454,6 +454,39 @@ class TestService:
             with pytest.raises(ConfigurationError):
                 service.submit(np.zeros((0, 1, 28, 28)))
 
+    def test_unmappable_shapes_fail_at_submit(self, mapper):
+        """A shape the network cannot map is a caller error, not a replica
+        crash: no restart, no retry, no plane built for it."""
+        config = ServiceConfig(backend="bit-exact-packed", num_workers=1)
+        with ScInferenceService(mapper, config) as service:
+            for shape in ((1, 20, 20), (2, 28, 28)):
+                with pytest.raises(ShapeError):
+                    service.submit(np.full(shape, 0.5))
+            snapshot = service.snapshot()
+        assert snapshot["faults"]["restarts"] == 0
+        assert snapshot["requests"] == 0
+
+    def test_two_shapes_in_one_window_both_answer(self, mapper, images):
+        """A 29x29 image maps onto the 28x28 network (the pooling trims the
+        extra row and column); merged with a 28x28 one, each is bucketed by
+        shape and answered as if it ran alone."""
+        wide = np.random.default_rng(3).random((1, 29, 29))
+        direct = create_backend("bit-exact-packed", mapper)
+        config = ServiceConfig(
+            backend="bit-exact-packed",
+            num_workers=1,
+            max_wait_ms=200.0,
+            early_exit=False,
+            cache_capacity=0,
+        )
+        with ScInferenceService(mapper, config) as service:
+            futures = [service.submit(images[0]), service.submit(wide)]
+            narrow_answer, wide_answer = [f.result(timeout=120) for f in futures]
+            snapshot = service.snapshot()
+        assert np.array_equal(narrow_answer.scores, direct.forward(images[:1]))
+        assert np.array_equal(wide_answer.scores, direct.forward(wide))
+        assert snapshot["faults"]["restarts"] == 0
+
     def test_rejects_invalid_options_in_caller(self, mapper, images):
         config = ServiceConfig(backend="bit-exact-packed", num_workers=1)
         with ScInferenceService(mapper, config) as service:
