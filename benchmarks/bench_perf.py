@@ -418,11 +418,15 @@ def bench_native_fused_counts(length: int) -> dict:
 
 
 def bench_native_fe_stepper(length: int) -> dict:
-    """Compiled word-blocked FE stepper vs the NumPy strategy dispatcher."""
+    """Compiled row-tiled FE stepper vs the NumPy strategy dispatcher.
+
+    ``batch`` rows of ``length``-cycle column counts: the stream is the
+    last axis, as the stepper reads it.
+    """
     batch = 128
     half, low, high = 4, -4, 5  # the m=9 sorter column bounds
     rng = np.random.default_rng(6)
-    counts = rng.integers(0, 2 * half + 2, (length, batch), dtype=np.uint8)
+    counts = rng.integers(0, 2 * half + 2, (batch, length), dtype=np.uint8)
     numpy_ws, native_ws = Workspace(), Workspace()
     inner = max(1, TARGET_BIT_OPS // (batch * length * 8))
 

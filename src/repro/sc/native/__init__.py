@@ -319,14 +319,18 @@ def feature_extraction_recurrence_words(
     workspace=None,
     key="native-fe",
 ) -> np.ndarray | None:
-    """Native word-blocked FE stepper over ``(..., length)`` column counts.
+    """Native FE stepper over row-major ``(..., length)`` column counts.
 
     Bit-identical to
-    :func:`repro.blocks.batched.feature_extraction_recurrence_words` for
-    every state-space size and slab width (the native loop has no
-    all-states / per-cycle split, so the wide-slab CONV case runs at
-    full speed too).  Returns workspace-backed packed words or ``None``
-    for a fallback.
+    :func:`repro.blocks.batched.feature_extraction_recurrence_words`.
+    The kernel advances 64 rows in lockstep, one 64-cycle word at a
+    time, in int16 lanes for ``uint8`` counts and int32 lanes for
+    ``uint16`` counts.  It has no all-states / per-cycle split, so every
+    state-space size and slab width runs at full speed.  Returns
+    workspace-backed packed words, or ``None`` for a fallback: counts
+    outside the fast path, bounds the reference rejects (not
+    ``low <= 0 <= high``), or bounds under which a reachable value
+    (``acc + count``, and that minus ``half + 1``) overflows the lane.
     """
     ffi, lib, _ = _load()
     if lib is None:
@@ -335,6 +339,14 @@ def feature_extraction_recurrence_words(
     if counts.dtype not in (np.uint8, np.uint16):
         return None
     if counts.ndim < 1 or not counts.flags["C_CONTIGUOUS"]:
+        return None
+    half, low, high = int(half), int(low), int(high)
+    if not low <= 0 <= high:
+        return None
+    lane = np.iinfo(np.int16 if counts.dtype == np.uint8 else np.int32)
+    peak = high + int(np.iinfo(counts.dtype).max)
+    reach = (low, peak, low - half - 1, peak - half, half + 1)
+    if min(reach) < lane.min or max(reach) > lane.max:
         return None
     length = int(counts.shape[-1])
     if length < 1:
@@ -354,9 +366,9 @@ def feature_extraction_recurrence_words(
         _ptr(ffi, counts, cnt_ctype),
         rows,
         length,
-        int(half),
-        int(low),
-        int(high),
+        half,
+        low,
+        high,
         n_words,
         _ptr(ffi, out, "uint64_t *"),
     )

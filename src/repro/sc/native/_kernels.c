@@ -253,41 +253,149 @@ void repro_fused_xnor_chain(
 
 /* ---- feature-extraction stepper ----------------------------------------- */
 
-/* The Algorithm 1 saturating-counter recurrence, one block instance per
- * row, emitting packed output words directly.  Covers every accumulator
- * state-space size (no all-states / per-cycle split) and every slab
- * width, which is what retires the wide-slab CONV fallback natively. */
-#define FE_RECURRENCE(NAME, CNT_T)                                            \
+/* The Algorithm 1 saturating-counter recurrence over row-major
+ * (rows, length) column counts, emitting packed output words directly.
+ *
+ * The hardware clocks every neuron's counter at once, and so does this
+ * kernel: it advances a tile of FE_TILE rows in lockstep, one 64-cycle
+ * word at a time.  Per tile and word it
+ *   1. gathers the counts into a time-major block with 8x8 byte (4x4
+ *      half-word) transposes,
+ *   2. steps every lane per cycle in a branch-free loop the compiler
+ *      vectorizes, OR-ing each cycle's output bit into its lane's byte,
+ *   3. transposes those bytes back into one packed word per row.
+ * Lanes are int16 for uint8 counts and int32 for uint16 counts; the
+ * wrapper only calls in when low <= 0 <= high and every value the
+ * recurrence can reach fits the lane type.  Partial tiles and the tail
+ * word take a zero-padded scalar gather: padded lanes are never written
+ * out, and padded cycles only occur in the final word, whose end state
+ * is dropped and whose tail bits are masked off.  Every working buffer
+ * lives on the stack (under 9 KB), so calls stay reentrant. */
+#define FE_TILE 64
+
+/* In-place transpose of a k x k matrix of (64 / k)-bit elements held
+ * one row per word (k = 8 for bytes, 4 for half-words): element c of
+ * x[r] becomes element r of x[c]. */
+static inline void transpose_elems(uint64_t *x, int k)
+{
+    uint64_t t;
+#define SWAP_FIELDS(i, j, shift, keep)                                        \
+    t = ((x[i] >> (shift)) ^ x[j]) & (keep);                                  \
+    x[i] ^= t << (shift);                                                     \
+    x[j] ^= t
+    if (k == 8) {
+        SWAP_FIELDS(0, 4, 32, 0x00000000FFFFFFFFULL);
+        SWAP_FIELDS(1, 5, 32, 0x00000000FFFFFFFFULL);
+        SWAP_FIELDS(2, 6, 32, 0x00000000FFFFFFFFULL);
+        SWAP_FIELDS(3, 7, 32, 0x00000000FFFFFFFFULL);
+        SWAP_FIELDS(0, 2, 16, 0x0000FFFF0000FFFFULL);
+        SWAP_FIELDS(1, 3, 16, 0x0000FFFF0000FFFFULL);
+        SWAP_FIELDS(4, 6, 16, 0x0000FFFF0000FFFFULL);
+        SWAP_FIELDS(5, 7, 16, 0x0000FFFF0000FFFFULL);
+        SWAP_FIELDS(0, 1, 8, 0x00FF00FF00FF00FFULL);
+        SWAP_FIELDS(2, 3, 8, 0x00FF00FF00FF00FFULL);
+        SWAP_FIELDS(4, 5, 8, 0x00FF00FF00FF00FFULL);
+        SWAP_FIELDS(6, 7, 8, 0x00FF00FF00FF00FFULL);
+    } else {
+        SWAP_FIELDS(0, 2, 32, 0x00000000FFFFFFFFULL);
+        SWAP_FIELDS(1, 3, 32, 0x00000000FFFFFFFFULL);
+        SWAP_FIELDS(0, 1, 16, 0x0000FFFF0000FFFFULL);
+        SWAP_FIELDS(2, 3, 16, 0x0000FFFF0000FFFFULL);
+    }
+#undef SWAP_FIELDS
+}
+
+/* bits[s][i] holds lane i's output for cycles 8s..8s+7 (bit k = cycle
+ * 8s + k), so one byte transpose per eight lanes assembles their words. */
+static void fe_pack_words(
+    uint8_t bits[8][FE_TILE], int64_t nr, uint64_t mask,
+    uint64_t *out, int64_t n_words)
+{
+    for (int g = 0; 8 * g < nr; g++) {
+        uint64_t x[8];
+        for (int s = 0; s < 8; s++)
+            memcpy(&x[s], &bits[s][8 * g], 8);
+        transpose_elems(x, 8);
+        for (int c = 0; c < 8 && 8 * g + c < nr; c++)
+            out[(8 * g + c) * n_words] = x[c] & mask;
+    }
+}
+
+#define FE_RECURRENCE(NAME, CNT_T, LANE_T)                                    \
+static void NAME##_gather(                                                    \
+    const CNT_T *src, int64_t length, int64_t nr, int64_t nt,                 \
+    CNT_T blk[64][FE_TILE])                                                   \
+{                                                                             \
+    enum { K = 8 / sizeof(CNT_T) };                                           \
+    if (nr == FE_TILE && nt == 64) {                                          \
+        for (int r = 0; r < FE_TILE; r += K)                                  \
+            for (int t = 0; t < 64; t += K) {                                 \
+                uint64_t x[K];                                                \
+                for (int k = 0; k < K; k++)                                   \
+                    memcpy(&x[k], src + (r + k) * length + t, 8);             \
+                transpose_elems(x, K);                                        \
+                for (int k = 0; k < K; k++)                                   \
+                    memcpy(&blk[t + k][r], &x[k], 8);                         \
+            }                                                                 \
+        return;                                                               \
+    }                                                                         \
+    memset(blk, 0, sizeof(CNT_T) * 64 * FE_TILE);                             \
+    for (int64_t i = 0; i < nr; i++)                                          \
+        for (int64_t t = 0; t < nt; t++)                                      \
+            blk[t][i] = src[i * length + t];                                  \
+}                                                                             \
+                                                                              \
+static void NAME##_step(                                                      \
+    CNT_T blk[64][FE_TILE], LANE_T *restrict acc, uint8_t bits[8][FE_TILE],   \
+    LANE_T half, LANE_T threshold, LANE_T low, LANE_T high)                   \
+{                                                                             \
+    for (int s = 0; s < 8; s++)                                               \
+        for (int i = 0; i < FE_TILE; i++) {                                   \
+            LANE_T a = acc[i];                                                \
+            uint8_t byte = 0;                                                 \
+            for (int k = 0; k < 8; k++) {                                     \
+                a = (LANE_T)(a + blk[8 * s + k][i]);                          \
+                LANE_T bit = (LANE_T)(a >= threshold);                        \
+                a = (LANE_T)(a - half - bit);                                 \
+                a = a < low ? low : a;                                        \
+                a = a > high ? high : a;                                      \
+                byte |= (uint8_t)(bit << k);                                  \
+            }                                                                 \
+            acc[i] = a;                                                       \
+            bits[s][i] = byte;                                                \
+        }                                                                     \
+}                                                                             \
+                                                                              \
 void NAME(                                                                    \
     const CNT_T *counts, int64_t rows, int64_t length,                        \
     int64_t half, int64_t low, int64_t high,                                  \
     int64_t n_words, uint64_t *out)                                           \
 {                                                                             \
-    int64_t threshold = half + 1;                                             \
-    for (int64_t r = 0; r < rows; r++) {                                      \
-        const CNT_T *c = counts + r * length;                                 \
-        uint64_t *w = out + r * n_words;                                      \
-        int64_t acc = 0;                                                      \
+    CNT_T blk[64][FE_TILE];                                                   \
+    uint8_t bits[8][FE_TILE];                                                 \
+    LANE_T acc[FE_TILE];                                                      \
+    for (int64_t r0 = 0; r0 < rows; r0 += FE_TILE) {                          \
+        int64_t nr = rows - r0 < FE_TILE ? rows - r0 : FE_TILE;               \
+        memset(acc, 0, sizeof acc);                                           \
         for (int64_t wi = 0; wi < n_words; wi++) {                            \
-            uint64_t word = 0;                                                \
             int64_t t0 = wi * 64;                                             \
-            int64_t tmax = length - t0;                                       \
-            if (tmax > 64) tmax = 64;                                         \
-            for (int64_t t = 0; t < tmax; t++) {                              \
-                acc += c[t0 + t];                                             \
-                uint64_t bit = acc >= threshold;                              \
-                word |= bit << t;                                             \
-                acc -= half + (int64_t)bit;                                   \
-                if (acc < low) acc = low;                                     \
-                if (acc > high) acc = high;                                   \
-            }                                                                 \
-            w[wi] = word;                                                     \
+            int64_t nt = length - t0 < 64 ? length - t0 : 64;                 \
+            NAME##_gather(counts + r0 * length + t0, length, nr, nt, blk);    \
+            /* Each row is its own stream, more than the hardware         */  \
+            /* prefetcher tracks: fetch two words ahead by hand.          */  \
+            for (int64_t i = 0; i < nr && wi + 2 < n_words; i++)              \
+                __builtin_prefetch(counts + (r0 + i) * length + t0 + 128);    \
+            NAME##_step(blk, acc, bits, (LANE_T)half, (LANE_T)(half + 1),     \
+                        (LANE_T)low, (LANE_T)high);                           \
+            fe_pack_words(bits, nr,                                           \
+                          nt == 64 ? ALL_ONES : ALL_ONES >> (64 - nt),        \
+                          out + r0 * n_words + wi, n_words);                  \
         }                                                                     \
     }                                                                         \
 }
 
-FE_RECURRENCE(repro_fe_recurrence_u8, uint8_t)
-FE_RECURRENCE(repro_fe_recurrence_u16, uint16_t)
+FE_RECURRENCE(repro_fe_recurrence_u8, uint8_t, int16_t)
+FE_RECURRENCE(repro_fe_recurrence_u16, uint16_t, int32_t)
 
 /* ---- word-direct SNG comparator ----------------------------------------- */
 

@@ -14,6 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from nets import tiny_cnn
 
 from repro.api import PredictOptions, Session
@@ -103,17 +105,84 @@ def test_fused_chain_matches_numpy(k):
     )
 
 
-@needs_native
-@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
-def test_fe_stepper_matches_numpy(dtype):
-    rng = np.random.default_rng(7)
-    half, low, high = 4, -4, 5
-    counts = rng.integers(0, 11, size=(129, 1000)).astype(dtype)
+# (count dtype, half, max count): a conv block, uint8 counts at the dtype's
+# maximum, an FC block, and uint16 counts at the dtype's maximum -- the
+# last two at the edges of the kernel's int16 / int32 lanes.
+_FE_CASES = [
+    (np.uint8, 4, 10),
+    (np.uint8, 127, 255),
+    (np.uint16, 196, 393),
+    (np.uint16, 32767, 65535),
+]
+
+
+def _fe_counts(rng, dtype, max_count, rows, length):
+    counts = rng.integers(0, max_count + 1, size=(rows, length)).astype(dtype)
+    counts.flat[::5] = max_count
+    return counts
+
+
+def _assert_fe_stepper_matches(counts, half, low, high):
     got = native.feature_extraction_recurrence_words(counts, half, low, high)
     assert got is not None
     np.testing.assert_array_equal(
-        got, feature_extraction_recurrence_words(counts, half, low, high)
+        got,
+        feature_extraction_recurrence_words(counts, half, low, high),
+        err_msg=f"shape {counts.shape}, bounds [{low}, {high}], half {half}",
     )
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "dtype, half, max_count",
+    _FE_CASES,
+    ids=["uint8", "uint8-max", "uint16", "uint16-max"],
+)
+def test_fe_stepper_matches_numpy(dtype, half, max_count):
+    """Partial and full 64-row tiles, tail and full words, signed bounds."""
+    rng = np.random.default_rng(7)
+    for rows in (1, 63, 64, 65, 129):
+        for length in (1, 63, 64, 65, 1000, 8192):
+            counts = _fe_counts(rng, dtype, max_count, rows, length)
+            _assert_fe_stepper_matches(counts, half, -half, half + 1)
+
+
+@needs_native
+@settings(max_examples=25, deadline=None)
+@given(
+    case=st.sampled_from(_FE_CASES),
+    rows=st.integers(1, 200),
+    length=st.integers(1, 1100),
+    signed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fe_stepper_matches_numpy_property(case, rows, length, signed, seed):
+    dtype, half, max_count = case
+    counts = _fe_counts(np.random.default_rng(seed), dtype, max_count, rows, length)
+    low, high = (-half, half + 1) if signed else (0, 2 * half + 1)
+    _assert_fe_stepper_matches(counts, half, low, high)
+
+
+@needs_native
+@pytest.mark.parametrize("low, high", [(1, 5), (-4, -6)])
+def test_fe_stepper_leaves_rejected_bounds_to_the_reference(low, high):
+    """Bounds without 0 in them are a ConfigurationError, never words."""
+    counts = np.random.default_rng(3).integers(0, 10, (4, 100)).astype(np.uint8)
+    assert native.feature_extraction_recurrence_words(counts, 4, low, high) is None
+    with pytest.raises(ConfigurationError):
+        feature_extraction_recurrence_words(counts, 4, low, high)
+
+
+@needs_native
+def test_fe_stepper_lane_edge():
+    """uint8 counts step in int16 lanes: the widest bounds whose reachable
+    values fit run natively; one step wider falls back."""
+    counts = _fe_counts(np.random.default_rng(4), np.uint8, 255, 65, 600)
+    _assert_fe_stepper_matches(counts, 4, -32763, 32512)
+    for low, high in ((-32764, 32512), (-32763, 32513)):
+        assert native.feature_extraction_recurrence_words(counts, 4, low, high) is None
+    wide = counts.astype(np.uint16)
+    assert native.feature_extraction_recurrence_words(wide, 4, -4, 2**31) is None
 
 
 @needs_native
