@@ -12,11 +12,12 @@ overwritten.
 
 End-to-end inference is timed through the execution-backend registry
 (:mod:`repro.backends`): the per-image legacy oracle vs the word-packed
-data plane (``bit-exact-packed``), packed vs the compiled kernel tier
-(``bit-exact-native``), and a thread sweep over the ``workers`` option,
-each entry recording the backend names it compared.  Sweep points asking
-for more workers than the host has CPUs are written as ``skipped``, never
-as speedups.
+data plane (``bit-exact-packed`` with ``use_native=False``), that NumPy
+tier vs the compiled kernel tier (``bit-exact-native``, the alias that
+runs it by default), and a thread sweep over the ``workers`` option, each
+entry recording the backend names it compared (with ``use_native=False``
+where the NumPy tier was pinned).  Sweep points asking for more workers
+than the host has CPUs are written as ``skipped``, never as speedups.
 
 Every comparison **asserts bit-exactness** between the two paths before
 reporting a speedup: the packed engine is a faster representation of the
@@ -356,14 +357,16 @@ def bench_end_to_end(length: int, n_images: int) -> dict:
 
     Both paths run through the execution-backend registry; the legacy
     oracle is the baseline every end-to-end speedup is quoted against.
-    The packed backend is warmed first, so its timing is a steady-state
-    forward, not the one-time build of the mapper's stream plane (the
-    legacy oracle keeps no per-mapper state).
+    The packed backend runs its NumPy kernels, so this entry measures the
+    data plane and ``bench_native_end_to_end`` the compiled tier.  It is
+    warmed first, so its timing is a steady-state forward, not the
+    one-time build of the mapper's stream plane (the legacy oracle keeps
+    no per-mapper state).
     """
     mapper = _bench_network_mapper(length)
     images = np.random.default_rng(11).random((n_images, 1, 28, 28))
     legacy = create_backend("bit-exact-legacy", mapper)
-    packed = create_backend("bit-exact-packed", mapper)
+    packed = create_backend("bit-exact-packed", mapper, use_native=False)
     packed.forward(images)
     return _entry(
         "bit-exact-inference",
@@ -373,7 +376,7 @@ def bench_end_to_end(length: int, n_images: int) -> dict:
         lambda: packed.forward(images),
         lambda a, b: np.array_equal(a, b),
         new_repeats=1,
-        backend="bit-exact-packed",
+        backend="bit-exact-packed (use_native=False)",
         baseline_backend="bit-exact-legacy",
     )
 
@@ -494,7 +497,7 @@ def bench_native_end_to_end(length: int, n_images: int) -> dict:
     """
     mapper = _bench_network_mapper(length)
     images = np.random.default_rng(11).random((n_images, 1, 28, 28))
-    packed = create_backend("bit-exact-packed", mapper)
+    packed = create_backend("bit-exact-packed", mapper, use_native=False)
     native_backend = create_backend("bit-exact-native", mapper)
     packed.forward(images)
     native_backend.forward(images)
@@ -507,7 +510,7 @@ def bench_native_end_to_end(length: int, n_images: int) -> dict:
         lambda a, b: np.array_equal(a, b),
         new_repeats=2,
         backend="bit-exact-native",
-        baseline_backend="bit-exact-packed",
+        baseline_backend="bit-exact-packed (use_native=False)",
     )
 
 

@@ -14,11 +14,14 @@ name                      bit-exact stochastic packed  progressive what it runs
 ``sc-fast``               no        yes        --      yes         fast statistical model
 ``bit-exact-legacy``        yes     yes        no      yes         per-image oracle
 ``bit-exact-packed``        yes     yes        yes     yes         packed data plane
-``bit-exact-native``        yes     yes        yes     yes         packed plane, compiled kernels
+``bit-exact-native``        yes     yes        yes     yes         alias of bit-exact-packed
 ========================= ========= ========== ======= =========== =====================
 
 All ``bit-exact-*`` backends produce *identical* scores; they only
-differ in speed.  ``batch_invariant`` backends guarantee per-image scores
+differ in speed.  ``bit-exact-packed`` runs its hot kernels on the
+compiled tier of :mod:`repro.sc.native` whenever it is available
+(``use_native=False`` or ``REPRO_NATIVE=0`` force NumPy).
+``batch_invariant`` backends guarantee per-image scores
 independent of batch composition, which is what lets
 :class:`~repro.backends.parallel.ParallelBackend` shard one batch across
 threads bit-exactly -- the unregistered wrapper every ``workers`` option

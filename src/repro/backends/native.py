@@ -1,153 +1,20 @@
-"""Bit-exact packed inference through the compiled kernel tier.
-
-:class:`BitExactNativeBackend` is :class:`~repro.backends.packed.BitExactPackedBackend`
-with its three hottest loops -- the fused XNOR->CSA column counts, the
-word-blocked feature-extraction stepper, and the word-direct SNG
-comparator -- routed through the compiled kernels of
-:mod:`repro.sc.native` (hardware popcount, GIL-free).  Everything else --
-layer drivers, chunking policy, workspace arena, RNG-consumption order --
-is inherited unchanged, so the backend is a pure drop-in: the scores are
-**bit-identical** to every other ``bit-exact-*`` backend.
-
-Graceful degradation is part of the contract: when the compiled tier is
-unavailable (no C compiler, no cffi, ``REPRO_NATIVE=0``), the backend
-still constructs and simply runs the NumPy kernels -- it never errors.
-Per-call, any operand shape outside the native fast path also falls back
-to NumPy, so correctness never depends on the native tier's coverage.
-"""
+"""``bit-exact-native``: a second registry name for ``bit-exact-packed``,
+kept so artifacts, scripts and the CLI that name it keep resolving."""
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
 from repro.backends.packed import BitExactPackedBackend
 from repro.backends.registry import register_backend
-from repro.blocks.batched import feature_extraction_recurrence_words
-from repro.blocks.feature_extraction import SorterFeatureExtractionBlock
-from repro.nn.sc_layers import ScNetworkMapper
-from repro.sc import native
+
+# Benchmark tracing wraps the stepper under this module's name too.
+from repro.blocks.batched import feature_extraction_recurrence_words  # noqa: F401
 
 __all__ = ["BitExactNativeBackend"]
 
 
 @register_backend
 class BitExactNativeBackend(BitExactPackedBackend):
-    """Word-packed bit-exact simulation with compiled GIL-free kernels.
-
-    Args:
-        mapper: the SC network mapper.
-        position_chunk: see :class:`~repro.backends.packed.BitExactPackedBackend`.
-        use_native: force-disable the compiled tier (``False``) regardless
-            of availability; ``None`` (default) uses it when available.
-            There is no force-*enable*: an unavailable tier always falls
-            back rather than erroring.
-    """
+    """Alias of :class:`~repro.backends.packed.BitExactPackedBackend`."""
 
     name = "bit-exact-native"
-    description = (
-        "packed data plane with compiled GIL-free popcount kernels "
-        "(falls back to bit-exact-packed kernels when unavailable)"
-    )
-
-    def __init__(
-        self,
-        mapper: ScNetworkMapper,
-        position_chunk: int | None = None,
-        use_native: bool | None = None,
-    ) -> None:
-        super().__init__(mapper, position_chunk)
-        wanted = True if use_native is None else bool(use_native)
-        #: Whether the compiled tier is actually executing this instance's
-        #: kernels (False means every call runs the inherited NumPy path).
-        self.native_active = wanted and native.available()
-        if self.native_active:
-            self._stream_packer = self._native_packer
-
-    @classmethod
-    def availability_note(cls) -> str:
-        """Registry availability note (shown by ``describe_backends()``).
-
-        The compiled tier's status, plus the process-wide kernel-tier
-        counter summary once kernels have run.
-        """
-        note = super().availability_note()
-        if note:
-            return f"{native.describe()}; {note}"
-        return native.describe()
-
-    # -- kernel seam overrides -------------------------------------------------
-
-    def _native_packer(self, draws, thresholds, out):
-        return native.pack_comparator_floats(
-            draws, thresholds, out, workspace=self.workspace
-        )
-
-    def _fused_counts(self, a, b, extra, out, key) -> None:
-        # Tier attribution happens per call, not per instance: a shape
-        # outside the native fast path records as "numpy" through the
-        # inherited seam even while ``native_active`` is True, so the
-        # counters report where the work actually ran.
-        if self.native_active:
-            started = time.perf_counter()
-            if (
-                native.fused_xnor_column_counts(
-                    a,
-                    b,
-                    self.mapper.stream_length,
-                    extra=extra,
-                    out=out,
-                    workspace=self.workspace,
-                    key=(key, "native"),
-                )
-                is not None
-            ):
-                self._record_kernel(
-                    "fused_counts", "native", started, out.nbytes
-                )
-                return
-        super()._fused_counts(a, b, extra, out, key)
-
-    def _fused_chain(self, a, b, out, key) -> None:
-        if self.native_active:
-            started = time.perf_counter()
-            if (
-                native.fused_xnor_majority_chain(
-                    a,
-                    b,
-                    self.mapper.stream_length,
-                    out=out,
-                    workspace=self.workspace,
-                    key=(key, "native"),
-                )
-                is not None
-            ):
-                self._record_kernel(
-                    "fused_chain", "native", started, out.nbytes
-                )
-                return
-        super()._fused_chain(a, b, out, key)
-
-    def _recurrence_words(
-        self, counts: np.ndarray, m: int, neutral: np.ndarray | None
-    ) -> np.ndarray:
-        if not self.native_active:
-            return super()._recurrence_words(counts, m, neutral)
-        started = time.perf_counter()
-        if neutral is not None:
-            np.add(counts, neutral, out=counts, casting="unsafe")
-        half = SorterFeatureExtractionBlock(m).threshold
-        words = native.feature_extraction_recurrence_words(
-            counts, half, -half, half + 1, workspace=self.workspace
-        )
-        tier = "native"
-        if words is None:
-            # Neutral is already folded in; run the NumPy stepper directly
-            # (calling super() would add it twice).
-            tier = "numpy"
-            words = feature_extraction_recurrence_words(
-                counts, half, -half, half + 1, workspace=self.workspace
-            )
-        self._record_kernel("recurrence_words", tier, started, words.nbytes)
-        return words
+    description = "alias of bit-exact-packed"

@@ -39,6 +39,11 @@ stepper slabs, layer outputs -- are views over one per-backend
 performs near-zero heap allocation and the chunking budget admits far
 larger position chunks (fewer recurrence invocations) within the same
 memory envelope.
+
+The fused counts and chain, the stepper and the SNG comparator run on the
+compiled GIL-free tier of :mod:`repro.sc.native` when it is loaded and
+takes the operands, and on NumPy otherwise (``REPRO_NATIVE=0`` or
+``use_native=False`` force NumPy); the scores are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -71,6 +76,7 @@ from repro.nn.layers import (
 )
 from repro.nn.sc_layers import ScNetworkMapper, StreamPlane
 from repro.obs.counters import GLOBAL_COUNTERS, KernelCounters, kernel_note
+from repro.sc import native
 from repro.sc.packed import (
     fused_xnor_column_counts,
     fused_xnor_majority_chain,
@@ -93,6 +99,9 @@ class BitExactPackedBackend(Backend):
             per fused-reduction chunk; ``None`` picks automatically from
             the memory budget.  CONV chunks are materialised in whole
             output rows, so the effective floor is one row of positions.
+        use_native: ``False`` forces the NumPy kernels; ``None`` (default)
+            uses the compiled tier when it is available and falls back to
+            NumPy, never to an error, when it is not.
 
     A backend instance owns one :class:`~repro.workspace.Workspace` and is
     therefore **not** safe for concurrent ``forward()`` calls from several
@@ -117,15 +126,11 @@ class BitExactPackedBackend(Backend):
     #: stepper invocations, less Python dispatch).
     _CHUNK_BYTES_BUDGET = 128 * 1024 * 1024
 
-    #: Optional word-direct comparator kernel handed to the mapper's
-    #: stream generation (see
-    #: :meth:`~repro.nn.sc_layers.ScNetworkMapper._packed_comparator_streams`).
-    #: ``None`` keeps the NumPy compare-and-pack; the native backend
-    #: installs the compiled comparator here.
-    _stream_packer = None
-
     def __init__(
-        self, mapper: ScNetworkMapper, position_chunk: int | None = None
+        self,
+        mapper: ScNetworkMapper,
+        position_chunk: int | None = None,
+        use_native: bool | None = None,
     ) -> None:
         super().__init__(mapper)
         if position_chunk is not None and position_chunk < 1:
@@ -136,22 +141,26 @@ class BitExactPackedBackend(Backend):
         #: (surfaced through :meth:`~repro.backends.base.Backend.kernel_snapshot`
         #: and the serving layer's ``snapshot()["kernels"]``).
         self.counters = KernelCounters()
+        wanted = True if use_native is None else bool(use_native)
+        #: Whether the compiled tier runs this instance's kernels.
+        self.native_active = wanted and native.available()
 
     @classmethod
-    def availability_note(cls) -> str | None:
-        """Registry note: process-wide kernel-tier counter summary."""
-        return kernel_note()
+    def availability_note(cls) -> str:
+        """Registry note: the compiled tier's status, plus the process-wide
+        kernel-tier counter summary once kernels have run."""
+        note = kernel_note()
+        return f"{native.describe()}; {note}" if note else native.describe()
 
     # -- kernel seam -----------------------------------------------------------
     #
-    # The three hottest loops of the packed data plane go through these
-    # overridable methods so a compiled tier
-    # (:class:`~repro.backends.native.BitExactNativeBackend`) can slot in
-    # per-kernel replacements while inheriting the layer drivers, the
-    # chunking policy and the workspace discipline unchanged.  Every
-    # invocation is folded into the kernel-tier counters (instance and
-    # process-wide) -- one timestamp pair and two lock acquisitions per
-    # chunked kernel call, noise next to the kernels themselves.
+    # The hottest loops of the packed data plane go through these methods,
+    # which run the compiled kernel while the tier is active and takes the
+    # operands, and the NumPy kernel otherwise.  Every invocation is
+    # folded into the kernel-tier counters (instance and process-wide)
+    # under the tier that ran it -- one timestamp pair and two lock
+    # acquisitions per chunked kernel call, noise next to the kernels
+    # themselves.
 
     def _record_kernel(
         self, kernel: str, tier: str, started: float, nbytes: int
@@ -161,11 +170,31 @@ class BitExactPackedBackend(Backend):
         self.counters.record(kernel, tier, elapsed, nbytes)
         GLOBAL_COUNTERS.record(kernel, tier, elapsed, nbytes)
 
+    def _run_kernel(self, kernel: str, compiled, reference, *args, **kwargs):
+        """Run ``compiled`` while the tier is active, else ``reference``.
+
+        A compiled kernel returns ``None`` for operands outside its fast
+        path; the NumPy ``reference`` then runs on the same arguments.
+        Callers pass both through their module names at call time, so a
+        tracer that rebinds those names sees every call.  The result's
+        bytes are booked under the tier that produced it.
+        """
+        started = time.perf_counter()
+        result = compiled(*args, **kwargs) if self.native_active else None
+        tier = "native"
+        if result is None:
+            tier = "numpy"
+            result = reference(*args, **kwargs)
+        self._record_kernel(kernel, tier, started, result.nbytes)
+        return result
+
     def _fused_counts(self, a, b, extra, out, key) -> None:
         """Fused XNOR -> CSA column counts into ``out`` (see
         :func:`repro.sc.packed.fused_xnor_column_counts`)."""
-        started = time.perf_counter()
-        fused_xnor_column_counts(
+        self._run_kernel(
+            "fused_counts",
+            native.fused_xnor_column_counts,
+            fused_xnor_column_counts,
             a,
             b,
             self.mapper.stream_length,
@@ -174,13 +203,14 @@ class BitExactPackedBackend(Backend):
             workspace=self.workspace,
             key=key,
         )
-        self._record_kernel("fused_counts", "numpy", started, out.nbytes)
 
     def _fused_chain(self, a, b, out, key) -> None:
         """Fused XNOR -> majority chain into ``out`` (see
         :func:`repro.sc.packed.fused_xnor_majority_chain`)."""
-        started = time.perf_counter()
-        fused_xnor_majority_chain(
+        self._run_kernel(
+            "fused_chain",
+            native.fused_xnor_majority_chain,
+            fused_xnor_majority_chain,
             a,
             b,
             self.mapper.stream_length,
@@ -188,20 +218,25 @@ class BitExactPackedBackend(Backend):
             workspace=self.workspace,
             key=key,
         )
-        self._record_kernel("fused_chain", "numpy", started, out.nbytes)
+
+    def _native_packer(self, draws, thresholds, out):
+        return native.pack_comparator_floats(
+            draws, thresholds, out, workspace=self.workspace
+        )
+
+    def _pack_streams(self, generate, values, rng) -> np.ndarray:
+        """SNG words from ``generate`` (a mapper stream method) with the
+        compiled comparator while the tier is active."""
+        started = time.perf_counter()
+        packer = self._native_packer if self.native_active else None
+        words = generate(values, rng, packer=packer)
+        tier = "native" if self.native_active else "numpy"
+        self._record_kernel("stream_words", tier, started, words.nbytes)
+        return words
 
     def _stream_words(self, weights, rng) -> np.ndarray:
         """Packed weight/bias streams through the active comparator."""
-        started = time.perf_counter()
-        words = self.mapper.weight_stream_words(
-            weights, rng, packer=self._stream_packer
-        )
-        # Tier attribution follows the installed comparator: the native
-        # backend sets ``_stream_packer`` only while the compiled tier is
-        # active, so packer-present means word-direct native packing.
-        tier = "numpy" if self._stream_packer is None else "native"
-        self._record_kernel("stream_words", tier, started, words.nbytes)
-        return words
+        return self._pack_streams(self.mapper.weight_stream_words, weights, rng)
 
     def output_stream_words(self, images: np.ndarray) -> np.ndarray:
         """Packed categorization-output streams for a batch of images.
@@ -234,15 +269,8 @@ class BitExactPackedBackend(Backend):
         mapper = self.mapper
         images = self._check_images(images)
         plane = mapper.stream_plane(images.shape[1:], self._stream_words)
-        started = time.perf_counter()
-        words = mapper.input_stream_words(
-            images, plane.source(plane.input_draws), packer=self._stream_packer
-        )
-        self._record_kernel(
-            "stream_words",
-            "numpy" if self._stream_packer is None else "native",
-            started,
-            words.nbytes,
+        words = self._pack_streams(
+            mapper.input_stream_words, images, plane.source(plane.input_draws)
         )
         dense_layers = [l for l in mapper.network.layers if isinstance(l, Dense)]
         dense_seen = 0
@@ -347,20 +375,22 @@ class BitExactPackedBackend(Backend):
         The returned words live in the workspace; callers copy them into
         their per-layer output buffer before the next stepper call.
         """
-        started = time.perf_counter()
         if neutral is not None:
             # Even input sizes are padded with the alternating neutral
             # stream; its contribution is added to the counts directly
             # instead of materialising the extra packed column.
             np.add(counts, neutral, out=counts, casting="unsafe")
         half = SorterFeatureExtractionBlock(m).threshold
-        words = feature_extraction_recurrence_words(
-            counts, half, -half, half + 1, workspace=self.workspace
+        return self._run_kernel(
+            "recurrence_words",
+            native.feature_extraction_recurrence_words,
+            feature_extraction_recurrence_words,
+            counts,
+            half,
+            -half,
+            half + 1,
+            workspace=self.workspace,
         )
-        self._record_kernel(
-            "recurrence_words", "numpy", started, words.nbytes
-        )
-        return words
 
     def _packed_conv(
         self,

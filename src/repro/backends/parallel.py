@@ -10,9 +10,10 @@ a bounded pool of in-process inner replicas, and joins the shards' scores
 in order -- bit-identical to running the inner backend on the whole
 batch, asserted by the unit tests and by ``bench_perf.py``.
 
-Threads overlap because the compiled kernel tier of ``bit-exact-native``
-releases the GIL for its hot loops; on the NumPy tier the shards still
-answer bit-identically, they just overlap less.  Process isolation is the
+Threads overlap because the compiled kernel tier, which
+``bit-exact-packed`` runs whenever it is available, releases the GIL for
+its hot loops; on the NumPy tier the shards still answer bit-identically,
+they just overlap less.  Process isolation is the
 job of :class:`~repro.serve.fleet.FleetRouter`, not of this wrapper.
 
 The wrapper is not a registry entry: ``workers`` is the one way to ask

@@ -36,8 +36,9 @@ DEFAULT_STREAM_LENGTH = 1024
 
 #: Execution backend used when an evaluation does not name one explicitly.
 #: ``"sc-fast"`` is the paper's full-test-set accuracy model; the
-#: bit-exact backends (``"bit-exact-packed"`` being the fast one) simulate
-#: actual streams.  See :mod:`repro.backends` for the registry.
+#: bit-exact backends (``"bit-exact-packed"`` being the fast one, on the
+#: compiled kernel tier when it is available) simulate actual streams.
+#: See :mod:`repro.backends` for the registry.
 DEFAULT_BACKEND = "sc-fast"
 
 

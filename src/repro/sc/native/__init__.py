@@ -23,7 +23,9 @@ Design rules every wrapper follows:
 The tier loads lazily on first use; :func:`available` reports whether
 the compiled library is usable and :func:`native_error` carries the
 human-readable reason when it is not (no compiler, ``REPRO_NATIVE=0``,
-missing cffi, ...).
+missing cffi, ...).  ``bit-exact-packed`` runs these kernels whenever
+the tier is available.  The ``REPRO_NATIVE=0`` opt-out is logged at INFO,
+any other load failure as a WARNING with a ``native_fallback`` event.
 """
 
 from __future__ import annotations
@@ -67,17 +69,22 @@ def _load() -> tuple:
                     _state = (ffi, lib, None)
                 except _build.NativeBuildError as exc:
                     _state = (None, None, str(exc))
-                    logging.getLogger("repro.sc.native").warning(
-                        "compiled kernel tier unavailable, falling back "
-                        "to NumPy kernels: %s",
-                        exc,
-                        extra={
-                            "obs_event": {
-                                "kind": "native_fallback",
-                                "error": str(exc),
-                            }
-                        },
-                    )
+                    log = logging.getLogger("repro.sc.native")
+                    if _build._disabled_by_env():
+                        # An explicit opt-out is a choice, not a fault.
+                        log.info("compiled kernel tier off: %s", exc)
+                    else:
+                        log.warning(
+                            "compiled kernel tier unavailable, falling "
+                            "back to NumPy kernels: %s",
+                            exc,
+                            extra={
+                                "obs_event": {
+                                    "kind": "native_fallback",
+                                    "error": str(exc),
+                                }
+                            },
+                        )
     return _state
 
 

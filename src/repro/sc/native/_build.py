@@ -18,13 +18,15 @@ Environment knobs:
 * ``REPRO_NATIVE=0`` (also ``off``/``false``) -- disable the tier.
 * ``REPRO_NATIVE_CC`` -- compiler executable (default: ``cc``/``gcc``).
 * ``REPRO_NATIVE_CACHE`` -- directory for the compiled library
-  (default: ``~/.cache/repro-native``).
+  (default: ``~/.cache/repro-native``); hosts may share it, since each
+  library is keyed by the host's instruction set.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -123,9 +125,31 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-native"
 
 
+def _host_isa() -> str:
+    """The instruction set a ``-march=native`` build targets on this host.
+
+    The machine name plus the CPU feature flags the kernel reports
+    (``flags`` on x86, ``Features`` on Arm).  Where those cannot be read
+    the host name stands in, so such hosts never share a cached library.
+    """
+    flags: list[str] = []
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                if line.startswith(("flags", "Features")):
+                    flags = sorted(line.partition(":")[2].split())
+                    break
+    except OSError:
+        pass
+    return " ".join([platform.machine(), *(flags or [platform.node()])])
+
+
 def _library_path(source: str, cc: str) -> Path:
+    # A library built with -march=native on one CPU can hold instructions
+    # another lacks (SIGILL, no fallback), so caches shared between hosts
+    # are keyed by the instruction set too.
     tag = hashlib.sha256(
-        "\x00".join((source, cc, " ".join(_BASE_FLAGS))).encode()
+        "\x00".join((source, cc, " ".join(_BASE_FLAGS), _host_isa())).encode()
     ).hexdigest()[:16]
     return _cache_dir() / f"repro_kernels_{tag}.so"
 

@@ -398,8 +398,10 @@ class TestSession:
     def test_predict_workers_bit_identical(
         self, artifact, images, backend, checkpoints
     ):
-        """Thread sharding is a placement decision: scores never move."""
-        with Session.from_artifact(artifact, backend=backend) as session:
+        """Thread sharding is a placement decision: scores never move, on
+        the NumPy tier (pinned for ``bit-exact-packed``) or the default."""
+        tier = {"use_native": False} if backend == "bit-exact-packed" else {}
+        with Session.from_artifact(artifact, backend=backend, **tier) as session:
             plain = session.predict(images, PredictOptions(checkpoints=checkpoints))
             sharded = session.predict(
                 images, PredictOptions(checkpoints=checkpoints, workers=2)

@@ -121,9 +121,11 @@ class TestRegistry:
 
 class TestCrossBackendEquivalence:
     def test_bit_exact_backends_are_bit_identical(self, mapper, images):
-        """Legacy, packed and native backends produce identical scores."""
+        """Legacy and both kernel tiers produce identical scores."""
         legacy = create_backend("bit-exact-legacy", mapper).forward(images)
-        packed = create_backend("bit-exact-packed", mapper).forward(images)
+        packed = create_backend(
+            "bit-exact-packed", mapper, use_native=False
+        ).forward(images)
         native = create_backend("bit-exact-native", mapper).forward(images)
         assert np.array_equal(legacy, packed)
         assert np.array_equal(legacy, native)
@@ -297,8 +299,20 @@ class TestParallelBackend:
             # One replica per shard at most: never more than the images.
             assert len(parallel._replicas) <= images.shape[0]
 
-    def test_backend_options_reach_every_replica(self, mapper, images):
+    def test_backend_options_reach_every_replica(
+        self, mapper, images, monkeypatch
+    ):
         expected = create_backend("bit-exact-packed", mapper).forward(images)
+        # A first shard that finishes before the second leases would hand
+        # over its replica; meeting at a barrier makes both shards hold one.
+        both_leased = threading.Barrier(2, timeout=60)
+        forward = BitExactPackedBackend.forward
+
+        def forward_together(backend, shard):
+            both_leased.wait()
+            return forward(backend, shard)
+
+        monkeypatch.setattr(BitExactPackedBackend, "forward", forward_together)
         with ParallelBackend(mapper, workers=2, position_chunk=5) as parallel:
             assert np.array_equal(parallel.forward(images), expected)
             assert len(parallel._replicas) == 2
@@ -374,7 +388,10 @@ def _stream_word_calls(backend) -> int:
     return sum(cell["calls"] for cell in cells.values())
 
 
-TIERS = ["bit-exact-packed", "bit-exact-native"]
+#: One backend per kernel tier, by registry name: ``use_native=False``
+#: pins the NumPy kernels, the default takes the compiled tier when it is
+#: available.
+TIERS = {"bit-exact-packed": {"use_native": False}, "bit-exact-native": {}}
 
 
 class TestStreamPlane:
@@ -406,19 +423,19 @@ class TestStreamPlane:
     ):
         n, points, partial = legacy_planes
         backend = create_backend(
-            name, ScNetworkMapper(network, stream_length=n, seed=7)
+            name, ScNetworkMapper(network, stream_length=n, seed=7), **TIERS[name]
         )
         for _ in range(2):
             assert np.array_equal(backend.forward(images), partial[-1])
         backend = create_backend(
-            name, ScNetworkMapper(network, stream_length=n, seed=7)
+            name, ScNetworkMapper(network, stream_length=n, seed=7), **TIERS[name]
         )
         for _ in range(2):
             assert np.array_equal(backend.forward_partial(images, points), partial)
 
     def test_build_is_booked_once_per_mapper(self, network, images):
         mapper = ScNetworkMapper(network, stream_length=128, seed=7)
-        packed = create_backend("bit-exact-packed", mapper)
+        packed = create_backend("bit-exact-packed", mapper, use_native=False)
         packed.forward(images)
         # The input compare plus weights and bias of conv, fc and output.
         assert _stream_word_calls(packed) == 7
@@ -433,7 +450,10 @@ class TestStreamPlane:
         self, network, images, legacy_scores
     ):
         mapper = ScNetworkMapper(network, stream_length=128, seed=7)
-        backends = [create_backend(name, mapper) for name in TIERS * 2]
+        backends = [
+            create_backend(name, mapper, **options)
+            for name, options in list(TIERS.items()) * 2
+        ]
         start = threading.Barrier(len(backends), timeout=60)
 
         def first_forward(backend):

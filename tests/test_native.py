@@ -1,13 +1,18 @@
 """Compiled native kernel tier: bit-identity, fallback, thread sharding.
 
 The contract under test is the one the backend registry advertises:
-``bit-exact-native`` is a pure drop-in for ``bit-exact-packed`` --
-bit-identical scores whether or not the compiled tier is available, with
-graceful degradation (never an error) when it is not -- and ``workers``
-shards its batches across threads without changing a single score.
+``bit-exact-packed`` runs the compiled tier whenever it is available and
+the NumPy kernels otherwise (``use_native=False`` pins them), with
+bit-identical scores on either tier and graceful degradation (never an
+error) when the tier is missing; ``bit-exact-native`` is a second name
+for it; and ``workers`` shards its batches across threads without
+changing a single score.
 """
 
+import io
+import logging
 import os
+import platform
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +26,7 @@ from nets import tiny_cnn
 from repro.api import PredictOptions, Session
 from repro.backends import (
     BitExactNativeBackend,
+    BitExactPackedBackend,
     ParallelBackend,
     create_backend,
     describe_backends,
@@ -29,6 +35,7 @@ from repro.blocks.batched import feature_extraction_recurrence_words
 from repro.errors import ConfigurationError
 from repro.nn.sc_layers import ScNetworkMapper
 from repro.sc import native
+from repro.sc.native import _build
 from repro.sc.packed import (
     fused_xnor_column_counts,
     fused_xnor_majority_chain,
@@ -218,9 +225,12 @@ def test_ones_count_matches_numpy():
 
 @pytest.mark.parametrize("stream_length", [100, 1000, 8192])
 def test_native_backend_bit_identical(network, images, stream_length):
+    """Both kernel tiers equal the legacy oracle, tail words included."""
     batch = images if stream_length < 8192 else images[:2]
     mapper = ScNetworkMapper(network, stream_length=stream_length, seed=7)
-    reference = create_backend("bit-exact-packed", mapper).forward(batch)
+    reference = create_backend("bit-exact-legacy", mapper).forward(batch)
+    numpy_tier = create_backend("bit-exact-packed", mapper, use_native=False)
+    np.testing.assert_array_equal(numpy_tier.forward(batch), reference)
     scores = create_backend("bit-exact-native", mapper).forward(batch)
     np.testing.assert_array_equal(scores, reference)
 
@@ -228,7 +238,7 @@ def test_native_backend_bit_identical(network, images, stream_length):
 def test_native_forward_partial_checkpoints_exact(network, images):
     mapper = ScNetworkMapper(network, stream_length=1000, seed=7)
     points = (100, 250, 500, 1000)
-    packed = create_backend("bit-exact-packed", mapper)
+    packed = create_backend("bit-exact-packed", mapper, use_native=False)
     nat = create_backend("bit-exact-native", mapper)
     np.testing.assert_array_equal(
         nat.forward_partial(images, points),
@@ -242,12 +252,107 @@ def test_native_forward_partial_checkpoints_exact(network, images):
 
 def test_use_native_false_runs_numpy_kernels(network, images):
     mapper = ScNetworkMapper(network, stream_length=200, seed=7)
-    backend = BitExactNativeBackend(mapper, use_native=False)
+    backend = BitExactPackedBackend(mapper, use_native=False)
     assert not backend.native_active
     np.testing.assert_array_equal(
         backend.forward(images),
         create_backend("bit-exact-packed", mapper).forward(images),
     )
+
+
+def test_default_backend_books_the_compiled_tier(network, images, tmp_path):
+    """The default bit-exact path -- ``create_backend`` and a default
+    ``Session.from_artifact`` alike -- runs every hot kernel on the
+    compiled tier whenever it is available; ``use_native=False`` books
+    only NumPy."""
+    default = {"native"} if native.available() else {"numpy"}
+    with Session.from_network(network, stream_length=200, seed=7) as session:
+        path = session.save(tmp_path / "model")
+    for options, tiers in (({}, default), ({"use_native": False}, {"numpy"})):
+        mapper = ScNetworkMapper(network, stream_length=200, seed=7)
+        backend = create_backend("bit-exact-packed", mapper, **options)
+        backend.forward(images[:2])
+        with Session.from_artifact(path, **options) as session:
+            session.predict(images[:2])
+            booked = session.obs_snapshot()["kernels"]
+        for snapshot in (backend.kernel_snapshot(), booked):
+            assert set(snapshot) == {
+                "fused_counts", "fused_chain", "recurrence_words", "stream_words"
+            }
+            for kernel, cells in snapshot.items():
+                assert set(cells) == tiers, (options, kernel, cells)
+
+
+def test_native_name_is_only_an_alias():
+    """``bit-exact-native`` is a second registry name, not a second path."""
+
+    class Bare(BitExactPackedBackend):
+        """An unregistered subclass that defines nothing."""
+
+    assert BitExactNativeBackend.__bases__ == (BitExactPackedBackend,)
+    assert set(vars(BitExactNativeBackend)) - set(vars(Bare)) == {
+        "name",
+        "description",
+    }
+
+
+@pytest.fixture
+def unloaded_tier(monkeypatch):
+    """Forget the loaded tier for one test; teardown puts it back."""
+    monkeypatch.setattr(native, "_state", native._state)
+    native._reset_state()
+
+
+def test_env_opt_out_logs_info_not_warning(unloaded_tier, monkeypatch, caplog):
+    monkeypatch.setenv("REPRO_NATIVE", "0")
+    with caplog.at_level(logging.INFO, logger="repro.sc.native"):
+        assert not native.available()
+    records = [r for r in caplog.records if r.name == "repro.sc.native"]
+    assert [r.levelno for r in records] == [logging.INFO]
+    assert not hasattr(records[0], "obs_event")
+
+
+def test_failed_load_logs_warning_with_event(unloaded_tier, monkeypatch, caplog):
+    monkeypatch.delenv("REPRO_NATIVE", raising=False)
+    monkeypatch.setitem(sys.modules, "cffi", None)  # ``import cffi`` fails
+    with caplog.at_level(logging.INFO, logger="repro.sc.native"):
+        assert not native.available()
+    records = [r for r in caplog.records if r.name == "repro.sc.native"]
+    assert [r.levelno for r in records] == [logging.WARNING]
+    assert records[0].obs_event["kind"] == "native_fallback"
+    assert "cffi" in records[0].obs_event["error"]
+
+
+def test_library_cache_is_keyed_by_the_host_instruction_set(monkeypatch):
+    """Hosts sharing a cache directory only load a library built for
+    their own instruction set (a ``-march=native`` build can SIGILL
+    elsewhere, with no fallback)."""
+
+    def cpuinfo(text):
+        def fake_open(path):
+            if text is None:
+                raise OSError(path)
+            return io.StringIO(text)
+
+        return fake_open
+
+    isas = {}
+    for host, text in (
+        ("avx2", "processor\t: 0\nflags\t\t: sse2 avx2\n"),
+        ("sse2", "processor\t: 0\nflags\t\t: sse2\n"),
+        ("arm", "Features\t: fp asimd\n"),
+        ("unreadable", None),
+    ):
+        monkeypatch.setattr(_build, "open", cpuinfo(text), raising=False)
+        isas[host] = _build._host_isa()
+    assert isas["avx2"].split()[1:] == ["avx2", "sse2"]
+    assert isas["arm"].split()[1:] == ["asimd", "fp"]
+    assert isas["unreadable"].split()[1:] == [platform.node()]
+    paths = set()
+    for isa in isas.values():
+        monkeypatch.setattr(_build, "_host_isa", lambda isa=isa: isa)
+        paths.add(_build._library_path("source", "cc"))
+    assert len(paths) == len(isas)
 
 
 def _stream_word_calls(backend) -> int:
@@ -334,16 +439,18 @@ def _sharded(mapper, workers):
 
 
 def test_thread_mode_forward_bit_identical(thread_mapper, images):
-    reference = create_backend("bit-exact-packed", thread_mapper).forward(images)
+    reference = create_backend(
+        "bit-exact-packed", thread_mapper, use_native=False
+    ).forward(images)
     with _sharded(thread_mapper, 3) as backend:
         np.testing.assert_array_equal(backend.forward(images), reference)
 
 
 def test_thread_mode_forward_partial_bit_identical(thread_mapper, images):
     points = (50, 100, 200)
-    reference = create_backend("bit-exact-packed", thread_mapper).forward_partial(
-        images, points
-    )
+    reference = create_backend(
+        "bit-exact-packed", thread_mapper, use_native=False
+    ).forward_partial(images, points)
     with _sharded(thread_mapper, 3) as backend:
         np.testing.assert_array_equal(
             backend.forward_partial(images, points), reference

@@ -308,7 +308,7 @@ class TestKernelCounters:
         assert merged["stream_words"]["numpy"]["bytes"] == 5
 
     def test_packed_backend_counts_kernel_seams(self, mapper, images):
-        backend = create_backend("bit-exact-packed", mapper)
+        backend = create_backend("bit-exact-packed", mapper, use_native=False)
         backend.forward(images[:2])
         snap = backend.kernel_snapshot()
         assert snap, "forward recorded no kernel invocations"
@@ -324,7 +324,7 @@ class TestKernelCounters:
         # Build the mapper's stream plane first: whichever backend builds
         # it books the build, and this test compares steady-state forwards.
         create_backend("bit-exact-packed", mapper).forward(images[:2])
-        packed = create_backend("bit-exact-packed", mapper)
+        packed = create_backend("bit-exact-packed", mapper, use_native=False)
         compiled = create_backend("bit-exact-native", mapper)
         packed.forward(images[:2])
         compiled.forward(images[:2])
