@@ -523,16 +523,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         _print_service_summary(snapshot, stream_length)
     if args.metrics_file and snapshot is not None:
-        if fleet:
-            from repro.obs import fleet_prometheus_text
+        from repro.obs import prometheus_text
 
-            Path(args.metrics_file).write_text(
-                fleet_prometheus_text(snapshot)
-            )
-        else:
-            from repro.obs import prometheus_text
-
-            Path(args.metrics_file).write_text(prometheus_text(snapshot))
+        Path(args.metrics_file).write_text(prometheus_text(snapshot))
         print(f"wrote Prometheus metrics to {args.metrics_file}")
     if args.trace_file:
         print(f"wrote trace/fault event log to {args.trace_file}")

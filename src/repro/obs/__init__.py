@@ -14,10 +14,11 @@ and the packed backends (:mod:`repro.backends`):
   backend's kernel seam, surfaced via ``Backend.kernel_snapshot()``,
   ``ScInferenceService.snapshot()["kernels"]`` and the registry's
   ``describe_backends()`` notes.
-* :mod:`~repro.obs.export` -- the Prometheus text-exposition writer
-  (:func:`~repro.obs.export.prometheus_text` /
-  :func:`~repro.obs.export.validate_exposition`) and the JSONL
-  structured event log (:class:`~repro.obs.export.JsonlEventLog`) that
+* :mod:`~repro.obs.export` -- the one Prometheus text-exposition writer
+  (:func:`~repro.obs.export.prometheus_text`, whose fleet and registry
+  views are the service's families under a ``worker`` / ``model``
+  label), its parser :func:`~repro.obs.export.validate_exposition`, and
+  the JSONL event log (:class:`~repro.obs.export.JsonlEventLog`) that
   also mirrors the stdlib ``repro`` package logger.
 
 This package sits *below* the backends and serving layer in the import
@@ -33,7 +34,6 @@ from repro.obs.counters import (
 )
 from repro.obs.export import (
     JsonlEventLog,
-    fleet_prometheus_text,
     prometheus_text,
     registry_prometheus_text,
     validate_exposition,
@@ -51,7 +51,6 @@ __all__ = [
     "kernel_note",
     "merge_kernel_snapshots",
     "prometheus_text",
-    "fleet_prometheus_text",
     "registry_prometheus_text",
     "validate_exposition",
     "JsonlEventLog",

@@ -5,11 +5,14 @@ Two sinks over the same observability data:
 * :func:`prometheus_text` renders a service snapshot
   (:meth:`repro.serve.ScInferenceService.snapshot`, a superset of the
   plain :meth:`~repro.serve.metrics.ServiceMetrics.snapshot` dict) in the
-  Prometheus text exposition format (version 0.0.4): ``# HELP`` /
-  ``# TYPE`` comment pairs followed by samples, histograms as cumulative
-  ``_bucket{le=...}`` series plus ``_sum`` / ``_count``.
-  :func:`validate_exposition` parses the text back and checks the format
-  invariants -- the golden-parse guard of the CI ``smoke`` job.
+  Prometheus text exposition format (version 0.0.4): each family's
+  ``# HELP`` / ``# TYPE`` pair followed by all its samples, histograms as
+  cumulative ``_bucket{le=...}`` series plus ``_sum`` / ``_count``.  A
+  fleet or registry exposition is the service's families under a
+  ``worker`` or ``model`` label (nesting ``model`` -> ``worker`` ->
+  ``replica``).  :func:`validate_exposition` parses the text back and
+  checks the format invariants -- the golden-parse guard of the CI
+  ``smoke`` job.
 * :class:`JsonlEventLog` appends structured JSON lines (sampled traces,
   fault events, mirrored log records) to a file; its
   :meth:`~JsonlEventLog.logging_handler` bridges the stdlib ``repro``
@@ -28,7 +31,6 @@ from pathlib import Path
 
 __all__ = [
     "prometheus_text",
-    "fleet_prometheus_text",
     "registry_prometheus_text",
     "validate_exposition",
     "JsonlEventLog",
@@ -54,26 +56,26 @@ def _format_value(value: float) -> str:
 
 
 class _Writer:
-    """Accumulates exposition lines with HELP/TYPE headers per family."""
+    """Collects metric families; :meth:`text` renders each as one group.
+
+    ``families`` is ``{name: (kind, help_text, [(sample, labels, value)])}``
+    with ``labels`` as ``(key, value)`` pairs in render order.
+    """
 
     def __init__(self) -> None:
-        self.lines: list[str] = []
+        self.families: dict[str, tuple[str, str, list]] = {}
 
     def family(self, name: str, kind: str, help_text: str) -> None:
-        self.lines.append(f"# HELP {name} {help_text}")
-        self.lines.append(f"# TYPE {name} {kind}")
+        self.families.setdefault(name, (kind, help_text, []))
 
     def sample(
         self, name: str, value: float, labels: dict | None = None
     ) -> None:
-        if labels:
-            rendered = ",".join(
-                f'{key}="{_escape_label(val)}"'
-                for key, val in labels.items()
-            )
-            self.lines.append(f"{name}{{{rendered}}} {_format_value(value)}")
-        else:
-            self.lines.append(f"{name} {_format_value(value)}")
+        # A histogram's _bucket / _sum / _count samples join its family.
+        family = name if name in self.families else name.rsplit("_", 1)[0]
+        self.families[family][2].append(
+            (name, tuple((labels or {}).items()), value)
+        )
 
     def counter(
         self, name: str, value: float, help_text: str
@@ -105,94 +107,130 @@ class _Writer:
         self.sample(f"{name}_sum", hist["sum"])
         self.sample(f"{name}_count", hist["count"])
 
+    def include(self, other: "_Writer", key: str, value: object) -> None:
+        """Merge ``other``'s families, ``key=value`` first in their labels."""
+        for name, (kind, help_text, samples) in other.families.items():
+            self.family(name, kind, help_text)
+            self.families[name][2].extend(
+                (sample, ((key, value),) + labels, val)
+                for sample, labels, val in samples
+            )
+
     def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
+        lines = []
+        for name, (kind, help_text, samples) in self.families.items():
+            lines.append(f"# HELP {name} {help_text}")
+            lines.append(f"# TYPE {name} {kind}")
+            for sample, labels, value in samples:
+                if labels:
+                    rendered = ",".join(
+                        f'{key}="{_escape_label(val)}"'
+                        for key, val in labels
+                    )
+                    sample = f"{sample}{{{rendered}}}"
+                lines.append(f"{sample} {_format_value(value)}")
+        return "\n".join(lines) + "\n"
 
 
-def prometheus_text(snapshot: dict, prefix: str = "repro") -> str:
-    """Render a service snapshot in the Prometheus text exposition format.
+def prometheus_text(snapshot: dict) -> str:
+    """Render a service or fleet snapshot in the Prometheus text format.
 
     Accepts both the plain :class:`~repro.serve.metrics.ServiceMetrics`
     snapshot and the service-level superset
     (:meth:`~repro.serve.ScInferenceService.snapshot`) carrying
     ``kernels`` / ``workspaces`` / ``tracing`` sections; absent sections
-    are simply not rendered.
+    are simply not rendered.  A :meth:`repro.serve.FleetRouter.snapshot`
+    (recognised by its ``"fleet"`` key) renders as the router's
+    ``repro_fleet_*`` families plus each live worker's service families
+    under a ``worker="<slot>"`` label; a worker that did not answer the
+    snapshot RPC (dead, restarting) is ``0`` in ``repro_fleet_worker_up``.
 
     Args:
         snapshot: the snapshot dict.
-        prefix: metric-name prefix (default ``repro``).
 
     Returns:
         Exposition text (one trailing newline), parseable by
         :func:`validate_exposition`.
     """
+    return _pool_families(snapshot).text()
+
+
+def _pool_families(snapshot: dict) -> _Writer:
     w = _Writer()
+    if "fleet" in snapshot:
+        _fleet_families(w, snapshot)
+    else:
+        _service_families(w, snapshot)
+    return w
+
+
+def _service_families(w: _Writer, snapshot: dict) -> None:
     w.counter(
-        f"{prefix}_requests_total",
+        "repro_requests_total",
         snapshot.get("requests", 0),
         "Completed inference requests.",
     )
     w.counter(
-        f"{prefix}_images_total",
+        "repro_images_total",
         snapshot.get("images", 0),
         "Images answered (computed + cache hits).",
     )
     w.counter(
-        f"{prefix}_cache_hits_total",
+        "repro_cache_hits_total",
         snapshot.get("cache_hits", 0),
         "Images answered from the LRU result cache.",
     )
     w.counter(
-        f"{prefix}_batches_total",
+        "repro_batches_total",
         snapshot.get("batches", 0),
         "Merged micro-batches dispatched to workers.",
     )
     w.gauge(
-        f"{prefix}_cache_hit_rate",
+        "repro_cache_hit_rate",
         snapshot.get("cache_hit_rate", 0.0),
         "Fraction of images answered from the cache.",
     )
     w.gauge(
-        f"{prefix}_mean_batch_size",
+        "repro_mean_batch_size",
         snapshot.get("mean_batch_size", 0.0),
         "Mean images per merged micro-batch (sliding window).",
     )
     throughput = snapshot.get("throughput_images_per_sec")
     if throughput is not None:
         w.gauge(
-            f"{prefix}_throughput_images_per_sec",
+            "repro_throughput_images_per_sec",
             throughput,
             "Images per second over the completion window.",
         )
     mean_exit = snapshot.get("mean_exit_checkpoint")
     if mean_exit is not None:
         w.gauge(
-            f"{prefix}_mean_exit_checkpoint",
+            "repro_mean_exit_checkpoint",
             mean_exit,
             "Mean early-exit stream-cycle checkpoint.",
         )
     reduction = snapshot.get("cycle_reduction")
     if reduction is not None:
         w.gauge(
-            f"{prefix}_cycle_reduction",
+            "repro_cycle_reduction",
             reduction,
             "Mean stream-cycle reduction from progressive early exit.",
         )
     latency = snapshot.get("latency_ms")
     if latency:
         w.family(
-            f"{prefix}_latency_ms",
+            "repro_latency_ms",
             "summary",
             "Request latency quantiles over the sliding window (ms).",
         )
         for quantile in ("p50", "p95", "p99"):
             w.sample(
-                f"{prefix}_latency_ms",
+                "repro_latency_ms",
                 latency[quantile],
                 {"quantile": f"0.{quantile[1:]}"},
             )
         w.gauge(
-            f"{prefix}_latency_ms_mean",
+            "repro_latency_ms_mean",
             latency["mean"],
             "Mean request latency over the sliding window (ms).",
         )
@@ -202,160 +240,144 @@ def prometheus_text(snapshot: dict, prefix: str = "repro") -> str:
     ):
         series = snapshot.get(key)
         if series and series.get("histogram"):
-            w.histogram(f"{prefix}_{key}", series["histogram"], help_text)
+            w.histogram(f"repro_{key}", series["histogram"], help_text)
     faults = snapshot.get("faults")
     if faults:
         shed = {k: v for k, v in faults["shed"].items() if k != "total"}
         w.family(
-            f"{prefix}_shed_requests_total",
+            "repro_shed_requests_total",
             "counter",
             "Requests rejected by admission control, by reason.",
         )
         if shed:
             for reason, count in sorted(shed.items()):
                 w.sample(
-                    f"{prefix}_shed_requests_total",
+                    "repro_shed_requests_total",
                     count,
                     {"reason": reason},
                 )
         else:
             w.sample(
-                f"{prefix}_shed_requests_total", 0, {"reason": "none"}
+                "repro_shed_requests_total", 0, {"reason": "none"}
             )
         w.counter(
-            f"{prefix}_degraded_requests_total",
+            "repro_degraded_requests_total",
             faults["degraded_requests"],
             "Requests answered from an overload-truncated schedule.",
         )
         w.counter(
-            f"{prefix}_batch_retries_total",
+            "repro_batch_retries_total",
             faults["retries"],
             "Merged-batch buckets re-executed after a replica failure.",
         )
         w.counter(
-            f"{prefix}_replica_restarts_total",
+            "repro_replica_restarts_total",
             faults["restarts"],
             "Backend replicas rebuilt by the supervision path.",
         )
         w.counter(
-            f"{prefix}_failed_requests_total",
+            "repro_failed_requests_total",
             faults["failed_requests"],
             "Requests resolved with a typed inference error.",
         )
         w.counter(
-            f"{prefix}_cancelled_requests_total",
+            "repro_cancelled_requests_total",
             faults["cancelled_requests"],
             "Requests cancelled before a worker picked them up.",
         )
     kernels = snapshot.get("kernels")
     if kernels:
         w.family(
-            f"{prefix}_kernel_calls_total",
+            "repro_kernel_calls_total",
             "counter",
             "Packed-data-plane kernel invocations by kernel and tier.",
         )
         for kernel, tiers in sorted(kernels.items()):
             for tier, cell in sorted(tiers.items()):
                 w.sample(
-                    f"{prefix}_kernel_calls_total",
+                    "repro_kernel_calls_total",
                     cell["calls"],
                     {"kernel": kernel, "tier": tier},
                 )
         w.family(
-            f"{prefix}_kernel_seconds_total",
+            "repro_kernel_seconds_total",
             "counter",
             "Wall seconds spent inside kernels by kernel and tier.",
         )
         for kernel, tiers in sorted(kernels.items()):
             for tier, cell in sorted(tiers.items()):
                 w.sample(
-                    f"{prefix}_kernel_seconds_total",
+                    "repro_kernel_seconds_total",
                     cell["seconds"],
                     {"kernel": kernel, "tier": tier},
                 )
         w.family(
-            f"{prefix}_kernel_bytes_total",
+            "repro_kernel_bytes_total",
             "counter",
             "Output bytes produced by kernels by kernel and tier.",
         )
         for kernel, tiers in sorted(kernels.items()):
             for tier, cell in sorted(tiers.items()):
                 w.sample(
-                    f"{prefix}_kernel_bytes_total",
+                    "repro_kernel_bytes_total",
                     cell["bytes"],
                     {"kernel": kernel, "tier": tier},
                 )
     workspaces = snapshot.get("workspaces")
     if workspaces:
         w.family(
-            f"{prefix}_workspace_bytes",
+            "repro_workspace_bytes",
             "gauge",
             "Bytes currently retained by each replica's buffer arena.",
         )
         for entry in workspaces:
             w.sample(
-                f"{prefix}_workspace_bytes",
+                "repro_workspace_bytes",
                 entry["nbytes"],
-                {"worker": entry["worker"]},
+                {"replica": entry["worker"]},
             )
         w.family(
-            f"{prefix}_workspace_peak_bytes",
+            "repro_workspace_peak_bytes",
             "gauge",
             "High-water arena bytes per replica.",
         )
         for entry in workspaces:
             w.sample(
-                f"{prefix}_workspace_peak_bytes",
+                "repro_workspace_peak_bytes",
                 entry["peak_nbytes"],
-                {"worker": entry["worker"]},
+                {"replica": entry["worker"]},
             )
         w.family(
-            f"{prefix}_workspace_buffers",
+            "repro_workspace_buffers",
             "gauge",
             "Live buffers in each replica's arena.",
         )
         for entry in workspaces:
             w.sample(
-                f"{prefix}_workspace_buffers",
+                "repro_workspace_buffers",
                 entry["buffers"],
-                {"worker": entry["worker"]},
+                {"replica": entry["worker"]},
             )
     tracing = snapshot.get("tracing")
     if tracing:
         w.gauge(
-            f"{prefix}_trace_sample_rate",
+            "repro_trace_sample_rate",
             tracing["sample_rate"],
             "Configured request-trace sampling rate.",
         )
         w.counter(
-            f"{prefix}_traces_sampled_total",
+            "repro_traces_sampled_total",
             tracing["sampled"],
             "Requests that carried a trace.",
         )
         w.gauge(
-            f"{prefix}_traces_buffered",
+            "repro_traces_buffered",
             tracing["buffered"],
             "Completed traces currently in the ring buffer.",
         )
-    return w.text()
 
 
-def fleet_prometheus_text(snapshot: dict, prefix: str = "repro") -> str:
-    """Render a fleet snapshot as one exposition with a ``worker`` label.
-
-    Accepts :meth:`repro.serve.fleet.FleetRouter.snapshot` output:
-    ``{"fleet": <router counters>, "workers": {slot: <service snapshot
-    or None>}}``.  Router-level supervision counters become
-    ``{prefix}_fleet_*`` families; the headline series of every live
-    worker's embedded-service snapshot are re-emitted under a
-    ``worker="<slot>"`` label so one scrape shows the whole fleet.
-    Workers that did not answer the snapshot RPC (dead, restarting)
-    appear only in ``{prefix}_fleet_worker_up`` as ``0``.
-
-    Returns:
-        Exposition text parseable by :func:`validate_exposition`.
-    """
-    w = _Writer()
+def _fleet_families(w: _Writer, snapshot: dict) -> None:
     fleet = snapshot.get("fleet") or {}
     for key, help_text in (
         ("submitted", "Requests admitted by the fleet router."),
@@ -371,211 +393,95 @@ def fleet_prometheus_text(snapshot: dict, prefix: str = "repro") -> str:
         ("replacements", "Planned rolling-restart worker replacements."),
     ):
         w.counter(
-            f"{prefix}_fleet_{key}_total", fleet.get(key, 0), help_text
+            f"repro_fleet_{key}_total", fleet.get(key, 0), help_text
         )
     w.gauge(
-        f"{prefix}_fleet_queue_depth",
+        "repro_fleet_queue_depth",
         fleet.get("queue_depth", 0),
         "Requests waiting in the router dispatch queue.",
     )
     w.gauge(
-        f"{prefix}_fleet_inflight",
+        "repro_fleet_inflight",
         fleet.get("inflight", 0),
         "Admitted requests not yet resolved.",
     )
     w.gauge(
-        f"{prefix}_fleet_workers_ready",
+        "repro_fleet_workers_ready",
         fleet.get("workers_ready", 0),
         "Worker processes currently accepting dispatches.",
     )
     states = fleet.get("worker_states") or {}
     if states:
         w.family(
-            f"{prefix}_fleet_worker_up",
+            "repro_fleet_worker_up",
             "gauge",
             "Per-slot worker liveness (1 = ready).",
         )
         for slot in sorted(states, key=str):
             w.sample(
-                f"{prefix}_fleet_worker_up",
+                "repro_fleet_worker_up",
                 1 if states[slot] == "ready" else 0,
                 {"worker": slot, "state": states[slot]},
             )
-    workers = {
-        str(slot): snap
-        for slot, snap in (snapshot.get("workers") or {}).items()
-        if snap
-    }
-    if workers:
-        for key, help_text in (
-            ("requests", "Completed requests inside each worker's service."),
-            ("images", "Images answered by each worker."),
-            ("cache_hits", "Cache-served images per worker."),
-            ("batches", "Merged micro-batches dispatched per worker."),
-        ):
-            w.family(
-                f"{prefix}_worker_{key}_total",
-                "counter",
-                help_text,
-            )
-            for slot in sorted(workers, key=str):
-                w.sample(
-                    f"{prefix}_worker_{key}_total",
-                    workers[slot].get(key, 0),
-                    {"worker": slot},
-                )
-        for fault_key, name, help_text in (
-            ("retries", "batch_retries", "In-process batch retries per worker."),
-            (
-                "restarts",
-                "replica_restarts",
-                "In-process replica restarts per worker.",
-            ),
-            (
-                "failed_requests",
-                "failed_requests",
-                "Requests failed inside each worker's service.",
-            ),
-            (
-                "degraded_requests",
-                "degraded_requests",
-                "Overload-degraded requests per worker.",
-            ),
-        ):
-            w.family(
-                f"{prefix}_worker_{name}_total",
-                "counter",
-                help_text,
-            )
-            for slot in sorted(workers, key=str):
-                faults = workers[slot].get("faults") or {}
-                w.sample(
-                    f"{prefix}_worker_{name}_total",
-                    faults.get(fault_key, 0),
-                    {"worker": slot},
-                )
-        if any(workers[slot].get("latency_ms") for slot in workers):
-            w.family(
-                f"{prefix}_worker_latency_ms",
-                "summary",
-                "Per-worker request latency quantiles (ms).",
-            )
-            for slot in sorted(workers, key=str):
-                latency = workers[slot].get("latency_ms")
-                if not latency:
-                    continue
-                for quantile in ("p50", "p95", "p99"):
-                    w.sample(
-                        f"{prefix}_worker_latency_ms",
-                        latency[quantile],
-                        {"worker": slot, "quantile": f"0.{quantile[1:]}"},
-                    )
-    return w.text()
+    workers = snapshot.get("workers") or {}
+    for slot in sorted(workers, key=str):
+        if workers[slot]:
+            w.include(_pool_families(workers[slot]), "worker", slot)
 
 
-def _model_counter(entry: dict, key: str) -> float:
-    """One headline counter of a registry pool entry, service or fleet.
-
-    Service pools report the counter directly; fleet pools aggregate the
-    per-worker embedded-service snapshots (``requests`` additionally
-    falls back to the router's ``completed`` count when no worker
-    answered the snapshot RPC).
-    """
-    inner = entry.get("snapshot") or {}
-    if entry.get("kind") == "fleet":
-        workers = [w for w in (inner.get("workers") or {}).values() if w]
-        if workers:
-            return sum(w.get(key, 0) for w in workers)
-        if key == "requests":
-            return (inner.get("fleet") or {}).get("completed", 0)
-        return 0
-    return inner.get(key, 0)
-
-
-def registry_prometheus_text(snapshots: dict, prefix: str = "repro") -> str:
-    """Render a multi-model registry snapshot with a ``model`` label.
+def registry_prometheus_text(snapshots: dict) -> str:
+    """Render a registry snapshot, every model's families under ``model``.
 
     Accepts :meth:`repro.serve.registry.ModelRegistry.snapshot` output:
     ``{name: {"kind", "generation", "snapshot"} | None}`` (``None`` for
     catalog entries whose pool was never built).  Catalog-level gauges
-    come first; the headline series of every live pool are re-emitted
-    under a ``model="<name>"`` label, so one scrape covers every model a
-    process serves.  Single-model processes keep the unlabeled
-    :func:`prometheus_text` / :func:`fleet_prometheus_text` shape
-    instead (the HTTP front end picks per scrape).
+    come first, then every loaded pool's :func:`prometheus_text` families
+    under a ``model="<name>"`` label (a fleet pool's series carry
+    ``model`` and then ``worker``), so one scrape covers every model a
+    process serves.  A catalog of one loaded model renders exactly
+    :func:`prometheus_text` of its pool, with no ``model`` label, so
+    single-model dashboards and goldens hold.
 
     Returns:
         Exposition text parseable by :func:`validate_exposition`.
     """
-    w = _Writer()
     loaded = {name: snap for name, snap in snapshots.items() if snap}
+    if len(snapshots) == 1 and len(loaded) == 1:
+        (entry,) = loaded.values()
+        return prometheus_text(entry["snapshot"])
+    w = _Writer()
     w.gauge(
-        f"{prefix}_registry_models",
+        "repro_registry_models",
         len(snapshots),
         "Models in the serving catalog.",
     )
     w.gauge(
-        f"{prefix}_registry_loaded",
+        "repro_registry_loaded",
         len(loaded),
         "Models with a live replica pool.",
     )
-    if snapshots:
+    # Model by model: a family keeps the place of its first declaration.
+    for name in sorted(snapshots, key=str):
+        entry = snapshots[name]
         w.family(
-            f"{prefix}_model_up",
+            "repro_model_up",
             "gauge",
             "Per-model pool liveness (1 = replica pool built).",
         )
-        for name in sorted(snapshots, key=str):
-            w.sample(
-                f"{prefix}_model_up",
-                1 if snapshots[name] else 0,
-                {"model": name},
-            )
-    if not loaded:
-        return w.text()
-    w.family(
-        f"{prefix}_model_generation",
-        "gauge",
-        "Pool generation of each model (bumps on hot reload).",
-    )
-    for name in sorted(loaded, key=str):
+        w.sample("repro_model_up", 1 if entry else 0, {"model": name})
+        if not entry:
+            continue
+        w.family(
+            "repro_model_generation",
+            "gauge",
+            "Pool generation of each model (bumps on hot reload).",
+        )
         w.sample(
-            f"{prefix}_model_generation",
-            loaded[name].get("generation", 0),
+            "repro_model_generation",
+            entry.get("generation", 0),
             {"model": name},
         )
-    for key, help_text in (
-        ("requests", "Completed requests per model."),
-        ("images", "Images answered per model."),
-        ("cache_hits", "Cache-served images per model."),
-        ("batches", "Merged micro-batches dispatched per model."),
-    ):
-        w.family(f"{prefix}_model_{key}_total", "counter", help_text)
-        for name in sorted(loaded, key=str):
-            w.sample(
-                f"{prefix}_model_{key}_total",
-                _model_counter(loaded[name], key),
-                {"model": name},
-            )
-    latencies = {
-        name: (entry.get("snapshot") or {}).get("latency_ms")
-        for name, entry in loaded.items()
-        if entry.get("kind") != "fleet"
-    }
-    latencies = {name: lat for name, lat in latencies.items() if lat}
-    if latencies:
-        w.family(
-            f"{prefix}_model_latency_ms",
-            "summary",
-            "Per-model request latency quantiles (ms).",
-        )
-        for name in sorted(latencies, key=str):
-            for quantile in ("p50", "p95", "p99"):
-                w.sample(
-                    f"{prefix}_model_latency_ms",
-                    latencies[name][quantile],
-                    {"model": name, "quantile": f"0.{quantile[1:]}"},
-                )
+        w.include(_pool_families(entry["snapshot"]), "model", name)
     return w.text()
 
 
@@ -584,9 +490,12 @@ def validate_exposition(text: str) -> dict[str, str]:
 
     Checks: every sample belongs to a declared ``# TYPE`` family (with
     the ``_bucket`` / ``_sum`` / ``_count`` suffixes allowed for
-    histograms), values parse as floats, label syntax is well formed,
-    histogram buckets are cumulative (non-decreasing) and end at
-    ``le="+Inf"`` with the ``+Inf`` bucket equal to ``_count``.
+    histograms) and sits in that family's one group of lines, no family
+    is typed twice, no series (name plus label set) or label name
+    repeats, values parse as floats, label syntax is well formed, and
+    each histogram series (its labels other than ``le``) has cumulative
+    (non-decreasing) buckets that end at ``le="+Inf"`` with the ``+Inf``
+    bucket equal to its ``_count``.
 
     Args:
         text: exposition text (e.g. the output of
@@ -599,8 +508,11 @@ def validate_exposition(text: str) -> dict[str, str]:
         ValueError: on the first format violation, naming the line.
     """
     families: dict[str, str] = {}
-    bucket_state: dict[str, list] = {}  # family -> [last_le, last_cum]
-    hist_counts: dict[str, float] = {}
+    group = None  # the family whose group of lines is open
+    seen: set = set()  # (name, label set) of every sample
+    # Per histogram series (family, labels bar ``le``): [last_le, last_cum].
+    bucket_state: dict[tuple, list] = {}
+    hist_counts: dict[tuple, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -611,6 +523,11 @@ def validate_exposition(text: str) -> dict[str, str]:
                 raise ValueError(
                     f"line {lineno}: malformed comment {raw!r}"
                 )
+            if parts[2] in families and parts[2] != group:
+                raise ValueError(
+                    f"line {lineno}: {parts[2]!r} outside its family's group"
+                )
+            group = parts[2]
             if parts[1] == "TYPE":
                 kind = parts[3] if len(parts) > 3 else ""
                 if kind not in (
@@ -623,7 +540,11 @@ def validate_exposition(text: str) -> dict[str, str]:
                     raise ValueError(
                         f"line {lineno}: unknown metric type {kind!r}"
                     )
-                families[parts[2]] = kind
+                if group in families:
+                    raise ValueError(
+                        f"line {lineno}: second # TYPE for {group!r}"
+                    )
+                families[group] = kind
             continue
         # Sample line: name[{labels}] value [timestamp]
         if "{" in line:
@@ -639,7 +560,7 @@ def validate_exposition(text: str) -> dict[str, str]:
             name, value_text = pieces[0], " ".join(pieces[1:])
             labels = {}
         name = name.strip()
-        value_text = value_text.strip().split()[0]
+        value_text = (value_text.split() or [""])[0]
         try:
             value = float(value_text)
         except ValueError:
@@ -656,7 +577,18 @@ def validate_exposition(text: str) -> dict[str, str]:
             raise ValueError(
                 f"line {lineno}: sample {name!r} has no # TYPE declaration"
             )
+        if family != group:
+            raise ValueError(
+                f"line {lineno}: sample {name!r} outside its family's group"
+            )
+        if (name, frozenset(labels.items())) in seen:
+            raise ValueError(f"line {lineno}: repeated series {raw!r}")
+        seen.add((name, frozenset(labels.items())))
         if families[family] == "histogram":
+            series = (
+                family,
+                frozenset(item for item in labels.items() if item[0] != "le"),
+            )
             if name.endswith("_bucket"):
                 le = labels.get("le")
                 if le is None:
@@ -664,7 +596,7 @@ def validate_exposition(text: str) -> dict[str, str]:
                         f"line {lineno}: histogram bucket without 'le'"
                     )
                 bound = math.inf if le == "+Inf" else float(le)
-                state = bucket_state.setdefault(family, [-math.inf, -1.0])
+                state = bucket_state.setdefault(series, [-math.inf, -1.0])
                 if bound <= state[0]:
                     raise ValueError(
                         f"line {lineno}: bucket bounds not increasing"
@@ -675,16 +607,15 @@ def validate_exposition(text: str) -> dict[str, str]:
                     )
                 state[0], state[1] = bound, value
             elif name.endswith("_count"):
-                hist_counts[family] = value
-    for family, (last_le, last_cum) in bucket_state.items():
+                hist_counts[series] = value
+    for series, (last_le, last_cum) in bucket_state.items():
+        where = f"{series[0]!r} {dict(sorted(series[1]))}"
         if not math.isinf(last_le):
-            raise ValueError(
-                f"histogram {family!r} has no le=\"+Inf\" bucket"
-            )
-        count = hist_counts.get(family)
+            raise ValueError(f"histogram {where} has no le=\"+Inf\" bucket")
+        count = hist_counts.get(series)
         if count is not None and count != last_cum:
             raise ValueError(
-                f"histogram {family!r}: +Inf bucket {last_cum} != "
+                f"histogram {where}: +Inf bucket {last_cum} != "
                 f"_count {count}"
             )
     return families
@@ -713,7 +644,10 @@ def _parse_labels(labels_text: str, lineno: int) -> dict[str, str]:
             i += 1
         else:
             raise ValueError(f"line {lineno}: unterminated label value")
-        labels[key.strip()] = "".join(value)
+        key = key.strip()
+        if key in labels:
+            raise ValueError(f"line {lineno}: repeated label {key!r}")
+        labels[key] = "".join(value)
         text = rest[i + 1 :].lstrip().lstrip(",").lstrip()
     return labels
 

@@ -1010,9 +1010,10 @@ class FleetRouter:
         :meth:`~repro.serve.ScInferenceService.snapshot` dicts fetched
         over the RPC, keyed by slot; a worker that fails to answer
         within ``worker_timeout_s`` (dead, hung, mid-restart) is
-        reported as ``None`` rather than blocking the scrape.  This is
-        the dict :func:`repro.obs.fleet_prometheus_text` renders with a
-        ``worker`` label.
+        reported as ``None`` rather than blocking the scrape.
+        :func:`repro.obs.prometheus_text` renders this dict as the
+        router's ``repro_fleet_*`` families plus each worker's service
+        families under a ``worker`` label.
         """
         waiters: list[tuple[int, Future]] = []
         with self._lock:

@@ -853,22 +853,10 @@ class ScHttpServer:
     # -- metrics ---------------------------------------------------------------
 
     async def _metrics_text(self) -> str:
-        from repro.obs import (
-            fleet_prometheus_text,
-            prometheus_text,
-            registry_prometheus_text,
-        )
+        from repro.obs import registry_prometheus_text
 
         loop = asyncio.get_running_loop()
         snapshots = await loop.run_in_executor(None, self.registry.snapshot)
-        loaded = {name: snap for name, snap in snapshots.items() if snap}
-        if len(snapshots) == 1 and len(loaded) == 1:
-            # Single-model process: keep the established exposition shape
-            # (no model label) so existing dashboards and goldens hold.
-            (entry,) = loaded.values()
-            if entry["kind"] == "fleet":
-                return fleet_prometheus_text(entry["snapshot"])
-            return prometheus_text(entry["snapshot"])
         return registry_prometheus_text(snapshots)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

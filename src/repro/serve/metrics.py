@@ -13,7 +13,8 @@ into *queue time* (submit to first execution) and *service time* (first
 execution to completion); :meth:`ServiceMetrics.record_request` accepts
 the split and :meth:`snapshot` reports each series as percentiles plus a
 fixed-bound histogram in the shape the Prometheus exposition writer
-(:func:`repro.obs.prometheus_text`) renders directly.
+(:func:`repro.obs.prometheus_text`) renders directly -- for a service,
+and under a ``worker`` / ``model`` label for a fleet or a registry.
 """
 
 from __future__ import annotations

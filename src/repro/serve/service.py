@@ -1140,7 +1140,9 @@ class ScInferenceService:
           merged across every replica (``Backend.kernel_snapshot``), so
           the snapshot attributes work to the native or NumPy tier it
           actually ran on;
-        * ``"workspaces"`` -- per-worker buffer-arena statistics;
+        * ``"workspaces"`` -- per-replica buffer-arena statistics (each
+          entry's ``"worker"`` is the replica index, rendered as the
+          ``replica`` label);
         * ``"tracing"`` -- the tracer's sampling counters.
 
         This is the dict the Prometheus writer

@@ -336,19 +336,30 @@ class TestFleetServing:
                 future.result(timeout=120)
 
     def test_snapshot_and_fleet_exposition(self, artifact, images):
-        from repro.obs import fleet_prometheus_text, validate_exposition
+        from repro.obs import prometheus_text, validate_exposition
 
         with FleetRouter(artifact, _fleet_config()) as router:
-            [router.infer(images[i % 6], timeout=120) for i in range(4)]
+            # Submitted together so the least-loaded dispatch feeds both.
+            futures = [router.submit(images[i % 6]) for i in range(8)]
+            [future.result(timeout=120) for future in futures]
             snap = router.snapshot()
         assert set(snap) == {"fleet", "workers"}
         assert snap["fleet"]["workers_ready"] == 2
         assert set(snap["workers"]) == {0, 1}
         assert all(w is not None for w in snap["workers"].values())
-        text = fleet_prometheus_text(snap)
+        text = prometheus_text(snap)
         families = validate_exposition(text)
         assert "repro_fleet_restarts_total" in families
-        assert 'worker="0"' in text and 'worker="1"' in text
+        # Each worker's own service families, under its worker label.
+        for slot in ("0", "1"):
+            for sample in (
+                f'repro_requests_total{{worker="{slot}"}} ',
+                f'repro_kernel_calls_total{{worker="{slot}",',
+                f'repro_queue_time_ms_count{{worker="{slot}"}} ',
+            ):
+                assert any(
+                    line.startswith(sample) for line in text.splitlines()
+                ), sample
 
     def test_router_admission_sheds_typed(self, artifact, images):
         config = _fleet_config(max_inflight=2)

@@ -159,11 +159,53 @@ class TestProbesAndCatalog:
         assert entry["stream_length"] == STREAM_LENGTH
         assert entry["sha256"] == info.sha256
 
-    def test_metrics_golden_parse(self, server):
+    def test_metrics_golden_parse(self, server, images):
+        status, _ = _request(
+            server.port,
+            "POST",
+            "/v1/models/m1/predict",
+            {"images": images[:1].tolist()},
+        )
+        assert status == 200
         status, raw = _request(server.port, "GET", "/metrics")
         assert status == 200
-        families = validate_exposition(raw.decode("utf-8"))
-        assert families  # non-empty exposition either shape
+        text = raw.decode("utf-8")
+        families = validate_exposition(text)
+        assert families["repro_requests_total"] == "counter"
+        # A single-model process serves its pool's unlabelled exposition.
+        assert any(
+            line.startswith("repro_requests_total ")
+            for line in text.splitlines()
+        )
+
+    def test_metrics_label_each_model(self, artifact, images):
+        registry = ModelRegistry(
+            models={"m1": artifact, "m2": artifact},
+            service=_service_config(),
+        )
+        try:
+            with ScHttpServer(registry, HttpConfig()) as server:
+                status, _ = _request(
+                    server.port,
+                    "POST",
+                    "/v1/models/m1/predict",
+                    {"images": images[:1].tolist()},
+                )
+                assert status == 200
+                status, raw = _request(server.port, "GET", "/metrics")
+        finally:
+            registry.close()
+        assert status == 200
+        text = raw.decode("utf-8")
+        families = validate_exposition(text)
+        lines = text.splitlines()
+        assert 'repro_model_up{model="m2"} 0.0' in lines
+        assert 'repro_requests_total{model="m1"} 1.0' in lines
+        assert any(
+            line.startswith('repro_queue_time_ms_count{model="m1"} ')
+            for line in lines
+        )
+        assert "repro_model_requests_total" not in families
 
     def test_unknown_route_404(self, server):
         status, payload = _request(server.port, "GET", "/nope")

@@ -14,12 +14,15 @@ Pins down the contracts of :mod:`repro.obs` and its serving integration:
   kernel seams with bit-identical call/byte totals whether the calls
   landed on the compiled native tier or the NumPy reference tier;
 * **export** -- the Prometheus text exposition of a full service
-  snapshot parses cleanly, and the JSONL event log captures traces plus
-  ``repro`` logger records.
+  snapshot keeps every family, type and label name; a registry view is
+  those families under a ``model`` label (and ``worker`` for a fleet
+  pool); the validator rejects what Prometheus rejects; and the JSONL
+  event log captures traces plus ``repro`` logger records.
 """
 
 import json
 import logging
+import re
 import threading
 
 import numpy as np
@@ -38,6 +41,7 @@ from repro.obs import (
     current_span,
     merge_kernel_snapshots,
     prometheus_text,
+    registry_prometheus_text,
     validate_exposition,
 )
 from repro.sc import native
@@ -66,6 +70,67 @@ def _service_config(**overrides) -> ServiceConfig:
     )
     defaults.update(overrides)
     return ServiceConfig(**defaults)
+
+
+#: ``{family: (type, label names)}`` of a traced bit-exact service
+#: snapshot's exposition: every family a service renders.  The workspace
+#: gauges label the replica ``replica``, under a fleet's ``worker``.
+SERVICE_FAMILIES = {
+    "repro_requests_total": ("counter", ()),
+    "repro_images_total": ("counter", ()),
+    "repro_cache_hits_total": ("counter", ()),
+    "repro_batches_total": ("counter", ()),
+    "repro_cache_hit_rate": ("gauge", ()),
+    "repro_mean_batch_size": ("gauge", ()),
+    "repro_throughput_images_per_sec": ("gauge", ()),
+    "repro_mean_exit_checkpoint": ("gauge", ()),
+    "repro_cycle_reduction": ("gauge", ()),
+    "repro_latency_ms": ("summary", ("quantile",)),
+    "repro_latency_ms_mean": ("gauge", ()),
+    "repro_queue_time_ms": ("histogram", ("le",)),
+    "repro_service_time_ms": ("histogram", ("le",)),
+    "repro_shed_requests_total": ("counter", ("reason",)),
+    "repro_degraded_requests_total": ("counter", ()),
+    "repro_batch_retries_total": ("counter", ()),
+    "repro_replica_restarts_total": ("counter", ()),
+    "repro_failed_requests_total": ("counter", ()),
+    "repro_cancelled_requests_total": ("counter", ()),
+    "repro_kernel_calls_total": ("counter", ("kernel", "tier")),
+    "repro_kernel_seconds_total": ("counter", ("kernel", "tier")),
+    "repro_kernel_bytes_total": ("counter", ("kernel", "tier")),
+    "repro_workspace_bytes": ("gauge", ("replica",)),
+    "repro_workspace_peak_bytes": ("gauge", ("replica",)),
+    "repro_workspace_buffers": ("gauge", ("replica",)),
+    "repro_trace_sample_rate": ("gauge", ()),
+    "repro_traces_sampled_total": ("counter", ()),
+    "repro_traces_buffered": ("gauge", ()),
+}
+
+
+def _samples(text: str) -> list[tuple[str, dict]]:
+    """``(family, labels)`` of every sample of a valid exposition."""
+    families = validate_exposition(text)
+    samples = []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            continue
+        head, _, labels = line.partition("{")
+        name = head.split()[0]
+        family = name if name in families else name.rsplit("_", 1)[0]
+        pairs = re.findall(r'(\w+)="([^"]*)"', labels)
+        samples.append((family, dict(pairs)))
+    return samples
+
+
+@pytest.fixture(scope="module")
+def service_snapshot(mapper, images):
+    """A traced 4-request burst's snapshot on the packed backend."""
+    config = _service_config(backend="bit-exact-packed", num_workers=1)
+    with ScInferenceService(mapper, config) as service:
+        futures = [service.submit(images[i]) for i in range(4)]
+        for future in futures:
+            future.result(timeout=60)
+        return service.snapshot()
 
 
 class TestTracerSampling:
@@ -415,41 +480,143 @@ class TestServiceMetricsSplit:
 
 
 class TestExport:
-    def test_service_snapshot_exposition_validates(self, mapper, images):
-        # The packed backend so the kernel-tier counter families render.
-        config = _service_config(backend="bit-exact-packed", num_workers=1)
-        with ScInferenceService(mapper, config) as service:
-            futures = [service.submit(images[i]) for i in range(4)]
-            for future in futures:
-                future.result(timeout=60)
-            snapshot = service.snapshot()
-        text = prometheus_text(snapshot)
+    def test_service_snapshot_exposition_validates(self, service_snapshot):
+        # The whole single-service exposition: every family, in order,
+        # with its type and its label names.
+        text = prometheus_text(service_snapshot)
         families = validate_exposition(text)
-        for name in (
-            "repro_requests_total",
-            "repro_latency_ms",
-            "repro_queue_time_ms",
-            "repro_service_time_ms",
-            "repro_kernel_calls_total",
-            "repro_traces_sampled_total",
-        ):
-            assert name in families, sorted(families)
-        assert families["repro_queue_time_ms"] == "histogram"
-        assert families["repro_requests_total"] == "counter"
+        labels = {name: set() for name in families}
+        for family, sample_labels in _samples(text):
+            labels[family].update(sample_labels)
+        assert {
+            name: (kind, tuple(sorted(labels[name])))
+            for name, kind in families.items()
+        } == SERVICE_FAMILIES
+        assert list(families) == list(SERVICE_FAMILIES)
+
+    def test_registry_exposition_labels_every_pool(self, service_snapshot):
+        fleet = {
+            "fleet": {
+                "completed": 8,
+                "workers_ready": 2,
+                "worker_states": {"0": "ready", "1": "ready"},
+            },
+            "workers": {0: service_snapshot, 1: service_snapshot},
+        }
+        catalog = {
+            "svc": {
+                "kind": "service",
+                "generation": 1,
+                "snapshot": service_snapshot,
+            },
+            "fleet": {"kind": "fleet", "generation": 2, "snapshot": fleet},
+            "cold": None,
+        }
+        text = registry_prometheus_text(catalog)
+        samples = _samples(text)
+        assert 'repro_model_up{model="cold"} 0.0' in text.splitlines()
+        registry_families = {
+            "repro_registry_models",
+            "repro_registry_loaded",
+            "repro_model_up",
+            "repro_model_generation",
+        }
+        # Every pool sample leads with its model label; a fleet pool's
+        # service families then carry the worker.
+        pool = [
+            (family, labels)
+            for family, labels in samples
+            if family not in registry_families
+        ]
+        assert all(list(labels)[0] == "model" for _, labels in pool)
+        svc = {f for f, labels in pool if labels["model"] == "svc"}
+        assert svc == set(SERVICE_FAMILIES)
+        assert all(
+            "worker" not in labels
+            for _, labels in pool
+            if labels["model"] == "svc"
+        )
+        for slot in ("0", "1"):
+            served = {
+                family
+                for family, labels in pool
+                if list(labels)[:2] == ["model", "worker"]
+                and labels["model"] == "fleet"
+                and labels["worker"] == slot
+            }
+            # The router's per-slot liveness gauge is labelled too.
+            expected = set(SERVICE_FAMILIES) | {"repro_fleet_worker_up"}
+            assert served == expected, slot
+        # A one-model catalog is its pool's own, unlabelled exposition.
+        for name in ("svc", "fleet"):
+            assert registry_prometheus_text(
+                {name: catalog[name]}
+            ) == prometheus_text(catalog[name]["snapshot"])
 
     def test_validate_rejects_malformed_text(self):
-        with pytest.raises(ValueError):
-            validate_exposition("repro_orphan_metric 1.0\n")
-        with pytest.raises(ValueError):
-            validate_exposition(
-                "# TYPE repro_x counter\nrepro_x not-a-number\n"
-            )
-        with pytest.raises(ValueError):
-            validate_exposition(
+        for text, reason in (
+            ("repro_orphan_metric 1.0\n", "no # TYPE"),
+            (
+                "# TYPE repro_x counter\nrepro_x not-a-number\n",
+                "non-numeric",
+            ),
+            ('# TYPE repro_x counter\nrepro_x{a="1"}\n', "non-numeric"),
+            (
                 "# TYPE repro_h histogram\n"
                 'repro_h_bucket{le="1"} 5\n'
                 'repro_h_bucket{le="2"} 3\n'
-                'repro_h_bucket{le="+Inf"} 3\n'
+                'repro_h_bucket{le="+Inf"} 3\n',
+                "not cumulative",
+            ),
+            (
+                "# TYPE repro_h histogram\n"
+                'repro_h_bucket{worker="0",le="+Inf"} 1\n'
+                'repro_h_bucket{worker="1",le="1"} 5\n'
+                'repro_h_bucket{worker="1",le="+Inf"} 3\n',
+                "not cumulative",
+            ),
+            (
+                '# TYPE repro_g gauge\nrepro_g{worker="0",worker="1"} 1\n',
+                "repeated label",
+            ),
+            (
+                "# TYPE repro_g gauge\nrepro_g 1\n# TYPE repro_g gauge\n",
+                "second # TYPE",
+            ),
+            (
+                '# TYPE repro_g gauge\nrepro_g{a="1"} 1\nrepro_g{a="1"} 2\n',
+                "repeated series",
+            ),
+            (
+                '# TYPE repro_g gauge\nrepro_g{a="1"} 1\n'
+                "# TYPE repro_c counter\nrepro_c 1\n"
+                'repro_g{a="2"} 2\n',
+                "outside its family's group",
+            ),
+        ):
+            with pytest.raises(ValueError, match=reason):
+                validate_exposition(text)
+
+    def test_validate_accepts_labelled_histogram_series(self):
+        # One histogram, two series (as a fleet renders one per worker):
+        # each is cumulative on its own, ends at +Inf and matches its
+        # own _count.
+        text = (
+            "# HELP repro_h Two series.\n"
+            "# TYPE repro_h histogram\n"
+            'repro_h_bucket{worker="0",le="1.0"} 1\n'
+            'repro_h_bucket{worker="0",le="+Inf"} 2\n'
+            'repro_h_sum{worker="0"} 3.0\n'
+            'repro_h_count{worker="0"} 2\n'
+            'repro_h_bucket{worker="1",le="1.0"} 0\n'
+            'repro_h_bucket{worker="1",le="+Inf"} 1\n'
+            'repro_h_sum{worker="1"} 2.0\n'
+            'repro_h_count{worker="1"} 1\n'
+        )
+        assert validate_exposition(text) == {"repro_h": "histogram"}
+        with pytest.raises(ValueError, match="_count"):
+            validate_exposition(
+                text.replace('_count{worker="1"} 1', '_count{worker="1"} 2')
             )
 
     def test_jsonl_event_log_captures_logger_records(self, tmp_path):
