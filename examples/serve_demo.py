@@ -72,7 +72,7 @@ def main() -> None:
     )
     add_backend_arguments(
         parser,
-        default="sc-fast",
+        default="bit-exact-packed",
         capability="progressive",
         include_workers=False,
         include_stream_length=True,

@@ -37,7 +37,8 @@ DEFAULT_STREAM_LENGTH = 1024
 #: Execution backend used when an evaluation does not name one explicitly.
 #: ``"sc-fast"`` is the paper's full-test-set accuracy model; the
 #: bit-exact backends (``"bit-exact-packed"`` being the fast one, on the
-#: compiled kernel tier when it is available) simulate actual streams.
+#: compiled kernel tier when it is available) simulate actual streams,
+#: and are what the serving layer runs by default (:class:`ServiceConfig`).
 #: See :mod:`repro.backends` for the registry.
 DEFAULT_BACKEND = "sc-fast"
 
@@ -102,7 +103,8 @@ class ServiceConfig:
 
     Attributes:
         backend: registry name of the execution backend every worker
-            replica runs.
+            replica runs (default ``"bit-exact-packed"``, whose answers do
+            not depend on which requests were micro-batched together).
         max_batch_size: the scheduler dispatches a merged batch as soon
             as this many images are pending.
         max_wait_ms: ... or once the oldest queued request has waited
@@ -140,9 +142,7 @@ class ServiceConfig:
         degrade_queue_depth: overload controller trigger -- when more
             than this many admitted requests are unfinished, progressive
             replicas cap exits at an earlier checkpoint
-            (``None`` = queue depth never triggers degradation).
-        degrade_p99_ms: ... or when the recent p99 latency exceeds this
-            many milliseconds (``None`` = latency never triggers it).
+            (``None`` = never degrade).
         degraded_max_fraction: under degradation, exits are capped at
             the last checkpoint within this fraction of the stream length
             (default ``0.5``: answers come from the ``N/8 .. N/2``
@@ -160,8 +160,6 @@ class ServiceConfig:
             request.
         trace_capacity: completed traces retained in the tracer's ring
             buffer (oldest evicted first).
-        trace_seed: seed of the tracer's sampling RNG, for reproducible
-            fractional sampling decisions (``None`` = nondeterministic).
         event_log_path: when set, a JSONL structured event log
             (:class:`repro.obs.JsonlEventLog`) receives every sampled
             trace and every fault/overload event (sheds, restarts,
@@ -169,7 +167,7 @@ class ServiceConfig:
             logger hierarchy while the service runs.
     """
 
-    backend: str = DEFAULT_BACKEND
+    backend: str = "bit-exact-packed"
     max_batch_size: int = 32
     max_wait_ms: float = 2.0
     num_workers: int = 2
@@ -184,12 +182,10 @@ class ServiceConfig:
     restart_backoff_ms: float = 10.0
     max_batch_retries: int = 1
     degrade_queue_depth: int | None = None
-    degrade_p99_ms: float | None = None
     degraded_max_fraction: float = 0.5
     fault_plan: object | None = None
     trace_sample_rate: float = 0.0
     trace_capacity: int = 256
-    trace_seed: int | None = None
     event_log_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -257,10 +253,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"degrade_queue_depth must be >= 1, got "
                 f"{self.degrade_queue_depth}"
-            )
-        if self.degrade_p99_ms is not None and not self.degrade_p99_ms > 0:
-            raise ConfigurationError(
-                f"degrade_p99_ms must be > 0, got {self.degrade_p99_ms}"
             )
         if not 0.0 < self.degraded_max_fraction <= 1.0:
             raise ConfigurationError(
@@ -439,7 +431,7 @@ class FleetConfig:
         """The worker-process service config (defaults resolved)."""
         if self.service is not None:
             return self.service
-        return ServiceConfig(backend="bit-exact-packed", num_workers=1)
+        return ServiceConfig(num_workers=1)
 
     @property
     def worker_window(self) -> int:

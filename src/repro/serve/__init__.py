@@ -49,10 +49,11 @@ sampled requests carry a :class:`~repro.obs.TraceSummary` on their
 counters, workspace arena stats and tracer state, and ``event_log_path``
 streams traces plus fault events to a JSONL log.
 
-``benchmarks/bench_serve.py`` drives the whole stack with a load
-generator and records the latency/throughput curves and early-exit
-stream-cycle savings in ``BENCH_serve.json``; ``examples/serve_demo.py``
-is the minimal end-to-end walkthrough.
+``perfbench/`` measures the stack's latency and throughput on the
+bit-exact path; ``benchmarks/bench_serve.py`` records the early-exit
+stream-cycle savings and checks the cache, tracing, fault, fleet and
+per-request HTTP overhead on ``bit-exact-packed`` (``BENCH_serve.json``);
+``examples/serve_demo.py`` is the minimal end-to-end walkthrough.
 """
 
 from repro.config import FleetConfig, HttpConfig, ServiceConfig

@@ -52,7 +52,6 @@ import functools
 import json
 import logging
 import threading
-import time
 
 import numpy as np
 
@@ -773,7 +772,6 @@ class ScHttpServer:
         info = self.registry.info(name)
         if options is not None:
             options.resolve(info.stream_length)
-        start = time.monotonic()
         head = (
             "HTTP/1.1 200 OK\r\n"
             "Content-Type: text/event-stream\r\n"
@@ -832,7 +830,7 @@ class ScHttpServer:
                 "exit_checkpoints": response.exit_checkpoints.tolist(),
                 "evaluated": [True] * len(exit_index),
                 "stream_length": int(points[-1]),
-                "latency_ms": (time.monotonic() - start) * 1000.0,
+                "latency_ms": response.latency_seconds * 1000.0,
                 "degraded": response.degraded,
             },
         )

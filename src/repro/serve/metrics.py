@@ -5,8 +5,8 @@ scheduler trades a bounded queueing delay for larger (faster-per-image)
 batches, the progressive engine trades checkpoints for stream cycles, and
 the cache trades memory for recomputation.  :class:`ServiceMetrics`
 accumulates the per-request observations that quantify all three --
-``benchmarks/bench_serve.py`` sweeps offered load and reports these
-snapshots as the latency/throughput curves in ``BENCH_serve.json``.
+perfbench's serving workloads read its snapshots, and
+``benchmarks/bench_serve.py`` asserts its cache and fault accounting.
 
 The request tracing of :mod:`repro.obs` splits every request's latency
 into *queue time* (submit to first execution) and *service time* (first
@@ -96,10 +96,10 @@ class ServiceMetrics:
     sliding window of the most recent observations so that memory stays
     bounded in a long-running service.
 
-    Reads (:meth:`snapshot`, :meth:`recent_p99_ms`) copy the window
-    series while holding the lock and do the percentile math *outside*
-    it, so a metrics read never stalls the request hot path behind an
-    ``np.percentile`` over the full 65536-entry window.
+    :meth:`snapshot` copies the window series while holding the lock and
+    does the percentile math *outside* it, so a metrics read never stalls
+    the request hot path behind an ``np.percentile`` over the full
+    65536-entry window.
 
     Args:
         window: per-series observations retained for the percentile and
@@ -218,21 +218,6 @@ class ServiceMetrics:
         """One request cancelled (e.g. timeout abandonment) before compute."""
         with self._lock:
             self._cancelled_requests += 1
-
-    def recent_p99_ms(self) -> float | None:
-        """p99 latency over the sliding window, in milliseconds.
-
-        The overload controller's latency trigger; ``None`` until the
-        first request completes.  The window is copied under the lock
-        and the percentile computed outside it -- the overload check
-        runs on the scheduler thread, which must never wait behind a
-        window-sized ``np.percentile`` while holding up dispatch.
-        """
-        with self._lock:
-            if not self._latencies:
-                return None
-            latencies = np.asarray(self._latencies)
-        return float(np.percentile(latencies, 99) * 1e3)
 
     def snapshot(self) -> dict:
         """Current aggregate view (all quantities are cheap to recompute).

@@ -26,7 +26,8 @@ answer is still an exact prefix of the one evaluated pass.
 The exit checkpoint is the number of stream cycles the hardware would
 actually have spent, so ``stream_length / mean(exit_checkpoints)`` is the
 mean stream-cycle (and hence energy/latency) reduction -- the quantity
-``benchmarks/bench_serve.py`` reports.
+``benchmarks/bench_serve.py`` reports for the statistical model and for
+bit-exact prefixes.
 """
 
 from __future__ import annotations

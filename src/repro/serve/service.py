@@ -45,8 +45,8 @@ Bounded admission (``max_queue_depth``) fast-rejects submits with
 :class:`~repro.errors.ServiceOverloadError` instead of queueing without
 bound, and ``shed_unmeetable_deadlines`` rejects requests whose
 ``deadline_ms`` cannot buy even the first checkpoint at the observed
-streaming rate.  Under overload (queue depth or recent p99 latency past
-the ``degrade_*`` thresholds) the service caps progressive answers at
+streaming rate.  Under overload (queue depth past
+``degrade_queue_depth``) the service caps progressive answers at
 the last checkpoint within ``degraded_max_fraction`` of the stream;
 degraded answers are flagged on the response and never enter the result
 cache.  Deterministic fault injection for all of this lives
@@ -278,7 +278,6 @@ class ScInferenceService:
         self.tracer = Tracer(
             self.config.trace_sample_rate,
             self.config.trace_capacity,
-            self.config.trace_seed,
         )
         #: JSONL structured event log, when configured; receives every
         #: sampled trace and fault/overload event, plus warnings logged
@@ -913,24 +912,17 @@ class ScInferenceService:
     def _degrade_cap(self, points: tuple[int, ...]) -> int | None:
         """Exit-index cap of the overload controller, or None.
 
-        Overload is either queue pressure (``degrade_queue_depth``
-        requests in flight) or latency pressure (recent p99 past
-        ``degrade_p99_ms``).  While overloaded, progressive buckets exit
-        no later than the last checkpoint at or below
-        ``degraded_max_fraction * N``.  Reads of ``_inflight`` are
-        intentionally lock-free: an off-by-one cap decision is harmless.
+        Overload is queue pressure: ``degrade_queue_depth`` requests in
+        flight.  While overloaded, progressive buckets exit no later than
+        the last checkpoint at or below ``degraded_max_fraction * N``.
+        Reads of ``_inflight`` are intentionally lock-free: an off-by-one
+        cap decision is harmless.
         """
         cfg = self.config
-        if cfg.degrade_queue_depth is None and cfg.degrade_p99_ms is None:
-            return None
-        overloaded = (
-            cfg.degrade_queue_depth is not None
-            and self._inflight >= cfg.degrade_queue_depth
-        )
-        if not overloaded and cfg.degrade_p99_ms is not None:
-            p99 = self.metrics.recent_p99_ms()
-            overloaded = p99 is not None and p99 > cfg.degrade_p99_ms
-        if not overloaded:
+        if (
+            cfg.degrade_queue_depth is None
+            or self._inflight < cfg.degrade_queue_depth
+        ):
             return None
         return exit_cap(points, cfg.degraded_max_fraction * self.stream_length)
 

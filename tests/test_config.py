@@ -57,8 +57,11 @@ class TestConfig:
             ExperimentConfig(aqfp_clock_hz=-1)
 
     def test_service_config_defaults_valid(self):
+        # Serving defaults to the bit-exact product; evaluation defaults
+        # to the statistical accuracy model.
         config = ServiceConfig()
-        assert config.backend == ExperimentConfig().default_backend
+        assert config.backend == "bit-exact-packed"
+        assert ExperimentConfig().default_backend == "sc-fast"
         assert config.checkpoint_fractions[-1] == 1.0
 
     def test_version_exposed(self):

@@ -25,6 +25,7 @@ Pins down the network-surface contracts of :mod:`repro.serve.http` and
   ``close()`` finishes its evaluation instead of dying mid-chunk.
 """
 
+import asyncio
 import http.client
 import json
 import threading
@@ -373,6 +374,37 @@ class TestStreaming:
         checkpoints = [e["checkpoint"] for e in events if e["kind"] == "checkpoint"]
         assert checkpoints == [16, 32, 64, 128]
         assert requests == 1
+
+    def test_done_latency_is_the_service_latency(
+        self, artifact, images, monkeypatch
+    ):
+        """``done`` reports the service's latency, as a unary answer
+        does: time spent writing the checkpoint events is not in it."""
+        write_event = ScHttpServer._sse_event
+
+        async def slow_event(writer, payload):
+            await asyncio.sleep(0.1)
+            await write_event(writer, payload)
+
+        monkeypatch.setattr(ScHttpServer, "_sse_event", staticmethod(slow_event))
+        registry = ModelRegistry(
+            models={"m1": artifact}, service=_service_config()
+        )
+        try:
+            with ScHttpServer(registry, HttpConfig()) as server:
+                events = _stream(
+                    server.port,
+                    "/v1/models/m1/predict/stream",
+                    {"images": images.tolist(), "options": {"early_exit": False}},
+                )
+                served = registry.pool("m1").snapshot()["latency_ms"]
+        finally:
+            registry.close()
+        done = events[-1]
+        assert [e["kind"] for e in events] == ["checkpoint"] * 4 + ["done"]
+        assert done["latency_ms"] == pytest.approx(served["p50"])
+        # The four checkpoint events alone were delayed by 400 ms.
+        assert done["latency_ms"] < 400.0
 
     def test_cached_stream_matches_cold_stream(self, server):
         fresh = np.random.default_rng(43).random((3, 1, 28, 28))
