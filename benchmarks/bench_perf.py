@@ -58,9 +58,9 @@ from repro.sc import native
 from repro.sc.packed import (
     fused_xnor_column_counts,
     pack_bits,
-    pack_comparator_words,
     packed_column_counts,
     packed_xnor,
+    words_for_length,
 )
 from repro.sc.sng import StochasticNumberGenerator
 from repro.workspace import Workspace
@@ -460,23 +460,30 @@ def bench_native_fe_stepper(length: int) -> dict:
 
 
 def bench_native_pack_comparator(length: int) -> dict:
-    """Compiled word-direct SNG comparator vs the NumPy packbits fold."""
+    """Compiled word-direct SNG comparator vs the mapper's NumPy fallback.
+
+    ``float64`` draws against per-value thresholds, packed straight into
+    words (:func:`repro.sc.native.pack_comparator_floats`) or compared
+    then packed (``pack_bits(draws < thresholds)``), as the mapper's
+    stream generation does without the compiled tier.
+    """
     n_values = 256
     rng = np.random.default_rng(8)
-    draws = rng.integers(0, 1 << 10, (n_values, length), dtype=np.int64)
-    thresholds = rng.integers(0, 1 << 10, n_values, dtype=np.int64)
+    draws = rng.random((n_values, length))
+    thresholds = rng.random(n_values)
+    out = np.empty((n_values, words_for_length(length)), dtype=np.uint64)
     inner = max(1, TARGET_BIT_OPS // (n_values * length))
 
     def numpy_path():
         for _ in range(inner):
-            out = pack_comparator_words(draws, thresholds)
-        return out
+            words = pack_bits(draws < thresholds[:, None])
+        return words
 
     def native_path():
         for _ in range(inner):
-            out = native.pack_comparator_words(draws, thresholds)
-        assert out is not None, "native comparator rejected a bench shape"
-        return out
+            words = native.pack_comparator_floats(draws, thresholds, out)
+        assert words is not None, "native comparator rejected a bench shape"
+        return words
 
     return _entry(
         "native-pack-comparator",

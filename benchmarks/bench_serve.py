@@ -29,9 +29,10 @@ them but the first on the product, ``bit-exact-packed``.  Sections:
 * **observability** -- a burst at ``trace_sample_rate=1.0`` asserting
   that every response carries a trace whose queue + service split prices
   the measured latency exactly, that the Prometheus exposition of the
-  service snapshot parses cleanly, and an **overhead guard**: p99
-  latency with sampling at 0.01 must stay within 5% of sampling off
-  (best of several attempts, so a single noisy run cannot fail CI).
+  service snapshot parses cleanly, and an **overhead guard**: in one
+  paced run sampling about half its requests, the median of client
+  latency minus the service's own latency of the traced requests may
+  exceed that of the untraced ones by at most ``MAX_OBS_OVERHEAD_MS``.
 * **fault sweep** (``--faults``) -- a fault-free baseline burst asserting
   *zero SLO violations* (no request shed, failed or unresolved), then a
   burst under an injected replica crash, straggler and poisoned batch
@@ -81,6 +82,7 @@ from repro.config import ServiceConfig
 from repro.datasets import generate_digit_dataset
 from repro.nn import Trainer, TrainingConfig
 from repro.nn.architectures import build_network
+from repro.nn.sc_layers import ScNetworkMapper
 from repro.serve import ScInferenceService, progressive_forward, resolve_checkpoints
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -98,17 +100,29 @@ STABLE_CHECKPOINTS = 2
 #: Acceptance floor on the mean stream-cycle reduction from early exit.
 MIN_CYCLE_REDUCTION = 1.5
 
-#: Overhead guard: p99 latency with trace sampling at 0.01 must stay
-#: under this multiple of the sampling-off p99 (best of several runs).
-MAX_OBS_OVERHEAD = 1.05
+#: Tracing overhead guard: the median of client latency minus service
+#: latency of traced requests may exceed that of untraced requests from
+#: the same paced run by at most this many milliseconds.
+MAX_OBS_OVERHEAD_MS = 1.0
+
+#: Trace sampling rate of the tracing overhead guard: one run, about half
+#: of its requests traced.
+OBS_SAMPLE_RATE = 0.5
+
+#: Stream length the tracing overhead guard serves the network at.  The
+#: tracer's work per request does not depend on ``N``; at ``N = 128`` a
+#: NumPy-tier request fits the guard's 50 ms pacing slot, where at
+#: ``N = 1024`` it takes about 200 ms.
+OBS_STREAM_LENGTH = 128
 
 #: HTTP overhead guard: the median of client latency minus the
 #: server-reported ``latency_ms`` must stay under this many milliseconds.
 #: Host drift slows both terms alike and cancels in the difference.
 MAX_HTTP_OVERHEAD_MS = 6.0
 
-#: Steady offered rate of the HTTP overhead guard, well below capacity.
-HTTP_RATE = 20.0
+#: Steady offered rate of the per-request overhead guards (tracing and
+#: HTTP), well below capacity.
+STEADY_RATE = 20.0
 
 #: Margin for the bit-exact packed spot check.  Bit-exact prefix scores
 #: carry the *actual* decoding noise of short streams (the score quantum
@@ -330,28 +344,31 @@ def bench_obs(mapper, images, smoke: bool) -> dict:
     * the Prometheus text exposition of the full service snapshot
       (metrics + kernel counters + workspaces + tracer state) passes
       :func:`~repro.obs.validate_exposition`;
-    * the **overhead guard**: p99 latency with sampling at the
-      production-ish rate 0.01 stays within ``MAX_OBS_OVERHEAD`` of
-      sampling off.  Scheduler jitter dwarfs the tracer's cost on any
-      single run, so the guard keeps the *best* ratio over a few
-      attempts -- the tracer only fails it if it is slow every time.
+    * the **overhead guard**: one service, serving the network at
+      :data:`OBS_STREAM_LENGTH`, samples :data:`OBS_SAMPLE_RATE` of
+      single-image requests sent one at a time at the steady
+      :data:`STEADY_RATE`.  Each request is timed by
+      the client, from submit to its future's done callback, minus the
+      service's own ``latency_seconds``.  That residual holds the
+      tracer's work outside the service's latency window (the sampling
+      decision before the submit mark, the trace summary after the end
+      mark), while the backend's latency jitter, which swamps a few
+      milliseconds on the NumPy tier, cancels.  The median residual of
+      the traced requests may exceed that of the untraced ones by at
+      most :data:`MAX_OBS_OVERHEAD_MS`.
     """
     from repro.obs import prometheus_text, validate_exposition
 
     n_requests = 32 if smoke else 96
-
-    def _drive(rate: float):
-        config = _service_config(trace_sample_rate=rate)
-        with ScInferenceService(mapper, config) as service:
-            futures = [
-                service.submit(images[i % images.shape[0]])
-                for i in range(n_requests)
-            ]
-            responses = [future.result(timeout=120) for future in futures]
-            snapshot = service.snapshot()
-        return responses, snapshot
-
-    responses, snapshot = _drive(1.0)
+    with ScInferenceService(
+        mapper, _service_config(trace_sample_rate=1.0)
+    ) as service:
+        futures = [
+            service.submit(images[i % images.shape[0]])
+            for i in range(n_requests)
+        ]
+        responses = [future.result(timeout=120) for future in futures]
+        snapshot = service.snapshot()
     traced = [r for r in responses if r.trace is not None]
     assert len(traced) == n_requests, (
         f"sampling at 1.0 traced only {len(traced)}/{n_requests} requests"
@@ -373,29 +390,55 @@ def bench_obs(mapper, images, smoke: bool) -> dict:
         f"exposition valid ({len(families)} families)"
     )
 
-    attempts = 3 if smoke else 5
-    best_ratio = float("inf")
-    baseline_p99 = sampled_p99 = None
-    for _ in range(attempts):
-        _, off = _drive(0.0)
-        _, on = _drive(0.01)
-        p99_off = off["latency_ms"]["p99"]
-        p99_on = on["latency_ms"]["p99"]
-        if p99_off <= 0.0:
-            continue
-        ratio = p99_on / p99_off
-        if ratio < best_ratio:
-            best_ratio, baseline_p99, sampled_p99 = ratio, p99_off, p99_on
-        if best_ratio < MAX_OBS_OVERHEAD:
-            break
-    print(
-        f"  overhead: p99 {baseline_p99:.1f} ms off -> {sampled_p99:.1f} ms "
-        f"at rate 0.01 (best ratio {best_ratio:.3f}, "
-        f"guard < {MAX_OBS_OVERHEAD})"
+    n_paced = 96 if smoke else 192
+    timed = []  # (future, client latency ms)
+    short = ScNetworkMapper(
+        mapper.network,
+        weight_bits=mapper.weight_bits,
+        stream_length=OBS_STREAM_LENGTH,
+        seed=mapper.seed,
     )
-    assert best_ratio < MAX_OBS_OVERHEAD, (
-        f"tracing at rate 0.01 inflated p99 latency {best_ratio:.3f}x on "
-        f"every one of {attempts} attempts (guard {MAX_OBS_OVERHEAD}x)"
+    config = _service_config(trace_sample_rate=OBS_SAMPLE_RATE)
+    with ScInferenceService(short, config) as service:
+        service.submit(images[0]).result(timeout=120)  # draws the stream plane
+        start = time.perf_counter()
+        for i in range(n_paced):
+            delay = start + i / STEADY_RATE - time.perf_counter()
+            if delay > 0:
+                time.sleep(delay)
+            sent = time.perf_counter()
+            future = service.submit(images[i % images.shape[0]])
+            future.add_done_callback(
+                lambda done, sent=sent: timed.append(
+                    (done, (time.perf_counter() - sent) * 1e3)
+                )
+            )
+            future.result(timeout=120)
+    # close() joined the workers that ran the callbacks.
+    assert len(timed) == n_paced, f"{n_paced - len(timed)} requests unresolved"
+    groups = {True: [], False: []}  # traced? -> client minus service ms
+    for future, latency_ms in timed:
+        response = future.result()
+        groups[response.trace is not None].append(
+            latency_ms - response.latency_seconds * 1e3
+        )
+    assert groups[True] and groups[False], (
+        f"rate {OBS_SAMPLE_RATE} traced {len(groups[True])}/{n_paced} "
+        "requests: the guard needs both groups"
+    )
+    traced_p50 = float(np.median(groups[True]))
+    untraced_p50 = float(np.median(groups[False]))
+    overhead = round(traced_p50 - untraced_p50, 3)
+    print(
+        f"  overhead: {n_paced} requests at {STEADY_RATE:.0f} req/s, client "
+        f"minus service latency p50 {traced_p50:.3f} ms for "
+        f"{len(groups[True])} traced vs {untraced_p50:.3f} ms for "
+        f"{len(groups[False])} untraced: {overhead:+.3f} ms "
+        f"(guard <= {MAX_OBS_OVERHEAD_MS} ms)"
+    )
+    assert overhead <= MAX_OBS_OVERHEAD_MS, (
+        f"tracing added a median {overhead:.2f} ms per request "
+        f"(guard {MAX_OBS_OVERHEAD_MS} ms)"
     )
     return {
         "requests": n_requests,
@@ -405,12 +448,16 @@ def bench_obs(mapper, images, smoke: bool) -> dict:
         "kernels_observed": sorted(snapshot["kernels"]),
         "tracing": snapshot["tracing"],
         "overhead_guard": {
-            "sample_rate": 0.01,
-            "attempts": attempts,
-            "baseline_p99_ms": baseline_p99,
-            "sampled_p99_ms": sampled_p99,
-            "best_ratio": best_ratio,
-            "max_ratio": MAX_OBS_OVERHEAD,
+            "sample_rate": OBS_SAMPLE_RATE,
+            "stream_length": OBS_STREAM_LENGTH,
+            "offered_rps": STEADY_RATE,
+            "requests": n_paced,
+            "traced": len(groups[True]),
+            "untraced": len(groups[False]),
+            "traced_p50_ms": round(traced_p50, 3),
+            "untraced_p50_ms": round(untraced_p50, 3),
+            "overhead_ms": overhead,
+            "max_overhead_ms": MAX_OBS_OVERHEAD_MS,
         },
     }
 
@@ -701,7 +748,7 @@ def bench_http(artifact: Path, images, smoke: bool) -> dict:
     A :class:`~repro.serve.ScHttpServer` over a
     :class:`~repro.serve.ModelRegistry` serves the artifact from the
     2-replica service with the cache off.  One keep-alive client sends
-    unary requests at the steady :data:`HTTP_RATE`, well below capacity.
+    unary requests at the steady :data:`STEADY_RATE`, well below capacity.
     A request's overhead is its client-observed latency minus the
     ``latency_ms`` the server reports for it (the service's own
     submit-to-answer time): socket, parsing, the executor hand-off and
@@ -742,7 +789,7 @@ def bench_http(artifact: Path, images, smoke: bool) -> dict:
             _post(conn, 0)  # loads the model's pool and draws its stream plane
             start = time.perf_counter()
             for i in range(n_requests):
-                delay = start + i / HTTP_RATE - time.perf_counter()
+                delay = start + i / STEADY_RATE - time.perf_counter()
                 if delay > 0:
                     time.sleep(delay)
                 sent = time.perf_counter()
@@ -754,7 +801,7 @@ def bench_http(artifact: Path, images, smoke: bool) -> dict:
         round(float(q), 3) for q in np.percentile(overheads, (50, 90, 99))
     )
     print(
-        f"  overhead: {n_requests} requests at {HTTP_RATE:.0f} req/s, client "
+        f"  overhead: {n_requests} requests at {STEADY_RATE:.0f} req/s, client "
         f"minus server latency p50 {p50:.2f} ms, p90 {p90:.2f} ms, p99 "
         f"{p99:.2f} ms (guard p50 <= {MAX_HTTP_OVERHEAD_MS} ms)"
     )
@@ -764,7 +811,7 @@ def bench_http(artifact: Path, images, smoke: bool) -> dict:
     )
     return {
         "endpoint": path,
-        "offered_rps": HTTP_RATE,
+        "offered_rps": STEADY_RATE,
         "requests": n_requests,
         "overhead_ms": {"p50": p50, "p90": p90, "p99": p99},
         "max_p50_ms": MAX_HTTP_OVERHEAD_MS,

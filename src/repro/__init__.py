@@ -15,17 +15,18 @@ Superconducting Technology" (Cai et al., ISCA 2019).  It contains:
   feature extraction, sorter-based pooling, majority-chain categorization)
   plus the prior-work APC baseline.
 * ``repro.nn`` -- float reference layers, training, quantization, and the
-  SC-domain inference engine for the SNN/DNN architectures of Table 8.
+  SC network mapper for the SNN/DNN architectures of Table 8.
 * ``repro.backends`` -- pluggable execution backends (float, fast
-  statistical, and the bit-exact legacy / batched / word-packed data
-  planes) behind a string-keyed registry.
+  statistical, and the bit-exact legacy and word-packed data planes)
+  behind a string-keyed registry.
 * ``repro.serve`` -- the serving layer: micro-batching inference service
   with progressive-precision early exit, per-request options, result
   caching and metrics.
 * ``repro.api`` -- the public API: versioned model artifacts
-  (``ScModel``), the unified ``Session`` facade
-  (``from_artifact(...).predict() / .evaluate() / .serve()``) and typed
-  per-request ``PredictOptions``.
+  (``ScModel``), the ``Session`` facade that is the one way to score a
+  model (``from_artifact(...)`` or ``from_network(...)``, then
+  ``.predict() / .evaluate() / .serve()``) and typed per-request
+  ``PredictOptions``.
 * ``repro.cli`` -- the ``python -m repro`` command line
   (``train`` / ``predict`` / ``evaluate`` / ``serve`` / ``backends``).
 * ``repro.datasets`` -- the synthetic MNIST-like digit dataset.
@@ -42,7 +43,6 @@ nothing prints unless the application configures logging.
 
 import logging
 
-from repro.config import ExperimentConfig, default_config
 from repro.errors import (
     ConfigurationError,
     EncodingError,
@@ -56,8 +56,6 @@ __version__ = "1.0.0"
 logging.getLogger("repro").addHandler(logging.NullHandler())
 
 __all__ = [
-    "ExperimentConfig",
-    "default_config",
     "ReproError",
     "ConfigurationError",
     "EncodingError",

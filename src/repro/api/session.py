@@ -16,13 +16,15 @@ execution backends, resolves per-request
 and hands the micro-batching service and the worker fleet everything they
 need (the fleet's worker processes rehydrate from the artifact path).
 
-`ScInferenceEngine`, ``repro.serve``, the evaluation reports, the examples
-and the ``python -m repro`` CLI are all rewired through this facade; new
-entry points should not talk to mapper internals directly.
+A session is the one way to score a model: the evaluation reports, the
+examples and the ``python -m repro`` CLI all go through it, and new entry
+points should not talk to mapper internals directly.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -40,7 +42,24 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.nn.layers import Network
     from repro.nn.sc_layers import ScNetworkMapper
 
-__all__ = ["PredictResult", "Session"]
+__all__ = ["InferenceResult", "PredictResult", "Session"]
+
+
+@dataclass(frozen=True)
+class InferenceResult:
+    """Accuracy summary of one :meth:`Session.evaluate` call.
+
+    Attributes:
+        accuracy: fraction of correctly classified images.
+        n_images: number of images evaluated.
+        stream_length: stochastic stream length used.
+        mode: name of the execution backend that produced the scores.
+    """
+
+    accuracy: float
+    n_images: int
+    stream_length: int
+    mode: str
 
 
 @dataclass(frozen=True)
@@ -83,6 +102,10 @@ class Session:
             :meth:`serve_fleet` rehydrate from it.
         **backend_options: default constructor options for every backend
             this session builds (e.g. ``position_chunk``).
+
+    :meth:`predict` and :meth:`evaluate` are safe to call from several
+    threads: each cached backend runs one call at a time.  The instance
+    :meth:`backend` returns is that shared one and is not.
     """
 
     def __init__(
@@ -98,6 +121,10 @@ class Session:
         self.artifact_path = Path(artifact_path) if artifact_path else None
         self.backend_options = dict(backend_options)
         self._backends: dict[tuple, "Backend"] = {}
+        # One lock per cached backend: a packed backend owns one workspace
+        # and must not run two forwards at once.
+        self._backend_locks: dict[tuple, threading.Lock] = {}
+        self._cache_lock = threading.Lock()
         self._closed = False
 
     # -- constructors ----------------------------------------------------------
@@ -168,12 +195,13 @@ class Session:
             **options: backend constructor options, merged over the
                 session-level defaults.
         """
-        return self._executor(name, None, options)
+        return self._executor(name, None, options)[0]
 
     def _executor(
         self, name: str | None, workers: int | None, options: dict
-    ) -> "Backend":
-        """Cached backend ``name``, thread-sharded when ``workers > 1``.
+    ) -> tuple["Backend", "threading.Lock | nullcontext"]:
+        """Cached backend ``name``, thread-sharded when ``workers > 1``,
+        with the lock a caller holds while running it.
 
         The one place a ``workers`` request turns into an executor: the
         chosen backend rides along as the inner backend of a
@@ -193,16 +221,18 @@ class Session:
                 self.mapper, workers, inner_backend=name, **merged
             )
 
+        key = (name, workers, tuple(sorted(merged.items())))
         try:
-            key = (name, workers, tuple(sorted(merged.items())))
-            cached = self._backends.get(key)
+            hash(key)
         except TypeError:
-            # Unhashable option values (the lookup hashes the key):
-            # construct without caching.
-            return build()
-        if cached is None:
-            cached = self._backends[key] = build()
-        return cached
+            # Unhashable option values: construct without caching; the
+            # instance belongs to this call alone.
+            return build(), nullcontext()
+        with self._cache_lock:
+            if key not in self._backends:
+                self._backends[key] = build()
+                self._backend_locks[key] = threading.Lock()
+            return self._backends[key], self._backend_locks[key]
 
     # -- inference -------------------------------------------------------------
 
@@ -231,19 +261,20 @@ class Session:
             backend: registry name overriding the session default.
         """
         resolved = (options or PredictOptions()).resolve(self.stream_length)
-        executor = self._executor(backend, resolved.workers, {})
+        executor, lock = self._executor(backend, resolved.workers, {})
         if resolved.explicit_schedule and not executor.progressive:
             raise ConfigurationError(
                 f"backend {executor.name!r} is not progressive: per-request "
                 "stream lengths / checkpoint schedules need stream-prefix "
                 "evaluation (pick a backend whose 'progressive' flag is set)"
             )
-        result = progressive_forward(
-            executor,
-            images,
-            resolved.checkpoints if resolved.explicit_schedule else None,
-            early_exit=resolved.early_exit,
-        )
+        with lock:
+            result = progressive_forward(
+                executor,
+                images,
+                resolved.checkpoints if resolved.explicit_schedule else None,
+                early_exit=resolved.early_exit,
+            )
         return PredictResult(
             scores=result.scores,
             predictions=result.predictions,
@@ -262,7 +293,7 @@ class Session:
         max_images: int | None = None,
         workers: int | None = None,
         **options: object,
-    ):
+    ) -> InferenceResult:
         """Accuracy of the model under the named execution backend.
 
         Args:
@@ -277,20 +308,16 @@ class Session:
             **options: forwarded to the backend constructor.
 
         Returns:
-            An :class:`~repro.nn.inference.InferenceResult` whose ``mode``
-            is the executing backend's name.
+            An :class:`InferenceResult` whose ``mode`` is the executing
+            backend's name.
         """
-        # Imported lazily: repro.nn.inference imports this module's
-        # Session (also lazily), so a module-level import would be
-        # circular at first load.
-        from repro.nn.inference import InferenceResult
-
         if max_images is not None and max_images < 1:
             raise ConfigurationError("max_images must be >= 1")
         images = np.asarray(images)[:max_images]
         labels = np.asarray(labels)[:max_images]
-        executor = self._executor(backend, workers, options)
-        accuracy = executor.accuracy(images, labels)
+        executor, lock = self._executor(backend, workers, options)
+        with lock:
+            accuracy = executor.accuracy(images, labels)
         return InferenceResult(
             accuracy, len(labels), self.stream_length, executor.name
         )
@@ -387,6 +414,7 @@ class Session:
         for executor in self._backends.values():
             executor.close()
         self._backends.clear()
+        self._backend_locks.clear()
 
     def __enter__(self) -> "Session":
         return self

@@ -75,7 +75,7 @@ from repro.nn.layers import (
     LogitScale,
 )
 from repro.nn.sc_layers import ScNetworkMapper, StreamPlane
-from repro.obs.counters import GLOBAL_COUNTERS, KernelCounters, kernel_note
+from repro.obs.counters import KernelCounters
 from repro.sc import native
 from repro.sc.packed import (
     fused_xnor_column_counts,
@@ -147,28 +147,25 @@ class BitExactPackedBackend(Backend):
 
     @classmethod
     def availability_note(cls) -> str:
-        """Registry note: the compiled tier's status, plus the process-wide
-        kernel-tier counter summary once kernels have run."""
-        note = kernel_note()
-        return f"{native.describe()}; {note}" if note else native.describe()
+        """Registry note: the compiled tier's status."""
+        return native.describe()
 
     # -- kernel seam -----------------------------------------------------------
     #
     # The hottest loops of the packed data plane go through these methods,
     # which run the compiled kernel while the tier is active and takes the
     # operands, and the NumPy kernel otherwise.  Every invocation is
-    # folded into the kernel-tier counters (instance and process-wide)
-    # under the tier that ran it -- one timestamp pair and two lock
-    # acquisitions per chunked kernel call, noise next to the kernels
-    # themselves.
+    # folded into the instance's kernel-tier counters under the tier that
+    # ran it -- one timestamp pair and one lock acquisition per chunked
+    # kernel call, noise next to the kernels themselves.
 
     def _record_kernel(
         self, kernel: str, tier: str, started: float, nbytes: int
     ) -> None:
         """Fold one seam invocation into the tier counters."""
-        elapsed = time.perf_counter() - started
-        self.counters.record(kernel, tier, elapsed, nbytes)
-        GLOBAL_COUNTERS.record(kernel, tier, elapsed, nbytes)
+        self.counters.record(
+            kernel, tier, time.perf_counter() - started, nbytes
+        )
 
     def _run_kernel(self, kernel: str, compiled, reference, *args, **kwargs):
         """Run ``compiled`` while the tier is active, else ``reference``.

@@ -33,9 +33,9 @@ __all__ = [
     "BitExactLegacyBackend",
 ]
 
-#: Image batch size used by the float and fast statistical backends; the
-#: historical value of ``Network.predict`` / ``fast_accuracy``, kept so
-#: noise draws land on the same batch boundaries as before.
+#: Image batch size used by the float and fast statistical backends (the
+#: batch size of ``Network.predict``); the statistical model draws a fresh
+#: noise generator per batch, so its scores depend on these boundaries.
 _SCORE_BATCH = 256
 
 
@@ -84,10 +84,9 @@ class FastStatisticalBackend(Backend):
     ) -> np.ndarray:
         """Score a batch through ``mapper`` with the historical batching.
 
-        One freshly seeded generator per ``_SCORE_BATCH`` slice, exactly as
-        the historical ``fast_accuracy`` loop drew its noise -- shared by
-        :meth:`forward` and every checkpoint of :meth:`forward_partial` so
-        the final checkpoint reproduces the full-stream scores exactly.
+        One freshly seeded generator per ``_SCORE_BATCH`` slice -- shared
+        by :meth:`forward` and every checkpoint of :meth:`forward_partial`
+        so the final checkpoint reproduces the full-stream scores exactly.
         """
         scores = [
             mapper.fast_forward(

@@ -255,69 +255,20 @@ def _recurrence_words_all_states(
     return result
 
 
-def _recurrence_per_cycle(
-    time_major: np.ndarray,
-    half: int,
-    low: int,
-    high: int,
-    return_bits: bool = True,
-    workspace=None,
-) -> np.ndarray:
-    """Per-cycle stepper (large-state fallback), emitting ``uint8`` bits.
-
-    Identical recurrence to the all-states strategy but advanced one cycle
-    per Python iteration over the whole batch; used when the accumulator
-    state space is too large for the all-states precomputation to pay off.
-    Emits byte-per-bit output (its natural representation -- no per-cycle
-    word assembly); callers that need packed words pack once at the end.
-
-    Args:
-        time_major: contiguous ``(N, batch)`` per-cycle column counts.
-        return_bits: when false, return only per-instance output-ones
-            counts (``int64`` of shape ``(batch,)``).
-
-    Returns:
-        ``(N, batch)`` 0/1 ``uint8`` output bits (time-major), or the
-        ones counts when ``return_bits`` is false.
-    """
-    length, batch = time_major.shape
-    accumulator = _ws_array(workspace, ("pc-acc",), (batch,), np.int32)
-    accumulator[...] = 0
-    threshold = half + 1
-    if return_bits:
-        output = _ws_array(workspace, ("pc-out",), (length, batch), np.uint8)
-    else:
-        ones_total = np.zeros(batch, dtype=np.int64)
-    for t in range(length):
-        np.add(accumulator, time_major[t], out=accumulator)
-        bit = accumulator >= threshold
-        if return_bits:
-            output[t] = bit
-        else:
-            np.add(ones_total, bit, out=ones_total, casting="unsafe")
-        np.subtract(accumulator, half, out=accumulator)
-        np.subtract(accumulator, bit, out=accumulator, casting="unsafe")
-        # Direct ufuncs: np.clip's dispatch wrapper dominates on the
-        # small per-cycle slabs of this loop.
-        np.maximum(accumulator, low, out=accumulator)
-        np.minimum(accumulator, high, out=accumulator)
-    if return_bits:
-        return output
-    return ones_total
-
-
 def _recurrence_per_cycle_words(
     time_major: np.ndarray, half: int, low: int, high: int, workspace=None
 ) -> np.ndarray:
     """Per-cycle stepper emitting packed ``uint64`` words directly.
 
-    Same recurrence as :func:`_recurrence_per_cycle`, but each output bit
-    is OR-shifted straight into its packed word instead of being stored
-    byte-per-bit and packed afterwards.  That removes the two
-    ``(N, batch)`` byte-per-bit transients (the output array and the
-    zero-padded copy ``np.packbits`` needs) which at wide slabs -- CONV
-    layers flattened to hundreds of thousands of instances -- dwarf the
-    packed result by ``64 x`` and turn the fallback into a memory cliff.
+    The large-state fallback: the same recurrence as the all-states
+    strategy, advanced one cycle per Python iteration over the whole
+    batch.  Each output bit is OR-shifted straight into its packed word
+    instead of being stored byte-per-bit and packed afterwards.  That
+    avoids two ``(N, batch)`` byte-per-bit transients (the output array
+    and the zero-padded copy ``np.packbits`` needs), which at wide slabs
+    -- CONV layers flattened to hundreds of thousands of instances --
+    dwarf the packed result by ``64 x`` and turn the fallback into a
+    memory cliff.
     Transient state is ``O(batch)``; the only output-sized buffer is the
     packed ``(batch, n_words)`` result itself.  Tail bits are never
     written, so the packed-layout invariant (tail bits zero) holds by
@@ -460,18 +411,7 @@ def feature_extraction_recurrence(
         ``uint8`` array of shape ``(..., N)`` when ``return_bits``, else an
         ``int64`` array of shape ``(...,)`` of output-ones counts.
     """
-    shape = _check_recurrence_args(column_ones, low, high, "auto")
-    c, length, batch_shape, batch, n_words = shape
-    if _resolve_strategy("auto", high - low + 1, n_words, batch) == "all-states":
-        time_major = _blocked_time_major(c, length, batch, n_words)
-        words = _recurrence_words_all_states(time_major, half, low, high)
-        words[:, -1] &= tail_mask(length)
-        if return_bits:
-            return unpack_bits(words, length).reshape(batch_shape + (length,))
-        return ones_count(words).reshape(batch_shape)
-    result = _recurrence_per_cycle(
-        _time_major_counts(c, length, batch), half, low, high, return_bits
-    )
+    words = feature_extraction_recurrence_words(column_ones, half, low, high)
     if return_bits:
-        return np.ascontiguousarray(result.T).reshape(batch_shape + (length,))
-    return result.reshape(batch_shape)
+        return unpack_bits(words, np.shape(column_ones)[-1])
+    return ones_count(words)

@@ -1,96 +1,27 @@
-"""Global experiment configuration and typed request options.
+"""Serving configuration and typed request options.
 
-The configuration objects gather the handful of knobs that recur across
-the reproduction: default bit-stream length, random seed, the technology
-constants used by the AQFP and CMOS cost models, the serving-layer knobs
-(:class:`ServiceConfig`), and the per-request inference options
-(:class:`PredictOptions`).  Individual modules accept explicit arguments
-everywhere; the config only provides well-documented defaults so scripts
-and benchmarks stay short.  This module stays import-light (errors only)
-so every layer -- backends, serving, the public API -- can depend on it
-without cycles.
+The configuration objects gather the knobs of the serving stack -- the
+micro-batching service (:class:`ServiceConfig`), the worker fleet
+(:class:`FleetConfig`) and the HTTP front end (:class:`HttpConfig`) --
+and the per-request inference options (:class:`PredictOptions`).  This
+module stays import-light (errors only) so every layer -- backends,
+serving, the public API -- can depend on it without cycles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "ExperimentConfig",
     "ServiceConfig",
     "FleetConfig",
     "HttpConfig",
     "PredictOptions",
     "ResolvedPredictOptions",
     "resolve_checkpoints",
-    "default_config",
 ]
-
-#: Bit-stream lengths used throughout the paper's accuracy tables.
-PAPER_STREAM_LENGTHS = (128, 256, 512, 1024, 2048)
-
-#: The stream length used for the paper's hardware and network evaluations.
-DEFAULT_STREAM_LENGTH = 1024
-
-#: Execution backend used when an evaluation does not name one explicitly.
-#: ``"sc-fast"`` is the paper's full-test-set accuracy model; the
-#: bit-exact backends (``"bit-exact-packed"`` being the fast one, on the
-#: compiled kernel tier when it is available) simulate actual streams,
-#: and are what the serving layer runs by default (:class:`ServiceConfig`).
-#: See :mod:`repro.backends` for the registry.
-DEFAULT_BACKEND = "sc-fast"
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Bundle of defaults shared by examples, tests and benchmarks.
-
-    Attributes:
-        stream_length: default stochastic bit-stream length ``N``.
-        weight_bits: binary precision of stored weights before SNG conversion.
-        seed: base seed for deterministic experiments.
-        aqfp_clock_hz: AQFP AC excitation clock frequency.
-        cmos_clock_hz: clock frequency assumed for the CMOS baseline.
-        default_backend: registry name of the execution backend used when
-            an evaluation does not name one (validated against the
-            registry at engine construction, not here, so the config stays
-            import-light).
-    """
-
-    stream_length: int = DEFAULT_STREAM_LENGTH
-    weight_bits: int = 10
-    seed: int = 2019
-    aqfp_clock_hz: float = 5.0e9
-    cmos_clock_hz: float = 1.0e9
-    default_backend: str = DEFAULT_BACKEND
-
-    def __post_init__(self) -> None:
-        if self.stream_length <= 0:
-            raise ConfigurationError(
-                f"stream_length must be positive, got {self.stream_length}"
-            )
-        if self.weight_bits <= 0 or self.weight_bits > 32:
-            raise ConfigurationError(
-                f"weight_bits must be in [1, 32], got {self.weight_bits}"
-            )
-        if self.aqfp_clock_hz <= 0 or self.cmos_clock_hz <= 0:
-            raise ConfigurationError("clock frequencies must be positive")
-        if not isinstance(self.default_backend, str) or not self.default_backend:
-            raise ConfigurationError(
-                f"default_backend must be a non-empty backend name, "
-                f"got {self.default_backend!r}"
-            )
-
-    def with_stream_length(self, stream_length: int) -> "ExperimentConfig":
-        """Return a copy of this config with a different stream length."""
-        return replace(self, stream_length=stream_length)
-
-    def with_backend(self, default_backend: str) -> "ExperimentConfig":
-        """Return a copy of this config with a different default backend."""
-        return replace(self, default_backend=default_backend)
-
 
 #: Stream-length checkpoint fractions evaluated by the progressive
 #: early-exit policy (see :mod:`repro.serve`): ``N/8, N/4, N/2, N``.
@@ -718,7 +649,3 @@ class ResolvedPredictOptions:
         """Deadline-budgeted results are wall-clock dependent: never cached."""
         return self.deadline_ms is None
 
-
-def default_config() -> ExperimentConfig:
-    """Return the configuration used by the paper's main evaluation."""
-    return ExperimentConfig()

@@ -2,11 +2,13 @@
 
 ``repro.nn`` provides the float reference network (layers with
 backpropagation, SC-aware training), the Table 8 architectures (SNN and
-DNN), and the SC-domain inference engine that maps every layer onto the
-proposed AQFP blocks.  Training happens in float with the hardware transfer
-curve as activation and weights constrained to ``[-1, 1]``; inference can
-run either in a fast statistical SC model or bit-exactly through the block
-implementations.
+DNN), and the SC network mapper that maps every layer onto the proposed
+AQFP blocks.  Training happens in float with the hardware transfer curve
+as activation and weights constrained to ``[-1, 1]``.  A trained network
+is scored through :class:`repro.api.Session`
+(``Session.from_network(network).evaluate(images, labels, backend=...)``),
+either by the fast statistical SC model (``sc-fast``) or bit-exactly
+through the block implementations (``bit-exact-packed``).
 """
 
 from repro.nn.architectures import (
@@ -17,7 +19,6 @@ from repro.nn.architectures import (
     dnn_layer_specs,
     snn_layer_specs,
 )
-from repro.nn.inference import ScInferenceEngine
 from repro.nn.layers import (
     AvgPool2D,
     ClipActivation,
@@ -53,5 +54,4 @@ __all__ = [
     "build_snn",
     "build_dnn",
     "ScNetworkMapper",
-    "ScInferenceEngine",
 ]

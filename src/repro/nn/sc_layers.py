@@ -390,23 +390,6 @@ class ScNetworkMapper:
             return z
         return z + rng.normal(0.0, np.sqrt(fan_in / self.stream_length), size=z.shape)
 
-    def fast_predict(self, images: np.ndarray, inject_noise: bool = True) -> np.ndarray:
-        """Predicted classes under the fast SC model."""
-        scores = self.fast_forward(images, inject_noise)
-        return np.argmax(scores, axis=1)
-
-    def fast_accuracy(
-        self, images: np.ndarray, labels: np.ndarray, inject_noise: bool = True,
-        batch_size: int = 256,
-    ) -> float:
-        """Accuracy of the fast SC model over a labelled set."""
-        correct = 0
-        labels = np.asarray(labels)
-        for start in range(0, images.shape[0], batch_size):
-            preds = self.fast_predict(images[start : start + batch_size], inject_noise)
-            correct += int((preds == labels[start : start + batch_size]).sum())
-        return correct / images.shape[0]
-
     # -- bit-exact simulation ---------------------------------------------------
 
     #: Target bytes of live SNG comparison draws when streams are packed

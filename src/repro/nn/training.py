@@ -5,7 +5,7 @@ consideration": weights are kept inside the bipolar range, activations use
 the hardware transfer curve, and pooling is averaging.  The trainer here
 implements exactly that -- plain SGD with momentum (or Adam) plus a weight
 clip after every step -- on the float reference network, which is then
-quantised and handed to the SC inference engine.
+quantised and scored through :class:`repro.api.Session`.
 """
 
 from __future__ import annotations

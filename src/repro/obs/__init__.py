@@ -11,9 +11,8 @@ and the packed backends (:mod:`repro.backends`):
 * :mod:`~repro.obs.counters` -- per-kernel, per-tier
   (native vs NumPy) invocation counters
   (:class:`~repro.obs.counters.KernelCounters`) hooked into the packed
-  backend's kernel seam, surfaced via ``Backend.kernel_snapshot()``,
-  ``ScInferenceService.snapshot()["kernels"]`` and the registry's
-  ``describe_backends()`` notes.
+  backend's kernel seam, surfaced via ``Backend.kernel_snapshot()`` and
+  ``ScInferenceService.snapshot()["kernels"]``.
 * :mod:`~repro.obs.export` -- the one Prometheus text-exposition writer
   (:func:`~repro.obs.export.prometheus_text`, whose fleet and registry
   views are the service's families under a ``worker`` / ``model``
@@ -26,12 +25,7 @@ graph (it imports neither), so every layer can record into it without
 cycles.
 """
 
-from repro.obs.counters import (
-    GLOBAL_COUNTERS,
-    KernelCounters,
-    kernel_note,
-    merge_kernel_snapshots,
-)
+from repro.obs.counters import KernelCounters, merge_kernel_snapshots
 from repro.obs.export import (
     JsonlEventLog,
     prometheus_text,
@@ -47,8 +41,6 @@ __all__ = [
     "TraceSummary",
     "current_span",
     "KernelCounters",
-    "GLOBAL_COUNTERS",
-    "kernel_note",
     "merge_kernel_snapshots",
     "prometheus_text",
     "registry_prometheus_text",

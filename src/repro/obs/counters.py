@@ -7,8 +7,7 @@ Every call through the packed backend's kernel seam
 reference implementations), how long it took and how many output bytes
 it produced.  Each backend instance owns a :class:`KernelCounters`
 (surfaced through ``Backend.kernel_snapshot()`` and the serving layer's
-``snapshot()["kernels"]``); a process-wide aggregate feeds the registry's
-``describe_backends()`` availability notes.
+``snapshot()["kernels"]``).
 
 The counters are deliberately coarse: one lock acquisition per kernel
 invocation, where an invocation is a chunked fused reduction costing
@@ -20,12 +19,7 @@ from __future__ import annotations
 
 import threading
 
-__all__ = [
-    "KernelCounters",
-    "GLOBAL_COUNTERS",
-    "merge_kernel_snapshots",
-    "kernel_note",
-]
+__all__ = ["KernelCounters", "merge_kernel_snapshots"]
 
 
 class KernelCounters:
@@ -112,29 +106,3 @@ def merge_kernel_snapshots(snapshots) -> dict:
                 slot["seconds"] += cell["seconds"]
                 slot["bytes"] += cell["bytes"]
     return merged
-
-
-#: Process-wide aggregate over every packed-backend instance, feeding the
-#: registry availability notes (``describe_backends()`` has no instance
-#: to ask, so the classmethod note reads this).
-GLOBAL_COUNTERS = KernelCounters()
-
-
-def kernel_note() -> str | None:
-    """One-line process-wide counter summary for registry listings.
-
-    ``None`` before the first kernel call, so backends that never ran
-    don't advertise empty counters.
-    """
-    snapshot = GLOBAL_COUNTERS.snapshot()
-    if not snapshot:
-        return None
-    per_tier: dict[str, int] = {}
-    for tiers in snapshot.values():
-        for tier, cell in tiers.items():
-            per_tier[tier] = per_tier.get(tier, 0) + cell["calls"]
-    total = sum(per_tier.values())
-    shares = ", ".join(
-        f"{tier} {calls}" for tier, calls in sorted(per_tier.items())
-    )
-    return f"kernel calls: {total} ({shares})"

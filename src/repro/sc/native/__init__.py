@@ -47,8 +47,6 @@ __all__ = [
     "fused_xnor_majority_chain",
     "feature_extraction_recurrence_words",
     "pack_comparator_floats",
-    "pack_comparator_words",
-    "ones_count",
 ]
 
 _MAX_LEAD_DIMS = 3
@@ -434,85 +432,4 @@ def pack_comparator_floats(
     )
     if target is not out:
         out[...] = target
-    return out
-
-
-def pack_comparator_words(
-    random_words,
-    thresholds,
-    out: np.ndarray | None = None,
-) -> np.ndarray | None:
-    """Native drop-in for :func:`repro.sc.packed.pack_comparator_words`.
-
-    Handles the ``int64``/``float64`` same-dtype comparisons the SNG
-    actually performs; anything else returns ``None`` for the NumPy
-    fallback (whose ``np.less`` covers all dtype promotions).
-    """
-    ffi, lib, _ = _load()
-    if lib is None:
-        return None
-    rw = np.asarray(random_words)
-    th = np.asarray(thresholds)
-    if rw.ndim < 1 or th.shape != rw.shape[:-1]:
-        return None
-    if rw.dtype == np.int64 and th.dtype == np.int64:
-        fn = lib.repro_pack_comparator_i64
-        ctype = "const int64_t *"
-    elif rw.dtype == np.float64 and th.dtype == np.float64:
-        fn = lib.repro_pack_comparator_f64
-        ctype = "const double *"
-    else:
-        return None
-    length = int(rw.shape[-1])
-    if length < 1:
-        return None
-    n_words = words_for_length(length)
-    values = math.prod(rw.shape[:-1])
-    rw_c = np.ascontiguousarray(rw).reshape(values, length)
-    th_c = np.ascontiguousarray(th).reshape(1, values)
-    out_shape = rw.shape[:-1] + (n_words,)
-    if out is None:
-        out = np.empty(out_shape, dtype=np.uint64)
-    elif (
-        out.shape != out_shape
-        or out.dtype != np.uint64
-        or not out.flags["C_CONTIGUOUS"]
-    ):
-        return None
-    # One shared-draw row per value: lead=1 collapses the kernel to a
-    # per-row comparison with per-row draws.
-    fn(
-        _ptr(ffi, rw_c, ctype),
-        _ptr(ffi, th_c, ctype),
-        1,
-        values,
-        length,
-        n_words,
-        _ptr(ffi, out, "uint64_t *"),
-    )
-    return out
-
-
-# -- popcount decode ----------------------------------------------------------
-
-
-def ones_count(words) -> np.ndarray | None:
-    """Hardware-popcount total of set bits along the word axis."""
-    ffi, lib, _ = _load()
-    if lib is None:
-        return None
-    words = np.asarray(words)
-    if words.dtype != np.uint64 or words.ndim < 1:
-        return None
-    if not words.flags["C_CONTIGUOUS"]:
-        return None
-    n_words = int(words.shape[-1])
-    rows = math.prod(words.shape[:-1])
-    out = np.empty(words.shape[:-1], dtype=np.int64)
-    lib.repro_ones_count(
-        _ptr(ffi, words, "const uint64_t *"),
-        rows,
-        n_words,
-        _ptr(ffi, out, "int64_t *"),
-    )
     return out

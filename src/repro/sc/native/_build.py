@@ -39,9 +39,6 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 
 #: ABI declarations matching ``_kernels.c`` exactly.
 CDEF = """
-void repro_ones_count(
-    const uint64_t *words, int64_t rows, int64_t n_words, int64_t *out);
-
 void repro_fused_xnor_counts_u8(
     const uint64_t *a, const uint64_t *b, const uint64_t *extra,
     int64_t d0, int64_t d1, int64_t d2,
@@ -82,11 +79,6 @@ void repro_fe_recurrence_u16(
 
 void repro_pack_comparator_f64(
     const double *draws, const double *thresholds,
-    int64_t lead, int64_t rows, int64_t length, int64_t n_words,
-    uint64_t *out);
-
-void repro_pack_comparator_i64(
-    const int64_t *draws, const int64_t *thresholds,
     int64_t lead, int64_t rows, int64_t length, int64_t n_words,
     uint64_t *out);
 """

@@ -23,21 +23,6 @@
 
 #define ALL_ONES (~(uint64_t)0)
 
-/* ---- popcount decode ---------------------------------------------------- */
-
-/* Per-row total set bits: the hardware-popcount decode of ones_count(). */
-void repro_ones_count(
-    const uint64_t *words, int64_t rows, int64_t n_words, int64_t *out)
-{
-    for (int64_t r = 0; r < rows; r++) {
-        const uint64_t *row = words + r * n_words;
-        int64_t total = 0;
-        for (int64_t w = 0; w < n_words; w++)
-            total += __builtin_popcountll(row[w]);
-        out[r] = total;
-    }
-}
-
 /* ---- fused XNOR -> CSA column counts ------------------------------------ */
 
 /* Carry-save full adder: l += a + b, carry out in h (5 word ops). */
@@ -402,29 +387,25 @@ FE_RECURRENCE(repro_fe_recurrence_u16, uint16_t, int32_t)
 /* Comparator straight to packed words: bit t = [draw_t < threshold].
  * Draw rows are shared across the leading axis (the batch axis of the
  * input SNG); thresholds are per (lead, row). */
-#define PACK_COMPARATOR(NAME, DRAW_T)                                         \
-void NAME(                                                                    \
-    const DRAW_T *draws, const DRAW_T *thresholds,                            \
-    int64_t lead, int64_t rows, int64_t length, int64_t n_words,              \
-    uint64_t *out)                                                            \
-{                                                                             \
-    for (int64_t l = 0; l < lead; l++) {                                      \
-        for (int64_t r = 0; r < rows; r++) {                                  \
-            DRAW_T thr = thresholds[l * rows + r];                            \
-            const DRAW_T *d = draws + r * length;                             \
-            uint64_t *w = out + (l * rows + r) * n_words;                     \
-            for (int64_t wi = 0; wi < n_words; wi++) {                        \
-                uint64_t word = 0;                                            \
-                int64_t t0 = wi * 64;                                         \
-                int64_t tmax = length - t0;                                   \
-                if (tmax > 64) tmax = 64;                                     \
-                for (int64_t t = 0; t < tmax; t++)                            \
-                    word |= (uint64_t)(d[t0 + t] < thr) << t;                 \
-                w[wi] = word;                                                 \
-            }                                                                 \
-        }                                                                     \
-    }                                                                         \
+void repro_pack_comparator_f64(
+    const double *draws, const double *thresholds,
+    int64_t lead, int64_t rows, int64_t length, int64_t n_words,
+    uint64_t *out)
+{
+    for (int64_t l = 0; l < lead; l++) {
+        for (int64_t r = 0; r < rows; r++) {
+            double thr = thresholds[l * rows + r];
+            const double *d = draws + r * length;
+            uint64_t *w = out + (l * rows + r) * n_words;
+            for (int64_t wi = 0; wi < n_words; wi++) {
+                uint64_t word = 0;
+                int64_t t0 = wi * 64;
+                int64_t tmax = length - t0;
+                if (tmax > 64) tmax = 64;
+                for (int64_t t = 0; t < tmax; t++)
+                    word |= (uint64_t)(d[t0 + t] < thr) << t;
+                w[wi] = word;
+            }
+        }
+    }
 }
-
-PACK_COMPARATOR(repro_pack_comparator_f64, double)
-PACK_COMPARATOR(repro_pack_comparator_i64, int64_t)

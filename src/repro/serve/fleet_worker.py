@@ -67,11 +67,7 @@ class _Worker:
 
         self._slot = int(frame.get("slot", -1))
         model = ScModel.load(frame["artifact"])
-        self._service = ScInferenceService(
-            model.mapper(),
-            frame["config"],
-            **(frame.get("backend_options") or {}),
-        )
+        self._service = ScInferenceService(model.mapper(), frame["config"])
         self._stream.send(
             {"kind": "ready", "slot": self._slot, "pid": os.getpid()}
         )

@@ -20,6 +20,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -433,35 +435,51 @@ class TestSession:
                 response = service.infer(images, timeout=300)
             assert np.array_equal(response.scores, expected)
 
-    def test_engine_delegates_to_session(self, images):
-        from repro.nn import ScInferenceEngine
+    def test_predict_matches_legacy_oracle(self, images):
+        with Session.from_network(tiny_cnn(), stream_length=128, seed=7) as session:
+            result = session.predict(images[0])
+            expected = session.mapper.bit_exact_forward_legacy(images[0])
+        assert np.array_equal(result.scores[0], expected)
+        assert result.predictions[0] == int(np.argmax(expected))
 
-        network = tiny_cnn()
-        engine = ScInferenceEngine(network, stream_length=128, seed=7)
-        result = engine.evaluate(images, [0, 1, 2, 3], backend="bit-exact-packed")
-        direct = engine.session.evaluate(
-            images, [0, 1, 2, 3], backend="bit-exact-packed"
-        )
-        assert result.accuracy == direct.accuracy
-        assert engine.session.mapper is engine.mapper
-
-    def test_engine_classify_bit_exact_matches_legacy_oracle(self, images):
-        from repro.nn import ScInferenceEngine
-
-        engine = ScInferenceEngine(tiny_cnn(), stream_length=128, seed=7)
-        label, scores = engine.classify_bit_exact(images[0])
-        expected = engine.mapper.bit_exact_forward_legacy(images[0])
-        assert np.array_equal(scores, expected)
-        assert label == int(np.argmax(expected))
-
-    def test_engine_save_exports_loadable_artifact(self, images, tmp_path):
-        from repro.nn import ScInferenceEngine
-
-        engine = ScInferenceEngine(tiny_cnn(), stream_length=128, seed=7)
-        path = engine.save(tmp_path / "engine_model")
-        expected = engine.backend("bit-exact-packed").forward(images)
+    def test_save_exports_loadable_artifact(self, images, tmp_path):
+        with Session.from_network(tiny_cnn(), stream_length=128, seed=7) as session:
+            path = session.save(tmp_path / "session_model")
+            assert session.artifact_path == path
+            expected = session.backend("bit-exact-packed").forward(images)
         with Session.from_artifact(path) as session:
             assert np.array_equal(session.predict(images).scores, expected)
+
+    def test_concurrent_predicts_match_serial_answers(self):
+        """Threads sharing a session's cached packed backend each get the
+        answer they get alone (the backend owns one workspace)."""
+        batches = [
+            np.random.default_rng(seed).random((4, 1, 28, 28)) for seed in range(4)
+        ]
+        with Session.from_network(tiny_cnn(), stream_length=512, seed=7) as session:
+            expected = [session.predict(batch).scores for batch in batches]
+            barrier = threading.Barrier(len(batches), timeout=60)
+
+            def rounds(batch):
+                answers = []
+                for _ in range(3):
+                    barrier.wait()
+                    answers.append(session.predict(batch).scores)
+                return answers
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                with ThreadPoolExecutor(len(batches)) as pool:
+                    answers = list(pool.map(rounds, batches, timeout=120))
+            finally:
+                sys.setswitchinterval(interval)
+        mismatched = sum(
+            not np.array_equal(scores, want)
+            for want, got in zip(expected, answers)
+            for scores in got
+        )
+        assert mismatched == 0, f"{mismatched}/12 concurrent answers differ"
 
 
 class TestCli:

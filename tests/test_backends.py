@@ -43,9 +43,7 @@ from repro.blocks.batched import (
     feature_extraction_recurrence_words,
 )
 from repro.blocks.feature_extraction import SorterFeatureExtractionBlock
-from repro.config import ExperimentConfig
 from repro.errors import ConfigurationError
-from repro.nn import ScInferenceEngine
 from repro.nn.layers import Conv2D
 from repro.nn.sc_layers import ScNetworkMapper
 from repro.sc.packed import (
@@ -153,7 +151,7 @@ class TestCrossBackendEquivalence:
         assert np.array_equal(auto, chunked)
 
     def test_fast_backend_matches_historical_fast_path(self, mapper, images):
-        """Same batching and RNG seeding as the mapper's fast_accuracy loop."""
+        """Same RNG seeding as the mapper's own statistical forward."""
         backend = create_backend("sc-fast", mapper)
         scores = backend.forward(images)
         expected = mapper.fast_forward(images, inject_noise=True)
@@ -170,42 +168,25 @@ class TestCrossBackendEquivalence:
 
 
 class TestEngineFacade:
+    """``Session`` is the one front door onto the execution backends."""
+
     def test_evaluate_selects_backend_by_name(self, images):
-        engine = ScInferenceEngine(tiny_cnn(), stream_length=128, seed=7)
+        session = Session.from_network(tiny_cnn(), stream_length=128, seed=7)
         labels = np.zeros(3, dtype=int)
         for name in ("float", "sc-fast", "bit-exact-packed"):
-            result = engine.evaluate(images, labels, backend=name)
+            result = session.evaluate(images, labels, backend=name)
             assert result.mode == name
             assert result.n_images == 3
             assert 0.0 <= result.accuracy <= 1.0
 
     def test_evaluate_unknown_backend_raises(self, images):
-        engine = ScInferenceEngine(tiny_cnn(), stream_length=128, seed=7)
+        session = Session.from_network(tiny_cnn(), stream_length=128, seed=7)
         with pytest.raises(ConfigurationError, match="unknown backend"):
-            engine.evaluate(images, np.zeros(3, dtype=int), backend="typo")
+            session.evaluate(images, np.zeros(3, dtype=int), backend="typo")
 
     def test_engine_rejects_unknown_default_backend(self):
         with pytest.raises(ConfigurationError, match="unknown backend"):
-            ScInferenceEngine(tiny_cnn(), stream_length=128, default_backend="nope")
-
-    def test_default_backend_comes_from_config(self):
-        engine = ScInferenceEngine(tiny_cnn(), stream_length=128)
-        assert engine.default_backend == ExperimentConfig().default_backend
-
-    def test_config_backend_knob(self):
-        config = ExperimentConfig().with_backend("bit-exact-packed")
-        assert config.default_backend == "bit-exact-packed"
-        with pytest.raises(ConfigurationError, match="default_backend"):
-            ExperimentConfig(default_backend="")
-
-    def test_legacy_bit_exact_wrapper_keeps_mode_label(self, images):
-        engine = ScInferenceEngine(tiny_cnn(), stream_length=128, seed=7)
-        labels = np.zeros(3, dtype=int)
-        result = engine.evaluate_sc_bit_exact(
-            images, labels, max_images=2, backend="bit-exact-packed"
-        )
-        assert result.mode == "sc-bit-exact"
-        assert result.n_images == 2
+            Session.from_network(tiny_cnn(), stream_length=128, backend="nope")
 
 
 class TestWordBlockedStepper:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from nets import tiny_cnn
 
+from repro.api import Session
 from repro.aqfp import balance_netlist, estimate_cost, simulate, AqfpTechnology
 from repro.blocks import (
     MajorityChainCategorizationBlock,
@@ -21,7 +22,6 @@ from repro.nn import (
     Dense,
     HardwareActivation,
     Network,
-    ScInferenceEngine,
     Trainer,
     TrainingConfig,
 )
@@ -146,9 +146,11 @@ class TestEndToEndTraining:
         )
         assert float_acc > 0.7
 
-        engine = ScInferenceEngine(network, stream_length=1024, seed=3)
-        sc_result = engine.evaluate_sc_fast(
-            tiny_dataset.test_images[:, None], tiny_dataset.test_labels
+        session = Session.from_network(network, stream_length=1024, seed=3)
+        sc_result = session.evaluate(
+            tiny_dataset.test_images[:, None],
+            tiny_dataset.test_labels,
+            backend="sc-fast",
         )
         assert sc_result.accuracy > float_acc - 0.3
 
@@ -168,20 +170,25 @@ class TestEndToEndTraining:
         trainer = Trainer(network, TrainingConfig(epochs=3, batch_size=32, seed=2))
         trainer.fit(x_train, tiny_dataset.train_labels)
 
-        engine = ScInferenceEngine(network, stream_length=512, seed=7)
+        session = Session.from_network(network, stream_length=512, seed=7)
         test_images = tiny_dataset.test_images[:, None]
-        float_result = engine.evaluate_float(test_images, tiny_dataset.test_labels)
-        fast_result = engine.evaluate_sc_fast(test_images, tiny_dataset.test_labels)
+        labels = tiny_dataset.test_labels
+        float_result = session.evaluate(test_images, labels, backend="float")
+        fast_result = session.evaluate(test_images, labels, backend="sc-fast")
         assert float_result.accuracy > 0.6
         # The tiny network is trained for only a few epochs, so the SC noise
         # costs accuracy, but it must stay far above the 10 % chance level.
         assert fast_result.accuracy > 0.3
 
-        bit_exact = engine.evaluate_sc_bit_exact(
-            test_images, tiny_dataset.test_labels, max_images=1, position_chunk=49
+        bit_exact = session.evaluate(
+            test_images,
+            labels,
+            backend="bit-exact-packed",
+            max_images=1,
+            position_chunk=49,
         )
         assert bit_exact.n_images == 1
-        assert bit_exact.mode == "sc-bit-exact"
+        assert bit_exact.mode == "bit-exact-packed"
 
 
 class TestBatchedBitExact:
@@ -189,17 +196,17 @@ class TestBatchedBitExact:
 
     def test_batched_path_matches_legacy_per_image(self, tiny_dataset):
         """Batched scores must be bit-identical to the legacy per-image path."""
-        engine = ScInferenceEngine(
+        session = Session.from_network(
             tiny_cnn(channels=4, units=32), stream_length=128, seed=7
         )
         images = tiny_dataset.test_images[:3, None]
         legacy = np.stack(
-            [engine.mapper.bit_exact_forward_legacy(img) for img in images]
+            [session.mapper.bit_exact_forward_legacy(img) for img in images]
         )
-        batched = engine.backend("bit-exact-packed").forward(images)
+        batched = session.backend("bit-exact-packed").forward(images)
         assert np.array_equal(batched, legacy)
         # Position chunking is a memory knob only: it must not change bits.
-        chunked = engine.backend(
+        chunked = session.backend(
             "bit-exact-packed", position_chunk=17
         ).forward(images)
         assert np.array_equal(chunked, batched)
@@ -210,17 +217,17 @@ class TestBatchedBitExact:
         The seed implementation restricted bit-exact validation to "a
         handful" of images; the batched engine makes 32 routine.
         """
-        engine = ScInferenceEngine(
+        session = Session.from_network(
             tiny_cnn(channels=4, units=32), stream_length=128, seed=7
         )
         images = tiny_dataset.test_images[:32, None]
         labels = tiny_dataset.test_labels[:32]
-        result = engine.evaluate_sc_bit_exact(images, labels, max_images=32)
+        result = session.evaluate(images, labels, max_images=32)
         assert result.n_images == 32
-        assert result.mode == "sc-bit-exact"
+        assert result.mode == "bit-exact-packed"
         # The reported accuracy must be exactly the argmax accuracy of the
         # batched engine's scores (same seed => same streams => same bits).
-        scores = engine.backend("bit-exact-packed").forward(images)
+        scores = session.backend("bit-exact-packed").forward(images)
         assert scores.shape == (32, 10)
         expected = float((np.argmax(scores, axis=1) == labels).mean())
         assert result.accuracy == expected

@@ -40,7 +40,6 @@ from repro.sc.packed import (
     fused_xnor_column_counts,
     fused_xnor_majority_chain,
     pack_bits,
-    pack_comparator_words,
     words_for_length,
 )
 from repro.workspace import Workspace
@@ -193,31 +192,28 @@ def test_fe_stepper_lane_edge():
 
 
 @needs_native
-@pytest.mark.parametrize("dtype", [np.int64, np.float64])
-def test_pack_comparator_words_matches_numpy(dtype):
+def test_pack_comparator_floats_matches_numpy():
+    """The compiled SNG comparator packs exactly what the mapper's NumPy
+    fallback packs: draws shared under a leading batch axis, a tail word,
+    and a non-contiguous ``out`` slice staged through the workspace."""
     rng = np.random.default_rng(5)
-    length = 1000
-    if dtype is np.int64:
-        draws = rng.integers(0, 1 << 10, size=(40, length))
-        thresholds = rng.integers(0, (1 << 10) + 1, size=40)
-    else:
-        draws = rng.random((40, length))
-        thresholds = rng.random(40)
-    expected = pack_comparator_words(draws, thresholds)
-    got = native.pack_comparator_words(draws, thresholds)
-    assert got is not None
-    np.testing.assert_array_equal(got, expected)
-
-
-@needs_native
-def test_ones_count_matches_numpy():
-    length = 777
-    words = _random_words(np.random.default_rng(2), (9, words_for_length(length)), length)
-    from repro.sc.packed import ones_count
-
-    got = native.ones_count(words)
-    assert got is not None
-    np.testing.assert_array_equal(got, ones_count(words))
+    rows, length = 40, 1000
+    draws = rng.random((rows, length))
+    thresholds = rng.random((3, rows))
+    expected = pack_bits(draws < thresholds[..., None])
+    out = np.empty((3, rows, words_for_length(length)), dtype=np.uint64)
+    assert native.pack_comparator_floats(draws, thresholds, out) is out
+    np.testing.assert_array_equal(out, expected)
+    # A value-chunk slice of the whole stream tensor, as the mapper passes it.
+    wide = np.zeros((3, rows + 8, words_for_length(length)), dtype=np.uint64)
+    chunk = wide[:, 4 : 4 + rows]
+    assert not chunk.flags["C_CONTIGUOUS"]
+    got = native.pack_comparator_floats(
+        draws, thresholds, chunk, workspace=Workspace()
+    )
+    assert got is chunk
+    np.testing.assert_array_equal(chunk, expected)
+    assert not wide[:, :4].any() and not wide[:, 4 + rows :].any()
 
 
 # -- backend-level drop-in equivalence ----------------------------------------

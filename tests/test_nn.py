@@ -4,6 +4,7 @@ architectures, and the SC mapping."""
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.errors import ConfigurationError, ShapeError, TrainingError
 from repro.nn import (
     AvgPool2D,
@@ -13,7 +14,6 @@ from repro.nn import (
     Flatten,
     HardwareActivation,
     Network,
-    ScInferenceEngine,
     Trainer,
     TrainingConfig,
     build_dnn,
@@ -320,7 +320,7 @@ class TestScMapping:
     def test_engine_validation(self):
         network = Network([Dense(4, 2)])
         with pytest.raises(ConfigurationError):
-            ScInferenceEngine(network, stream_length=0)
+            Session.from_network(network, stream_length=0)
 
     def test_stream_length_validation(self):
         network = Network([Dense(4, 2)])
