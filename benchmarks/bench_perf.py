@@ -387,7 +387,8 @@ def bench_native_fused_counts(length: int) -> dict:
     Both sides start from the same packed operands; the "legacy" side here
     is the *current* NumPy fused kernel (itself already fused and
     allocation-free), so the recorded speedup isolates exactly what native
-    code buys: hardware ``popcntq`` and no per-plane ufunc dispatch.
+    code buys: vectorized carry-save blocks, a count expansion limited to
+    the live levels, and no per-plane ufunc dispatch.
     """
     m, instances = 128, 64
     rng = np.random.default_rng(4)

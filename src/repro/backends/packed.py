@@ -364,19 +364,23 @@ class BitExactPackedBackend(Backend):
         """Positions/neurons per chunk fitting the working-set budget."""
         return max(1, self._CHUNK_BYTES_BUDGET // max(1, bytes_per_item))
 
-    def _recurrence_words(
-        self, counts: np.ndarray, m: int, neutral: np.ndarray | None
-    ) -> np.ndarray:
+    def _extra_planes(self, bias_words: np.ndarray, m: int) -> np.ndarray:
+        """The ``(out, K, words)`` planes counted as-is next to the XNOR
+        products: each neuron's bias stream, and for an even input count
+        ``m`` the alternating neutral stream that pads it to odd."""
+        if m % 2:
+            return bias_words[:, None, :]
+        neutral = pack_bits(neutral_column(self.mapper.stream_length))
+        return np.stack(
+            (bias_words, np.broadcast_to(neutral, bias_words.shape)), axis=1
+        )
+
+    def _recurrence_words(self, counts: np.ndarray, m: int) -> np.ndarray:
         """Column counts -> packed activated streams (workspace-backed).
 
         The returned words live in the workspace; callers copy them into
         their per-layer output buffer before the next stepper call.
         """
-        if neutral is not None:
-            # Even input sizes are padded with the alternating neutral
-            # stream; its contribution is added to the counts directly
-            # instead of materialising the extra packed column.
-            np.add(counts, neutral, out=counts, casting="unsafe")
         half = SorterFeatureExtractionBlock(m).threshold
         return self._run_kernel(
             "recurrence_words",
@@ -436,7 +440,7 @@ class BitExactPackedBackend(Backend):
             )
         )
         row_chunk = max(1, chunk // out_w)
-        neutral = neutral_column(n) if m % 2 == 0 else None
+        extra = self._extra_planes(bias_words, m)
         output = ws.array(
             (layer_key, "out"), (batch, out_ch, out_h * out_w, n_words), np.uint64
         )
@@ -461,11 +465,11 @@ class BitExactPackedBackend(Backend):
             self._fused_counts(
                 patches[:, :, None, :, :],
                 weight_words[None, None, :, :, :],
-                bias_words[None, None, :, None, :],
+                extra[None, None],
                 counts,
                 (layer_key, "csa"),
             )
-            activated = self._recurrence_words(counts, m, neutral)
+            activated = self._recurrence_words(counts, m)
             start = row_start * out_w
             output[:, :, start : start + pc] = activated.transpose(0, 2, 1, 3)
         return output.reshape(batch, out_ch, out_h, out_w, n_words)
@@ -546,7 +550,7 @@ class BitExactPackedBackend(Backend):
         chunk = self.position_chunk or self._auto_chunk(
             batch * self._chunk_bytes_per_position(m, dtype().itemsize)
         )
-        neutral = neutral_column(n) if m % 2 == 0 else None
+        extra = self._extra_planes(bias_words, m)
         outputs = ws.array(
             (layer_key, "out"), (batch, layer.out_features, n_words), np.uint64
         )
@@ -557,11 +561,9 @@ class BitExactPackedBackend(Backend):
             self._fused_counts(
                 words[:, None, :, :],
                 w_chunk[None, :, :, :],
-                bias_words[None, start : start + oc, None, :],
+                extra[None, start : start + oc],
                 counts,
                 (layer_key, "csa"),
             )
-            outputs[:, start : start + oc] = self._recurrence_words(
-                counts, m, neutral
-            )
+            outputs[:, start : start + oc] = self._recurrence_words(counts, m)
         return outputs

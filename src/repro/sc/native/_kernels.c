@@ -20,10 +20,24 @@
 
 #include <stdint.h>
 #include <string.h>
+#if defined(__AVX512BW__) || defined(__AVX2__)
+#include <immintrin.h>
+#endif
 
 #define ALL_ONES (~(uint64_t)0)
 
 /* ---- fused XNOR -> CSA column counts ------------------------------------ */
+
+/* The counts kernel walks each row a block of up to COUNT_BLOCK 64-cycle
+ * words at a time: it folds every product plane of the block into binary
+ * counter level words (stage 1), then expands those into one count per
+ * cycle (stage 2).  Eight-word blocks measured best over the conv, FC
+ * and 8192-cycle shapes (four-word blocks slowed the conv and FC rows,
+ * sixteen-word ones the FC and long rows).  The words a row has left
+ * after its full blocks take a four-word block and one-word blocks, so
+ * no block reads or writes past its row. */
+#define COUNT_BLOCK 8
+#define MAX_LEVELS 16 /* bits of a uint16 count; the wrapper caps totals */
 
 /* Carry-save full adder: l += a + b, carry out in h (5 word ops). */
 #define CSA(h, l, a, b)                                                       \
@@ -47,93 +61,179 @@ static inline uint64_t transpose8(uint64_t x)
     return x;
 }
 
-/* Product plane i of one word column: XNOR planes first (tail-masked),
- * then the extra columns, whose tail bits are already zero (contract). */
-static inline uint64_t plane_word(
-    const uint64_t *pa, const uint64_t *pb, const uint64_t *pe,
-    int64_t m, int64_t stride, int64_t i, uint64_t mask)
-{
-    if (i < m)
-        return ~(pa[i * stride] ^ pb[i * stride]) & mask;
-    return pe[(i - m) * stride];
-}
+/* Add the carry words c into levels [from, levels), branch-free.  A
+ * column count never exceeds total < 2^levels, so no carry leaves the
+ * top live level. */
+#define RIPPLE(lv, c, from, levels, nb)                                       \
+    for (int _l = (from); _l < (levels); _l++)                                \
+        for (int _j = 0; _j < (nb); _j++) {                                   \
+            uint64_t _t = (lv)[_l][_j] & (c)[_j];                             \
+            (lv)[_l][_j] ^= (c)[_j];                                          \
+            (c)[_j] = _t;                                                     \
+        }
 
-/* Accumulate every product plane of one word column into sixteen
- * binary-counter level words.  The low eight levels live in registers
- * and are fed by a Harley-Seal full-adder tree eight planes at a time
- * (~1 word op per plane per adder level, amortised); the weight-8 carry
- * of each tree ripples upward with early exit, spilling into the high
- * levels only for column sums beyond 255. */
-static inline void count_column(
+/* Stage 1: lv[l][j] = bit l of the column counts of word j of the block
+ * (words at pa, pb, pe; planes `stride` words apart).  Products are
+ * folded eight at a time by a Harley-Seal full-adder tree into levels
+ * 0-2, whose weight-8 carry ripples through the live levels above;
+ * leftover products and the extra planes ripple in from level 0.  Each
+ * step is a loop over the block's words, which the compiler vectorizes
+ * because every caller passes a constant nb.  No tail mask: bits past
+ * the stream's length only reach counts that are never written. */
+static inline __attribute__((always_inline)) void count_block(
     const uint64_t *pa, const uint64_t *pb, const uint64_t *pe,
-    int64_t m, int64_t total, int64_t stride, uint64_t mask,
-    uint64_t *lv /* 16 level words out */)
+    int64_t m, int64_t n_extra, int64_t stride, int levels, int nb,
+    uint64_t lv[MAX_LEVELS][COUNT_BLOCK])
 {
-    uint64_t ones = 0, twos = 0, fours = 0;
-    uint64_t l3 = 0, l4 = 0, l5 = 0, l6 = 0, l7 = 0;
-    uint64_t hi[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    uint64_t c, t;
+    uint64_t c[COUNT_BLOCK];
+    for (int l = 0; l < levels; l++)
+        for (int j = 0; j < nb; j++)
+            lv[l][j] = 0;
     int64_t i = 0;
-    for (; i + 8 <= total; i += 8) {
-        uint64_t c0, c1, c2, c3, d0, d1, e0;
-        CSA(c0, ones, plane_word(pa, pb, pe, m, stride, i + 0, mask),
-                      plane_word(pa, pb, pe, m, stride, i + 1, mask));
-        CSA(c1, ones, plane_word(pa, pb, pe, m, stride, i + 2, mask),
-                      plane_word(pa, pb, pe, m, stride, i + 3, mask));
-        CSA(c2, ones, plane_word(pa, pb, pe, m, stride, i + 4, mask),
-                      plane_word(pa, pb, pe, m, stride, i + 5, mask));
-        CSA(c3, ones, plane_word(pa, pb, pe, m, stride, i + 6, mask),
-                      plane_word(pa, pb, pe, m, stride, i + 7, mask));
-        CSA(d0, twos, c0, c1);
-        CSA(d1, twos, c2, c3);
-        CSA(e0, fours, d0, d1);
-        c = e0;
-        do {
-            if (!c) break;
-            t = l3 & c; l3 ^= c; c = t; if (!c) break;
-            t = l4 & c; l4 ^= c; c = t; if (!c) break;
-            t = l5 & c; l5 ^= c; c = t; if (!c) break;
-            t = l6 & c; l6 ^= c; c = t; if (!c) break;
-            t = l7 & c; l7 ^= c; c = t;
-            for (int l = 0; c && l < 8; l++) {
-                t = hi[l] & c; hi[l] ^= c; c = t;
-            }
-        } while (0);
+    for (; i + 8 <= m; i += 8) {
+        const uint64_t *a = pa + i * stride, *b = pb + i * stride;
+        for (int j = 0; j < nb; j++) {
+            uint64_t p[8], c0, c1, c2, c3, d0, d1;
+            for (int k = 0; k < 8; k++)
+                p[k] = ~(a[k * stride + j] ^ b[k * stride + j]);
+            CSA(c0, lv[0][j], p[0], p[1]);
+            CSA(c1, lv[0][j], p[2], p[3]);
+            CSA(c2, lv[0][j], p[4], p[5]);
+            CSA(c3, lv[0][j], p[6], p[7]);
+            CSA(d0, lv[1][j], c0, c1);
+            CSA(d1, lv[1][j], c2, c3);
+            CSA(c[j], lv[2][j], d0, d1);
+        }
+        RIPPLE(lv, c, 3, levels, nb)
     }
-    for (; i < total; i++) {
-        c = plane_word(pa, pb, pe, m, stride, i, mask);
-        do {
-            if (!c) break;
-            t = ones & c; ones ^= c; c = t; if (!c) break;
-            t = twos & c; twos ^= c; c = t; if (!c) break;
-            t = fours & c; fours ^= c; c = t; if (!c) break;
-            t = l3 & c; l3 ^= c; c = t; if (!c) break;
-            t = l4 & c; l4 ^= c; c = t; if (!c) break;
-            t = l5 & c; l5 ^= c; c = t; if (!c) break;
-            t = l6 & c; l6 ^= c; c = t; if (!c) break;
-            t = l7 & c; l7 ^= c; c = t;
-            for (int l = 0; c && l < 8; l++) {
-                t = hi[l] & c; hi[l] ^= c; c = t;
-            }
-        } while (0);
+    for (; i < m; i++) {
+        for (int j = 0; j < nb; j++)
+            c[j] = ~(pa[i * stride + j] ^ pb[i * stride + j]);
+        RIPPLE(lv, c, 0, levels, nb)
     }
-    lv[0] = ones; lv[1] = twos; lv[2] = fours;
-    lv[3] = l3; lv[4] = l4; lv[5] = l5; lv[6] = l6; lv[7] = l7;
-    for (int l = 0; l < 8; l++)
-        lv[8 + l] = hi[l];
+    for (int64_t e = 0; e < n_extra; e++) {
+        for (int j = 0; j < nb; j++)
+            c[j] = pe[e * stride + j];
+        RIPPLE(lv, c, 0, levels, nb)
+    }
 }
 
-/* Gather byte j of eight level words into one 8x8 bit matrix; after
- * transpose8, byte k is the (<= 8-bit) column count at t = 8j + k. */
-static inline uint64_t decode_slice(const uint64_t *lv, int j)
+/* Gather byte j of the n level words lv[0], lv[COUNT_BLOCK], ... into
+ * one 8x8 bit matrix; after transpose8, byte k holds those levels of
+ * the count at t = 8j + k. */
+static inline uint64_t decode_slice(const uint64_t *lv, int n, int j)
 {
     uint64_t x = 0;
-    for (int l = 0; l < 8; l++)
-        x |= ((lv[l] >> (8 * j)) & 0xFFULL) << (8 * l);
+    for (int l = 0; l < n; l++)
+        x |= ((lv[l * COUNT_BLOCK] >> (8 * j)) & 0xFFULL) << (8 * l);
     return transpose8(x);
 }
 
-#define FUSED_COUNTS(NAME, OUT_T, HAS_HI)                                     \
+/* Stage 2: the first nt (<= 64) counts of one word from its `levels`
+ * level words lv[0], lv[COUNT_BLOCK], ..., written to out as uint8
+ * (wide = 0, levels <= 8) or uint16 (wide = 1).  A full word takes one
+ * masked add per level on AVX-512BW, and a broadcast plus a bit-select
+ * compare per level on AVX2.  The portable build and the partial tail
+ * word (whose stores must stop at the row's end) take 8x8 bit
+ * transposes. */
+static inline __attribute__((always_inline)) void expand_counts(
+    const uint64_t *lv, int levels, int64_t nt, void *out, int wide)
+{
+#if defined(__AVX512BW__)
+    if (nt == 64 && !wide) {
+        __m512i acc = _mm512_setzero_si512();
+        for (int l = 0; l < levels; l++)
+            acc = _mm512_mask_add_epi8(acc, (__mmask64)lv[l * COUNT_BLOCK],
+                                       acc, _mm512_set1_epi8((char)(1 << l)));
+        _mm512_storeu_si512(out, acc);
+        return;
+    }
+    if (nt == 64) {
+        __m512i lo = _mm512_setzero_si512(), hi = _mm512_setzero_si512();
+        for (int l = 0; l < levels; l++) {
+            __m512i bit = _mm512_set1_epi16((short)(1 << l));
+            uint64_t w = lv[l * COUNT_BLOCK];
+            lo = _mm512_mask_add_epi16(lo, (__mmask32)w, lo, bit);
+            hi = _mm512_mask_add_epi16(hi, (__mmask32)(w >> 32), hi, bit);
+        }
+        _mm512_storeu_si512(out, lo);
+        _mm512_storeu_si512((uint16_t *)out + 32, hi);
+        return;
+    }
+#elif defined(__AVX2__)
+    if (nt == 64 && !wide) {
+        /* Byte k of a 32-cycle half needs bit k of the half's word:
+         * spread byte k / 8 of it to byte k, keep bit k % 8, compare. */
+        const __m256i spread = _mm256_setr_epi8(
+            0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1,
+            2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3);
+        const __m256i select = _mm256_set1_epi64x(0x8040201008040201LL);
+        for (int h = 0; h < 2; h++) {
+            __m256i acc = _mm256_setzero_si256();
+            for (int l = levels - 1; l >= 0; l--) {
+                __m256i x = _mm256_set1_epi32(
+                    (int)(uint32_t)(lv[l * COUNT_BLOCK] >> (32 * h)));
+                x = _mm256_and_si256(_mm256_shuffle_epi8(x, spread), select);
+                /* acc = 2 acc + bit: the compare yields -1 where set. */
+                acc = _mm256_sub_epi8(_mm256_add_epi8(acc, acc),
+                                      _mm256_cmpeq_epi8(x, select));
+            }
+            _mm256_storeu_si256((__m256i *)((uint8_t *)out + 32 * h), acc);
+        }
+        return;
+    }
+    if (nt == 64) {
+        /* Lane k of a 16-cycle quarter needs bit k of the quarter's word. */
+        const __m256i select = _mm256_setr_epi16(
+            1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192,
+            16384, (short)0x8000);
+        for (int q = 0; q < 4; q++) {
+            __m256i acc = _mm256_setzero_si256();
+            for (int l = levels - 1; l >= 0; l--) {
+                __m256i x = _mm256_set1_epi16(
+                    (short)(uint16_t)(lv[l * COUNT_BLOCK] >> (16 * q)));
+                acc = _mm256_sub_epi16(
+                    _mm256_add_epi16(acc, acc),
+                    _mm256_cmpeq_epi16(_mm256_and_si256(x, select), select));
+            }
+            _mm256_storeu_si256((__m256i *)((uint16_t *)out + 16 * q), acc);
+        }
+        return;
+    }
+#endif
+    for (int j = 0; 8 * j < nt; j++) {
+        uint64_t lo = decode_slice(lv, levels < 8 ? levels : 8, j);
+        uint64_t hi = wide ? decode_slice(lv + 8 * COUNT_BLOCK, levels - 8, j)
+                           : 0;
+        int64_t nc = nt - 8 * j < 8 ? nt - 8 * j : 8;
+        if (!wide && nc == 8) {
+            memcpy((uint8_t *)out + 8 * j, &lo, 8);
+            continue;
+        }
+        for (int k = 0; k < nc; k++) {
+            unsigned v = (unsigned)(((lo >> (8 * k)) & 0xFF) |
+                                    (((hi >> (8 * k)) & 0xFF) << 8));
+            if (wide)
+                ((uint16_t *)out)[8 * j + k] = (uint16_t)v;
+            else
+                ((uint8_t *)out)[8 * j + k] = (uint8_t)v;
+        }
+    }
+}
+
+/* Count and expand words [w, w + nb) of one row. */
+#define COUNT_WORDS(nb, wide)                                                 \
+    do {                                                                      \
+        uint64_t lv[MAX_LEVELS][COUNT_BLOCK];                                 \
+        count_block(ra + w, rb + w, re ? re + w : 0, m, n_extra, n_words,     \
+                    levels, (nb), lv);                                        \
+        for (int j = 0; j < (nb); j++, w++) {                                 \
+            int64_t nt = length - 64 * w < 64 ? length - 64 * w : 64;         \
+            expand_counts(&lv[0][j], levels, nt, cnt + 64 * w, (wide));       \
+        }                                                                     \
+    } while (0)
+
+#define FUSED_COUNTS(NAME, OUT_T, WIDE)                                       \
 void NAME(                                                                    \
     const uint64_t *a, const uint64_t *b, const uint64_t *extra,              \
     int64_t d0, int64_t d1, int64_t d2,                                       \
@@ -144,7 +244,10 @@ void NAME(                                                                    \
     int64_t n_words, int64_t length, uint64_t tail,                           \
     OUT_T *out)                                                               \
 {                                                                             \
-    int64_t total = m + n_extra;                                              \
+    (void)tail; /* see count_block */                                         \
+    int levels = 0;                                                           \
+    while ((m + n_extra) >> levels)                                           \
+        levels++;                                                             \
     int64_t row = 0;                                                          \
     for (int64_t i0 = 0; i0 < d0; i0++)                                       \
     for (int64_t i1 = 0; i1 < d1; i1++)                                       \
@@ -154,29 +257,13 @@ void NAME(                                                                    \
         const uint64_t *re =                                                  \
             extra ? extra + i0 * es0 + i1 * es1 + i2 * es2 : 0;               \
         OUT_T *cnt = out + row * length;                                      \
-        for (int64_t w = 0; w < n_words; w++) {                               \
-            uint64_t mask = (w == n_words - 1) ? tail : ALL_ONES;             \
-            uint64_t lv[16];                                                  \
-            count_column(ra + w, rb + w, re ? re + w : 0,                     \
-                         m, total, n_words, mask, lv);                        \
-            int64_t t0 = w * 64;                                              \
-            int64_t tmax = length - t0;                                       \
-            if (tmax > 64) tmax = 64;                                         \
-            for (int j = 0; 8 * j < tmax; j++) {                              \
-                uint64_t lo = decode_slice(lv, j);                            \
-                int64_t nb = tmax - 8 * j;                                    \
-                if (nb > 8) nb = 8;                                           \
-                if (!HAS_HI && nb == 8) {                                     \
-                    memcpy(cnt + t0 + 8 * j, &lo, 8);                         \
-                } else {                                                      \
-                    uint64_t hib = HAS_HI ? decode_slice(lv + 8, j) : 0;      \
-                    for (int k = 0; k < nb; k++)                              \
-                        cnt[t0 + 8 * j + k] = (OUT_T)(                        \
-                            ((lo >> (8 * k)) & 0xFF) |                        \
-                            (((hib >> (8 * k)) & 0xFF) << 8));                \
-                }                                                             \
-            }                                                                 \
-        }                                                                     \
+        int64_t w = 0;                                                        \
+        while (n_words - w >= COUNT_BLOCK)                                    \
+            COUNT_WORDS(COUNT_BLOCK, WIDE);                                   \
+        if (n_words - w >= 4)                                                 \
+            COUNT_WORDS(4, WIDE);                                             \
+        while (w < n_words)                                                   \
+            COUNT_WORDS(1, WIDE);                                             \
     }                                                                         \
 }
 

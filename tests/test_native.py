@@ -9,8 +9,10 @@ for it; and ``workers`` shards its batches across threads without
 changing a single score.
 """
 
+import ctypes
 import io
 import logging
+import mmap
 import os
 import platform
 import subprocess
@@ -95,6 +97,85 @@ def test_fused_counts_broadcast_and_u16():
     assert got is not None
     assert got.dtype == np.uint16
     np.testing.assert_array_equal(got, expected)
+
+
+# Every total up to 40 and every level edge (2^k - 1, 2^k, 2^k + 1) up to
+# the first uint16 totals, so that all-one products reach each top level
+# bit.
+_SWEEP_TOTALS = list(range(1, 41)) + [
+    63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512, 513,
+]
+# Every tail of a one- to three-word row, a lone four-word block, one
+# eight-word block with a one-bit tail word, a block plus two one-word
+# remainders, two blocks with the tail in the second, and 16 blocks.
+_SWEEP_LENGTHS = list(range(1, 131)) + [256, 449, 577, 1000, 8192]
+
+
+def _sweep_cases():
+    # Each length with one uint8 and one uint16 total, each total with a
+    # lone word, a block plus remainders and a tail inside a block.
+    for i, length in enumerate(_SWEEP_LENGTHS):
+        yield _SWEEP_TOTALS[i % len(_SWEEP_TOTALS)], length
+        yield (257, 513)[i % 2], length
+    for total in _SWEEP_TOTALS:
+        for length in (64, 577, 1000):
+            yield total, length
+
+
+def _guarded(arr):
+    """``arr`` copied into memory that ends where an unreadable page
+    begins, so a kernel reading past its last word faults."""
+    libc = ctypes.CDLL(None, use_errno=True)
+    page = mmap.PAGESIZE
+    size = -(-arr.nbytes // page) * page
+    region = mmap.mmap(-1, size + page)
+    base = ctypes.addressof(ctypes.c_char.from_buffer(region))
+    if libc.mprotect(ctypes.c_void_p(base + size), page, 0):  # PROT_NONE
+        raise OSError(ctypes.get_errno(), "mprotect failed")
+    out = np.frombuffer(region, arr.dtype, arr.size, size - arr.nbytes)
+    out = out.reshape(arr.shape)
+    out[...] = arr
+    return out
+
+
+def _sweep_operands(rng, total, length):
+    """Broadcast ``(3, 3)`` rows whose products are random, all one and
+    all zero (with extra planes to match), ``total`` planes in all."""
+    n_extra = min(total - 1, total % 3)
+    m = total - n_extra
+
+    def rows(k, kinds):
+        bits = np.stack([
+            rng.random((k, length)) < 0.5 if kind == "random"
+            else np.full((k, length), kind == "ones")
+            for kind in kinds
+        ])
+        return _guarded(pack_bits(bits))
+
+    a = rows(m, ("random", "ones", "ones"))[:, None]
+    b = rows(m, ("random", "ones", "zeros"))[None]
+    extra = rows(n_extra, ("random", "ones", "zeros"))[:, None] if n_extra else None
+    return a, b, extra
+
+
+@needs_native
+def test_fused_counts_sweep_matches_numpy():
+    """The compiled fused counts equal the NumPy kernel over every total
+    and length of a small domain, for both count widths, on zero-stride
+    leading axes, without reading past the operands (they end at an
+    unreadable page) or writing past the counts."""
+    rng = np.random.default_rng(0)
+    for total, length in _sweep_cases():
+        a, b, extra = _sweep_operands(rng, total, length)
+        expected = fused_xnor_column_counts(a, b, length, extra=extra)
+        assert expected.dtype == (np.uint8 if total <= 255 else np.uint16)
+        buf = np.full(expected.size + 64, 0xA5, expected.dtype)
+        out = buf[: expected.size].reshape(expected.shape)
+        case = f"total {total}, N {length}"
+        got = native.fused_xnor_column_counts(a, b, length, extra=extra, out=out)
+        assert got is out, case
+        np.testing.assert_array_equal(out, expected, err_msg=case)
+        assert (buf[expected.size :] == 0xA5).all(), f"wrote past counts: {case}"
 
 
 @needs_native
