@@ -561,7 +561,7 @@ def bench_thread_scaling(length: int, n_images: int, worker_counts) -> list:
                 )
                 continue
             options = PredictOptions(workers=workers)
-            session.predict(images, options)  # warm the replica pool
+            session.predict(images, options)  # warm every shard's replica
             entries.append(
                 _entry(
                     THREAD_SWEEP,

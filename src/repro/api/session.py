@@ -11,7 +11,7 @@ One object, three verbs::
 A session wraps one :class:`~repro.api.artifact.ScModel` (loaded from an
 artifact or built from a freshly trained network), owns the
 :class:`~repro.nn.sc_layers.ScNetworkMapper` and a cache of constructed
-execution backends, resolves per-request
+execution backends (one replica per ``workers`` shard), resolves per-request
 :class:`~repro.config.PredictOptions` against the model's stream length,
 and hands the micro-batching service and the worker fleet everything they
 need (the fleet's worker processes rehydrate from the artifact path).
@@ -24,21 +24,21 @@ points should not talk to mapper internals directly.
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.api.artifact import ScModel
-from repro.backends import ParallelBackend, backend_class, create_backend
+from repro.backends import Backend, backend_class, create_backend
 from repro.config import FleetConfig, PredictOptions, ServiceConfig
 from repro.errors import ConfigurationError
 from repro.serve import FleetRouter, ScInferenceService, progressive_forward
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from repro.backends.base import Backend
     from repro.nn.layers import Network
     from repro.nn.sc_layers import ScNetworkMapper
 
@@ -103,9 +103,12 @@ class Session:
         **backend_options: default constructor options for every backend
             this session builds (e.g. ``position_chunk``).
 
+    The session caches its backends per name, options and replica index.
     :meth:`predict` and :meth:`evaluate` are safe to call from several
-    threads: each cached backend runs one call at a time.  The instance
-    :meth:`backend` returns is that shared one and is not.
+    threads: each cached replica runs one call at a time, and a
+    ``workers`` call holds only the lock of the replica each shard runs
+    on.  The instance :meth:`backend` returns is the shared replica 0 and
+    is not.
     """
 
     def __init__(
@@ -120,8 +123,9 @@ class Session:
         self.backend_name = backend
         self.artifact_path = Path(artifact_path) if artifact_path else None
         self.backend_options = dict(backend_options)
-        self._backends: dict[tuple, "Backend"] = {}
-        # One lock per cached backend: a packed backend owns one workspace
+        # Keyed (name, replica index, options).
+        self._backends: dict[tuple, Backend] = {}
+        # One lock per cached replica: a packed backend owns one workspace
         # and must not run two forwards at once.
         self._backend_locks: dict[tuple, threading.Lock] = {}
         self._cache_lock = threading.Lock()
@@ -187,52 +191,95 @@ class Session:
             self.artifact_path = saved
         return saved
 
-    def backend(self, name: str | None = None, **options: object) -> "Backend":
+    def backend(self, name: str | None = None, **options: object) -> Backend:
         """A backend executing this session's model (cached per options).
+
+        It is replica 0 of ``name``: the backend that unsharded
+        :meth:`predict` and :meth:`evaluate` calls run on.
 
         Args:
             name: registry name; ``None`` uses the session default.
             **options: backend constructor options, merged over the
                 session-level defaults.
         """
-        return self._executor(name, None, options)[0]
+        return self._replica(name, options, 0)[0]
 
-    def _executor(
-        self, name: str | None, workers: int | None, options: dict
-    ) -> tuple["Backend", "threading.Lock | nullcontext"]:
-        """Cached backend ``name``, thread-sharded when ``workers > 1``,
-        with the lock a caller holds while running it.
+    def _replica(
+        self, name: str | None, options: dict, index: int
+    ) -> tuple[Backend, "threading.Lock | nullcontext"]:
+        """Cached replica ``index`` of backend ``name``, with the lock a
+        caller holds while running it.
 
-        The one place a ``workers`` request turns into an executor: the
-        chosen backend rides along as the inner backend of a
-        :class:`~repro.backends.ParallelBackend`, which rejects backends
-        that are not ``batch_invariant``.
+        Replica 0 serves unsharded calls; a ``workers`` call runs its
+        shard ``i`` on replica ``i``.  Each replica owns its own
+        workspace arena.
         """
         if self._closed:
             raise ConfigurationError("session is closed")
         name = name or self.backend_name
         merged = {**self.backend_options, **options}
-        workers = max(1, workers or 1)
-
-        def build() -> "Backend":
-            if workers == 1:
-                return create_backend(name, self.mapper, **merged)
-            return ParallelBackend(
-                self.mapper, workers, inner_backend=name, **merged
-            )
-
-        key = (name, workers, tuple(sorted(merged.items())))
+        key = (name, index, tuple(sorted(merged.items())))
         try:
             hash(key)
         except TypeError:
             # Unhashable option values: construct without caching; the
             # instance belongs to this call alone.
-            return build(), nullcontext()
+            return create_backend(name, self.mapper, **merged), nullcontext()
         with self._cache_lock:
             if key not in self._backends:
-                self._backends[key] = build()
+                self._backends[key] = create_backend(name, self.mapper, **merged)
                 self._backend_locks[key] = threading.Lock()
             return self._backends[key], self._backend_locks[key]
+
+    def _sharded(
+        self,
+        name: str | None,
+        options: dict,
+        workers: int | None,
+        images: np.ndarray,
+        run: Callable[[Backend, np.ndarray], object],
+    ) -> list:
+        """``run(replica, shard)`` over contiguous shards of ``images``.
+
+        The batch is cut into ``min(workers, batch)`` near-equal shards;
+        shard ``i`` runs on replica ``i`` under that replica's lock, shard
+        0 on the calling thread and the rest on a pool made for this
+        call.  The compiled kernels release the GIL, so the shards
+        overlap.  Sharding only moves where an image runs, which is why it
+        needs a ``batch_invariant`` backend.
+
+        Returns:
+            The shards' results, in batch order.
+        """
+        name = name or self.backend_name
+        workers = 1 if workers is None else workers
+        if workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
+        if workers > 1 and not backend_class(name).batch_invariant:
+            raise ConfigurationError(
+                f"backend {name!r} is not batch-invariant: sharding "
+                "its batches across workers would change per-image scores"
+            )
+        images = Backend._check_images(images)
+        count = max(1, min(workers, images.shape[0]))
+        bounds = np.linspace(0, images.shape[0], count + 1).astype(int)
+        jobs = [
+            (self._replica(name, options, i), images[start:stop])
+            for i, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:]))
+        ]
+
+        def call(job):
+            (replica, lock), shard = job
+            with lock:
+                return run(replica, shard)
+
+        if count == 1:
+            return [call(jobs[0])]
+        with ThreadPoolExecutor(
+            count - 1, thread_name_prefix="repro-shard"
+        ) as pool:
+            rest = [pool.submit(call, job) for job in jobs[1:]]
+            return [call(jobs[0])] + [future.result() for future in rest]
 
     # -- inference -------------------------------------------------------------
 
@@ -249,8 +296,8 @@ class Session:
         explicit per-request ``stream_length`` / ``checkpoints`` schedule
         is read from stream prefixes (requires a progressive backend);
         ``early_exit`` applies the serving layer's stability + margin
-        policy.  ``deadline_ms`` only has meaning under the queueing
-        service and is ignored here.
+        policy, image by image.  ``deadline_ms`` only has meaning under
+        the queueing service and is ignored here.
 
         Args:
             images: ``(batch, channels, height, width)`` images in
@@ -260,29 +307,39 @@ class Session:
                 forward pass.
             backend: registry name overriding the session default.
         """
-        resolved = (options or PredictOptions()).resolve(self.stream_length)
-        executor, lock = self._executor(backend, resolved.workers, {})
-        if resolved.explicit_schedule and not executor.progressive:
+        options = options or PredictOptions()
+        resolved = options.resolve(self.stream_length)
+        cls = backend_class(backend or self.backend_name)
+        if resolved.explicit_schedule and not cls.progressive:
             raise ConfigurationError(
-                f"backend {executor.name!r} is not progressive: per-request "
+                f"backend {cls.name!r} is not progressive: per-request "
                 "stream lengths / checkpoint schedules need stream-prefix "
                 "evaluation (pick a backend whose 'progressive' flag is set)"
             )
-        with lock:
-            result = progressive_forward(
-                executor,
-                images,
+        parts = self._sharded(
+            backend,
+            {},
+            options.workers,
+            images,
+            lambda replica, shard: progressive_forward(
+                replica,
+                shard,
                 resolved.checkpoints if resolved.explicit_schedule else None,
                 early_exit=resolved.early_exit,
-            )
+            ),
+        )
         return PredictResult(
-            scores=result.scores,
-            predictions=result.predictions,
-            exit_checkpoints=result.exit_checkpoints,
+            scores=np.concatenate([p.scores for p in parts]),
+            predictions=np.concatenate([p.predictions for p in parts]),
+            exit_checkpoints=np.concatenate(
+                [p.exit_checkpoints for p in parts]
+            ),
             stream_length=resolved.stream_length,
-            checkpoints=result.checkpoints,
-            checkpoint_scores=result.checkpoint_scores,
-            backend=executor.name,
+            checkpoints=parts[0].checkpoints,
+            checkpoint_scores=np.concatenate(
+                [p.checkpoint_scores for p in parts], axis=1
+            ),
+            backend=cls.name,
         )
 
     def evaluate(
@@ -315,12 +372,16 @@ class Session:
             raise ConfigurationError("max_images must be >= 1")
         images = np.asarray(images)[:max_images]
         labels = np.asarray(labels)[:max_images]
-        executor, lock = self._executor(backend, workers, options)
-        with lock:
-            accuracy = executor.accuracy(images, labels)
-        return InferenceResult(
-            accuracy, len(labels), self.stream_length, executor.name
+        parts = self._sharded(
+            backend,
+            options,
+            workers,
+            images,
+            lambda replica, shard: replica.predict(shard),
         )
+        accuracy = float((np.concatenate(parts) == labels).mean())
+        mode = backend_class(backend or self.backend_name).name
+        return InferenceResult(accuracy, len(labels), self.stream_length, mode)
 
     def serve(
         self,
@@ -386,20 +447,23 @@ class Session:
         The session-level analogue of
         ``ScInferenceService.snapshot()["kernels"]`` for direct
         ``predict`` / ``evaluate`` use: per-kernel, per-tier invocation
-        counters merged across every backend the session has built, plus
-        each backend's workspace-arena statistics.
+        counters merged across every backend replica the session has
+        built, plus each replica's workspace-arena statistics, tagged
+        with its backend name and replica index.
         """
         from repro.obs import merge_kernel_snapshots
 
-        backends = list(self._backends.values())
+        cached = list(self._backends.items())
         workspaces = []
-        for executor in backends:
-            stats = executor.workspace_stats()
+        for (_, replica, _), backend in cached:
+            stats = backend.workspace_stats()
             if stats is not None:
-                workspaces.append({"backend": executor.name, **stats})
+                workspaces.append(
+                    {"backend": backend.name, "replica": replica, **stats}
+                )
         return {
             "kernels": merge_kernel_snapshots(
-                executor.kernel_snapshot() for executor in backends
+                backend.kernel_snapshot() for _, backend in cached
             ),
             "workspaces": workspaces,
         }
@@ -407,12 +471,10 @@ class Session:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Release every cached backend (thread pools, arenas)."""
+        """Drop every cached backend; later calls raise."""
         if self._closed:
             return
         self._closed = True
-        for executor in self._backends.values():
-            executor.close()
         self._backends.clear()
         self._backend_locks.clear()
 

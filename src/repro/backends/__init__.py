@@ -7,25 +7,25 @@ strategy* that evaluates it.  Every strategy implements the
 a string key, so engines, reports, examples and benchmarks select an
 execution path by name:
 
-========================= ========= ========== ======= =========== =====================
-name                      bit-exact stochastic packed  progressive what it runs
-========================= ========= ========== ======= =========== =====================
-``float``                 no        no         --      no          trained float network
-``sc-fast``               no        yes        --      yes         fast statistical model
-``bit-exact-legacy``        yes     yes        no      yes         per-image oracle
-``bit-exact-packed``        yes     yes        yes     yes         packed data plane
-``bit-exact-native``        yes     yes        yes     yes         alias of bit-exact-packed
-========================= ========= ========== ======= =========== =====================
+========================= ========= =========== =====================
+name                      bit-exact progressive what it runs
+========================= ========= =========== =====================
+``float``                 no        no          trained float network
+``sc-fast``               no        yes         fast statistical model
+``bit-exact-legacy``      yes       yes         per-image oracle
+``bit-exact-packed``      yes       yes         packed data plane
+``bit-exact-native``      yes       yes         alias of bit-exact-packed
+========================= ========= =========== =====================
 
 All ``bit-exact-*`` backends produce *identical* scores; they only
 differ in speed.  ``bit-exact-packed`` runs its hot kernels on the
 compiled tier of :mod:`repro.sc.native` whenever it is available
 (``use_native=False`` or ``REPRO_NATIVE=0`` force NumPy).
 ``batch_invariant`` backends guarantee per-image scores
-independent of batch composition, which is what lets
-:class:`~repro.backends.parallel.ParallelBackend` shard one batch across
-threads bit-exactly -- the unregistered wrapper every ``workers`` option
-selects.  ``progressive`` backends additionally implement
+independent of batch composition, which is what lets a ``workers``
+option of :class:`~repro.api.Session` shard one batch across threads,
+one backend replica per shard, bit-exactly.  ``progressive`` backends
+additionally implement
 :meth:`~repro.backends.base.Backend.forward_partial` (class scores at
 intermediate stream-length checkpoints), the primitive the serving layer
 (:mod:`repro.serve`) uses for micro-batched inference with
@@ -38,7 +38,6 @@ flags, implement ``forward``, and decorate the class with
 from repro.backends.base import Backend
 from repro.backends.native import BitExactNativeBackend
 from repro.backends.packed import BitExactPackedBackend
-from repro.backends.parallel import ParallelBackend
 from repro.backends.registry import (
     backend_class,
     backend_names,
@@ -64,5 +63,4 @@ __all__ = [
     "BitExactLegacyBackend",
     "BitExactPackedBackend",
     "BitExactNativeBackend",
-    "ParallelBackend",
 ]

@@ -14,10 +14,6 @@ Capability flags describe what a backend guarantees:
 * ``bit_exact`` -- the scores come from simulating actual bit streams
   through the block implementations (all ``bit-exact-*`` backends produce
   *identical* scores, they only differ in speed).
-* ``stochastic`` -- the scores depend on sampled randomness (stream
-  generation or injected decoding noise); deterministic given the seed.
-* ``packed_data_plane`` -- inter-layer feature maps stay word-packed
-  (``uint64``) end to end.
 * ``progressive`` -- the backend can evaluate class scores at
   intermediate stream-length checkpoints (:meth:`Backend.forward_partial`),
   which is what the progressive-precision early exit of the serving layer
@@ -59,12 +55,6 @@ class Backend(abc.ABC):
     #: True when scores come from simulating actual bit streams.
     bit_exact: ClassVar[bool] = False
 
-    #: True when scores depend on sampled randomness (given the seed).
-    stochastic: ClassVar[bool] = True
-
-    #: True when inter-layer feature maps stay word-packed end to end.
-    packed_data_plane: ClassVar[bool] = False
-
     #: True when the backend implements :meth:`forward_partial` (scores at
     #: intermediate stream-length checkpoints for progressive early exit).
     progressive: ClassVar[bool] = False
@@ -72,7 +62,7 @@ class Backend(abc.ABC):
     #: True when each image's scores are independent of which other images
     #: share its batch (``forward(images)[i] == forward(images[i:i+1])[0]``
     #: for every ``i``).  This is what makes a backend safe to shard
-    #: across threads (:mod:`repro.backends.parallel`) and to
+    #: across threads (``workers`` in :class:`repro.api.Session`) and to
     #: micro-batch transparently (:mod:`repro.serve`).  All bit-exact
     #: backends hold it by construction (stream draws are shared across
     #: the batch); ``sc-fast`` does not (its injected decoding noise is
@@ -206,37 +196,12 @@ class Backend(abc.ABC):
             "capability flag is set"
         )
 
-    def close(self) -> None:
-        """Release backend-held resources (thread pools, arenas).
-
-        The contract every backend must honour:
-
-        * **Idempotent** -- calling ``close()`` any number of times is
-          safe and cheap; a second close is a no-op.
-        * **Use-after-close** -- backends that own operating-system
-          resources (e.g. the thread pool of
-          :class:`~repro.backends.parallel.ParallelBackend`) must reject
-          ``forward`` / ``forward_partial`` after ``close()`` with a
-          :class:`~repro.errors.ConfigurationError` rather than silently
-          resurrecting the resource.  Pure in-process backends (whose
-          default ``close()`` is this no-op) remain usable.
-        * **Never raises** on resources that are already gone -- close
-          is called from ``__exit__`` paths, GC finalizers and the
-          serving layer's shutdown, where a secondary failure would mask
-          the primary one.
-
-        The serving layer closes every worker replica on shutdown, and
-        its replica supervision closes a failed replica before building
-        its replacement.
-        """
-
     def kernel_snapshot(self) -> dict:
         """Per-kernel, per-tier invocation counters of this backend.
 
         Backends with an instrumented kernel seam (the packed data
         plane, see :mod:`repro.obs.counters`) expose a ``counters``
-        attribute; everything else reports empty.  Sharded wrappers
-        override this to aggregate across their replicas.
+        attribute; everything else reports empty.
 
         Returns:
             ``{kernel: {tier: {"calls", "seconds", "bytes"}}}``.
@@ -259,11 +224,6 @@ class Backend(abc.ABC):
     def predict(self, images: np.ndarray) -> np.ndarray:
         """Predicted class indices for a batch of images."""
         return np.argmax(self.forward(images), axis=1)
-
-    def accuracy(self, images: np.ndarray, labels: np.ndarray) -> float:
-        """Fraction of correctly classified images."""
-        predictions = self.predict(images)
-        return float((predictions == np.asarray(labels)).mean())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -11,8 +11,8 @@ all the way to the categorization chain, and executes every layer through
   (:meth:`~repro.nn.sc_layers.ScNetworkMapper.stream_plane`): the input
   comparison draws and every layer's packed weight and bias words depend
   only on the model, its seed, ``N`` and the input shape, so they are
-  drawn once per mapper and shape and shared read-only by every backend,
-  service replica and ``workers`` shard built on it.  A forward's SNG is
+  drawn once per mapper and shape and shared read-only by every backend
+  and replica built on it.  A forward's SNG is
   then one compare-and-pack of the images against the cached draws
   (:meth:`~repro.nn.sc_layers.ScNetworkMapper.input_stream_words`).
   Entries past the mapper's byte budget are redrawn word-direct from
@@ -78,6 +78,7 @@ from repro.nn.sc_layers import ScNetworkMapper, StreamPlane
 from repro.obs.counters import KernelCounters
 from repro.sc import native
 from repro.sc.packed import (
+    count_dtype,
     fused_xnor_column_counts,
     fused_xnor_majority_chain,
     ones_count,
@@ -105,16 +106,14 @@ class BitExactPackedBackend(Backend):
 
     A backend instance owns one :class:`~repro.workspace.Workspace` and is
     therefore **not** safe for concurrent ``forward()`` calls from several
-    threads; give each thread (or serving-worker replica) its own
-    instance, which is what :class:`~repro.serve.ScInferenceService` and
-    the thread-sharded :class:`~repro.backends.ParallelBackend` do anyway.
+    threads; give each thread its own instance, as the replicas of
+    :class:`~repro.serve.ScInferenceService` and the per-shard replicas of
+    :class:`~repro.api.Session` are.
     """
 
     name = "bit-exact-packed"
     description = "bit-exact simulation on a word-packed end-to-end data plane"
     bit_exact = True
-    stochastic = True
-    packed_data_plane = True
     progressive = True
     batch_invariant = True
 
@@ -342,11 +341,6 @@ class BitExactPackedBackend(Backend):
             words.append(entry)
         return tuple(words)
 
-    @staticmethod
-    def _count_dtype(m_total: int):
-        """Count dtype wide enough for ``m_total`` streams (plus padding)."""
-        return np.uint8 if m_total <= 255 else np.uint16
-
     def _chunk_bytes_per_position(self, m: int, count_itemsize: int) -> int:
         """Live bytes one output position keeps during a fused chunk.
 
@@ -428,19 +422,19 @@ class BitExactPackedBackend(Backend):
         out_ch = layer.out_channels
         fan_in = layer.fan_in
         m = fan_in + 1
-        dtype = self._count_dtype(m + 1)
+        extra = self._extra_planes(bias_words, m)
+        dtype = count_dtype(fan_in + extra.shape[1])
         # Per position: the fused working set (scaled by out_ch) plus the
         # im2col patch gather, which carries the fan-in once per position
         # regardless of out_ch.
         chunk = self.position_chunk or self._auto_chunk(
             batch
             * (
-                out_ch * self._chunk_bytes_per_position(m, dtype().itemsize)
+                out_ch * self._chunk_bytes_per_position(m, dtype.itemsize)
                 + fan_in * (n // 8 + 8)
             )
         )
         row_chunk = max(1, chunk // out_w)
-        extra = self._extra_planes(bias_words, m)
         output = ws.array(
             (layer_key, "out"), (batch, out_ch, out_h * out_w, n_words), np.uint64
         )
@@ -546,11 +540,11 @@ class BitExactPackedBackend(Backend):
                 )
             return outputs
         m = in_features + 1
-        dtype = self._count_dtype(m + 1)
-        chunk = self.position_chunk or self._auto_chunk(
-            batch * self._chunk_bytes_per_position(m, dtype().itemsize)
-        )
         extra = self._extra_planes(bias_words, m)
+        dtype = count_dtype(in_features + extra.shape[1])
+        chunk = self.position_chunk or self._auto_chunk(
+            batch * self._chunk_bytes_per_position(m, dtype.itemsize)
+        )
         outputs = ws.array(
             (layer_key, "out"), (batch, layer.out_features, n_words), np.uint64
         )

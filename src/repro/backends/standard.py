@@ -46,7 +46,6 @@ class FloatBackend(Backend):
     name = "float"
     description = "trained float network (software reference)"
     bit_exact = False
-    stochastic = False
     batch_invariant = True
 
     def forward(self, images: np.ndarray) -> np.ndarray:
@@ -72,7 +71,6 @@ class FastStatisticalBackend(Backend):
     name = "sc-fast"
     description = "fast statistical SC model (quantised weights, transfer curves)"
     bit_exact = False
-    stochastic = True
     progressive = True
 
     def __init__(self, mapper: ScNetworkMapper, inject_noise: bool = True) -> None:
@@ -140,7 +138,6 @@ class BitExactLegacyBackend(Backend):
     name = "bit-exact-legacy"
     description = "per-image byte-per-bit block simulation (reference oracle)"
     bit_exact = True
-    stochastic = True
     progressive = True
     batch_invariant = True
 

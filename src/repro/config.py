@@ -506,8 +506,8 @@ class PredictOptions:
             exits at the *first* checkpoint), trading precision for
             punctuality per request.  Results evaluated under a deadline
             are never stored in the result cache.
-        workers: shard the batch across this many threads
-            (:class:`repro.backends.ParallelBackend`); honoured by
+        workers: shard the batch across this many threads, one backend
+            replica per shard; honoured by
             :meth:`repro.api.Session.predict`, which rejects it on a
             backend that is not ``batch_invariant``.  The serving layers
             scale by replicas and worker processes instead, so
@@ -572,7 +572,7 @@ class PredictOptions:
         Returns:
             The concrete evaluation plan: an effective stream length
             ``<= N``, a checkpoint schedule ending at it, and the resolved
-            early-exit / deadline / workers fields.
+            early-exit / deadline fields.
 
         Raises:
             ConfigurationError: when the requested stream length exceeds
@@ -603,7 +603,6 @@ class PredictOptions:
                 early_exit if self.early_exit is None else bool(self.early_exit)
             ),
             deadline_ms=self.deadline_ms,
-            workers=self.workers,
             explicit_schedule=(
                 self.stream_length is not None or self.checkpoints is not None
             ),
@@ -620,7 +619,6 @@ class ResolvedPredictOptions:
             :attr:`stream_length`.
         early_exit: whether the stability + margin policy may exit early.
         deadline_ms: request latency budget (``None`` = none).
-        workers: requested thread shards (``None`` = no sharding).
         explicit_schedule: the request named its own stream length or
             checkpoints (and therefore *requires* a progressive backend
             rather than degrading to a full forward pass).
@@ -630,7 +628,6 @@ class ResolvedPredictOptions:
     checkpoints: tuple[int, ...]
     early_exit: bool
     deadline_ms: float | None
-    workers: int | None
     explicit_schedule: bool = False
 
     @property

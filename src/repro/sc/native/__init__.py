@@ -15,8 +15,8 @@ Design rules every wrapper follows:
   or dtype outside the native fast path, tier unavailable) and the
   caller falls back.  No wrapper ever approximates.
 * **GIL-free.**  cffi ABI calls release the GIL for the duration of the
-  kernel, which is what makes thread-sharded execution
-  (:mod:`repro.backends.parallel`) scale.
+  kernel, which is what makes thread-sharded execution (``workers`` in
+  :class:`repro.api.Session`) scale.
 * **Allocation-free on the hot path.**  Scratch (CSA levels, output
   slabs) comes from the caller's :class:`~repro.workspace.Workspace`.
 
@@ -37,7 +37,7 @@ import threading
 import numpy as np
 
 from repro.sc.native import _build
-from repro.sc.packed import tail_mask, words_for_length
+from repro.sc.packed import count_dtype, tail_mask, words_for_length
 
 __all__ = [
     "available",
@@ -206,7 +206,7 @@ def fused_xnor_column_counts(
     m_total = m + n_extra
     if m_total > _MAX_COUNT:
         return None
-    dtype = np.dtype(np.uint8 if m_total <= 255 else np.uint16)
+    dtype = count_dtype(m_total)
     counts_shape = lead + (int(length),)
     if out is None:
         out = _ws(workspace, (key, "out"), counts_shape, dtype)

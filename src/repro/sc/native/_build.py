@@ -4,9 +4,9 @@ The native tier is deliberately dependency-light: ``_kernels.c`` is plain
 C99 with no Python.h, compiled once per host into a cached shared library
 and loaded through :mod:`cffi`'s ABI mode (``ffi.dlopen``).  ABI-mode
 calls release the GIL, which is the property thread-sharded execution
-(:mod:`repro.backends.parallel`) relies on.  The seam is intentionally small so a Numba or Cython
-drop-in can replace this module without touching the wrappers in
-:mod:`repro.sc.native`.
+(``workers`` in :class:`repro.api.Session`) relies on.  The seam is
+intentionally small so a Numba or Cython drop-in can replace this module
+without touching the wrappers in :mod:`repro.sc.native`.
 
 Everything here degrades gracefully: any failure (no compiler, no cffi,
 big-endian host, ``REPRO_NATIVE=0``) raises :class:`NativeBuildError`

@@ -2,8 +2,8 @@
  *
  * Compiled at first use into a small shared library (see _build.py) and
  * called through cffi's ABI mode, which releases the GIL around every
- * call -- that is what makes thread-sharded execution
- * (repro.backends.parallel) effective.
+ * call -- that is what makes thread-sharded execution (the workers
+ * option of repro.api.Session) effective.
  *
  * Every kernel is bit-identical to its NumPy counterpart in
  * repro.sc.packed / repro.blocks.batched: same LSB-first word layout

@@ -56,6 +56,7 @@ __all__ = [
     "packed_mux_add",
     "majority3_words",
     "majority_chain_words",
+    "count_dtype",
     "packed_column_counts",
     "fused_xnor_column_counts",
     "fused_xnor_majority_chain",
@@ -430,6 +431,17 @@ def _csa_words(
     return partial ^ c, (a & b) | (partial & c)
 
 
+def count_dtype(m_total: int) -> np.dtype:
+    """Column-count dtype for ``m_total`` counted planes: ``uint8`` up to
+    255 planes, else ``uint16``.
+
+    The one rule every counts producer and its callers size buffers by,
+    so a caller-supplied ``out`` always matches what the compiled tier
+    expects.
+    """
+    return np.dtype(np.uint8 if m_total <= 255 else np.uint16)
+
+
 def packed_column_counts(
     words: np.ndarray, length: int, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -479,7 +491,7 @@ def packed_column_counts(
                 levels.append([])
             levels[j + 1].append(a & b)
         j += 1
-    dtype = np.uint8 if m <= 255 else np.uint16
+    dtype = count_dtype(m)
     shape = words.shape[:-2] + (int(length),)
     if out is None:
         counts = np.zeros(shape, dtype=dtype)
@@ -676,7 +688,7 @@ def fused_xnor_column_counts(
         _csa_push(levels, buf, take, free)
     _csa_finalize(levels, take, free)
 
-    dtype = np.uint8 if m_total <= 255 else np.uint16
+    dtype = count_dtype(m_total)
     shape = plane_shape[:-1] + (int(length),)
     if out is None:
         counts = np.zeros(shape, dtype=dtype)

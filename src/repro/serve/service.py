@@ -37,7 +37,7 @@ transparency per bucket.
 are classified by exception type.  :class:`~repro.errors.InferenceError`
 is *request-scoped* -- the affected futures fail with it, the replica is
 presumed healthy, no retry.  Any other exception is *replica-scoped*:
-the worker closes and rebuilds its replica (exponential backoff, bounded
+the worker rebuilds its replica (exponential backoff, bounded
 by ``max_replica_restarts``) and re-executes the bucket up to
 ``max_batch_retries`` times before failing the futures with a typed
 :class:`~repro.errors.InferenceError` chaining the original cause.
@@ -648,7 +648,7 @@ class ScInferenceService:
         * :class:`~repro.errors.InferenceError` (and injected poisoned
           batches) is request-scoped: fail this bucket's futures, keep
           the replica, never retry.
-        * Anything else is replica-scoped (a crash): close and rebuild
+        * Anything else is replica-scoped (a crash): rebuild
           the worker's replica (exponential backoff, bounded by the
           per-slot restart budget) and re-execute the bucket, up to
           ``max_batch_retries`` retries.  When the budget or the retries
@@ -714,11 +714,6 @@ class ScInferenceService:
         delay = min(self.config.restart_backoff_ms / 1e3 * (2**used), 1.0)
         if delay > 0:
             time.sleep(delay)
-        old = self._replicas[index]
-        try:
-            old.close()
-        except Exception:  # pragma: no cover - close() contract says no
-            pass
         name = self.config.backend
         self._replicas[index] = create_backend(
             name, self.mapper, **self._backend_options
@@ -1167,10 +1162,6 @@ class ScInferenceService:
         self._scheduler.join()
         for worker in self._workers:
             worker.join()
-        # Release backend-held resources (e.g. workspace arenas) once no
-        # worker can touch them.
-        for replica in self._replicas:
-            replica.close()
         if self._log_mirror is not None:
             logging.getLogger("repro").removeHandler(self._log_mirror)
             self._log_mirror = None

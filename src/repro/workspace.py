@@ -12,8 +12,9 @@ followed by a full one).
 A workspace is owned by exactly one execution context (one backend
 instance, one kernel invocation) and is **not** thread-safe: two
 concurrent users of the same key would scribble over each other's data.
-Backends therefore hold one workspace per replica, which is also why the
-thread-sharded parallel backend leases every shard its own replica.
+Backends therefore hold one workspace per replica, which is also why a
+``workers`` call of :class:`repro.api.Session` runs every shard on its
+own replica.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ import pytest
 from nets import tiny_cnn
 
 from repro.api import FORMAT_VERSION, PredictOptions, ScModel, Session
-from repro.backends import ParallelBackend, create_backend
+from repro.backends import create_backend
 from repro.config import ServiceConfig
 from repro.errors import ConfigurationError
 from repro.nn.layers import Layer
@@ -387,13 +387,12 @@ class TestSession:
         options = PredictOptions(workers=2)
         session.predict(images, options)
         session.predict(images, options)
-        sharded = [
-            b for b in session._backends.values() if isinstance(b, ParallelBackend)
-        ]
-        assert len(sharded) == 1  # one cached wrapper, reused
+        # Two replicas, reused by the second call; replica 0 is the
+        # backend unsharded calls use.
+        assert sorted(key[1] for key in session._backends) == [0, 1]
         session.close()
         with pytest.raises(ConfigurationError, match="closed"):
-            sharded[0].forward(images)
+            session.predict(images, options)
 
     @pytest.mark.parametrize("backend", ["bit-exact-packed", "bit-exact-native"])
     @pytest.mark.parametrize("checkpoints", [None, (32, 64, 128)])
@@ -414,6 +413,26 @@ class TestSession:
             assert np.array_equal(
                 sharded.checkpoint_scores, plain.checkpoint_scores
             )
+
+    @pytest.mark.parametrize("checkpoints", [None, (32, 64, 128)])
+    def test_predict_workers_early_exit_bit_identical(
+        self, artifact, images, checkpoints
+    ):
+        """The early-exit policy decides image by image, so every shard
+        exits where the unsharded call does."""
+        options = {"checkpoints": checkpoints, "early_exit": True}
+        with Session.from_artifact(artifact) as session:
+            plain = session.predict(images, PredictOptions(**options))
+            sharded = session.predict(
+                images, PredictOptions(workers=2, **options)
+            )
+        assert sharded.checkpoints == plain.checkpoints
+        for field in (
+            "scores", "predictions", "exit_checkpoints", "checkpoint_scores"
+        ):
+            assert np.array_equal(
+                getattr(sharded, field), getattr(plain, field)
+            ), field
 
     def test_evaluate_workers_matches_unsharded(self, artifact, images):
         labels = [0, 1, 2, 3]

@@ -32,7 +32,6 @@ from repro.api import PredictOptions, Session
 from repro.backends import (
     Backend,
     BitExactPackedBackend,
-    ParallelBackend,
     backend_class,
     backend_names,
     create_backend,
@@ -109,10 +108,8 @@ class TestRegistry:
                     return images
 
     def test_capability_flags(self):
-        assert backend_class("float").stochastic is False
+        assert backend_class("float").bit_exact is False
         assert backend_class("bit-exact-packed").bit_exact is True
-        assert backend_class("bit-exact-packed").packed_data_plane is True
-        assert backend_class("bit-exact-legacy").packed_data_plane is False
         assert backend_class("bit-exact-packed").batch_invariant
         assert not backend_class("sc-fast").batch_invariant
 
@@ -230,105 +227,138 @@ class TestWordBlockedStepper:
         assert np.array_equal(counts, bits.sum(axis=-2))
 
 
-class TestParallelBackend:
-    """Thread-sharded execution is bit-identical to the inner backend."""
+class TestSessionSharding:
+    """A ``workers`` call shards the batch over the session's cached
+    replicas, bit-identically to the unsharded backend."""
 
-    def test_not_registered_and_named_after_inner(self, mapper):
-        assert "ParallelBackend" not in {
-            backend_class(n).__name__ for n in backend_names()
-        }
-        with ParallelBackend(
-            mapper, workers=2, inner_backend="bit-exact-legacy"
-        ) as parallel:
-            assert parallel.name == "bit-exact-legacy"
-            assert parallel.bit_exact and parallel.progressive
-            assert parallel.batch_invariant
+    @staticmethod
+    def _session(stream_length=128, **options):
+        return Session.from_network(
+            tiny_cnn(), stream_length=stream_length, seed=7, **options
+        )
+
+    @staticmethod
+    def _replicas(session):
+        return {key[1]: b for key, b in session._backends.items()}
 
     def test_forward_matches_packed(self, mapper, images):
-        packed = create_backend("bit-exact-packed", mapper)
-        expected = packed.forward(images)
-        with ParallelBackend(mapper, workers=2) as parallel:
-            got = parallel.forward(images)
-            assert np.array_equal(got, expected)
-            # Repeat on the warm pool (replicas + arenas reused).
-            assert np.array_equal(parallel.forward(images), expected)
+        expected = create_backend("bit-exact-packed", mapper).forward(images)
+        with self._session() as session:
+            for _ in range(2):  # again on the warm replicas and arenas
+                got = session.predict(images, PredictOptions(workers=2))
+                assert np.array_equal(got.scores, expected)
+            assert sorted(self._replicas(session)) == [0, 1]
 
     def test_forward_partial_matches_packed_odd_length(self):
-        odd_mapper = ScNetworkMapper(tiny_cnn(), stream_length=100, seed=3)
+        odd_mapper = ScNetworkMapper(tiny_cnn(), stream_length=100, seed=7)
         images = np.random.default_rng(5).random((4, 1, 28, 28))
         packed = create_backend("bit-exact-packed", odd_mapper)
         checkpoints = (13, 50, 100)
         expected = packed.forward_partial(images, checkpoints)
-        with ParallelBackend(odd_mapper, workers=2) as parallel:
-            got = parallel.forward_partial(images, checkpoints)
-            assert np.array_equal(got, expected)
-            assert np.array_equal(got[-1], packed.forward(images))
+        options = PredictOptions(checkpoints=checkpoints, workers=2)
+        with self._session(stream_length=100) as session:
+            for _ in range(2):
+                got = session.predict(images, options)
+                assert np.array_equal(got.checkpoint_scores, expected)
+                assert np.array_equal(got.scores, packed.forward(images))
 
-    def test_single_image_uses_inner_replica(self, mapper, images):
-        packed = create_backend("bit-exact-packed", mapper)
-        with ParallelBackend(mapper, workers=2) as parallel:
-            got = parallel.forward(images[:1])
-            assert np.array_equal(got, packed.forward(images[:1]))
-            # One image cannot shard: the first replica served it inline,
-            # without ever starting the thread pool.
-            assert parallel._thread_pool is None
+    def test_single_image_runs_unsharded_on_replica_0(
+        self, mapper, images, monkeypatch
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one image must not start a thread pool")
+
+        monkeypatch.setattr("repro.api.session.ThreadPoolExecutor", no_pool)
+        expected = create_backend("bit-exact-packed", mapper).forward(images[:1])
+        with self._session() as session:
+            got = session.predict(images[:1], PredictOptions(workers=2))
+            assert np.array_equal(got.scores, expected)
+            assert list(self._replicas(session)) == [0]
+            assert self._replicas(session)[0] is session.backend()
 
     def test_more_workers_than_images(self, mapper, images):
         expected = create_backend("bit-exact-packed", mapper).forward(images)
-        with ParallelBackend(mapper, workers=8) as parallel:
-            assert np.array_equal(parallel.forward(images), expected)
+        with self._session() as session:
+            got = session.predict(images, PredictOptions(workers=8))
+            assert np.array_equal(got.scores, expected)
             # One replica per shard at most: never more than the images.
-            assert len(parallel._replicas) <= images.shape[0]
+            assert sorted(self._replicas(session)) == [0, 1, 2]
 
-    def test_backend_options_reach_every_replica(
-        self, mapper, images, monkeypatch
-    ):
-        expected = create_backend("bit-exact-packed", mapper).forward(images)
-        # A first shard that finishes before the second leases would hand
-        # over its replica; meeting at a barrier makes both shards hold one.
-        both_leased = threading.Barrier(2, timeout=60)
+    def test_shards_run_concurrently(self, mapper, images, monkeypatch):
+        # Each shard waits for the other inside its forward: a shard loop
+        # that ran them one after another would break the barrier.
+        both_running = threading.Barrier(2, timeout=30)
         forward = BitExactPackedBackend.forward
 
         def forward_together(backend, shard):
-            both_leased.wait()
+            both_running.wait()
             return forward(backend, shard)
 
         monkeypatch.setattr(BitExactPackedBackend, "forward", forward_together)
-        with ParallelBackend(mapper, workers=2, position_chunk=5) as parallel:
-            assert np.array_equal(parallel.forward(images), expected)
-            assert len(parallel._replicas) == 2
-            for replica in parallel._replicas:
+        expected = create_backend("bit-exact-legacy", mapper).forward(images[:2])
+        with self._session() as session:
+            got = session.predict(images[:2], PredictOptions(workers=2))
+        assert np.array_equal(got.scores, expected)
+
+    def test_backend_options_reach_every_replica(self, mapper, images):
+        expected = create_backend("bit-exact-packed", mapper).forward(images)
+        with self._session(position_chunk=5) as session:
+            got = session.predict(images, PredictOptions(workers=2))
+            assert np.array_equal(got.scores, expected)
+            replicas = self._replicas(session)
+            assert sorted(replicas) == [0, 1]
+            for replica in replicas.values():
                 assert replica.position_chunk == 5
 
-    def test_kernel_snapshot_aggregates_replicas(self, mapper, images):
-        with ParallelBackend(mapper, workers=3) as parallel:
-            parallel.forward(images)  # three shards on leased replicas
-            merged = parallel.kernel_snapshot()
-            per_replica = [r.kernel_snapshot() for r in parallel._replicas]
+    def test_obs_snapshot_merges_replicas(self, images):
+        with self._session() as session:
+            session.predict(images, PredictOptions(workers=3))
+            snapshot = session.obs_snapshot()
+            per_replica = [
+                r.kernel_snapshot() for r in self._replicas(session).values()
+            ]
 
-        def calls(snapshot):
+        def calls(kernels):
             return sum(
                 tier["calls"]
-                for kernel in snapshot.values()
+                for kernel in kernels.values()
                 for tier in kernel.values()
             )
 
-        assert calls(merged) == sum(calls(snap) for snap in per_replica) > 0
+        assert (
+            calls(snapshot["kernels"])
+            == sum(calls(snap) for snap in per_replica)
+            > 0
+        )
+        assert sorted(w["replica"] for w in snapshot["workspaces"]) == [0, 1, 2]
 
-    def test_rejects_non_batch_invariant_inner(self, mapper):
-        with pytest.raises(ConfigurationError, match="sc-fast"):
-            ParallelBackend(mapper, workers=2, inner_backend="sc-fast")
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_rejects_non_batch_invariant_backend(self, images, batch):
+        # Refused on the request, not on the shard count: one image would
+        # not shard, but sc-fast with workers is still a wrong request.
+        with self._session() as session:
+            with pytest.raises(ConfigurationError, match="'sc-fast'"):
+                session.predict(
+                    images[:batch], PredictOptions(workers=2), backend="sc-fast"
+                )
 
-    def test_rejects_bad_workers(self, mapper):
-        with pytest.raises(ConfigurationError):
-            ParallelBackend(mapper, workers=0)
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_bad_workers(self, images, workers):
+        labels = np.zeros(len(images), dtype=int)
+        with self._session() as session:
+            with pytest.raises(ConfigurationError, match="workers must be >= 1"):
+                session.predict(images, PredictOptions(workers=workers))
+            with pytest.raises(ConfigurationError, match="workers must be >= 1"):
+                session.evaluate(images, labels, workers=workers)
 
-    def test_close_is_idempotent(self, mapper, images):
-        parallel = ParallelBackend(mapper, workers=2)
-        parallel.forward(images)
-        parallel.close()
-        parallel.close()
-        assert parallel._thread_pool is None
+    def test_close_is_idempotent(self, images):
+        session = self._session()
+        session.predict(images, PredictOptions(workers=2))
+        session.close()
+        session.close()
+        assert session._backends == {}
+        with pytest.raises(ConfigurationError, match="closed"):
+            session.predict(images, PredictOptions(workers=2))
 
 
 class TestWorkspaceReuseAcrossForwards:
@@ -505,7 +535,7 @@ class TestStreamPlane:
         )
 
 
-class TestResolveParallelBackend:
+class TestWorkersPolicy:
     """The ``workers`` policy: shard a batch-invariant backend or refuse."""
 
     @pytest.fixture(scope="class")
@@ -514,20 +544,40 @@ class TestResolveParallelBackend:
             yield s
 
     def test_no_workers_is_identity(self, session, images):
-        # No wrapper at all: even a backend that cannot shard answers.
+        # No sharding at all: even a backend that cannot shard answers.
         for workers in (None, 1):
             result = session.predict(
                 images, PredictOptions(workers=workers), backend="sc-fast"
             )
             assert result.backend == "sc-fast"
 
-    def test_shardable_backend_rides_along_as_inner(self, session, images):
+    def test_bit_exact_legacy_shards_bit_identically(self, session, images):
         expected = session.backend("bit-exact-legacy").forward(images)
         result = session.predict(
             images, PredictOptions(workers=4), backend="bit-exact-legacy"
         )
         assert result.backend == "bit-exact-legacy"
         assert np.array_equal(result.scores, expected)
+
+    def test_non_progressive_backend_shards_bit_identically(
+        self, session, images
+    ):
+        # "float" is the only batch-invariant, non-progressive backend
+        # left now that every bit-exact backend reads stream prefixes:
+        # each shard takes one plain forward and exits at the full stream.
+        plain = session.predict(images, backend="float")
+        sharded = session.predict(
+            images, PredictOptions(workers=2), backend="float"
+        )
+        assert sharded.backend == "float"
+        assert sharded.checkpoints == plain.checkpoints == (128,)
+        assert np.array_equal(sharded.exit_checkpoints, plain.exit_checkpoints)
+        assert np.array_equal(sharded.predictions, plain.predictions)
+        # Equal to rounding only: NumPy multiplies a one-row batch through
+        # a matrix-vector BLAS path whose sums round differently.
+        np.testing.assert_allclose(
+            sharded.checkpoint_scores, plain.checkpoint_scores, rtol=0, atol=1e-12
+        )
 
     def test_non_invariant_backend_refuses_workers(self, session, images):
         # Sharding sc-fast would change its scores; running another
@@ -538,18 +588,6 @@ class TestResolveParallelBackend:
             session.evaluate(
                 images, np.zeros(3, dtype=int), backend="sc-fast", workers=2
             )
-
-
-class TestParallelCapabilitiesFollowInner:
-    def test_non_progressive_inner_clears_progressive_flag(self, mapper):
-        # "float" is the only batch-invariant, non-progressive backend
-        # left now that every bit-exact backend reads stream prefixes.
-        with ParallelBackend(mapper, workers=2, inner_backend="float") as parallel:
-            # The early-exit gate reads this attribute; advertising
-            # progressive support the inner lacks would route batches
-            # into forward_partial calls the replicas cannot answer.
-            assert parallel.progressive is False
-            assert parallel.bit_exact is False
 
 
 class TestBenchPerfThreadSweep:

@@ -7,7 +7,7 @@ deterministic fault injectors of :mod:`repro.serve.faults`:
   typed :class:`~repro.errors.InferenceError` and never kills the worker
   thread (the regression for the old blanket ``except`` in the worker
   loop);
-* **replica supervision** -- a crashing replica is closed, rebuilt with
+* **replica supervision** -- a crashing replica is rebuilt with
   exponential backoff inside a restart budget, and the batch retried;
   the retried answer is bit-identical to a fault-free run;
 * **bounded admission** -- ``max_queue_depth`` sheds with
@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 from nets import tiny_cnn
 
-from repro.backends import ParallelBackend, create_backend
+from repro.backends import create_backend
 from repro.config import PredictOptions, ServiceConfig
 from repro.errors import (
     ConfigurationError,
@@ -333,19 +333,6 @@ class TestCancelOnTimeout:
             assert not service.cancel(future)
             snapshot = service.metrics.snapshot()
         assert snapshot["faults"]["cancelled_requests"] == 0
-
-
-class TestParallelBackendRobustness:
-    def test_double_close_and_use_after_close(self, mapper, images):
-        backend = ParallelBackend(mapper, workers=2)
-        backend.forward(images)
-        backend.close()
-        backend.close()  # idempotent
-        assert backend._thread_pool is None
-        with pytest.raises(ConfigurationError):
-            backend.forward(images)
-        with pytest.raises(ConfigurationError):
-            backend.forward_partial(images, (64, 128))
 
 
 class TestChaos:

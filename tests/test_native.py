@@ -29,12 +29,12 @@ from repro.api import PredictOptions, Session
 from repro.backends import (
     BitExactNativeBackend,
     BitExactPackedBackend,
-    ParallelBackend,
     create_backend,
     describe_backends,
 )
 from repro.blocks.batched import feature_extraction_recurrence_words
 from repro.errors import ConfigurationError
+from repro.nn.architectures import LayerSpec, build_network
 from repro.nn.sc_layers import ScNetworkMapper
 from repro.sc import native
 from repro.sc.native import _build
@@ -138,24 +138,51 @@ def _guarded(arr):
     return out
 
 
+def _guarded_rows(rng, k, length, kinds):
+    """``(len(kinds), k, words)`` packed streams in guarded memory, each
+    row of ``k`` random, all-one or all-zero streams."""
+    bits = np.stack([
+        rng.random((k, length)) < 0.5 if kind == "random"
+        else np.full((k, length), kind == "ones")
+        for kind in kinds
+    ])
+    return _guarded(pack_bits(bits))
+
+
+def _product_operands(rng, k, length):
+    """``(3, 1, k, W)`` against ``(1, 3, k, W)``, as the backend passes
+    them: the ``(3, 3)`` products are random, all one and all zero."""
+    a = _guarded_rows(rng, k, length, ("random", "ones", "ones"))[:, None]
+    b = _guarded_rows(rng, k, length, ("random", "ones", "zeros"))[None]
+    return a, b
+
+
 def _sweep_operands(rng, total, length):
     """Broadcast ``(3, 3)`` rows whose products are random, all one and
     all zero (with extra planes to match), ``total`` planes in all."""
     n_extra = min(total - 1, total % 3)
-    m = total - n_extra
-
-    def rows(k, kinds):
-        bits = np.stack([
-            rng.random((k, length)) < 0.5 if kind == "random"
-            else np.full((k, length), kind == "ones")
-            for kind in kinds
-        ])
-        return _guarded(pack_bits(bits))
-
-    a = rows(m, ("random", "ones", "ones"))[:, None]
-    b = rows(m, ("random", "ones", "zeros"))[None]
-    extra = rows(n_extra, ("random", "ones", "zeros"))[:, None] if n_extra else None
+    a, b = _product_operands(rng, total - n_extra, length)
+    extra = (
+        _guarded_rows(rng, n_extra, length, ("random", "ones", "zeros"))[:, None]
+        if n_extra
+        else None
+    )
     return a, b, extra
+
+
+_SENTINEL = np.uint64(0xA5A5A5A5A5A5A5A5)
+
+
+def _fenced(shape, contiguous):
+    """A ``uint64`` output of ``shape`` with sentinel words after it, or,
+    as a non-contiguous slice (the wrappers' staging branch), on both
+    sides of each row.  Returns it and a check that the sentinels hold."""
+    if contiguous:
+        size = int(np.prod(shape))
+        buf = np.full(size + 8, _SENTINEL, np.uint64)
+        return buf[:size].reshape(shape), lambda: (buf[size:] == _SENTINEL).all()
+    buf = np.full(shape[:-1] + (shape[-1] + 2,), _SENTINEL, np.uint64)
+    return buf[..., 1:-1], lambda: (buf[..., [0, -1]] == _SENTINEL).all()
 
 
 @needs_native
@@ -190,6 +217,35 @@ def test_fused_chain_matches_numpy(k):
         native.fused_xnor_majority_chain(a, b, length),
         fused_xnor_majority_chain(a, b, length),
     )
+
+
+# Every chain length up to 40 and around the 64- and 128-product edges.
+_CHAIN_SWEEP_KS = list(range(1, 41)) + [63, 64, 65, 127, 128, 129]
+
+
+@needs_native
+def test_fused_chain_sweep_matches_numpy():
+    """The compiled majority chain equals the NumPy kernel over every
+    chain length and stream length of a small domain, on operands
+    broadcast as the backend passes them (which differ in their leading
+    strides) and ending at an unreadable page, into contiguous and
+    staged outputs fenced by sentinels."""
+    rng = np.random.default_rng(0)
+    cases = [
+        (_CHAIN_SWEEP_KS[i % len(_CHAIN_SWEEP_KS)], length)
+        for i, length in enumerate(_SWEEP_LENGTHS)
+    ] + [(k, length) for k in _CHAIN_SWEEP_KS for length in (64, 577, 1000)]
+    for i, (k, length) in enumerate(cases):
+        a, b = _product_operands(rng, k, length)
+        expected = fused_xnor_majority_chain(a, b, length)
+        out, fence_holds = _fenced(expected.shape, contiguous=i % 2 == 0)
+        case = f"k {k}, N {length}, contiguous {i % 2 == 0}"
+        got = native.fused_xnor_majority_chain(
+            a, b, length, out=out, workspace=Workspace()
+        )
+        assert got is out, case
+        np.testing.assert_array_equal(out, expected, err_msg=case)
+        assert fence_holds(), f"wrote past the output: {case}"
 
 
 # (count dtype, half, max count): a conv block, uint8 counts at the dtype's
@@ -232,6 +288,34 @@ def test_fe_stepper_matches_numpy(dtype, half, max_count):
         for length in (1, 63, 64, 65, 1000, 8192):
             counts = _fe_counts(rng, dtype, max_count, rows, length)
             _assert_fe_stepper_matches(counts, half, -half, half + 1)
+
+
+# Every row count of one and two 64-row tiles' edges, every tail of a
+# one- to three-word row, and longer rows.
+_FE_SWEEP_ROWS = list(range(1, 66)) + [127, 128, 129]
+_FE_SWEEP_LENGTHS = list(range(1, 131)) + [256, 1000]
+
+
+@needs_native
+def test_fe_stepper_sweep_matches_numpy():
+    """The compiled stepper equals the NumPy stepper over every row count
+    and length of a small domain, for each dtype and bound pair at
+    random, all-max and all-zero counts, on counts that end at an
+    unreadable page."""
+    rng = np.random.default_rng(0)
+    cases = [
+        (_FE_SWEEP_ROWS[i % len(_FE_SWEEP_ROWS)], length)
+        for i, length in enumerate(_FE_SWEEP_LENGTHS)
+    ] + [(rows, length) for rows in _FE_SWEEP_ROWS for length in (63, 64, 130)]
+    for i, (rows, length) in enumerate(cases):
+        # Every dtype / bound pair meets every count kind in 12 cases.
+        dtype, half, max_count = _FE_CASES[i % len(_FE_CASES)]
+        kind = i // len(_FE_CASES) % 3
+        if kind == 0:
+            counts = _fe_counts(rng, dtype, max_count, rows, length)
+        else:
+            counts = np.full((rows, length), max_count if kind == 1 else 0, dtype)
+        _assert_fe_stepper_matches(_guarded(counts), half, -half, half + 1)
 
 
 @needs_native
@@ -297,6 +381,34 @@ def test_pack_comparator_floats_matches_numpy():
     assert not wide[:, :4].any() and not wide[:, 4 + rows :].any()
 
 
+@needs_native
+def test_pack_comparator_sweep_matches_numpy():
+    """The compiled comparator equals the NumPy compare-and-pack over
+    every length of a small domain, under 0, 1 and 2 leading threshold
+    axes, with thresholds of exactly 0.0 and 1.0 and one equal to a draw,
+    on draws that end at an unreadable page, into contiguous and staged
+    outputs fenced by sentinels."""
+    rng = np.random.default_rng(0)
+    rows = 5
+    leads = [(), (3,), (2, 3)]
+    for i, length in enumerate(list(range(1, 131)) + [256, 449, 1000, 8192]):
+        draws = rng.random((rows, length))
+        draws[0, 0] = 0.0
+        thresholds = rng.random(leads[i % 3] + (rows,))
+        thresholds[..., 0] = 0.0  # never below, not even the 0.0 draw
+        thresholds[..., 1] = 1.0  # always below
+        thresholds[..., 2] = draws[2, length // 2]  # a tie reads 0
+        expected = pack_bits(draws < thresholds[..., None])
+        out, fence_holds = _fenced(expected.shape, contiguous=i % 2 == 0)
+        case = f"N {length}, lead {leads[i % 3]}, contiguous {i % 2 == 0}"
+        got = native.pack_comparator_floats(
+            _guarded(draws), thresholds, out, workspace=Workspace()
+        )
+        assert got is out, case
+        np.testing.assert_array_equal(out, expected, err_msg=case)
+        assert fence_holds(), f"wrote past the output: {case}"
+
+
 # -- backend-level drop-in equivalence ----------------------------------------
 
 
@@ -358,6 +470,30 @@ def test_default_backend_books_the_compiled_tier(network, images, tmp_path):
             }
             for kernel, cells in snapshot.items():
                 assert set(cells) == tiers, (options, kernel, cells)
+
+
+@needs_native
+def test_odd_plane_count_layer_counts_on_the_compiled_tier(images):
+    """A dense layer of 254 inputs counts 255 planes (products and bias,
+    no neutral plane): its ``uint8`` counts run on the compiled tier like
+    every other layer's, and the scores equal legacy."""
+    specs = [
+        LayerSpec(kind="conv", name="C", kernel=3, channels=2),
+        LayerSpec(kind="pool", name="P", kernel=4, stride=4),
+        LayerSpec(kind="fc", name="F1", units=254),
+        LayerSpec(kind="fc", name="F2", units=16),
+        LayerSpec(kind="output", name="O", units=10),
+    ]
+    net = build_network(
+        specs, activation="hardware", seed=5, training_stream_length=128
+    )
+    with Session.from_network(net, stream_length=256, seed=7) as session:
+        scores = session.predict(images[:2]).scores
+        legacy = session.backend("bit-exact-legacy").forward(images[:2])
+        booked = session.obs_snapshot()["kernels"]["fused_counts"]
+    np.testing.assert_array_equal(scores, legacy)
+    assert set(booked) == {"native"}, booked
+    assert booked["native"]["calls"] == 3  # conv, F1, F2
 
 
 def test_native_name_is_only_an_alias():
@@ -468,7 +604,8 @@ def test_env_var_disables_tier_without_breaking_backend(network):
         "from repro.sc import native\n"
         "assert not native.available()\n"
         "assert 'unavailable' in native.describe()\n"
-        "from repro.backends import ParallelBackend, create_backend\n"
+        "from repro.api import PredictOptions, Session\n"
+        "from repro.backends import create_backend\n"
         "from repro.nn.architectures import LayerSpec, build_network\n"
         "from repro.nn.sc_layers import ScNetworkMapper\n"
         "specs = [\n"
@@ -485,10 +622,13 @@ def test_env_var_disables_tier_without_breaking_backend(network):
         "assert not nat.native_active\n"
         "ref = create_backend('bit-exact-packed', mapper).forward(images)\n"
         "np.testing.assert_array_equal(nat.forward(images), ref)\n"
-        "with ParallelBackend(\n"
-        "    mapper, 2, inner_backend='bit-exact-native'\n"
-        ") as mp:\n"
-        "    np.testing.assert_array_equal(mp.forward(images), ref)\n"
+        "with Session.from_network(\n"
+        "    net, stream_length=100, seed=7, backend='bit-exact-native'\n"
+        ") as session:\n"
+        "    got = session.predict(images, PredictOptions(workers=2))\n"
+        "    np.testing.assert_array_equal(got.scores, ref)\n"
+        "    tiers = session.obs_snapshot()['kernels']['fused_counts']\n"
+        "    assert set(tiers) == {'numpy'}, tiers\n"
     )
     env = dict(os.environ, REPRO_NATIVE="0")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -510,91 +650,105 @@ def thread_mapper(network):
     return ScNetworkMapper(network, stream_length=200, seed=7)
 
 
-def _sharded(mapper, workers):
-    """The wrapper every ``workers`` option builds, over native replicas."""
-    return ParallelBackend(mapper, workers, inner_backend="bit-exact-native")
+def _session(network):
+    """A session whose ``workers`` calls shard over native replicas."""
+    return Session.from_network(
+        network, stream_length=200, seed=7, backend="bit-exact-native"
+    )
 
 
-def test_thread_mode_forward_bit_identical(thread_mapper, images):
+def test_thread_mode_forward_bit_identical(network, thread_mapper, images):
     reference = create_backend(
         "bit-exact-packed", thread_mapper, use_native=False
     ).forward(images)
-    with _sharded(thread_mapper, 3) as backend:
-        np.testing.assert_array_equal(backend.forward(images), reference)
+    with _session(network) as session:
+        result = session.predict(images, PredictOptions(workers=3))
+    np.testing.assert_array_equal(result.scores, reference)
 
 
-def test_thread_mode_forward_partial_bit_identical(thread_mapper, images):
+def test_thread_mode_forward_partial_bit_identical(
+    network, thread_mapper, images
+):
     points = (50, 100, 200)
     reference = create_backend(
         "bit-exact-packed", thread_mapper, use_native=False
     ).forward_partial(images, points)
-    with _sharded(thread_mapper, 3) as backend:
-        np.testing.assert_array_equal(
-            backend.forward_partial(images, points), reference
+    with _session(network) as session:
+        result = session.predict(
+            images, PredictOptions(checkpoints=points, workers=3)
         )
+    np.testing.assert_array_equal(result.checkpoint_scores, reference)
 
 
 def test_thread_mode_deterministic_under_concurrent_submits(
-    thread_mapper, images
+    network, thread_mapper, images
 ):
-    """Concurrent forward calls share the replica pool without cross-talk.
+    """Concurrent sharded calls share the session's replicas without
+    cross-talk.
 
-    Single-image calls are mixed in: they run inline, on a leased replica
-    like any shard, so they never share a workspace arena with a shard.
+    Single-image calls are mixed in: they run on replica 0 like the first
+    shard of every sharded call, under the same lock, so they never share
+    a workspace arena with a shard.
     """
     reference = create_backend("bit-exact-packed", thread_mapper).forward(images)
     batches = [images if i % 2 else images[i % 6 : i % 6 + 1] for i in range(8)]
     expected = [
         reference if i % 2 else reference[i % 6 : i % 6 + 1] for i in range(8)
     ]
-    with _sharded(thread_mapper, 2) as backend:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(backend.forward, batches))
+    options = PredictOptions(workers=2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the shard threads finely
+    try:
+        with _session(network) as session:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(
+                    pool.map(
+                        lambda b: session.predict(b, options).scores, batches
+                    )
+                )
+    finally:
+        sys.setswitchinterval(interval)
     for result, want in zip(results, expected):
         np.testing.assert_array_equal(result, want)
 
 
 def test_thread_shards_share_one_plane(network, images):
-    mapper = ScNetworkMapper(network, stream_length=200, seed=7)
-    with _sharded(mapper, 3) as backend:
-        scores = backend.forward(images)
-        # Six weight/bias entries drawn once, one input compare per shard.
-        assert _stream_word_calls(backend) == 6 + 3
-    np.testing.assert_array_equal(
-        scores, create_backend("bit-exact-legacy", mapper).forward(images)
-    )
+    with _session(network) as session:
+        scores = session.predict(images, PredictOptions(workers=3)).scores
+        booked = session.obs_snapshot()["kernels"]["stream_words"]
+        legacy = session.backend("bit-exact-legacy").forward(images)
+    # Six weight/bias entries drawn once, one input compare per shard.
+    assert sum(cell["calls"] for cell in booked.values()) == 6 + 3
+    np.testing.assert_array_equal(scores, legacy)
 
 
-def test_thread_mode_use_after_close_raises(thread_mapper, images):
-    backend = _sharded(thread_mapper, 2)
-    backend.close()
-    with pytest.raises(ConfigurationError):
-        backend.forward(images)
+def test_thread_mode_use_after_close_raises(network, images):
+    session = _session(network)
+    session.predict(images, PredictOptions(workers=2))
+    session.close()
+    with pytest.raises(ConfigurationError, match="closed"):
+        session.predict(images, PredictOptions(workers=2))
 
 
 # -- resolution policy ---------------------------------------------------------
 
 
 def test_resolve_policy_picks_threads_for_native(network, images):
-    with Session.from_network(
-        network, stream_length=200, seed=7, backend="bit-exact-native"
-    ) as session:
+    with _session(network) as session:
         expected = session.predict(images).scores
         result = session.predict(images, PredictOptions(workers=4))
-        sharded = [
-            b for b in session._backends.values() if isinstance(b, ParallelBackend)
-        ]
-    assert [(b.workers, b.inner_backend) for b in sharded] == [
-        (4, "bit-exact-native")
+        replicas = sorted(
+            (key[0], key[1], type(b)) for key, b in session._backends.items()
+        )
+    assert replicas == [
+        ("bit-exact-native", i, BitExactNativeBackend) for i in range(4)
     ]
     assert result.backend == "bit-exact-native"
     np.testing.assert_array_equal(result.scores, expected)
 
 
 def test_resolve_policy_single_worker_passthrough(network, images):
-    with Session.from_network(
-        network, stream_length=200, seed=7, backend="bit-exact-native"
-    ) as session:
+    with _session(network) as session:
         for workers in (None, 1):
             session.predict(images, PredictOptions(workers=workers))
         assert [type(b) for b in session._backends.values()] == [
