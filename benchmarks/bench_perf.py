@@ -52,17 +52,15 @@ from repro.config import PredictOptions
 from repro.nn.architectures import LayerSpec, build_network
 from repro.nn.sc_layers import ScNetworkMapper
 from repro.rng.lfsr import Lfsr
-from repro.sc.bitstream import Bitstream
-from repro.sc.ops import xnor_multiply
 from repro.sc import native
 from repro.sc.packed import (
     fused_xnor_column_counts,
     pack_bits,
     packed_column_counts,
     packed_xnor,
+    unpack_bits,
     words_for_length,
 )
-from repro.sc.sng import StochasticNumberGenerator
 from repro.workspace import Workspace
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -200,33 +198,28 @@ def bench_sng(length: int) -> dict:
 
 
 def bench_sng_word_direct(length: int) -> dict:
-    """Full SNG conversion: per-step LFSR + byte-per-bit comparator vs the
-    word-direct path (chunked vectorised LFSR straight into packed words).
+    """Weight-stream SNG: the byte-per-bit oracle vs the word-direct path.
 
-    The legacy side reproduces the pre-vectorisation SNG exactly: one
-    Python LFSR step per cycle, then the comparator materialising a
-    byte-per-bit stream tensor (on top of the eight-bytes-per-cycle word
-    tensor).  The word-direct path never materialises either full-stream
-    tensor, which is what the memory-regression guard in ``run()`` pins
-    down.
+    Both sides draw the same ``default_rng`` stream for a 128 x 64 weight
+    tensor.  The legacy side is what the ``bit-exact-legacy`` oracle
+    draws (:meth:`ScNetworkMapper.weight_stream_bits`: one full-stream
+    ``float64`` draw tensor, then a byte-per-bit stream tensor), packed
+    with ``pack_bits``.  The new side is the packed data plane's SNG,
+    :meth:`ScNetworkMapper.weight_stream_words`, which draws in chunks
+    bounded by ``_DRAWS_BYTES_BUDGET`` and packs each chunk at once.  At
+    N=1024 the tensor's draws (64 MiB) exceed that budget, so the
+    memory-regression guard in ``run()`` pins the chunking down.
     """
-    n_values = 64
-    values = np.linspace(-1.0, 1.0, n_values)
-    count = n_values * length
-    legacy_sng = StochasticNumberGenerator(Lfsr(10, seed=17))
-    fast_sng = StochasticNumberGenerator(Lfsr(10, seed=17))
-    thresholds = legacy_sng.thresholds(values)
+    mapper = _bench_network_mapper(length)
+    weights = np.random.default_rng(9).uniform(-1.0, 1.0, (128, 64))
+    count = weights.size * length
 
     def legacy():
-        legacy_sng.source.reset()
-        words = _legacy_lfsr_words(legacy_sng.source, count)
-        return (words.reshape(n_values, length) < thresholds[:, None]).astype(
-            np.uint8
-        )
+        rng = np.random.default_rng(13)
+        return pack_bits(mapper.weight_stream_bits(weights, rng))
 
     def fast():
-        fast_sng.source.reset()
-        return fast_sng.generate_packed(values, length)
+        return mapper.weight_stream_words(weights, np.random.default_rng(13))
 
     return _entry(
         "sng-word-direct",
@@ -234,7 +227,7 @@ def bench_sng_word_direct(length: int) -> dict:
         count,
         legacy,
         fast,
-        lambda a, b: np.array_equal(a, b.unpack()),
+        lambda a, b: np.array_equal(a, b),
     )
 
 
@@ -275,8 +268,8 @@ def bench_xnor(length: int) -> dict:
     rng = np.random.default_rng(1)
     bits_a = rng.integers(0, 2, (n_values, length), dtype=np.uint8)
     bits_b = rng.integers(0, 2, (n_values, length), dtype=np.uint8)
-    packed_a = Bitstream(bits_a).packed()
-    packed_b = Bitstream(bits_b).packed()
+    words_a = pack_bits(bits_a)
+    words_b = pack_bits(bits_b)
     inner = max(1, TARGET_BIT_OPS // (n_values * length))
 
     def legacy():
@@ -286,7 +279,7 @@ def bench_xnor(length: int) -> dict:
 
     def fast():
         for _ in range(inner):
-            out = xnor_multiply(packed_a, packed_b)
+            out = packed_xnor(words_a, words_b, length)
         return out
 
     return _entry(
@@ -295,7 +288,7 @@ def bench_xnor(length: int) -> dict:
         inner * n_values * length,
         legacy,
         fast,
-        lambda a, b: np.array_equal(a, b.unpack()),
+        lambda a, b: np.array_equal(a, unpack_bits(b, length)),
         legacy_repeats=2,
     )
 
@@ -609,11 +602,11 @@ def _load_history(output: Path) -> list:
 def _memory_regression_guard(entries: list) -> None:
     """Hard guard: the word-direct SNG must stay *below* legacy memory.
 
-    Before ISSUE 4 the vectorised SNG path peaked at ~10x the legacy
-    byte-per-bit path (the LFSR materialised the whole word tensor); the
-    word-direct kernel removed that regression, and this assert keeps it
-    removed.  Runs at N=1024, which both the quick (CI) and full grids
-    include.
+    ``weight_stream_words`` keeps its live draws near the mapper's
+    ``_DRAWS_BYTES_BUDGET`` by drawing in chunks; drawing the whole
+    tensor at once would hold the same ``float64`` draws as the oracle
+    plus a compare transient, and read above it.  Runs at N=1024, which
+    both the quick (CI) and full grids include.
     """
     for entry in entries:
         if entry["kernel"] == "sng-word-direct" and entry["stream_length"] == 1024:

@@ -28,7 +28,8 @@ Superconducting Technology" (Cai et al., ISCA 2019).  It contains:
   ``.predict() / .evaluate() / .serve()``) and typed per-request
   ``PredictOptions``.
 * ``repro.cli`` -- the ``python -m repro`` command line
-  (``train`` / ``predict`` / ``evaluate`` / ``serve`` / ``backends``).
+  (``train`` / ``predict`` / ``evaluate`` / ``serve`` / ``models`` /
+  ``trace`` / ``backends``).
 * ``repro.datasets`` -- the synthetic MNIST-like digit dataset.
 * ``repro.eval`` -- reproduction harness for every table and figure in the
   paper's evaluation.

@@ -64,9 +64,11 @@ class Backend(abc.ABC):
     #: for every ``i``).  This is what makes a backend safe to shard
     #: across threads (``workers`` in :class:`repro.api.Session`) and to
     #: micro-batch transparently (:mod:`repro.serve`).  All bit-exact
-    #: backends hold it by construction (stream draws are shared across
-    #: the batch); ``sc-fast`` does not (its injected decoding noise is
-    #: drawn over the whole batch tensor at once).
+    #: backends hold it exactly, by construction (stream draws are shared
+    #: across the batch); ``float`` holds it only to floating-point
+    #: rounding (NumPy multiplies a one-image batch through a
+    #: matrix-vector path); ``sc-fast`` does not hold it (its injected
+    #: decoding noise is drawn over the whole batch tensor at once).
     batch_invariant: ClassVar[bool] = False
 
     def __init__(self, mapper: ScNetworkMapper) -> None:

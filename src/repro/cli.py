@@ -11,15 +11,14 @@ in-process with three lines of Python:
   JSON, for the CI bit-exactness cross-check).
 * ``evaluate``  -- accuracy of an artifact under any registered backend.
 * ``serve``     -- stand up the micro-batching service on an artifact and
-  push a demo burst through it; with ``--http-port`` it instead runs the
-  asyncio HTTP front end (unary + streaming prediction, ``/metrics``,
-  hot-reloadable multi-model ``--registry`` mode) until SIGINT/SIGTERM
-  drains it.
+  push a demo burst through it (``--metrics-file`` writes the snapshot in
+  Prometheus text exposition format, kernel-tier counters included); with
+  ``--http-port`` it instead runs the asyncio HTTP front end (unary +
+  streaming prediction, ``/metrics``, hot-reloadable multi-model
+  ``--registry`` mode) until SIGINT/SIGTERM drains it.
 * ``models``    -- list a registry directory's (or explicit artifacts')
   catalog metadata: name, format version, weight bits, stream length,
   manifest sha256.
-* ``metrics``   -- serve a burst and export the service snapshot in
-  Prometheus text exposition format (kernel-tier counters included).
 * ``trace``     -- serve a burst at trace sample rate 1.0 and print every
   request's span tree and queue/service breakdown.
 * ``backends``  -- list the execution-backend registry.
@@ -611,9 +610,8 @@ def _print_fleet_summary(snapshot) -> None:
 def _run_service_burst(session, config, count: int):
     """Push a burst of single-image requests through a service.
 
-    Shared by the ``metrics`` and ``trace`` subcommands: returns the
-    responses (by request index), the service snapshot, and the traces
-    retained in the tracer's ring buffer.
+    Used by the ``trace`` subcommand: returns the responses (by request
+    index) and the traces retained in the tracer's ring buffer.
     """
     images, _labels = _test_images(session, count)
     with session.serve(config) as service:
@@ -621,33 +619,8 @@ def _run_service_burst(session, config, count: int):
             service.submit(images[i]) for i in range(images.shape[0])
         ]
         responses = [f.result(timeout=600) for f in futures]
-        snapshot = service.snapshot()
         traces = service.tracer.recent()
-    return responses, snapshot, traces
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.api import Session
-    from repro.config import ServiceConfig
-    from repro.obs import prometheus_text
-
-    config = ServiceConfig(
-        backend=args.backend,
-        num_workers=args.service_workers,
-        cache_capacity=args.cache_capacity,
-        trace_sample_rate=args.trace_sample_rate,
-    )
-    with Session.from_artifact(args.model, backend=args.backend) as session:
-        _responses, snapshot, _traces = _run_service_burst(
-            session, config, args.requests
-        )
-    text = prometheus_text(snapshot)
-    if args.output:
-        Path(args.output).write_text(text)
-        print(f"wrote Prometheus metrics to {args.output}")
-    else:
-        print(text, end="")
-    return 0
+    return responses, traces
 
 
 def _format_trace(trace: dict) -> str:
@@ -688,7 +661,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         trace_capacity=max(256, args.requests),
     )
     with Session.from_artifact(args.model, backend=args.backend) as session:
-        responses, snapshot, traces = _run_service_burst(
+        responses, traces = _run_service_burst(
             session, config, args.requests
         )
     for response in responses:
@@ -987,33 +960,6 @@ def build_parser() -> argparse.ArgumentParser:
         "second worker after this long (tail-latency hedging)",
     )
     serve.set_defaults(func=_cmd_serve)
-
-    metrics = commands.add_parser(
-        "metrics",
-        help="serve a burst and export Prometheus text-exposition metrics",
-    )
-    metrics.add_argument("--model", required=True, help="artifact directory")
-    metrics.add_argument(
-        "--requests", type=int, default=32, help="single-image requests"
-    )
-    add_backend_arguments(
-        metrics, capability="progressive", include_workers=False
-    )
-    metrics.add_argument("--service-workers", type=int, default=2)
-    metrics.add_argument("--cache-capacity", type=int, default=256)
-    metrics.add_argument(
-        "--trace-sample-rate",
-        type=float,
-        default=0.0,
-        help="trace sampling during the burst (reflected in the "
-        "repro_traces_* gauges)",
-    )
-    metrics.add_argument(
-        "--output",
-        default=None,
-        help="file for the exposition text (default: stdout)",
-    )
-    metrics.set_defaults(func=_cmd_metrics)
 
     trace = commands.add_parser(
         "trace",

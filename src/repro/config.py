@@ -45,12 +45,11 @@ class ServiceConfig:
         cache_capacity: entries held by the LRU result cache (keyed on
             image digest, backend name and stream length); ``0`` disables
             caching.
-        early_exit: evaluate requests at stream-length checkpoints and
-            answer early once the prediction stabilises (only effective
-            on backends whose ``progressive`` capability flag is set).
-        checkpoint_fractions: increasing fractions of the stream length
-            at which scores are evaluated; a final full-length checkpoint
-            is always included.
+        early_exit: evaluate requests at stream-length checkpoints
+            (``DEFAULT_CHECKPOINT_FRACTIONS`` of ``N``, unless a request
+            names its own) and answer early once the prediction
+            stabilises (only effective on backends whose ``progressive``
+            capability flag is set).
         margin: minimum gap between the top-1 and top-2 class scores for
             an early exit to fire.
         stable_checkpoints: number of consecutive checkpoints whose
@@ -92,10 +91,13 @@ class ServiceConfig:
         trace_capacity: completed traces retained in the tracer's ring
             buffer (oldest evicted first).
         event_log_path: when set, a JSONL structured event log
-            (:class:`repro.obs.JsonlEventLog`) receives every sampled
-            trace and every fault/overload event (sheds, restarts,
-            degradations) plus warnings logged under the ``repro``
-            logger hierarchy while the service runs.
+            (:class:`repro.obs.JsonlEventLog`) receives this service's
+            sampled traces (and the failures of sampled requests) and
+            every one of its fault/overload events (sheds,
+            degradations, failed batches, replica restarts), whatever
+            the ``repro`` logger's level.  Records of other modules
+            and other services (registry reloads, native-tier
+            fallbacks) are not written to it.
     """
 
     backend: str = "bit-exact-packed"
@@ -104,7 +106,6 @@ class ServiceConfig:
     num_workers: int = 2
     cache_capacity: int = 1024
     early_exit: bool = True
-    checkpoint_fractions: tuple[float, ...] = DEFAULT_CHECKPOINT_FRACTIONS
     margin: float = 0.1
     stable_checkpoints: int = 2
     max_queue_depth: int | None = None
@@ -140,21 +141,6 @@ class ServiceConfig:
         if self.cache_capacity < 0:
             raise ConfigurationError(
                 f"cache_capacity must be >= 0, got {self.cache_capacity}"
-            )
-        if not self.checkpoint_fractions or any(
-            not 0.0 < f <= 1.0 for f in self.checkpoint_fractions
-        ):
-            raise ConfigurationError(
-                f"checkpoint_fractions must lie in (0, 1], got "
-                f"{self.checkpoint_fractions}"
-            )
-        if any(
-            b <= a
-            for a, b in zip(self.checkpoint_fractions, self.checkpoint_fractions[1:])
-        ):
-            raise ConfigurationError(
-                f"checkpoint_fractions must be strictly increasing, got "
-                f"{self.checkpoint_fractions}"
             )
         if self.margin < 0:
             raise ConfigurationError(f"margin must be >= 0, got {self.margin}")
@@ -555,17 +541,15 @@ class PredictOptions:
             )
 
     def resolve(
-        self,
-        stream_length: int,
-        checkpoint_fractions: tuple[float, ...] = DEFAULT_CHECKPOINT_FRACTIONS,
-        early_exit: bool = False,
+        self, stream_length: int, early_exit: bool = False
     ) -> "ResolvedPredictOptions":
         """Resolve against a model's stream length and serving defaults.
 
+        A request that names no checkpoints is scored at the
+        ``DEFAULT_CHECKPOINT_FRACTIONS`` of its effective stream length.
+
         Args:
             stream_length: the model's full stream length ``N``.
-            checkpoint_fractions: default schedule fractions used when the
-                request names no explicit checkpoints.
             early_exit: default early-exit behaviour when the request
                 leaves :attr:`early_exit` unset.
 
@@ -595,7 +579,7 @@ class PredictOptions:
             if points[-1] != effective_n:
                 points = points + (effective_n,)
         else:
-            points = resolve_checkpoints(effective_n, checkpoint_fractions)
+            points = resolve_checkpoints(effective_n)
         return ResolvedPredictOptions(
             stream_length=effective_n,
             checkpoints=points,

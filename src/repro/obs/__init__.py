@@ -17,8 +17,8 @@ and the packed backends (:mod:`repro.backends`):
   (:func:`~repro.obs.export.prometheus_text`, whose fleet and registry
   views are the service's families under a ``worker`` / ``model``
   label), its parser :func:`~repro.obs.export.validate_exposition`, and
-  the JSONL event log (:class:`~repro.obs.export.JsonlEventLog`) that
-  also mirrors the stdlib ``repro`` package logger.
+  the JSONL event log (:class:`~repro.obs.export.JsonlEventLog`) that a
+  service writes its traces and fault/overload events into.
 
 This package sits *below* the backends and serving layer in the import
 graph (it imports neither), so every layer can record into it without

@@ -13,17 +13,16 @@ Two sinks over the same observability data:
   ``replica``).  :func:`validate_exposition` parses the text back and
   checks the format invariants -- the golden-parse guard of the CI
   ``smoke`` job.
-* :class:`JsonlEventLog` appends structured JSON lines (sampled traces,
-  fault events, mirrored log records) to a file; its
-  :meth:`~JsonlEventLog.logging_handler` bridges the stdlib ``repro``
-  package logger into the same file, so replica restarts, fleet worker
-  deaths and overload degradations land in one machine-readable stream.
+* :class:`JsonlEventLog` appends structured JSON lines to a file.  A
+  service writes its own sampled traces and its fault and overload
+  events (sheds, degradations, failed batches, replica restarts) into
+  it directly, so each service's file holds that service's events only,
+  whatever the level of the stdlib ``repro`` logger.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
 import threading
 import time
@@ -652,39 +651,12 @@ def _parse_labels(labels_text: str, lineno: int) -> dict[str, str]:
     return labels
 
 
-class _EventLogHandler(logging.Handler):
-    """Mirrors ``repro`` logger records into a :class:`JsonlEventLog`.
-
-    Log calls may attach ``extra={"obs_event": {"kind": ..., ...}}`` to
-    emit a structured event; records without it land as ``kind="log"``.
-    """
-
-    def __init__(self, log: "JsonlEventLog") -> None:
-        super().__init__()
-        self._log = log
-
-    def emit(self, record: logging.LogRecord) -> None:  # pragma: no cover
-        try:
-            event = dict(getattr(record, "obs_event", None) or {})
-            kind = event.pop("kind", "log")
-            self._log.emit(
-                kind,
-                level=record.levelname,
-                logger=record.name,
-                message=record.getMessage(),
-                **event,
-            )
-        except Exception:
-            self.handleError(record)
-
-
 class JsonlEventLog:
     """Append-only JSON-lines event sink (thread-safe).
 
     One line per event: ``{"ts": <unix seconds>, "kind": ..., ...}``.
-    The serving layer writes sampled traces (``kind="trace"``) and the
-    ``repro`` package logger's records (via :meth:`logging_handler`)
-    into it; anything JSON-serialisable goes.
+    The serving layer writes sampled traces (``kind="trace"``) and its
+    fault and overload events into it; anything JSON-serialisable goes.
 
     Args:
         path: file to append to (parent directories are created).
@@ -706,10 +678,6 @@ class JsonlEventLog:
                 return
             self._file.write(line + "\n")
             self._file.flush()
-
-    def logging_handler(self) -> logging.Handler:
-        """A stdlib handler mirroring log records into this file."""
-        return _EventLogHandler(self)
 
     def close(self) -> None:
         with self._lock:

@@ -6,6 +6,12 @@ stochastic number generators, the elementary SC arithmetic gates (XNOR and
 AND multipliers, MUX adders), the approximate parallel counter and the
 Btanh finite-state-machine activation used by the CMOS baseline, and the
 stream-correlation metrics used in the analysis.
+
+A stream has two representations: the byte-per-bit :class:`Bitstream` of
+the block reference models, and a raw ``uint64`` word array (64 stream
+bits per word, layout and tail rule in :mod:`repro.sc.packed`) that the
+bit-exact data plane and the compiled kernels run on.  :func:`pack_bits`
+and :func:`unpack_bits` convert between them.
 """
 
 from repro.sc.apc import approximate_parallel_counter, exact_parallel_count
@@ -20,7 +26,7 @@ from repro.sc.encoding import (
     unipolar_encode_probability,
 )
 from repro.sc.fsm import BtanhFsm
-from repro.sc.packed import PackedBitstream, pack_bits, unpack_bits
+from repro.sc.packed import pack_bits, unpack_bits
 from repro.sc.ops import (
     and_multiply,
     mux_add,
@@ -32,7 +38,6 @@ from repro.sc.sng import StochasticNumberGenerator
 
 __all__ = [
     "Bitstream",
-    "PackedBitstream",
     "pack_bits",
     "unpack_bits",
     "BIPOLAR",

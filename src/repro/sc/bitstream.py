@@ -11,7 +11,7 @@ arithmetic helpers do not need to be told twice.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -25,9 +25,6 @@ from repro.sc.encoding import (
     unipolar_encode_probability,
     validate_encoding,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.sc.packed import PackedBitstream
 
 __all__ = ["Bitstream"]
 
@@ -137,11 +134,6 @@ class Bitstream:
         bits = (np.arange(length) % 2).astype(np.uint8)
         return cls._trusted(bits, validate_encoding(encoding))
 
-    @classmethod
-    def from_packed(cls, packed: "PackedBitstream") -> "Bitstream":
-        """Unpack a word-packed stream back into a byte-per-bit stream."""
-        return cls._trusted(packed.unpack(), packed.encoding)
-
     # -- basic properties --------------------------------------------------
 
     @property
@@ -185,21 +177,6 @@ class Bitstream:
         if self._encoding == BIPOLAR:
             return bipolar_decode(fraction)
         return unipolar_decode(fraction)
-
-    # -- packed interop ------------------------------------------------------
-
-    def packed(self) -> "PackedBitstream":
-        """This stream packed 64 bits per ``uint64`` word.
-
-        The packed twin carries the same value structure and encoding; all
-        of :mod:`repro.sc.ops` dispatches to the word-parallel kernels when
-        given packed operands.
-        """
-        from repro.sc.packed import PackedBitstream, pack_bits
-
-        return PackedBitstream._trusted(
-            pack_bits(self._bits), self.length, self._encoding
-        )
 
     # -- structural helpers --------------------------------------------------
 

@@ -9,28 +9,19 @@ These are the textbook SC gates summarised in the paper's Fig. 4:
 * OR gate                  -> used inside sorters (max of two bits).
 
 All functions operate on plain bit arrays whose last axis is the stream
-axis, on :class:`~repro.sc.bitstream.Bitstream` objects, or on word-packed
-:class:`~repro.sc.packed.PackedBitstream` objects.  When any operand is
-packed the operation dispatches to the 64-bits-per-word kernels of
-:mod:`repro.sc.packed` and returns a packed stream, so hot paths never pay
-for byte-per-bit representation.
+axis, or on :class:`~repro.sc.bitstream.Bitstream` objects: the byte-per-bit
+reference the block models are checked against.  The word-packed data
+plane runs the 64-bits-per-word kernels of :mod:`repro.sc.packed` on raw
+``uint64`` words instead (``packed_xnor`` is this module's XNOR there).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import EncodingError, ShapeError
+from repro.errors import ShapeError
 from repro.sc.bitstream import Bitstream, _validate_bits
-from repro.sc.encoding import BIPOLAR, UNIPOLAR, validate_encoding
-from repro.sc.packed import (
-    PackedBitstream,
-    pack_bits,
-    packed_and,
-    packed_mux_add,
-    packed_or,
-    packed_xnor,
-)
+from repro.sc.encoding import BIPOLAR, UNIPOLAR
 
 __all__ = [
     "xnor_multiply",
@@ -40,12 +31,10 @@ __all__ = [
     "mux_scaled_add",
 ]
 
-Operand = Bitstream | PackedBitstream | np.ndarray
+Operand = Bitstream | np.ndarray
 
 
 def _as_bits(stream: Operand) -> np.ndarray:
-    if isinstance(stream, PackedBitstream):
-        return stream.unpack()
     if isinstance(stream, Bitstream):
         return stream.bits
     # Raw arrays have not been through a container's domain check yet; the
@@ -56,51 +45,13 @@ def _as_bits(stream: Operand) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def _is_packed(*operands: Operand) -> bool:
-    return any(isinstance(op, PackedBitstream) for op in operands)
-
-
-def _as_words(stream: Operand) -> tuple[np.ndarray, int]:
-    """Packed words plus stream length for any operand kind."""
-    if isinstance(stream, PackedBitstream):
-        return stream.words, stream.length
-    if isinstance(stream, Bitstream):
-        return pack_bits(stream.bits), stream.length
-    bits = np.asarray(stream)
-    if bits.ndim == 0:
-        raise ShapeError("a bit stream needs at least one (stream) axis")
-    _validate_bits(bits)
-    return pack_bits(bits), int(bits.shape[-1])
-
-
-def _binary_words(a: Operand, b: Operand) -> tuple[np.ndarray, np.ndarray, int]:
-    words_a, len_a = _as_words(a)
-    words_b, len_b = _as_words(b)
-    if len_a != len_b:
-        raise ShapeError(f"operand stream lengths differ: {len_a} vs {len_b}")
-    if words_a.shape != words_b.shape:
-        raise ShapeError(
-            f"operand shapes differ: {words_a.shape} vs {words_b.shape}"
-        )
-    return words_a, words_b, len_a
-
-
 def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"operand shapes differ: {a.shape} vs {b.shape}")
 
 
-def xnor_multiply(a: Operand, b: Operand) -> Bitstream | PackedBitstream:
-    """Bipolar SC multiplication: one XNOR gate per stream bit.
-
-    Packed operands dispatch to the word-parallel kernel and return a
-    :class:`PackedBitstream`.
-    """
-    if _is_packed(a, b):
-        words_a, words_b, length = _binary_words(a, b)
-        return PackedBitstream._trusted(
-            packed_xnor(words_a, words_b, length), length, BIPOLAR
-        )
+def xnor_multiply(a: Operand, b: Operand) -> Bitstream:
+    """Bipolar SC multiplication: one XNOR gate per stream bit."""
     bits_a = _as_bits(a)
     bits_b = _as_bits(b)
     _check_same_shape(bits_a, bits_b)
@@ -109,42 +60,19 @@ def xnor_multiply(a: Operand, b: Operand) -> Bitstream | PackedBitstream:
     return Bitstream._trusted(bits, BIPOLAR)
 
 
-def and_multiply(a: Operand, b: Operand) -> Bitstream | PackedBitstream:
+def and_multiply(a: Operand, b: Operand) -> Bitstream:
     """Unipolar SC multiplication: one AND gate per stream bit."""
-    if _is_packed(a, b):
-        words_a, words_b, length = _binary_words(a, b)
-        return PackedBitstream._trusted(
-            packed_and(words_a, words_b), length, UNIPOLAR
-        )
     bits_a = _as_bits(a)
     bits_b = _as_bits(b)
     _check_same_shape(bits_a, bits_b)
     return Bitstream._trusted(np.bitwise_and(bits_a, bits_b), UNIPOLAR)
 
 
-def or_gate(a: Operand, b: Operand) -> np.ndarray | PackedBitstream:
+def or_gate(a: Operand, b: Operand) -> np.ndarray:
     """Bitwise OR (the MAX half of a binary compare-and-swap).
 
-    Raw-bit operands return a raw ``uint8`` array (legacy behaviour);
-    packed operands return a :class:`PackedBitstream`.
+    Returns a raw ``uint8`` array: OR is encoding-agnostic.
     """
-    if _is_packed(a, b):
-        words_a, words_b, length = _binary_words(a, b)
-        # OR is encoding-agnostic (the byte path returns a raw array), so
-        # the packed result inherits the operands' encoding tag -- which
-        # must therefore be unambiguous.
-        encodings = {
-            op.encoding
-            for op in (a, b)
-            if isinstance(op, (Bitstream, PackedBitstream))
-        }
-        if len(encodings) != 1:
-            raise EncodingError(
-                f"or_gate operands carry different encodings: {sorted(encodings)}"
-            )
-        return PackedBitstream._trusted(
-            packed_or(words_a, words_b), length, encodings.pop()
-        )
     bits_a = _as_bits(a)
     bits_b = _as_bits(b)
     _check_same_shape(bits_a, bits_b)
@@ -153,12 +81,11 @@ def or_gate(a: Operand, b: Operand) -> np.ndarray | PackedBitstream:
 
 def mux_add(
     streams: Operand, select: np.ndarray, encoding: str = BIPOLAR
-) -> Bitstream | PackedBitstream:
+) -> Bitstream:
     """Multiplexer addition with an explicit select sequence.
 
     Args:
-        streams: bits of shape ``(n_inputs, ..., N)`` (or the packed
-            equivalent of shape ``(n_inputs, ..., W)``).
+        streams: bits of shape ``(n_inputs, ..., N)``.
         select: integer select values of shape ``(..., N)`` or ``(N,)`` in
             ``[0, n_inputs)`` choosing which input drives each output bit.
         encoding: encoding tag for the returned stream.
@@ -167,13 +94,6 @@ def mux_add(
         The selected stream; its value is the mean of the input values when
         ``select`` is uniform.
     """
-    if isinstance(streams, PackedBitstream):
-        if streams.words.ndim < 2:
-            raise ShapeError("mux_add expects shape (n_inputs, ..., N)")
-        out = packed_mux_add(streams.words, select, streams.length)
-        return PackedBitstream._trusted(
-            out, streams.length, validate_encoding(encoding)
-        )
     bits = _as_bits(streams)
     if bits.ndim < 2:
         raise ShapeError("mux_add expects shape (n_inputs, ..., N)")
@@ -195,7 +115,7 @@ def mux_scaled_add(
     streams: Operand,
     rng: np.random.Generator,
     encoding: str = BIPOLAR,
-) -> Bitstream | PackedBitstream:
+) -> Bitstream:
     """Multiplexer addition with a uniformly random select sequence.
 
     This is the scaled adder used by the prior-work CMOS pooling block: the
@@ -203,15 +123,6 @@ def mux_scaled_add(
     number of inputs grows (the inaccuracy the paper's sorter-based pooling
     block removes).
     """
-    if isinstance(streams, PackedBitstream):
-        if streams.words.ndim < 2:
-            raise ShapeError("mux_scaled_add expects shape (n_inputs, ..., N)")
-        select = rng.integers(
-            0,
-            streams.words.shape[0],
-            size=streams.value_shape[1:] + (streams.length,),
-        )
-        return mux_add(streams, select, encoding)
     bits = _as_bits(streams)
     if bits.ndim < 2:
         raise ShapeError("mux_scaled_add expects shape (n_inputs, ..., N)")

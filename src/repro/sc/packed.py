@@ -15,11 +15,13 @@ as little-endian ``uint64`` words).  The final ("tail") word of a stream
 whose length is not a multiple of 64 keeps its unused high bits at **zero**;
 every kernel that could set tail bits (e.g. the XNOR's negation) re-applies
 the tail mask so the invariant holds everywhere.  Decoding therefore is a
-plain popcount over the words.
+plain popcount over the words, and the AND and OR gates need no kernel:
+``a & b`` and ``a | b`` of two clean word arrays are clean.
 
-All kernels operate on raw word arrays whose **last axis** is the word
-axis; :class:`PackedBitstream` is the user-facing container mirroring
-:class:`~repro.sc.bitstream.Bitstream` (leading axes carry value structure).
+Every kernel operates on raw ``uint64`` word arrays whose **last axis**
+is the word axis; leading axes carry value structure, as in
+:class:`~repro.sc.bitstream.Bitstream`.  The stream length ``N`` travels
+beside the words (callers that need it pass it explicitly).
 """
 
 from __future__ import annotations
@@ -30,16 +32,9 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.workspace import Workspace
-from repro.sc.encoding import (
-    BIPOLAR,
-    bipolar_decode,
-    unipolar_decode,
-    validate_encoding,
-)
 
 __all__ = [
     "WORD_BITS",
-    "PackedBitstream",
     "pack_bits",
     "unpack_bits",
     "unpack_bits_into",
@@ -48,12 +43,7 @@ __all__ = [
     "popcount_words",
     "ones_count",
     "prefix_ones_counts",
-    "pack_comparator_words",
     "packed_xnor",
-    "packed_and",
-    "packed_or",
-    "packed_mux",
-    "packed_mux_add",
     "majority3_words",
     "majority_chain_words",
     "count_dtype",
@@ -180,59 +170,6 @@ def unpack_bits_into(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def pack_comparator_words(
-    random_words: np.ndarray, thresholds: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """SNG comparator straight to packed words: ``bit_t = [rw_t < threshold]``.
-
-    The word-direct SNG kernel: compares one chunk of random comparison
-    words against per-value thresholds and emits ``uint64`` packed stream
-    words without ever materialising a full-stream byte-per-bit tensor.
-    The 64 comparator outputs of one word are produced as a transient
-    boolean block and folded into the word by the 8x8 bit-matrix transpose
-    inside ``np.packbits(..., bitorder="little")``, so the live footprint
-    is one comparison block, not the whole stream.  Callers that need a
-    bounded footprint for long streams chunk the cycle axis (see
-    :meth:`repro.sc.sng.StochasticNumberGenerator.generate_packed`).
-
-    Args:
-        random_words: integer comparison draws of shape ``(..., N)``.
-        thresholds: integer comparator thresholds of shape ``(...)``.
-        out: optional preallocated ``uint64`` output of shape
-            ``(..., ceil(N / 64))``.
-
-    Returns:
-        Packed words of shape ``(..., ceil(N / 64))``; tail bits zero.
-    """
-    rw = np.asarray(random_words)
-    if rw.ndim == 0:
-        raise ShapeError("random words need at least one (cycle) axis")
-    thresholds = np.asarray(thresholds)
-    if thresholds.shape != rw.shape[:-1]:
-        raise ShapeError(
-            f"thresholds shape {thresholds.shape} incompatible with random "
-            f"words of shape {rw.shape}"
-        )
-    length = rw.shape[-1]
-    n_words = words_for_length(length)
-    padded = n_words * WORD_BITS
-    bits = np.zeros(rw.shape[:-1] + (padded,), dtype=bool)
-    np.less(rw, thresholds[..., None], out=bits[..., :length])
-    packed_bytes = np.packbits(bits, axis=-1, bitorder="little")
-    words = np.ascontiguousarray(packed_bytes).view(np.uint64)
-    if sys.byteorder == "big":  # pragma: no cover - little-endian CI hosts
-        words = words.byteswap()
-    if out is not None:
-        if out.shape != words.shape:
-            raise ShapeError(
-                f"out shape {out.shape} does not match the packed shape "
-                f"{words.shape}"
-            )
-        out[...] = words
-        return out
-    return words
-
-
 _POPCOUNT_LUT = np.array(
     [bin(i).count("1") for i in range(256)], dtype=np.uint8
 )
@@ -341,81 +278,6 @@ def packed_xnor(
     out = np.bitwise_xor(a, b, out=out)
     np.bitwise_not(out, out=out)
     return _apply_tail_mask(out, length)
-
-
-def packed_and(
-    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Word-parallel AND (unipolar SC multiply).  Tail bits stay zero."""
-    _check_same_shape(a, b)
-    return np.bitwise_and(a, b, out=out)
-
-
-def packed_or(
-    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Word-parallel OR (sorter MAX).  Tail bits stay zero."""
-    _check_same_shape(a, b)
-    return np.bitwise_or(a, b, out=out)
-
-
-def packed_mux(
-    a: np.ndarray,
-    b: np.ndarray,
-    select: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Word-parallel 2:1 multiplexer: ``b`` where ``select`` bit set, else ``a``.
-
-    With ``out``, the result is assembled in place via
-    ``((a ^ b) & select) ^ a`` (two fewer transients than the masked-OR
-    form); ``out`` may alias ``b`` but must not alias ``a`` or ``select``
-    (both are read after ``out`` is first written).
-    """
-    _check_same_shape(a, b)
-    select = np.asarray(select).astype(np.uint64, copy=False)
-    if out is None:
-        return (a & ~select) | (b & select)
-    np.bitwise_xor(a, b, out=out)
-    np.bitwise_and(out, select, out=out)
-    np.bitwise_xor(out, a, out=out)
-    return out
-
-
-def packed_mux_add(
-    words: np.ndarray, select: np.ndarray, length: int
-) -> np.ndarray:
-    """N-input multiplexer addition on packed operands.
-
-    Args:
-        words: packed streams of shape ``(n_inputs, ..., W)``.
-        select: integer select values of shape ``(..., N)`` or ``(N,)`` in
-            ``[0, n_inputs)`` (the *unpacked* per-cycle select sequence, as
-            produced by a hardware select counter / RNG).
-        length: stream length ``N``.
-
-    Returns:
-        Packed words of shape ``(..., W)``.
-    """
-    words = np.asarray(words, dtype=np.uint64)
-    if words.ndim < 2:
-        raise ShapeError("packed_mux_add expects shape (n_inputs, ..., W)")
-    n_inputs = words.shape[0]
-    select = np.asarray(select)
-    value_shape = words.shape[1:-1]
-    if select.shape != value_shape + (length,) and select.shape != (length,):
-        raise ShapeError(
-            f"select shape {select.shape} incompatible with packed streams "
-            f"{words.shape} of length {length}"
-        )
-    if np.any(select < 0) or np.any(select >= n_inputs):
-        raise ShapeError(f"select values must lie in [0, {n_inputs})")
-    select = np.broadcast_to(select, value_shape + (length,))
-    out = np.zeros(words.shape[1:], dtype=np.uint64)
-    for index in range(n_inputs):
-        mask = pack_bits((select == index).astype(np.uint8))
-        out |= words[index] & mask
-    return out
 
 
 def _csa_words(
@@ -863,135 +725,3 @@ def majority_chain_words(words: np.ndarray) -> np.ndarray:
             acc = acc & words[..., index, :]
             index += 1
     return acc
-
-
-# -- container ---------------------------------------------------------------
-
-
-class PackedBitstream:
-    """A (possibly multi-dimensional) word-packed stochastic bit stream.
-
-    Mirrors :class:`~repro.sc.bitstream.Bitstream` with the stream axis
-    stored 64 bits per ``uint64`` word (see the module docstring for the
-    exact layout).  Use :meth:`from_bits` /
-    :meth:`~repro.sc.bitstream.Bitstream.packed` to pack and :meth:`unpack`
-    / :meth:`~repro.sc.bitstream.Bitstream.from_packed` to go back.
-
-    Args:
-        words: ``uint64`` array of shape ``(..., ceil(length / 64))``.
-        length: stream length ``N`` in bits.
-        encoding: ``"bipolar"`` (default) or ``"unipolar"``.
-    """
-
-    __slots__ = ("_words", "_length", "_encoding")
-
-    def __init__(
-        self, words: np.ndarray, length: int, encoding: str = BIPOLAR
-    ) -> None:
-        arr = np.array(words, dtype=np.uint64, copy=True)
-        if arr.ndim == 0:
-            raise ShapeError("a packed stream needs at least one (word) axis")
-        if length <= 0:
-            raise ShapeError(f"stream length must be positive, got {length}")
-        if arr.shape[-1] != words_for_length(length):
-            raise ShapeError(
-                f"word array of shape {arr.shape} cannot hold a "
-                f"{length}-bit stream"
-            )
-        self._words = _apply_tail_mask(arr, length)
-        self._length = int(length)
-        self._encoding = validate_encoding(encoding)
-
-    @classmethod
-    def _trusted(
-        cls, words: np.ndarray, length: int, encoding: str
-    ) -> "PackedBitstream":
-        """Wrap kernel output without copying or re-masking.
-
-        The caller guarantees ``words`` is a fresh ``uint64`` array with the
-        correct word count and a clean (zeroed) tail, and that ``encoding``
-        is already validated.
-        """
-        obj = cls.__new__(cls)
-        obj._words = words
-        obj._length = length
-        obj._encoding = encoding
-        return obj
-
-    @classmethod
-    def from_bits(
-        cls, bits: np.ndarray, encoding: str = BIPOLAR
-    ) -> "PackedBitstream":
-        """Pack a 0/1 array whose last axis is the stream axis."""
-        from repro.sc.bitstream import _validate_bits
-
-        bits = np.asarray(bits)
-        if bits.ndim == 0:
-            raise ShapeError("a bit stream needs at least one (stream) axis")
-        _validate_bits(bits)
-        return cls._trusted(
-            pack_bits(bits), int(bits.shape[-1]), validate_encoding(encoding)
-        )
-
-    # -- basic properties --------------------------------------------------
-
-    @property
-    def words(self) -> np.ndarray:
-        """The underlying ``uint64`` word array (last axis = word axis)."""
-        return self._words
-
-    @property
-    def encoding(self) -> str:
-        """Encoding format of this stream."""
-        return self._encoding
-
-    @property
-    def length(self) -> int:
-        """Stream length ``N`` in bits."""
-        return self._length
-
-    @property
-    def n_words(self) -> int:
-        """Words per stream (``ceil(length / 64)``)."""
-        return int(self._words.shape[-1])
-
-    @property
-    def value_shape(self) -> tuple[int, ...]:
-        """Shape of the encoded value tensor (all axes except the words)."""
-        return tuple(self._words.shape[:-1])
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PackedBitstream(value_shape={self.value_shape}, "
-            f"length={self._length}, encoding={self._encoding!r})"
-        )
-
-    # -- decoding ----------------------------------------------------------
-
-    def unpack(self) -> np.ndarray:
-        """The stream as a plain ``uint8`` 0/1 array of shape ``(..., N)``."""
-        return unpack_bits(self._words, self._length)
-
-    def to_bitstream(self):
-        """Convert back to a byte-per-bit :class:`Bitstream`."""
-        from repro.sc.bitstream import Bitstream
-
-        return Bitstream._trusted(self.unpack(), self._encoding)
-
-    def ones_count(self) -> np.ndarray:
-        """Number of set bits along the stream axis (popcount decode)."""
-        return ones_count(self._words)
-
-    def ones_fraction(self) -> np.ndarray:
-        """Fraction of ones along the stream axis."""
-        return self.ones_count() / float(self._length)
-
-    def to_values(self) -> np.ndarray:
-        """Decode the stream back to real values according to its encoding."""
-        fraction = self.ones_fraction()
-        if self._encoding == BIPOLAR:
-            return bipolar_decode(fraction)
-        return unipolar_decode(fraction)

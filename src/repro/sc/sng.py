@@ -19,7 +19,6 @@ from repro.rng.base import RandomWordSource
 from repro.sc.bitstream import Bitstream
 from repro.sc.encoding import (
     BIPOLAR,
-    UNIPOLAR,
     bipolar_encode_probability,
     unipolar_encode_probability,
     validate_encoding,
@@ -88,83 +87,6 @@ class StochasticNumberGenerator:
         words = self._source.words(thresholds.shape + (length,))
         bits = (words < thresholds[..., None]).astype(np.uint8)
         return Bitstream(bits, self._encoding)
-
-    def generate_packed(
-        self,
-        values: np.ndarray | float,
-        length: int,
-        cycle_chunk: int = 8192,
-    ):
-        """Word-direct stream generation: comparator straight to packed words.
-
-        Bit-identical to ``self.generate(values, length).packed()`` --
-        asserted by the unit tests -- but the full-stream byte-per-bit
-        tensor (and, more importantly, the full-stream tensor of random
-        comparison words, eight bytes per cycle) is never materialised:
-        random words are drawn from the source in bounded chunks and each
-        chunk is compared and packed immediately
-        (:func:`repro.sc.packed.pack_comparator_words`), so the live
-        footprint is one chunk plus the packed output (1/64th of the
-        legacy word tensor).
-
-        Exactness relies on the source producing one continuous word
-        sequence across consecutive :meth:`~repro.rng.base.RandomWordSource.words`
-        calls, which holds for every stateful source in :mod:`repro.rng`
-        (the LFSR advances its register, the TRNG its bit stream).
-
-        Args:
-            values: real values to encode.
-            length: stream length ``N``.
-            cycle_chunk: target number of comparison draws live at once
-                (must be at least 64; the last chunk of a stream may be
-                shorter).
-
-        Returns:
-            A :class:`~repro.sc.packed.PackedBitstream` of shape
-            ``np.shape(values) + (ceil(N / 64),)`` words.
-        """
-        from repro.sc.packed import (
-            WORD_BITS,
-            PackedBitstream,
-            pack_comparator_words,
-            words_for_length,
-        )
-
-        if length <= 0:
-            raise ShapeError(f"stream length must be positive, got {length}")
-        if cycle_chunk < WORD_BITS:
-            raise ShapeError(
-                f"cycle_chunk must be >= {WORD_BITS}, got {cycle_chunk}"
-            )
-        thresholds = self.thresholds(values)
-        flat = thresholds.reshape(-1)
-        n_values = flat.size
-        n_words = words_for_length(length)
-        out = np.empty((n_values, n_words), dtype=np.uint64)
-        if length <= cycle_chunk:
-            # Whole streams per chunk: group as many values as fit.
-            per_chunk = max(1, cycle_chunk // length)
-            for start in range(0, n_values, per_chunk):
-                stop = min(n_values, start + per_chunk)
-                draws = self._source.words((stop - start, length))
-                pack_comparator_words(draws, flat[start:stop], out=out[start:stop])
-        else:
-            # Streams longer than a chunk: split each stream at word
-            # boundaries so every chunk packs into whole output words.
-            step = (cycle_chunk // WORD_BITS) * WORD_BITS
-            for v in range(n_values):
-                for first in range(0, length, step):
-                    last = min(length, first + step)
-                    draws = self._source.words(last - first)
-                    word0 = first // WORD_BITS
-                    pack_comparator_words(
-                        draws,
-                        flat[v],
-                        out=out[v, word0 : word0 + words_for_length(last - first)],
-                    )
-        return PackedBitstream._trusted(
-            out.reshape(thresholds.shape + (n_words,)), int(length), self._encoding
-        )
 
     def generate_from_shared_words(
         self, values: np.ndarray | float, words: np.ndarray

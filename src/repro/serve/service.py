@@ -49,8 +49,11 @@ streaming rate.  Under overload (queue depth past
 ``degrade_queue_depth``) the service caps progressive answers at
 the last checkpoint within ``degraded_max_fraction`` of the stream;
 degraded answers are flagged on the response and never enter the result
-cache.  Deterministic fault injection for all of this lives
-in :mod:`repro.serve.faults`.
+cache.  Every shed, degradation, failed batch and replica restart is
+logged under ``repro.serve`` and written by the service itself to its
+own event log (``event_log_path``), so it lands there once whatever the
+logging configuration.  Deterministic fault injection for all of this
+lives in :mod:`repro.serve.faults`.
 """
 
 from __future__ import annotations
@@ -258,14 +261,10 @@ class ScInferenceService:
         # pass; the others run one full-stream forward pass.
         self._progressive = self._replicas[0].progressive
         self.stream_length = mapper.stream_length
-        self.checkpoints = resolve_checkpoints(
-            self.stream_length, self.config.checkpoint_fractions
-        )
+        self.checkpoints = resolve_checkpoints(self.stream_length)
         #: Evaluation plan of an option-less request, resolved once.
         self._default_resolved = PredictOptions().resolve(
-            self.stream_length,
-            self.config.checkpoint_fractions,
-            self.config.early_exit,
+            self.stream_length, self.config.early_exit
         )
         #: EWMA of observed streaming throughput (stream cycles per
         #: second per request batch), the deadline policy's clock.  None
@@ -279,18 +278,14 @@ class ScInferenceService:
             self.config.trace_sample_rate,
             self.config.trace_capacity,
         )
-        #: JSONL structured event log, when configured; receives every
-        #: sampled trace and fault/overload event, plus warnings logged
-        #: under the ``repro`` logger hierarchy (via the mirror handler).
+        #: JSONL structured event log, when configured; receives this
+        #: service's sampled traces and fault/overload events (written
+        #: by :meth:`_log_event`, never by a handler on a shared logger).
         self.events: JsonlEventLog | None = (
             JsonlEventLog(self.config.event_log_path)
             if self.config.event_log_path
             else None
         )
-        self._log_mirror: logging.Handler | None = None
-        if self.events is not None:
-            self._log_mirror = self.events.logging_handler()
-            logging.getLogger("repro").addHandler(self._log_mirror)
         #: Merged-batch sequence number (scheduler thread only).
         self._batch_seq = 0
         self._pending: queue.Queue = queue.Queue()
@@ -402,16 +397,13 @@ class ScInferenceService:
             depth = self.config.max_queue_depth
             if depth is not None and self._inflight >= depth:
                 self.metrics.record_shed("queue_full")
-                _LOG.info(
+                self._log_event(
+                    logging.INFO,
+                    "shed",
                     "shed request: admission queue full (%d in flight)",
                     self._inflight,
-                    extra={
-                        "obs_event": {
-                            "kind": "shed",
-                            "reason": "queue_full",
-                            "inflight": self._inflight,
-                        }
-                    },
+                    reason="queue_full",
+                    inflight=self._inflight,
                 )
                 raise ServiceOverloadError(
                     f"admission queue is full ({self._inflight} requests "
@@ -450,19 +442,16 @@ class ScInferenceService:
         first = resolved.checkpoints[0]
         if budget_cycles < first:
             self.metrics.record_shed("deadline")
-            _LOG.info(
+            self._log_event(
+                logging.INFO,
+                "shed",
                 "shed request: deadline of %g ms below the first "
                 "checkpoint at the observed rate",
                 resolved.deadline_ms,
-                extra={
-                    "obs_event": {
-                        "kind": "shed",
-                        "reason": "deadline",
-                        "deadline_ms": resolved.deadline_ms,
-                        "budget_cycles": budget_cycles,
-                        "first_checkpoint": first,
-                    }
-                },
+                reason="deadline",
+                deadline_ms=resolved.deadline_ms,
+                budget_cycles=budget_cycles,
+                first_checkpoint=first,
             )
             raise ServiceOverloadError(
                 f"deadline of {resolved.deadline_ms:g} ms buys "
@@ -528,11 +517,7 @@ class ScInferenceService:
         """
         if options is None:
             return self._default_resolved
-        resolved = options.resolve(
-            self.stream_length,
-            self.config.checkpoint_fractions,
-            self.config.early_exit,
-        )
+        resolved = options.resolve(self.stream_length, self.config.early_exit)
         if resolved.explicit_schedule and not self._progressive:
             raise ConfigurationError(
                 "per-request stream lengths / checkpoint schedules need "
@@ -678,20 +663,17 @@ class ScInferenceService:
                         f"{attempt + 1} attempt(s): {exc!r}"
                     )
                     error.__cause__ = exc
-                    _LOG.warning(
+                    self._log_event(
+                        logging.WARNING,
+                        "batch_failed",
                         "batch failed on worker %d after %d attempt(s): %r",
                         index,
                         attempt + 1,
                         exc,
-                        extra={
-                            "obs_event": {
-                                "kind": "batch_failed",
-                                "worker": index,
-                                "batch_seq": seq,
-                                "attempts": attempt + 1,
-                                "error": repr(exc),
-                            }
-                        },
+                        worker=index,
+                        batch_seq=seq,
+                        attempts=attempt + 1,
+                        error=repr(exc),
                     )
                     self._fail_bucket(bucket, error)
                     return
@@ -720,23 +702,41 @@ class ScInferenceService:
         )
         self._restart_counts[index] = used + 1
         self.metrics.record_restart()
-        _LOG.warning(
+        self._log_event(
+            logging.WARNING,
+            "replica_restart",
             "restarted replica %r on worker %d (restart %d of %d)",
             name,
             index,
             used + 1,
             self.config.max_replica_restarts,
-            extra={
-                "obs_event": {
-                    "kind": "replica_restart",
-                    "worker": index,
-                    "backend": name,
-                    "restart": used + 1,
-                    "budget": self.config.max_replica_restarts,
-                }
-            },
+            worker=index,
+            backend=name,
+            restart=used + 1,
+            budget=self.config.max_replica_restarts,
         )
         return True
+
+    def _log_event(
+        self, level: int, kind: str, msg: str, *args: object, **fields: object
+    ) -> None:
+        """Log one fault/overload event and write it to this service's log.
+
+        The ``repro.serve`` record carries the event as its
+        ``obs_event`` extra (``{"kind": kind, **fields}``), so an
+        application's own handlers still receive it.  The JSONL copy is
+        written here, straight to :attr:`events`: it lands whatever the
+        logger's level, and only in this service's file.
+        """
+        _LOG.log(level, msg, *args, extra={"obs_event": {"kind": kind, **fields}})
+        if self.events is not None:
+            self.events.emit(
+                kind,
+                level=logging.getLevelName(level),
+                logger=_LOG.name,
+                message=msg % args,
+                **fields,
+            )
 
     def _fail_bucket(
         self, bucket: list[_PendingRequest], error: BaseException
@@ -809,20 +809,17 @@ class ScInferenceService:
         degraded = degrade_cap is not None and degrade_cap < len(points) - 1
         if degraded:
             exit_index = np.minimum(exit_index, degrade_cap)
-            _LOG.info(
+            self._log_event(
+                logging.INFO,
+                "degraded",
                 "overload degradation: bucket of %d request(s) capped "
                 "at %d stream cycles",
                 len(bucket),
                 points[degrade_cap],
-                extra={
-                    "obs_event": {
-                        "kind": "degraded",
-                        "worker": index,
-                        "batch_seq": seq,
-                        "requests": len(bucket),
-                        "cap_cycles": points[degrade_cap],
-                    }
-                },
+                worker=index,
+                batch_seq=seq,
+                requests=len(bucket),
+                cap_cycles=points[degrade_cap],
             )
         offset = 0
         for request in bucket:
@@ -1162,9 +1159,6 @@ class ScInferenceService:
         self._scheduler.join()
         for worker in self._workers:
             worker.join()
-        if self._log_mirror is not None:
-            logging.getLogger("repro").removeHandler(self._log_mirror)
-            self._log_mirror = None
         if self.events is not None:
             self.events.close()
 

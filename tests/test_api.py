@@ -594,7 +594,7 @@ class TestCli:
         # --fleet-workers processes; --workers only ever shards one batch.
         from repro.cli import main
 
-        for command in ("serve", "metrics", "trace"):
+        for command in ("serve", "trace"):
             with pytest.raises(SystemExit):
                 main([command, "--model", str(artifact), "--workers", "2"])
             assert "--workers" in capsys.readouterr().err

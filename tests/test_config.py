@@ -4,7 +4,7 @@ import pytest
 
 import repro
 from repro import ConfigurationError, ReproError
-from repro.config import ServiceConfig
+from repro.config import PredictOptions, ServiceConfig
 from repro.errors import (
     DatasetError,
     EncodingError,
@@ -20,7 +20,9 @@ class TestConfig:
         # Serving defaults to the bit-exact product.
         config = ServiceConfig()
         assert config.backend == "bit-exact-packed"
-        assert config.checkpoint_fractions[-1] == 1.0
+        # The schedule of an option-less request ends at the full N.
+        plan = PredictOptions().resolve(1024, config.early_exit)
+        assert plan.checkpoints[-1] == 1024
 
     def test_version_exposed(self):
         assert repro.__version__

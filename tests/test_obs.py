@@ -16,8 +16,9 @@ Pins down the contracts of :mod:`repro.obs` and its serving integration:
 * **export** -- the Prometheus text exposition of a full service
   snapshot keeps every family, type and label name; a registry view is
   those families under a ``model`` label (and ``worker`` for a fleet
-  pool); the validator rejects what Prometheus rejects; and the JSONL
-  event log captures traces plus ``repro`` logger records.
+  pool); the validator rejects what Prometheus rejects; and a service's
+  JSONL event log holds its own traces and fault/overload events, every
+  one exactly once, whatever the logging configuration.
 """
 
 import json
@@ -31,7 +32,7 @@ from nets import tiny_cnn
 
 from repro.backends import create_backend
 from repro.config import ServiceConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ServiceOverloadError
 from repro.nn.sc_layers import ScNetworkMapper
 from repro.obs import (
     JsonlEventLog,
@@ -45,7 +46,7 @@ from repro.obs import (
     validate_exposition,
 )
 from repro.sc import native
-from repro.serve import ScInferenceService
+from repro.serve import FaultPlan, ReplicaCrash, ScInferenceService, SlowReplica
 from repro.serve.metrics import ServiceMetrics
 
 
@@ -588,37 +589,17 @@ class TestExport:
                 text.replace('_count{worker="1"} 1', '_count{worker="1"} 2')
             )
 
-    def test_jsonl_event_log_captures_logger_records(self, tmp_path):
+    def test_jsonl_event_log_emits_until_close(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        logger = logging.getLogger("repro.test_obs")
-        logger.setLevel(logging.INFO)
         with JsonlEventLog(path) as events:
             events.emit("trace", trace_id="t1", latency_ms=5.0)
-            handler = events.logging_handler()
-            logger.addHandler(handler)
-            try:
-                logger.warning(
-                    "replica %d restarted",
-                    3,
-                    extra={"obs_event": {"kind": "replica_restart", "worker": 3}},
-                )
-                logger.info("plain record")
-            finally:
-                logger.removeHandler(handler)
         events.emit("dropped", after="close")
         lines = [
             json.loads(line)
             for line in path.read_text().strip().splitlines()
         ]
-        assert [event["kind"] for event in lines] == [
-            "trace",
-            "replica_restart",
-            "log",
-        ]
+        assert [event["kind"] for event in lines] == ["trace"]
         assert lines[0]["latency_ms"] == 5.0
-        assert lines[1]["worker"] == 3
-        assert lines[1]["message"] == "replica 3 restarted"
-        assert lines[2]["level"] == "INFO"
 
     def test_service_event_log_streams_traces(self, mapper, images, tmp_path):
         path = tmp_path / "service_events.jsonl"
@@ -639,3 +620,75 @@ class TestExport:
             ] == pytest.approx(event["summary"]["latency_ms"], abs=1e-6)
             names = {span["name"] for span in event["spans"]}
             assert {"request", "submit", "queue", "compute"} <= names
+
+    @staticmethod
+    def _events(path) -> list[dict]:
+        if not path.exists():
+            return []
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+    def test_service_event_log_records_sheds_at_default_level(
+        self, mapper, images, tmp_path, caplog
+    ):
+        # The repro loggers at their default WARNING: an INFO shed record
+        # reaches no handler, but the event still lands in the file once.
+        caplog.set_level(logging.WARNING, logger="repro")
+        path = tmp_path / "events.jsonl"
+        config = _service_config(
+            num_workers=1,
+            max_queue_depth=1,
+            trace_sample_rate=0.0,
+            fault_plan=FaultPlan(SlowReplica(rate=1.0, times=None, delay_s=0.2)),
+            event_log_path=str(path),
+        )
+        with ScInferenceService(mapper, config) as service:
+            admitted = service.submit(images[:1])
+            with pytest.raises(ServiceOverloadError):
+                service.submit(images[1:2])
+            admitted.result(timeout=60)
+        sheds = [e for e in self._events(path) if e["kind"] == "shed"]
+        assert len(sheds) == 1
+        assert sheds[0]["reason"] == "queue_full"
+        assert sheds[0]["level"] == "INFO"
+        assert sheds[0]["logger"] == "repro.serve"
+
+    def test_service_event_log_holds_only_its_own_events(
+        self, mapper, images, tmp_path, caplog
+    ):
+        crashing_path = tmp_path / "crashing.jsonl"
+        quiet_path = tmp_path / "quiet.jsonl"
+        crashing = ScInferenceService(
+            mapper,
+            _service_config(
+                num_workers=1,
+                trace_sample_rate=0.0,
+                restart_backoff_ms=1.0,
+                fault_plan=FaultPlan(ReplicaCrash(at_batch=0)),
+                event_log_path=str(crashing_path),
+            ),
+        )
+        quiet = ScInferenceService(
+            mapper,
+            _service_config(
+                num_workers=1,
+                trace_sample_rate=0.0,
+                event_log_path=str(quiet_path),
+            ),
+        )
+        with crashing, quiet:
+            crashing.infer(images[:1], timeout=60)
+            quiet.infer(images[:1], timeout=60)
+        restarts = [
+            e
+            for e in self._events(crashing_path)
+            if e["kind"] == "replica_restart"
+        ]
+        assert len(restarts) == 1 and restarts[0]["worker"] == 0
+        assert self._events(quiet_path) == []
+        # The log record itself still reaches the application's handlers.
+        records = [
+            r
+            for r in caplog.records
+            if getattr(r, "obs_event", {}).get("kind") == "replica_restart"
+        ]
+        assert len(records) == 1

@@ -9,17 +9,21 @@ shorter than 64 bits) and both feature-extraction feedback modes.
 
 import numpy as np
 import pytest
+from nets import tiny_cnn
 
 from repro.blocks.categorization import MajorityChainCategorizationBlock
 from repro.blocks.feature_extraction import SorterFeatureExtractionBlock
 from repro.blocks.pooling import SorterAveragePoolingBlock
 from repro.errors import EncodingError, ShapeError
+from repro.nn.sc_layers import ScNetworkMapper
 from repro.rng.lfsr import Lfsr
+from repro.sc import native
 from repro.sc.bitstream import Bitstream
 from repro.sc.ops import and_multiply, mux_add, mux_scaled_add, or_gate, xnor_multiply
 from repro.sc.packed import (
-    PackedBitstream,
+    ones_count,
     pack_bits,
+    packed_xnor,
     tail_mask,
     unpack_bits,
     words_for_length,
@@ -47,109 +51,72 @@ class TestPackUnpack:
         words = pack_bits(bits)
         assert words[-1] == tail_mask(length)
 
-    def test_bitstream_interop(self, rng):
-        bits = random_bits(rng, (3, 100))
-        stream = Bitstream(bits, "unipolar")
-        packed = stream.packed()
-        assert packed.encoding == "unipolar"
-        assert packed.length == 100
-        assert packed.value_shape == (3,)
-        back = Bitstream.from_packed(packed)
-        assert np.array_equal(back.bits, bits)
-        assert back.encoding == "unipolar"
-        assert np.array_equal(packed.to_bitstream().bits, bits)
-
     def test_popcount_decode_matches_unpacked(self, rng):
         bits = random_bits(rng, (4, 333))
-        stream = Bitstream(bits)
-        packed = stream.packed()
-        assert np.array_equal(packed.ones_count(), bits.sum(axis=-1))
-        assert np.allclose(packed.to_values(), stream.to_values())
-
-    def test_constructor_rejects_bad_word_count(self):
-        with pytest.raises(ShapeError):
-            PackedBitstream(np.zeros(2, dtype=np.uint64), length=200)
-
-    def test_constructor_masks_dirty_tail(self):
-        dirty = np.full(1, 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
-        packed = PackedBitstream(dirty, length=10)
-        assert packed.ones_count() == 10
-
-    def test_from_bits_rejects_non_binary(self):
-        with pytest.raises(EncodingError):
-            PackedBitstream.from_bits(np.array([0, 1, 2], dtype=np.uint8))
-        with pytest.raises(EncodingError):
-            PackedBitstream.from_bits(np.array([0.5, 0.0]))
-        with pytest.raises(EncodingError):
-            PackedBitstream.from_bits(np.array([-1.0, 1.0]))
+        assert np.array_equal(ones_count(pack_bits(bits)), bits.sum(axis=-1))
 
 
 class TestPackedOps:
+    """Raw-word gates match the byte-per-bit ops of :mod:`repro.sc.ops`."""
+
     @pytest.mark.parametrize("shape", SHAPES)
     def test_xnor_matches_uint8_path(self, rng, shape):
         a, b = random_bits(rng, shape), random_bits(rng, shape)
         legacy = xnor_multiply(Bitstream(a), Bitstream(b))
-        packed = xnor_multiply(Bitstream(a).packed(), Bitstream(b).packed())
-        assert isinstance(packed, PackedBitstream)
-        assert packed.encoding == legacy.encoding
-        assert np.array_equal(packed.unpack(), legacy.bits)
+        words = packed_xnor(pack_bits(a), pack_bits(b), shape[-1])
+        assert np.array_equal(unpack_bits(words, shape[-1]), legacy.bits)
+        # The XNOR negates, so the kernel must re-mask the tail word.
+        assert np.array_equal(ones_count(words), legacy.bits.sum(axis=-1))
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_and_or_match_uint8_path(self, rng, shape):
+        # AND and OR need no kernel: word-wise & and | keep the tail clean.
         a, b = random_bits(rng, shape), random_bits(rng, shape)
-        pa, pb = Bitstream(a, "unipolar").packed(), Bitstream(b, "unipolar").packed()
+        wa, wb = pack_bits(a), pack_bits(b)
         assert np.array_equal(
-            and_multiply(pa, pb).unpack(), and_multiply(a, b).bits
+            unpack_bits(wa & wb, shape[-1]), and_multiply(a, b).bits
         )
-        assert np.array_equal(or_gate(pa, pb).unpack(), or_gate(a, b))
-
-    def test_mixed_operands_dispatch_to_packed(self, rng):
-        a, b = random_bits(rng, (3, 70)), random_bits(rng, (3, 70))
-        out = xnor_multiply(Bitstream(a).packed(), Bitstream(b))
-        assert isinstance(out, PackedBitstream)
-        assert np.array_equal(out.unpack(), xnor_multiply(a, b).bits)
+        assert np.array_equal(unpack_bits(wa | wb, shape[-1]), or_gate(a, b))
+        assert np.array_equal(ones_count(wa | wb), or_gate(a, b).sum(axis=-1))
 
     def test_length_mismatch_rejected(self, rng):
-        a = Bitstream(random_bits(rng, (64,))).packed()
-        b = Bitstream(random_bits(rng, (65,))).packed()
-        with pytest.raises(ShapeError):
-            xnor_multiply(a, b)
-
-    def test_mux_add_matches_uint8_path(self, rng):
-        bits = random_bits(rng, (4, 2, 100))
-        select = rng.integers(0, 4, (2, 100))
-        legacy = mux_add(Bitstream(bits), select)
-        packed = mux_add(PackedBitstream.from_bits(bits), select)
-        assert np.array_equal(packed.unpack(), legacy.bits)
+        a = random_bits(rng, (64,))
+        b = random_bits(rng, (65,))
+        for op in (xnor_multiply, and_multiply, or_gate):
+            with pytest.raises(ShapeError):
+                op(a, b)
 
     def test_mux_add_broadcast_select(self, rng):
         bits = random_bits(rng, (3, 2, 80))
         select = rng.integers(0, 3, (80,))
-        legacy = mux_add(Bitstream(bits), select)
-        packed = mux_add(PackedBitstream.from_bits(bits), select)
-        assert np.array_equal(packed.unpack(), legacy.bits)
+        out = mux_add(Bitstream(bits), select)
+        cycles = np.arange(80)
+        for row in range(2):
+            assert np.array_equal(out.bits[row], bits[select, row, cycles])
+        full = np.broadcast_to(select, (2, 80))
+        assert np.array_equal(mux_add(bits, full).bits, out.bits)
 
     def test_mux_add_rejects_out_of_range_select(self, rng):
-        packed = PackedBitstream.from_bits(random_bits(rng, (2, 64)))
+        bits = random_bits(rng, (2, 64))
         with pytest.raises(ShapeError):
-            mux_add(packed, np.full(64, 5))
+            mux_add(bits, np.full(64, 5))
 
     def test_mux_scaled_add_same_rng_matches(self, rng):
         bits = random_bits(rng, (4, 3, 120))
-        legacy = mux_scaled_add(Bitstream(bits), np.random.default_rng(7))
-        packed = mux_scaled_add(
-            PackedBitstream.from_bits(bits), np.random.default_rng(7)
-        )
-        assert np.array_equal(packed.unpack(), legacy.bits)
+        scaled = mux_scaled_add(Bitstream(bits), np.random.default_rng(7))
+        select = np.random.default_rng(7).integers(0, 4, size=(3, 120))
+        assert np.array_equal(scaled.bits, mux_add(bits, select).bits)
 
     def test_value_shape_mismatch_rejected(self, rng):
         # Same ndim but different (broadcastable) value shapes must raise,
         # not silently broadcast.
-        a = PackedBitstream.from_bits(random_bits(rng, (2, 1, 64)))
-        b = PackedBitstream.from_bits(random_bits(rng, (1, 3, 64)))
+        a = random_bits(rng, (2, 1, 64))
+        b = random_bits(rng, (1, 3, 64))
         for op in (xnor_multiply, and_multiply, or_gate):
             with pytest.raises(ShapeError):
                 op(a, b)
+            with pytest.raises(ShapeError):
+                op(Bitstream(a), Bitstream(b))
 
     def test_raw_array_operands_still_validated(self):
         # The bitwise kernels must not silently accept non-binary arrays
@@ -158,34 +125,8 @@ class TestPackedOps:
             and_multiply(np.array([[2]]), np.array([[3]]))
         with pytest.raises(EncodingError):
             xnor_multiply(np.array([0.5, 1.0]), np.array([0.0, 1.0]))
-        packed = PackedBitstream.from_bits(np.array([[0, 1]], dtype=np.uint8))
         with pytest.raises(EncodingError):
-            xnor_multiply(packed, np.array([[2, 3]]))
-
-    def test_or_gate_packed_inherits_encoding(self, rng):
-        bits = random_bits(rng, (3, 70))
-        unipolar = Bitstream(bits, "unipolar").packed()
-        assert or_gate(unipolar, unipolar).encoding == "unipolar"
-        bipolar = Bitstream(bits).packed()
-        assert or_gate(bipolar, bipolar).encoding == "bipolar"
-        with pytest.raises(EncodingError):
-            or_gate(unipolar, Bitstream(bits))  # mixed encodings ambiguous
-
-    def test_mux_add_packed_rejects_bad_encoding(self, rng):
-        packed = PackedBitstream.from_bits(random_bits(rng, (2, 64)))
-        select = rng.integers(0, 2, (64,))
-        with pytest.raises(EncodingError):
-            mux_add(packed, select, encoding="biplar")
-
-    def test_packed_mux_accepts_signed_select_words(self, rng):
-        from repro.sc.packed import packed_mux
-
-        a = pack_bits(random_bits(rng, (3, 70)))
-        b = pack_bits(random_bits(rng, (3, 70)))
-        select = pack_bits(random_bits(rng, (3, 70))).astype(np.int64)
-        out = packed_mux(a, b, select)
-        expected = (a & ~select.astype(np.uint64)) | (b & select.astype(np.uint64))
-        assert np.array_equal(out, expected)
+            or_gate(Bitstream(np.array([[0, 1]])), np.array([[2, 3]]))
 
     def test_structural_helpers_return_copies(self, rng):
         bits = random_bits(rng, (2, 40))
@@ -344,7 +285,7 @@ class TestLfsrVectorizedWords:
         assert lfsr.state == before
 
 
-# -- ISSUE 4: out=-capable kernels, fused reductions, word-direct SNG --------
+# -- out=-capable kernels and fused reductions ---------------------------------
 
 
 from repro.sc.packed import (  # noqa: E402  (grouped with their tests)
@@ -352,12 +293,7 @@ from repro.sc.packed import (  # noqa: E402  (grouped with their tests)
     fused_xnor_column_counts,
     fused_xnor_majority_chain,
     majority_chain_words,
-    pack_comparator_words,
-    packed_and,
     packed_column_counts,
-    packed_mux,
-    packed_or,
-    packed_xnor,
     popcount_words,
     unpack_bits_into,
 )
@@ -381,29 +317,6 @@ class TestOutKernels:
         assert np.array_equal(out, expected)
         # Tail bits of the XNOR (which negates) must stay zero.
         assert not np.any(out[..., -1] & ~tail_mask(length))
-
-    @pytest.mark.parametrize("length", TAIL_LENGTHS)
-    def test_and_or_out(self, rng, length):
-        a = pack_bits(random_bits(rng, (4, length)))
-        b = pack_bits(random_bits(rng, (4, length)))
-        for op in (packed_and, packed_or):
-            out = np.empty_like(a)
-            assert op(a, b, out=out) is out
-            assert np.array_equal(out, op(a, b))
-
-    @pytest.mark.parametrize("length", TAIL_LENGTHS)
-    def test_mux_out(self, rng, length):
-        a = pack_bits(random_bits(rng, (4, length)))
-        b = pack_bits(random_bits(rng, (4, length)))
-        select = pack_bits(random_bits(rng, (4, length)))
-        expected = packed_mux(a, b, select)
-        out = np.empty_like(a)
-        assert packed_mux(a, b, select, out=out) is out
-        assert np.array_equal(out, expected)
-        # Documented aliasing: out may alias b.
-        b2 = b.copy()
-        packed_mux(a, b2, select, out=b2)
-        assert np.array_equal(b2, expected)
 
     @pytest.mark.parametrize("length", TAIL_LENGTHS)
     def test_column_counts_out(self, rng, length):
@@ -457,22 +370,33 @@ class TestPopcountPaths:
 
 
 class TestPackComparatorWords:
+    """The mapper's SNG comparator core: given draws straight to words."""
+
     @pytest.mark.parametrize("length", TAIL_LENGTHS)
     def test_matches_comparator_bits(self, rng, length):
-        draws = rng.integers(0, 1024, (6, length))
-        thresholds = rng.integers(0, 1025, (6,))
-        expected = (draws < thresholds[:, None]).astype(np.uint8)
-        words = pack_comparator_words(draws, thresholds)
+        mapper = ScNetworkMapper(tiny_cnn(), stream_length=length, seed=7)
+        mapper._DRAWS_BYTES_BUDGET = 8 * 2 * length  # two values a chunk
+        draws = rng.random((6, length))
+        p = rng.random(6)
+        words = mapper._packed_comparator_streams(p, draws)
+        expected = (draws < p[:, None]).astype(np.uint8)
         assert np.array_equal(unpack_bits(words, length), expected)
-        out = np.empty_like(words)
-        assert pack_comparator_words(draws, thresholds, out=out) is out
-        assert np.array_equal(out, words)
+        # Leading axes share the draws (the input SNG's batch axis).
+        shared = mapper._packed_comparator_streams(np.stack([p, 1.0 - p]), draws)
+        assert np.array_equal(shared[0], words)
+        assert np.array_equal(
+            unpack_bits(shared[1], length), draws < (1.0 - p)[:, None]
+        )
+        if native.available():
+            compiled = mapper._packed_comparator_streams(
+                p, draws, packer=native.pack_comparator_floats
+            )
+            assert np.array_equal(compiled, words)
 
     def test_rejects_mismatched_thresholds(self, rng):
+        mapper = ScNetworkMapper(tiny_cnn(), stream_length=64, seed=7)
         with pytest.raises(ShapeError):
-            pack_comparator_words(
-                rng.integers(0, 8, (3, 64)), rng.integers(0, 8, (4,))
-            )
+            mapper._packed_comparator_streams(rng.random(4), rng.random((3, 64)))
 
 
 class TestFusedColumnCounts:

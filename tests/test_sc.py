@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from nets import tiny_cnn
 
 from repro.errors import ConfigurationError, EncodingError, ShapeError
+from repro.nn.sc_layers import ScNetworkMapper
 from repro.rng import AqfpTrueRng, Lfsr
 from repro.sc import (
     Bitstream,
@@ -26,6 +28,7 @@ from repro.sc import (
 from repro.sc.apc import apc_inner_product
 from repro.sc.correlation import multiplication_error
 from repro.sc.fsm import btanh_state_count
+from repro.sc.packed import pack_bits, words_for_length
 from repro.sc.sng import quantize_to_levels
 
 
@@ -253,39 +256,22 @@ class TestCorrelation:
 
 
 class TestGeneratePacked:
-    """Word-direct SNG: comparator straight to packed words, bit-identical."""
+    """Word-direct SNG: the mapper's draw-chunked compare-and-pack is
+    bit-identical to packing the byte-per-bit SNG's streams."""
 
     @pytest.mark.parametrize("length", [100, 1000, 64, 1024])
     @pytest.mark.parametrize("cycle_chunk", [64, 256, 8192])
     def test_bit_identical_to_generate(self, length, cycle_chunk):
-        values = np.linspace(-1.0, 1.0, 9).reshape(3, 3)
-        reference = StochasticNumberGenerator(Lfsr(10, seed=17))
-        direct = StochasticNumberGenerator(Lfsr(10, seed=17))
-        expected = reference.generate(values, length).packed()
-        got = direct.generate_packed(values, length, cycle_chunk=cycle_chunk)
-        assert got.length == length
-        assert got.encoding == expected.encoding
-        assert np.array_equal(got.words, expected.words)
-        # Both consumed the same number of source words.
-        assert direct.source.state == reference.source.state
-
-    def test_unipolar_and_scalar_values(self):
-        reference = StochasticNumberGenerator(Lfsr(8, seed=3), "unipolar")
-        direct = StochasticNumberGenerator(Lfsr(8, seed=3), "unipolar")
-        expected = reference.generate(0.3, 130).packed()
-        got = direct.generate_packed(0.3, 130, cycle_chunk=64)
-        assert np.array_equal(got.words, expected.words)
-
-    def test_trng_source(self):
-        reference = StochasticNumberGenerator(AqfpTrueRng(8, seed=11))
-        direct = StochasticNumberGenerator(AqfpTrueRng(8, seed=11))
-        expected = reference.generate(np.linspace(-1, 1, 5), 200).packed()
-        got = direct.generate_packed(np.linspace(-1, 1, 5), 200, cycle_chunk=128)
-        assert np.array_equal(got.words, expected.words)
-
-    def test_rejects_bad_args(self):
-        sng = StochasticNumberGenerator(Lfsr(10, seed=17))
-        with pytest.raises(ShapeError):
-            sng.generate_packed(0.5, 0)
-        with pytest.raises(ShapeError):
-            sng.generate_packed(0.5, 128, cycle_chunk=32)
+        mapper = ScNetworkMapper(tiny_cnn(), stream_length=length, seed=7)
+        # At most ``cycle_chunk`` float64 draws live at once (but one
+        # whole stream), so long streams split the tensor into chunks.
+        mapper._DRAWS_BYTES_BUDGET = 8 * cycle_chunk
+        weights = np.linspace(-1.0, 1.0, 9).reshape(3, 3)
+        reference = np.random.default_rng(17)
+        direct = np.random.default_rng(17)
+        expected = pack_bits(mapper.weight_stream_bits(weights, reference))
+        got = mapper.weight_stream_words(weights, direct)
+        assert got.shape == (3, 3, words_for_length(length))
+        assert np.array_equal(got, expected)
+        # Both consumed the same number of draws.
+        assert direct.bit_generator.state == reference.bit_generator.state

@@ -691,11 +691,11 @@ class TestServiceConfig:
             {"max_wait_ms": -1.0},
             {"num_workers": 0},
             {"cache_capacity": -1},
-            {"checkpoint_fractions": ()},
-            {"checkpoint_fractions": (0.5, 0.25)},
-            {"checkpoint_fractions": (0.0, 1.0)},
             {"margin": -0.5},
             {"stable_checkpoints": 0},
+            {"max_queue_depth": 0},
+            {"max_replica_restarts": -1},
+            {"degraded_max_fraction": 0.0},
         ],
     )
     def test_validation(self, kwargs):
