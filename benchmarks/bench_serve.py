@@ -751,9 +751,9 @@ def bench_http(artifact: Path, images, smoke: bool) -> dict:
     unary requests at the steady :data:`STEADY_RATE`, well below capacity.
     A request's overhead is its client-observed latency minus the
     ``latency_ms`` the server reports for it (the service's own
-    submit-to-answer time): socket, parsing, the executor hand-off and
-    serialization remain, while host drift, which slows both terms
-    alike, cancels.  Every request must answer 200 and the median
+    submit-to-answer time): socket, parsing, the connection thread's
+    wake-up and serialization remain, while host drift, which slows both
+    terms alike, cancels.  Every request must answer 200 and the median
     overhead must stay within :data:`MAX_HTTP_OVERHEAD_MS`; p90 and p99
     are recorded, but at this sample size they are too noisy to gate.
     """

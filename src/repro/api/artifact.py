@@ -197,19 +197,6 @@ class ScModel:
         self.quantized_params = quantized_params
         self._mapper: ScNetworkMapper | None = None
 
-    @classmethod
-    def from_mapper(
-        cls, mapper: ScNetworkMapper, metadata: dict[str, Any] | None = None
-    ) -> "ScModel":
-        """Wrap an existing mapper's network and stream configuration."""
-        return cls(
-            mapper.network,
-            weight_bits=mapper.weight_bits,
-            stream_length=mapper.stream_length,
-            seed=mapper.seed,
-            metadata=metadata,
-        )
-
     def mapper(self) -> ScNetworkMapper:
         """The SC network mapper executing this model (built once).
 

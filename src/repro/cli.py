@@ -13,8 +13,8 @@ in-process with three lines of Python:
 * ``serve``     -- stand up the micro-batching service on an artifact and
   push a demo burst through it (``--metrics-file`` writes the snapshot in
   Prometheus text exposition format, kernel-tier counters included); with
-  ``--http-port`` it instead runs the asyncio HTTP front end (unary +
-  streaming prediction, ``/metrics``, hot-reloadable multi-model
+  ``--http-port`` it instead runs the threaded ``http.server`` front end
+  (unary + streaming prediction, ``/metrics``, hot-reloadable multi-model
   ``--registry`` mode) until SIGINT/SIGTERM drains it.
 * ``models``    -- list a registry directory's (or explicit artifacts')
   catalog metadata: name, format version, weight bits, stream length,
@@ -328,6 +328,13 @@ def _restore_handlers(previous) -> None:
         signal.signal(sig, old)
 
 
+def _given(**flags) -> dict:
+    """The tuning flags that were given: an omitted one (``None``) leaves
+    ServiceConfig's default in force, and a given ``0`` still reaches its
+    validation."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _cmd_serve_http(args: argparse.Namespace, backend: str, config) -> int:
     """``serve --http-port``: run the network front end until a signal.
 
@@ -337,8 +344,7 @@ def _cmd_serve_http(args: argparse.Namespace, backend: str, config) -> int:
     -- a supervised multi-process fleet per model.  SIGINT/SIGTERM
     drains open HTTP connections and replica pools, then exits 0.
     """
-    import asyncio
-    import signal
+    import threading
 
     from repro.config import FleetConfig, HttpConfig
     from repro.serve import ModelRegistry, ScHttpServer
@@ -365,13 +371,10 @@ def _cmd_serve_http(args: argparse.Namespace, backend: str, config) -> int:
         port=args.http_port,
         reload_interval_s=args.reload_interval,
     )
-
-    async def run() -> None:
-        server = await ScHttpServer(registry, http_config).start()
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(sig, stop.set)
+    server = ScHttpServer(registry, http_config)
+    previous_handlers = _install_drain_handlers()
+    try:
+        server.start_background()
         mode = (
             f"{args.fleet_workers}-process fleets"
             if args.fleet_workers
@@ -383,15 +386,14 @@ def _cmd_serve_http(args: argparse.Namespace, backend: str, config) -> int:
             f"{backend}); SIGINT/SIGTERM drains",
             flush=True,
         )
-        await stop.wait()
+        threading.Event().wait()
+    except _GracefulExit:
         print(
             "\ndraining open connections and replica pools...", flush=True
         )
-        await server.drain()
-
-    try:
-        asyncio.run(run())
     finally:
+        server.close()
+        _restore_handlers(previous_handlers)
         registry.close()
     print("drained cleanly")
     return 0
@@ -419,16 +421,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     backend = args.backend
     config = ServiceConfig(
         backend=backend,
-        max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
-        num_workers=args.service_workers,
-        cache_capacity=args.cache_capacity,
         max_queue_depth=args.max_queue_depth,
         shed_unmeetable_deadlines=args.shed_unmeetable_deadlines,
         degrade_queue_depth=args.degrade_queue_depth,
-        degraded_max_fraction=args.degraded_max_fraction,
-        trace_sample_rate=args.trace_sample_rate,
         event_log_path=args.trace_file,
+        **_given(
+            max_batch_size=args.max_batch_size,
+            max_wait_ms=args.max_wait_ms,
+            num_workers=args.service_workers,
+            cache_capacity=args.cache_capacity,
+            degraded_max_fraction=args.degraded_max_fraction,
+            trace_sample_rate=args.trace_sample_rate,
+        ),
     )
     if args.http_port is not None or args.registry:
         return _cmd_serve_http(args, backend, config)
@@ -655,10 +659,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     config = ServiceConfig(
         backend=args.backend,
-        num_workers=args.service_workers,
-        cache_capacity=args.cache_capacity,
         trace_sample_rate=1.0,
         trace_capacity=max(256, args.requests),
+        **_given(
+            num_workers=args.service_workers,
+            cache_capacity=args.cache_capacity,
+        ),
     )
     with Session.from_artifact(args.model, backend=args.backend) as session:
         responses, traces = _run_service_burst(
@@ -840,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve",
         help="run a demo burst through the micro-batching service, or "
-        "(with --http-port) the asyncio HTTP front end",
+        "(with --http-port) the threaded http.server front end",
     )
     serve.add_argument(
         "--model",
@@ -885,15 +891,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_backend_arguments(
         serve, capability="progressive", include_workers=False
     )
-    serve.add_argument("--max-batch-size", type=int, default=16)
-    serve.add_argument("--max-wait-ms", type=float, default=5.0)
+    # Service tuning flags default to None: ServiceConfig's value holds.
+    serve.add_argument("--max-batch-size", type=int, default=None)
+    serve.add_argument("--max-wait-ms", type=float, default=None)
     serve.add_argument(
         "--service-workers",
         type=int,
-        default=2,
+        default=None,
         help="service worker threads, each owning one backend replica",
     )
-    serve.add_argument("--cache-capacity", type=int, default=256)
+    serve.add_argument("--cache-capacity", type=int, default=None)
     serve.add_argument(
         "--deadline-ms",
         type=float,
@@ -923,13 +930,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--degraded-max-fraction",
         type=float,
-        default=0.5,
+        default=None,
         help="largest checkpoint fraction of N served while degraded",
     )
     serve.add_argument(
         "--trace-sample-rate",
         type=float,
-        default=0.0,
+        default=None,
         help="fraction of requests that record a full span trace "
         "(0 disables tracing, 1 traces everything)",
     )
@@ -972,8 +979,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_backend_arguments(
         trace, capability="progressive", include_workers=False
     )
-    trace.add_argument("--service-workers", type=int, default=2)
-    trace.add_argument("--cache-capacity", type=int, default=256)
+    trace.add_argument("--service-workers", type=int, default=None)
+    trace.add_argument("--cache-capacity", type=int, default=None)
     trace.add_argument(
         "--show",
         type=int,

@@ -361,7 +361,8 @@ class FleetConfig:
 
 @dataclass(frozen=True)
 class HttpConfig:
-    """Knobs of the asyncio HTTP front end (:mod:`repro.serve.http`).
+    """Knobs of the HTTP front end (:mod:`repro.serve.http`), a threaded
+    ``http.server``.
 
     Attributes:
         host: interface the listener binds (default loopback).
@@ -380,10 +381,10 @@ class HttpConfig:
             *itself* (capped at the first checkpoint), so this only fires
             when the future is truly stuck.
         drain_timeout_s: graceful-drain budget: seconds
-            :meth:`~repro.serve.http.ScHttpServer.drain` waits for open
-            connections (streams included) to finish before force-closing
-            them.
-        reload_interval_s: when set, the server polls
+            :meth:`~repro.serve.http.ScHttpServer.close` waits for open
+            connections (streams included) to finish before cutting them
+            off.
+        reload_interval_s: when set, a server thread polls
             :meth:`~repro.serve.registry.ModelRegistry.scan` at this
             period so manifest changes hot-reload without an operator
             call (``None`` disables polling; ``scan()`` can still be

@@ -448,13 +448,15 @@ class ScNetworkMapper:
         for start in range(0, n_values, chunk):
             stop = min(n_values, start + chunk)
             draws = rng[start:stop] if drawn else rng.random((stop - start, n))
-            if packer is not None and packer(
+            if packer is None or packer(
                 draws, p[..., start:stop], out[..., start:stop, :]
-            ) is not None:
-                continue
-            out[..., start:stop, :] = pack_bits(
-                draws < p[..., start:stop, None]
-            )
+            ) is None:
+                out[..., start:stop, :] = pack_bits(
+                    draws < p[..., start:stop, None]
+                )
+            # Freed here, not when the next chunk's draws rebind the name,
+            # so two chunks of draws are never alive at once.
+            del draws
         return out
 
     def input_stream_words(

@@ -4,8 +4,8 @@ The measurement substrate under the serving layer (:mod:`repro.serve`)
 and the packed backends (:mod:`repro.backends`):
 
 * :mod:`~repro.obs.trace` -- a sampling span tracer
-  (:class:`~repro.obs.trace.Tracer`) with contextvar-propagated
-  parent/child nesting, a bounded ring buffer of completed traces, and
+  (:class:`~repro.obs.trace.Tracer`) with explicit parent/child spans,
+  a bounded ring buffer of completed traces, and
   a per-request :class:`~repro.obs.trace.TraceSummary` carried on every
   :class:`~repro.serve.InferenceResponse` of a sampled request.
 * :mod:`~repro.obs.counters` -- per-kernel, per-tier
@@ -32,14 +32,13 @@ from repro.obs.export import (
     registry_prometheus_text,
     validate_exposition,
 )
-from repro.obs.trace import Span, Trace, Tracer, TraceSummary, current_span
+from repro.obs.trace import Span, Trace, Tracer, TraceSummary
 
 __all__ = [
     "Tracer",
     "Trace",
     "Span",
     "TraceSummary",
-    "current_span",
     "KernelCounters",
     "merge_kernel_snapshots",
     "prometheus_text",

@@ -8,16 +8,10 @@ serving pipeline, accumulating :class:`Span` records per stage
 bounded ring buffer for the CLI / event log to read; nothing grows
 without bound in a long-running service.
 
-Two ways to record spans:
-
-* **Explicit timestamps** (:meth:`Trace.add_span`) -- the serving layer's
-  path.  Stages cross thread boundaries (the submit thread enqueues, a
-  worker thread computes), so each stage is recorded from monotonic marks
-  the service already takes, with the parent passed explicitly.
-* **Context manager** (:meth:`Trace.span`) -- for single-threaded
-  instrumented code.  Nesting is propagated through a
-  :class:`contextvars.ContextVar`, so an inner ``span()`` automatically
-  becomes a child of the enclosing one.
+Spans are recorded from explicit timestamps (:meth:`Trace.add_span`).
+Stages cross thread boundaries (the submit thread enqueues, a worker
+thread computes), so each stage is recorded from monotonic marks the
+service already takes, with the parent passed explicitly.
 
 All timestamps are ``time.perf_counter()`` seconds; serialized forms
 report milliseconds relative to the trace start.
@@ -25,28 +19,16 @@ report milliseconds relative to the trace start.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import random
 import threading
 import time
 from collections import deque
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
-__all__ = ["Span", "Trace", "TraceSummary", "Tracer", "current_span"]
-
-#: Intra-thread span nesting: the innermost open context-manager span.
-_CURRENT_SPAN: ContextVar["Span | None"] = ContextVar(
-    "repro_obs_current_span", default=None
-)
+__all__ = ["Span", "Trace", "TraceSummary", "Tracer"]
 
 _TRACE_IDS = itertools.count(1)
-
-
-def current_span() -> "Span | None":
-    """The innermost open context-manager span of this context, if any."""
-    return _CURRENT_SPAN.get()
 
 
 @dataclass
@@ -128,30 +110,6 @@ class Trace:
             )
             self.spans.append(span)
             return span
-
-    @contextlib.contextmanager
-    def span(self, name: str, **annotations: object):
-        """Open a nested span around a code block (single-threaded use).
-
-        The parent is the innermost enclosing ``span()`` of the current
-        context (contextvar-propagated), falling back to the root.
-        """
-        parent = _CURRENT_SPAN.get() or self.root
-        with self._lock:
-            record = Span(
-                name=name,
-                span_id=next(self._ids),
-                parent_id=parent.span_id,
-                started_at=time.perf_counter(),
-                annotations=dict(annotations) if annotations else {},
-            )
-            self.spans.append(record)
-        token = _CURRENT_SPAN.set(record)
-        try:
-            yield record
-        finally:
-            _CURRENT_SPAN.reset(token)
-            record.ended_at = time.perf_counter()
 
     def stage_ms(self) -> dict[str, float]:
         """Total duration per span name, in milliseconds.

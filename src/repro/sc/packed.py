@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from repro.errors import ShapeError
+from repro.errors import EncodingError, ShapeError
 from repro.workspace import Workspace
 
 __all__ = [
@@ -93,19 +93,22 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack a 0/1 array of shape ``(..., N)`` into ``(..., ceil(N/64))`` words.
 
     Stream bit ``t`` of the input maps to bit ``t % 64`` of word ``t // 64``;
-    tail bits beyond ``N`` are zero.
+    tail bits beyond ``N`` are zero.  Boolean and integer input is packed
+    as it is (no byte-per-bit copy); float input raises
+    :class:`~repro.errors.EncodingError`.
     """
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
+    bits = np.asarray(bits)
     if bits.ndim == 0:
         raise ShapeError("a bit stream needs at least one (stream) axis")
-    length = bits.shape[-1]
-    n_words = words_for_length(length)
-    pad = n_words * WORD_BITS - length
-    if pad:
-        bits = np.concatenate(
-            [bits, np.zeros(bits.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1
+    if bits.dtype != np.bool_ and not np.issubdtype(bits.dtype, np.integer):
+        raise EncodingError(
+            f"bits must be boolean or integer, got dtype {bits.dtype}"
         )
     packed_bytes = np.packbits(bits, axis=-1, bitorder="little")
+    pad = 8 * words_for_length(bits.shape[-1]) - packed_bytes.shape[-1]
+    if pad:  # to whole words: pad the packed bytes, not the bits
+        widths = [(0, 0)] * (bits.ndim - 1) + [(0, pad)]
+        packed_bytes = np.pad(packed_bytes, widths)
     words = np.ascontiguousarray(packed_bytes).view(np.uint64)
     if sys.byteorder == "big":  # pragma: no cover - little-endian CI hosts
         words = words.byteswap()

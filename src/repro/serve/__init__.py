@@ -30,8 +30,9 @@ stream cycles can each request get away with*.  It contains:
   in-flight requests drain on the old pool, new requests route to the
   new one.
 * :mod:`~repro.serve.http` -- the network front end:
-  :class:`~repro.serve.http.ScHttpServer`, a stdlib-asyncio HTTP/1.1
-  JSON server with unary and SSE progressive-streaming prediction
+  :class:`~repro.serve.http.ScHttpServer`, an HTTP/1.1 JSON server on
+  the standard library's threaded ``http.server`` (one thread per
+  connection) with unary and SSE progressive-streaming prediction
   routes, Prometheus ``/metrics``, health/readiness probes, typed
   4xx/5xx error mapping and graceful drain through open connections.
 * :mod:`~repro.serve.fleet` -- horizontal scale-out:

@@ -124,10 +124,6 @@ class FleetMetrics:
         #: Planned replacements (rolling restart), not charged to budgets.
         self.replacements = 0
 
-    def bump(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            setattr(self, name, getattr(self, name) + amount)
-
     def snapshot(self) -> dict:
         with self._lock:
             return {

@@ -1,11 +1,12 @@
-"""Async HTTP/JSON front end streaming progressive stochastic-computing results.
+"""HTTP/JSON front end streaming progressive stochastic-computing results.
 
-The network surface over the serving stack: a stdlib-``asyncio`` HTTP/1.1
-server (no web framework, no new dependency) fronting a
-:class:`~repro.serve.registry.ModelRegistry` of artifact-backed replica
-pools -- in-process :class:`~repro.serve.ScInferenceService` pools by
-default, multi-process :class:`~repro.serve.FleetRouter` pools in fleet
-mode.
+The network surface over the serving stack: the standard library's
+threaded ``http.server`` (no web framework, no new dependency; one thread
+per connection, blocking on its pool's future as an in-process caller
+does) fronting a :class:`~repro.serve.registry.ModelRegistry` of
+artifact-backed replica pools -- in-process
+:class:`~repro.serve.ScInferenceService` pools by default, multi-process
+:class:`~repro.serve.FleetRouter` pools in fleet mode.
 
 Routes:
 
@@ -40,18 +41,22 @@ result cache); queue-full shedding is 429; a draining or worker-less
 fleet is 503; malformed requests are 4xx with machine-readable ``type`` /
 ``reason`` fields.  A stream refused after its head went out ends with
 the same payload as a typed ``error`` event.  Graceful drain extends
-through open connections: keep-alive loops finish the request in flight
-and close, and an open stream finishes its one evaluation.
+through open connections: idle keep-alive connections are hung up, a
+request in flight finishes and closes its connection, and an open stream
+finishes its one evaluation.
 """
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
-import functools
+import http.server
 import json
 import logging
+import socket
+import socketserver
+import sys
 import threading
+from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 import numpy as np
 
@@ -88,6 +93,14 @@ _REASONS = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+#: Largest request head (request line and headers) accepted; the standard
+#: library bounds each line and the header count, but not their total.
+_MAX_HEAD_BYTES = 64 * 1024
+
+#: How long each ``serve_forever`` poll waits, and so how long stopping
+#: the listener can take.
+_POLL_INTERVAL_S = 0.01
 
 _OPTION_KEYS = (
     "stream_length",
@@ -138,7 +151,7 @@ def error_response(exc: BaseException) -> tuple[int, dict]:
         status, error_type = 400, type(exc).__name__
     elif isinstance(exc, (InferenceError, RemoteWorkerError)):
         status, error_type = 500, type(exc).__name__
-    elif isinstance(exc, (TimeoutError, asyncio.TimeoutError)):
+    elif isinstance(exc, (TimeoutError, FuturesTimeoutError)):
         status, error_type, reason = 504, "DeadlineExceeded", "deadline"
     else:
         status, error_type = 500, "InternalError"
@@ -157,18 +170,46 @@ def _json_bytes(payload: dict) -> bytes:
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
+def _respond(
+    wfile,
+    status: int,
+    body: bytes,
+    content_type: str = "application/json",
+    keep_alive: bool = True,
+) -> None:
+    reason = _REASONS.get(status, "Unknown")
+    connection = "keep-alive" if keep_alive else "close"
+    head = (
+        f"HTTP/1.1 {status} {reason}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: {connection}\r\n"
+        "\r\n"
+    )
+    wfile.write(head.encode("latin-1") + body)
+
+
+def _respond_json(wfile, status: int, payload: dict, keep_alive=True) -> None:
+    _respond(wfile, status, _json_bytes(payload), keep_alive=keep_alive)
+
+
+def _respond_error(wfile, exc: BaseException, keep_alive=True) -> None:
+    status, payload = error_response(exc)
+    _respond_json(wfile, status, payload, keep_alive=keep_alive)
+
+
+def _hang_up(sock: socket.socket) -> None:
+    """Wake the connection's thread: closing the socket would not."""
+    with contextlib.suppress(OSError):
+        sock.shutdown(socket.SHUT_RDWR)
+
+
 class ScHttpServer:
-    """Asyncio HTTP front end over a :class:`ModelRegistry`.
+    """HTTP front end over a :class:`ModelRegistry`.
 
-    Two hosting modes:
-
-    * **async-native** -- ``await server.start()`` inside a running event
-      loop, later ``await server.drain()`` (the CLI's signal-driven
-      path);
-    * **background thread** -- :meth:`start_background` spins a private
-      event loop in a daemon thread and returns once the port is bound;
-      :meth:`close` drains and joins it (the tests' and benchmarks'
-      path).  Also usable as a context manager.
+    :meth:`start_background` binds the port and serves from daemon
+    threads, one per connection; :meth:`close` drains and stops it.  Also
+    usable as a context manager.
 
     Args:
         registry: the model catalog to serve (closed by the caller, not
@@ -184,24 +225,37 @@ class ScHttpServer:
         self.config = config or HttpConfig()
         self.host = self.config.host
         self.port = self.config.port
-        self._server: asyncio.base_events.Server | None = None
-        self._scan_task: asyncio.Task | None = None
-        self._connections: set[asyncio.Task] = set()
-        self._draining = asyncio.Event()
-        self._thread: threading.Thread | None = None
-        self._thread_loop: asyncio.AbstractEventLoop | None = None
+        self._listener: _Listener | None = None
+        self._scanner: threading.Thread | None = None
+        self._draining = threading.Event()
+        # Open connections, and those idle between requests: a drain
+        # hangs up the idle ones at once and waits for the others.
+        self._connections = threading.Condition()
+        self._open: set[socket.socket] = set()
+        self._idle: set[socket.socket] = set()
 
     # -- lifecycle -------------------------------------------------------------
 
-    async def start(self) -> "ScHttpServer":
-        """Bind the listener; ``self.port`` holds the bound port after."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        sock = self._server.sockets[0]
-        self.port = sock.getsockname()[1]
+    def start_background(self) -> "ScHttpServer":
+        """Bind the listener and serve from daemon threads.
+
+        Returns once the port is bound; ``self.port`` holds it after.
+        """
+        if self._listener is not None:
+            raise ConfigurationError("server already started")
+        self._listener = _Listener(self)
+        self.port = self._listener.server_address[1]
+        threading.Thread(
+            target=self._listener.serve_forever,
+            args=(_POLL_INTERVAL_S,),
+            name="repro-http",
+            daemon=True,
+        ).start()
         if self.config.reload_interval_s:
-            self._scan_task = asyncio.create_task(self._scan_loop())
+            self._scanner = threading.Thread(
+                target=self._scan_loop, name="repro-http-reload", daemon=True
+            )
+            self._scanner.start()
         logger.info(
             "http: serving %d model(s) on %s:%d",
             len(self.registry),
@@ -210,96 +264,39 @@ class ScHttpServer:
         )
         return self
 
-    async def drain(self) -> None:
+    def close(self) -> None:
         """Graceful shutdown: stop accepting, finish open connections.
 
-        Sets the draining flag (keep-alive loops close after the request
-        in flight; open streams finish their one evaluation), closes the
-        listener, then waits up to
-        ``drain_timeout_s`` for connection handlers before cancelling
-        stragglers.
+        Sets the draining flag and hangs up idle keep-alive connections;
+        a request in flight finishes and closes its connection, and an
+        open stream finishes its one evaluation.  New connections are
+        refused.  Connections still open after ``drain_timeout_s`` are
+        cut off.
         """
-        self._draining.set()
-        if self._scan_task is not None:
-            self._scan_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._scan_task
-            self._scan_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        tasks = [
-            t
-            for t in self._connections
-            if t is not asyncio.current_task() and not t.done()
-        ]
-        if tasks:
-            done, pending = await asyncio.wait(
-                tasks, timeout=self.config.drain_timeout_s
-            )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.wait(pending, timeout=1.0)
-            logger.info(
-                "http: drained %d connection(s), cancelled %d",
-                len(done),
-                len(pending),
-            )
-
-    def start_background(self) -> "ScHttpServer":
-        """Run the server in a private event loop on a daemon thread.
-
-        Blocks until the port is bound (or startup failed, in which case
-        the startup exception is re-raised here).
-        """
-        if self._thread is not None:
-            raise ConfigurationError("server already started")
-        started = threading.Event()
-        failures: list[BaseException] = []
-
-        def run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._thread_loop = loop
-            try:
-                loop.run_until_complete(self.start())
-            except BaseException as exc:  # noqa: BLE001 - reraised in caller
-                failures.append(exc)
-                started.set()
-                loop.close()
-                return
-            started.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(loop.shutdown_asyncgens())
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=run, name="repro-http", daemon=True
-        )
-        self._thread.start()
-        started.wait(timeout=60.0)
-        if failures:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-            raise failures[0]
-        return self
-
-    def close(self) -> None:
-        """Drain and stop a :meth:`start_background` server."""
-        thread, loop = self._thread, self._thread_loop
-        if thread is None or loop is None:
+        listener, self._listener = self._listener, None
+        if listener is None:
             return
-        self._thread = None
-        try:
-            future = asyncio.run_coroutine_threadsafe(self.drain(), loop)
-            future.result(timeout=self.config.drain_timeout_s + 10.0)
-        finally:
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(timeout=10.0)
+        with self._connections:
+            self._draining.set()
+            for sock in self._idle:
+                _hang_up(sock)
+        listener.shutdown()
+        listener.server_close()
+        if self._scanner is not None:
+            self._scanner.join(timeout=self.config.drain_timeout_s)
+        with self._connections:
+            busy = len(self._open)
+            self._connections.wait_for(
+                lambda: not self._open, timeout=self.config.drain_timeout_s
+            )
+            for sock in self._open:
+                _hang_up(sock)
+            if busy:
+                logger.info(
+                    "http: drained %d connection(s), cut off %d",
+                    busy - len(self._open),
+                    len(self._open),
+                )
 
     def __enter__(self) -> "ScHttpServer":
         return self.start_background()
@@ -311,219 +308,55 @@ class ScHttpServer:
     def draining(self) -> bool:
         return self._draining.is_set()
 
-    async def _scan_loop(self) -> None:
+    def _scan_loop(self) -> None:
         """Poll the registry for artifact changes (hot reload)."""
-        loop = asyncio.get_running_loop()
-        while not self._draining.is_set():
-            await asyncio.sleep(self.config.reload_interval_s)
+        while not self._draining.wait(self.config.reload_interval_s):
             try:
-                changes = await loop.run_in_executor(None, self.registry.scan)
+                changes = self.registry.scan()
             except Exception:  # pragma: no cover - scan must never kill serve
                 logger.exception("http: registry scan failed")
                 continue
             if any(changes.values()):
                 logger.info("http: registry scan applied %s", changes)
 
-    # -- connection handling ---------------------------------------------------
+    # -- connection bookkeeping -----------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        try:
-            await self._serve_connection(reader, writer)
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.IncompleteReadError,
-        ):
-            pass
-        except asyncio.CancelledError:  # drain timeout fired
-            raise
-        except Exception:  # pragma: no cover - handler bug backstop
-            logger.exception("http: connection handler failed")
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+    def _opened(self, sock: socket.socket) -> None:
+        with self._connections:
+            self._open.add(sock)
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        while True:
-            request = await self._read_request(reader, writer)
-            if request is None:
-                return
-            method, path, headers, body = request
-            keep_alive = await self._dispatch(
-                method, path, headers, body, writer
-            )
-            if not keep_alive or self._draining.is_set():
-                return
+    def _closed(self, sock: socket.socket) -> None:
+        with self._connections:
+            self._open.discard(sock)
+            self._connections.notify_all()
 
-    async def _read_request(self, reader, writer):
-        """One request head + body, racing the drain flag while idle.
+    def _await_request(self, sock: socket.socket, rfile) -> bool:
+        """Block until the connection's next request starts.
 
-        Returns ``None`` on clean close (client EOF, drain, or an error
-        already answered on ``writer``).
+        Returns ``False`` on client EOF or drain (which hangs up the
+        connection while it waits here).
         """
-        read = asyncio.ensure_future(reader.readuntil(b"\r\n\r\n"))
-        drain_wait = asyncio.ensure_future(self._draining.wait())
+        with self._connections:
+            if self._draining.is_set():
+                return False
+            self._idle.add(sock)
         try:
-            await asyncio.wait(
-                {read, drain_wait}, return_when=asyncio.FIRST_COMPLETED
-            )
+            return bool(rfile.peek(1))
+        except OSError:
+            return False
         finally:
-            drain_wait.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await drain_wait
-        if not read.done():
-            # Draining with no request in flight on this connection.
-            read.cancel()
-            with contextlib.suppress(
-                asyncio.CancelledError, asyncio.IncompleteReadError
-            ):
-                await read
-            return None
-        try:
-            head = read.result()
-        except asyncio.IncompleteReadError:
-            return None  # client closed between requests
-        except asyncio.LimitOverrunError:
-            await self._respond_error(
-                writer,
-                HttpError(431, "BadRequest", "request head too large"),
-                keep_alive=False,
-            )
-            return None
-        try:
-            method, path, headers = self._parse_head(head)
-        except HttpError as exc:
-            await self._respond_error(writer, exc, keep_alive=False)
-            return None
-        body = b""
-        length_header = headers.get("content-length")
-        if length_header is not None:
-            try:
-                length = int(length_header)
-                if length < 0:
-                    raise ValueError
-            except ValueError:
-                await self._respond_error(
-                    writer,
-                    HttpError(400, "BadRequest", "bad Content-Length"),
-                    keep_alive=False,
-                )
-                return None
-            if length > self.config.max_body_bytes:
-                # Drain modest overshoots before answering so the close
-                # is clean (unread bytes on close can RST the socket
-                # under the client's 413 response); give up on reading
-                # truly huge bodies.
-                if length <= 8 * self.config.max_body_bytes:
-                    await reader.readexactly(length)
-                await self._respond_error(
-                    writer,
-                    HttpError(
-                        413,
-                        "BadRequest",
-                        f"request body of {length} bytes exceeds the "
-                        f"{self.config.max_body_bytes}-byte limit",
-                        reason="oversized_body",
-                    ),
-                    keep_alive=False,
-                )
-                return None
-            if length:
-                if headers.get("expect", "").lower() == "100-continue":
-                    writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-                    await writer.drain()
-                body = await reader.readexactly(length)
-        elif "chunked" in headers.get("transfer-encoding", "").lower():
-            await self._respond_error(
-                writer,
-                HttpError(
-                    411, "BadRequest", "chunked request bodies not supported"
-                ),
-                keep_alive=False,
-            )
-            return None
-        return method, path, headers, body
-
-    @staticmethod
-    def _parse_head(blob: bytes):
-        try:
-            text = blob.decode("latin-1")
-        except UnicodeDecodeError as exc:  # pragma: no cover - latin-1 total
-            raise HttpError(400, "BadRequest", "undecodable head") from exc
-        lines = text.split("\r\n")
-        parts = lines[0].split(" ")
-        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-            raise HttpError(
-                400, "BadRequest", f"malformed request line {lines[0]!r}"
-            )
-        method, target = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, sep, value = line.partition(":")
-            if not sep:
-                raise HttpError(
-                    400, "BadRequest", f"malformed header line {line!r}"
-                )
-            headers[name.strip().lower()] = value.strip()
-        path = target.split("?", 1)[0]
-        return method, path, headers
-
-    # -- responses -------------------------------------------------------------
-
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        body: bytes,
-        content_type: str = "application/json",
-        keep_alive: bool = True,
-    ) -> None:
-        reason = _REASONS.get(status, "Unknown")
-        connection = "keep-alive" if keep_alive else "close"
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {connection}\r\n"
-            "\r\n"
-        )
-        writer.write(head.encode("latin-1") + body)
-        await writer.drain()
-
-    async def _respond_json(
-        self, writer, status: int, payload: dict, keep_alive: bool = True
-    ) -> None:
-        await self._respond(
-            writer, status, _json_bytes(payload), keep_alive=keep_alive
-        )
-
-    async def _respond_error(
-        self, writer, exc: BaseException, keep_alive: bool = True
-    ) -> None:
-        status, payload = error_response(exc)
-        await self._respond_json(writer, status, payload, keep_alive=keep_alive)
+            with self._connections:
+                self._idle.discard(sock)
 
     # -- routing ---------------------------------------------------------------
 
-    async def _dispatch(self, method, path, headers, body, writer) -> bool:
+    def _dispatch(self, method: str, path: str, body: bytes, wfile) -> bool:
         """Route one request; returns whether to keep the connection."""
         try:
             if path == "/healthz":
                 self._require(method, "GET")
-                await self._respond_json(
-                    writer,
+                _respond_json(
+                    wfile,
                     200,
                     {"status": "ok", "draining": self._draining.is_set()},
                 )
@@ -531,32 +364,29 @@ class ScHttpServer:
             if path == "/readyz":
                 self._require(method, "GET")
                 if self._draining.is_set():
-                    await self._respond_json(
-                        writer, 503, {"status": "draining"}, keep_alive=False
+                    _respond_json(
+                        wfile, 503, {"status": "draining"}, keep_alive=False
                     )
                     return False
                 if not len(self.registry):
-                    await self._respond_json(writer, 503, {"status": "empty"})
+                    _respond_json(wfile, 503, {"status": "empty"})
                     return True
-                await self._respond_json(
-                    writer,
+                _respond_json(
+                    wfile,
                     200,
                     {"status": "ready", "models": self.registry.names()},
                 )
                 return True
             if path == "/v1/models":
                 self._require(method, "GET")
-                loop = asyncio.get_running_loop()
-                models = await loop.run_in_executor(None, self.registry.models)
-                await self._respond_json(writer, 200, {"models": models})
+                _respond_json(wfile, 200, {"models": self.registry.models()})
                 return True
             if path == "/metrics":
                 self._require(method, "GET")
-                text = await self._metrics_text()
-                await self._respond(
-                    writer,
+                _respond(
+                    wfile,
                     200,
-                    text.encode("utf-8"),
+                    self._metrics_text().encode("utf-8"),
                     content_type="text/plain; version=0.0.4",
                 )
                 return True
@@ -571,26 +401,18 @@ class ScHttpServer:
                 )
             payload = self._parse_json_body(body)
             if streaming:
-                return await self._predict_stream(name, payload, writer)
-            response = await self._predict_unary(name, payload)
-            await self._respond_json(writer, 200, response)
+                return self._predict_stream(name, payload, wfile)
+            _respond_json(wfile, 200, self._predict_unary(name, payload))
             return True
         except Exception as exc:  # noqa: BLE001 - typed mapping below
-            if isinstance(
-                exc,
-                (
-                    ConnectionResetError,
-                    BrokenPipeError,
-                    asyncio.IncompleteReadError,
-                ),
-            ):
+            if isinstance(exc, ConnectionError):
                 raise
             status, _ = error_response(exc)
             if status >= 500 and not isinstance(
-                exc, (ReproError, TimeoutError, asyncio.TimeoutError)
+                exc, (ReproError, TimeoutError, FuturesTimeoutError)
             ):
                 logger.exception("http: %s %s failed", method, path)
-            await self._respond_error(writer, exc)
+            _respond_error(wfile, exc)
             return True
 
     @staticmethod
@@ -720,23 +542,17 @@ class ScHttpServer:
             timeout = min(timeout, budget)
         return timeout
 
-    async def _submit(self, name: str, images, options):
+    def _submit(self, name: str, images, options):
         """Submit one request; returns the pool that took it and its answer.
 
         A server-side timeout cancels the request on that same pool: after
         a hot reload the registry's current pool is another one.
         """
-        loop = asyncio.get_running_loop()
-        pool, future = await loop.run_in_executor(
-            None,
-            functools.partial(self.registry.submit, name, images, options),
-        )
+        pool, future = self.registry.submit(name, images, options)
         timeout = self._timeout_for(options)
         try:
-            response = await asyncio.wait_for(
-                asyncio.wrap_future(future), timeout
-            )
-        except (TimeoutError, asyncio.TimeoutError):
+            response = future.result(timeout)
+        except FuturesTimeoutError:
             with contextlib.suppress(Exception):
                 pool.cancel(future)
             raise HttpError(
@@ -747,9 +563,9 @@ class ScHttpServer:
             ) from None
         return pool, response
 
-    async def _predict_unary(self, name: str, payload: dict) -> dict:
+    def _predict_unary(self, name: str, payload: dict) -> dict:
         images, options = self._parse_predict_payload(payload)
-        pool, response = await self._submit(name, images, options)
+        pool, response = self._submit(name, images, options)
         return {
             "model": name,
             "generation": pool.generation,
@@ -762,7 +578,7 @@ class ScHttpServer:
             "degraded": response.degraded,
         }
 
-    async def _predict_stream(self, name, payload, writer) -> bool:
+    def _predict_stream(self, name, payload, wfile) -> bool:
         """SSE stream of one request's checkpoints; always closes the
         connection when done (the stream body is EOF-delimited chunked
         encoding, so reuse is not worth the bookkeeping)."""
@@ -780,19 +596,18 @@ class ScHttpServer:
             "Connection: close\r\n"
             "\r\n"
         )
-        writer.write(head.encode("latin-1"))
-        await writer.drain()
+        wfile.write(head.encode("latin-1"))
         try:
-            pool, response = await self._submit(name, images, options)
+            pool, response = self._submit(name, images, options)
         except Exception as exc:  # noqa: BLE001 - typed error event
-            if isinstance(exc, (ConnectionResetError, BrokenPipeError)):
+            if isinstance(exc, ConnectionError):
                 raise
             status, payload = error_response(exc)
             if status >= 500 and not isinstance(exc, ReproError):
                 logger.exception("http: stream for %r failed", name)
             payload["kind"] = "error"
-            await self._sse_event(writer, payload)
-            await self._end_chunks(writer)
+            self._sse_event(wfile, payload)
+            self._end_chunks(wfile)
             return False
         points = response.checkpoints
         last = len(points) - 1
@@ -803,8 +618,8 @@ class ScHttpServer:
             exited = members[exit_index[members] == k]
             if k == last:
                 exited = members[:0]  # the final checkpoint is no exit
-            await self._sse_event(
-                writer,
+            self._sse_event(
+                wfile,
                 {
                     "kind": "checkpoint",
                     "index": k,
@@ -816,8 +631,8 @@ class ScHttpServer:
                     "exited": exited.tolist(),
                 },
             )
-        await self._sse_event(
-            writer,
+        self._sse_event(
+            wfile,
             {
                 "kind": "done",
                 "reason": (
@@ -834,28 +649,156 @@ class ScHttpServer:
                 "degraded": response.degraded,
             },
         )
-        await self._end_chunks(writer)
+        self._end_chunks(wfile)
         return False
 
     @staticmethod
-    async def _sse_event(writer: asyncio.StreamWriter, payload: dict) -> None:
+    def _sse_event(wfile, payload: dict) -> None:
         data = b"data: " + _json_bytes(payload) + b"\n\n"
-        writer.write(f"{len(data):X}\r\n".encode("ascii") + data + b"\r\n")
-        await writer.drain()
+        wfile.write(f"{len(data):X}\r\n".encode("ascii") + data + b"\r\n")
 
     @staticmethod
-    async def _end_chunks(writer: asyncio.StreamWriter) -> None:
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
+    def _end_chunks(wfile) -> None:
+        wfile.write(b"0\r\n\r\n")
 
     # -- metrics ---------------------------------------------------------------
 
-    async def _metrics_text(self) -> str:
+    def _metrics_text(self) -> str:
         from repro.obs import registry_prometheus_text
 
-        loop = asyncio.get_running_loop()
-        snapshots = await loop.run_in_executor(None, self.registry.snapshot)
-        return registry_prometheus_text(snapshots)
+        return registry_prometheus_text(self.registry.snapshot())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ScHttpServer(host={self.host!r}, port={self.port})"
+
+
+class _Handler(http.server.BaseHTTPRequestHandler):
+    """One connection: the standard library parses each request head,
+    :class:`ScHttpServer` routes it."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        super().setup()
+        self.server.app._opened(self.connection)
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            self.server.app._closed(self.connection)
+
+    def handle_one_request(self) -> None:
+        if not self.server.app._await_request(self.connection, self.rfile):
+            self.close_connection = True
+            return
+        super().handle_one_request()
+
+    def __getattr__(self, name: str):
+        # Every method reaches the router: a wrong one answers 405 and an
+        # unknown path 404, never the standard library's 501.
+        if name.startswith("do_"):
+            return self._serve
+        raise AttributeError(name)
+
+    def _serve(self) -> None:
+        app = self.server.app
+        try:
+            body = self._read_body(app.config.max_body_bytes)
+        except HttpError as exc:
+            _respond_error(self.wfile, exc, keep_alive=False)
+            self.close_connection = True
+            return
+        path = self.path.split("?", 1)[0]
+        keep = app._dispatch(self.command.upper(), path, body, self.wfile)
+        self.close_connection = not keep
+
+    def _read_body(self, limit: int) -> bytes:
+        """Check the parsed head against the wire contract; read the body."""
+        if not self.request_version.startswith("HTTP/1."):
+            raise HttpError(
+                400,
+                "BadRequest",
+                f"malformed request line {self.requestline!r}",
+            )
+        headers = self.headers
+        if headers.defects:
+            raise HttpError(400, "BadRequest", "malformed header line")
+        head_bytes = len(self.raw_requestline) + sum(
+            len(name) + len(value) + 4 for name, value in headers.items()
+        )
+        if head_bytes > _MAX_HEAD_BYTES:
+            raise HttpError(431, "BadRequest", "request head too large")
+        length_header = headers.get("content-length")
+        if length_header is None:
+            if "chunked" in headers.get("transfer-encoding", "").lower():
+                raise HttpError(
+                    411, "BadRequest", "chunked request bodies not supported"
+                )
+            return b""
+        try:
+            length = int(length_header)
+            if length < 0:
+                raise ValueError
+        except ValueError:
+            raise HttpError(400, "BadRequest", "bad Content-Length") from None
+        if length > limit:
+            # Drain modest overshoots before answering so the close is
+            # clean (unread bytes on close can RST the socket under the
+            # client's 413 response); give up on reading truly huge bodies.
+            if length <= 8 * limit:
+                self.rfile.read(length)
+            raise HttpError(
+                413,
+                "BadRequest",
+                f"request body of {length} bytes exceeds the "
+                f"{limit}-byte limit",
+                reason="oversized_body",
+            )
+        if not length:
+            return b""
+        if headers.get("expect", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return self.rfile.read(length)
+
+    def handle_expect_100(self) -> bool:
+        return True  # ``100 Continue`` goes out after the size check
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """Heads the standard library refuses get the typed JSON body; its
+        414 (request line too long) is a 431 and its 505 a 400."""
+        status = {414: 431, 505: 400}.get(code, code)
+        error = HttpError(status, "BadRequest", message or "malformed head")
+        _respond_error(self.wfile, error, keep_alive=False)
+        self.close_connection = True
+
+    def log_message(self, format, *args) -> None:
+        pass  # no access log on stderr
+
+
+class _Listener(socketserver.ThreadingTCPServer):
+    """Threaded listener: one daemon thread per connection.
+
+    Not :class:`http.server.HTTPServer`, whose ``server_bind`` resolves
+    the host's FQDN and never uses it.  Its threads are not joined on
+    close: :meth:`ScHttpServer.close` bounds the drain itself.
+    """
+
+    daemon_threads = True
+    block_on_close = False
+    allow_reuse_address = True
+    # A burst of connects (each SSE stream opens one) queues, not drops.
+    request_queue_size = 100
+
+    def __init__(self, app: ScHttpServer) -> None:
+        self.app = app
+        host, port = app.config.host, app.config.port
+        self.address_family = socket.getaddrinfo(
+            host, port, type=socket.SOCK_STREAM
+        )[0][0]
+        super().__init__((host, port), _Handler)
+
+    def handle_error(self, request, client_address) -> None:
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            logger.exception("http: connection handler failed")

@@ -599,6 +599,45 @@ class TestCli:
                 main([command, "--model", str(artifact), "--workers", "2"])
             assert "--workers" in capsys.readouterr().err
 
+    def test_serving_subcommands_default_to_the_service_config(
+        self, tmp_path, monkeypatch
+    ):
+        # With no tuning flags, `serve` and `trace` batch, spread and cache
+        # as ServiceConfig() does; a given flag, even 0, still reaches it.
+        import repro.config
+        from repro.cli import main
+
+        built = []
+
+        class Built(Exception):
+            pass
+
+        def capture(**fields):
+            built.append(ServiceConfig(**fields))
+            raise Built
+
+        monkeypatch.setattr(repro.config, "ServiceConfig", capture)
+        model = ["--model", str(tmp_path)]
+        for command in ("serve", "trace"):
+            with pytest.raises(Built):
+                main([command, *model])
+        fields = (
+            "max_batch_size",
+            "max_wait_ms",
+            "num_workers",
+            "cache_capacity",
+        )
+        defaults = ServiceConfig()
+        for config in built:
+            assert [getattr(config, f) for f in fields] == [
+                getattr(defaults, f) for f in fields
+            ]
+        with pytest.raises(Built):
+            main(["serve", *model, "--max-wait-ms", "0"])
+        assert built[-1].max_wait_ms == 0.0
+        with pytest.raises(ConfigurationError):
+            main(["serve", *model, "--max-batch-size", "0"])
+
     def test_backends_lists_registry(self, capsys):
         self._run("backends")
         out = capsys.readouterr().out

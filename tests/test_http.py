@@ -22,12 +22,17 @@ Pins down the network-surface contracts of :mod:`repro.serve.http` and
   and a request in flight across the swap is labelled with the
   generation that answered it;
 * **drain extends through open connections** -- a stream open across
-  ``close()`` finishes its evaluation instead of dying mid-chunk.
+  ``close()`` finishes its evaluation instead of dying mid-chunk, and an
+  idle keep-alive connection is hung up;
+* **the wire contract holds for malformed heads** -- raw-socket probes
+  (garbage request lines, oversized heads, bad lengths, wrong methods)
+  answer typed JSON errors with the same statuses as ever.
 """
 
-import asyncio
 import http.client
 import json
+import socket
+import sys
 import threading
 import time
 
@@ -92,6 +97,32 @@ def _stream(port, path, body, timeout=120.0):
         return _read_events(resp)
     finally:
         conn.close()
+
+
+def _raw_response(port, request: bytes, timeout=30.0):
+    """Send raw request bytes; returns the first response's status and
+    its JSON body."""
+    address = ("127.0.0.1", port)
+    with socket.create_connection(address, timeout=timeout) as sock:
+        sock.sendall(request)
+        raw = b""
+        while b"\r\n\r\n" not in raw:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        length = next(
+            int(line.split(b":", 1)[1])
+            for line in head.split(b"\r\n")
+            if line.lower().startswith(b"content-length:")
+        )
+        while len(body) < length:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            body += chunk
+    return int(head.split(b" ", 2)[1]), json.loads(body)
 
 
 def _assert_exact_prefixes(session, images, events):
@@ -382,9 +413,9 @@ class TestStreaming:
         does: time spent writing the checkpoint events is not in it."""
         write_event = ScHttpServer._sse_event
 
-        async def slow_event(writer, payload):
-            await asyncio.sleep(0.1)
-            await write_event(writer, payload)
+        def slow_event(writer, payload):
+            time.sleep(0.1)
+            write_event(writer, payload)
 
         monkeypatch.setattr(ScHttpServer, "_sse_event", staticmethod(slow_event))
         registry = ModelRegistry(
@@ -597,6 +628,108 @@ class TestTypedRejections:
         assert snapshot["faults"]["restarts"] == 0
 
 
+_PREDICT = b"POST /v1/models/m1/predict HTTP/1.1\r\n"
+
+
+class TestWireContract:
+    """Raw-socket probes of malformed heads: status and typed body."""
+
+    @pytest.mark.parametrize(
+        "request_bytes, status, error_type",
+        [
+            pytest.param(b"GARBAGE\r\n\r\n", 400, "BadRequest", id="garbage"),
+            pytest.param(
+                b"GET / HTTP/9.9\r\n\r\n", 400, "BadRequest", id="http-9.9"
+            ),
+            pytest.param(
+                b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+                431,
+                "BadRequest",
+                id="70kb-request-line",
+            ),
+            pytest.param(
+                b"GET /healthz HTTP/1.1\r\nX-Big: "
+                + b"a" * 70_000
+                + b"\r\n\r\n",
+                431,
+                "BadRequest",
+                id="70kb-header-line",
+            ),
+            pytest.param(
+                b"GET /healthz HTTP/1.1\r\nX-A: "
+                + b"a" * 35_000
+                + b"\r\nX-B: "
+                + b"b" * 35_000
+                + b"\r\n\r\n",
+                431,
+                "BadRequest",
+                id="head-over-64kib",
+            ),
+            pytest.param(
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\nno colon here\r\n\r\n",
+                400,
+                "BadRequest",
+                id="header-without-colon",
+            ),
+            pytest.param(
+                b"PUT /v1/models/m1/predict HTTP/1.1\r\n"
+                b"Content-Length: 0\r\n\r\n",
+                405,
+                "MethodNotAllowed",
+                id="put",
+            ),
+            pytest.param(
+                _PREDICT + b"Content-Length: -3\r\n\r\n",
+                400,
+                "BadRequest",
+                id="negative-length",
+            ),
+            pytest.param(
+                _PREDICT + b"Transfer-Encoding: chunked\r\n\r\n",
+                411,
+                "BadRequest",
+                id="chunked",
+            ),
+            # Refused before any ``100 Continue``, which would otherwise
+            # be the first status line read.
+            pytest.param(
+                _PREDICT
+                + b"Content-Length: 1000000000000\r\n"
+                + b"Expect: 100-continue\r\n\r\n",
+                413,
+                "BadRequest",
+                id="oversized-expect-100",
+            ),
+        ],
+    )
+    def test_probe_answers_typed_json(
+        self, server, request_bytes, status, error_type
+    ):
+        got, payload = _raw_response(server.port, request_bytes)
+        assert got == status
+        assert payload["error"]["type"] == error_type
+        assert payload["error"]["status"] == status
+
+    def test_keep_alive_serves_sequential_requests(self, server, images):
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=120
+        )
+        body = json.dumps({"images": images[:1].tolist()})
+        sockets = []
+        try:
+            for _ in range(3):
+                conn.request("POST", "/v1/models/m1/predict", body=body)
+                resp = conn.getresponse()
+                payload = json.loads(resp.read())
+                assert resp.status == 200, payload
+                assert not resp.will_close
+                sockets.append(conn.sock)
+        finally:
+            conn.close()
+        assert sockets[0] is not None
+        assert all(sock is sockets[0] for sock in sockets)
+
+
 class TestDeadlineOnTheWire:
     """The PR 6 deadline invariant extended through HTTP."""
 
@@ -655,6 +788,32 @@ class TestDeadlineOnTheWire:
         else:
             assert terminal["kind"] == "done"
             assert terminal["reason"] == "deadline"
+
+    def test_server_side_timeout_cancels_the_request(self, artifact, images):
+        # A 2 s batching window holds the request past the wire's 300 ms
+        # budget: the client gets a typed 504 and the pool drops the
+        # request instead of computing an answer nobody reads.
+        registry = ModelRegistry(
+            models={"m1": artifact},
+            service=_service_config(max_wait_ms=2000.0),
+        )
+        try:
+            config = HttpConfig(request_timeout_s=0.3)
+            with ScHttpServer(registry, config) as server:
+                registry.pool("m1")  # build the pool before the clock starts
+                status, payload = _request(
+                    server.port,
+                    "POST",
+                    "/v1/models/m1/predict",
+                    {"images": images.tolist()},
+                )
+                faults = registry.pool("m1").snapshot()["faults"]
+        finally:
+            registry.close()
+        assert status == 504
+        assert payload["error"]["type"] == "DeadlineExceeded"
+        assert payload["error"]["reason"] == "deadline"
+        assert faults["cancelled_requests"] == 1
 
     def test_deadline_requests_never_write_the_cache(self, artifact):
         registry = ModelRegistry(
@@ -878,6 +1037,71 @@ class TestDrain:
                 closer.join(timeout=10)
             server.close()
             registry.close()
+
+    def test_close_hangs_up_idle_keep_alive(self, artifact):
+        registry = ModelRegistry(
+            models={"m1": artifact}, service=_service_config()
+        )
+        server = ScHttpServer(registry, HttpConfig()).start_background()
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 200 and not resp.will_close
+            started = time.monotonic()
+            server.close()
+            assert time.monotonic() - started < 2.0
+            conn.sock.settimeout(5.0)
+            assert conn.sock.recv(1) == b""
+        finally:
+            conn.close()
+            server.close()
+            registry.close()
+
+    def test_close_under_connection_churn_returns_promptly(self, artifact):
+        # Eight clients open, use and drop connections while close() runs.
+        # A lost update to the server's connection bookkeeping would leave
+        # a closed connection "open" and hold the drain to its timeout.
+        registry = ModelRegistry(
+            models={"m1": artifact}, service=_service_config()
+        )
+        config = HttpConfig(drain_timeout_s=20.0)
+        server = ScHttpServer(registry, config).start_background()
+        stop = threading.Event()
+        answered: list = []
+
+        def churn():
+            while not stop.is_set():
+                try:
+                    answered.append(
+                        _request(server.port, "GET", "/healthz", timeout=5)[0]
+                    )
+                except OSError:
+                    pass
+
+        threads = [threading.Thread(target=churn) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30.0
+            while len(answered) < 50 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            started = time.monotonic()
+            server.close()
+            elapsed = time.monotonic() - started
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            for thread in threads:
+                thread.join(timeout=30)
+            server.close()
+            registry.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(answered) >= 50 and set(answered) == {200}
+        assert elapsed < 5.0
 
     def test_readyz_reports_draining(self, artifact):
         registry = ModelRegistry(

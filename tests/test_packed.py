@@ -7,6 +7,8 @@ implementations, across shapes, encodings, odd stream lengths (tail words
 shorter than 64 bits) and both feature-extraction feedback modes.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from nets import tiny_cnn
@@ -54,6 +56,24 @@ class TestPackUnpack:
     def test_popcount_decode_matches_unpacked(self, rng):
         bits = random_bits(rng, (4, 333))
         assert np.array_equal(ones_count(pack_bits(bits)), bits.sum(axis=-1))
+
+    def test_boolean_input_packs_without_a_byte_copy(self, rng):
+        # The mapper's NumPy SNG packs `draws < p` each chunk: the words
+        # (1 MiB here) and the packed bytes are the only transients, not
+        # a uint8 copy of the 8 MiB of booleans.
+        bits = random_bits(rng, (8192, 1000)).astype(bool)
+        tracemalloc.start()
+        try:
+            words = pack_bits(bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert np.array_equal(unpack_bits(words, 1000), bits)
+
+    def test_float_input_is_rejected(self):
+        with pytest.raises(EncodingError):
+            pack_bits(np.ones(8))
 
 
 class TestPackedOps:

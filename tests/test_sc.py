@@ -1,5 +1,7 @@
 """Tests for repro.sc: encoding, bit streams, SNG, ops, APC, FSM, correlation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,3 +277,16 @@ class TestGeneratePacked:
         assert np.array_equal(got, expected)
         # Both consumed the same number of draws.
         assert direct.bit_generator.state == reference.bit_generator.state
+
+    def test_draw_chunks_are_never_alive_together(self):
+        # 4096 weights at N=1024 draw 32 MiB in two 16 MiB chunks; the
+        # second is drawn only once the first is freed.
+        mapper = ScNetworkMapper(tiny_cnn(), stream_length=1024, seed=7)
+        weights = np.random.default_rng(3).uniform(-1.0, 1.0, (64, 64))
+        tracemalloc.start()
+        try:
+            mapper.weight_stream_words(weights, np.random.default_rng(17))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
