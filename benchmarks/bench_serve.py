@@ -295,7 +295,6 @@ def _service_config(**overrides) -> ServiceConfig:
     settings = dict(
         backend=BACKEND,
         max_batch_size=16,
-        max_wait_ms=2.0,
         num_workers=2,
         cache_capacity=0,
         early_exit=True,
@@ -308,7 +307,7 @@ def _service_config(**overrides) -> ServiceConfig:
 
 def bench_cache(mapper, images, n_unique: int, repeats: int) -> dict:
     """Repeated traffic over a small working set: the LRU cache pays."""
-    config = _service_config(max_wait_ms=1.0, num_workers=1, cache_capacity=256)
+    config = _service_config(num_workers=1, cache_capacity=256)
     with ScInferenceService(mapper, config) as service:
         for _ in range(repeats):
             futures = [service.submit(images[i]) for i in range(n_unique)]
@@ -494,7 +493,7 @@ def bench_faults(mapper, images, smoke: bool) -> dict:
                     futures.append(service.submit(images[i % images.shape[0]]))
                 except ServiceOverloadError:
                     shed += 1
-                # Pace the burst so the scheduler forms several small
+                # Pace the burst so the workers take several small
                 # batches instead of two max-size ones -- the fault plan
                 # targets batch sequence numbers, so enough execution
                 # attempts must happen for every injector to fire.

@@ -6,8 +6,9 @@ stands up the micro-batching inference service through the Session facade
 (:mod:`repro.api`), and pushes a burst of single-image requests through
 it:
 
-* requests submitted together are coalesced into merged batches by the
-  scheduler (watch the mean batch size),
+* a free worker answers a lone request at once, and requests that queue
+  while both workers are busy are merged by the next free one (watch the
+  mean batch size),
 * confidently classified images early-exit at a fraction of the stream
   length (watch the exit checkpoints and the cycle reduction),
 * repeated images are answered from the LRU cache without spending a
@@ -96,7 +97,6 @@ def main() -> None:
     config = ServiceConfig(
         backend=backend,
         max_batch_size=16,
-        max_wait_ms=5.0,
         num_workers=2,
         cache_capacity=256,
     )

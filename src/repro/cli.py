@@ -427,7 +427,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         event_log_path=args.trace_file,
         **_given(
             max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
             num_workers=args.service_workers,
             cache_capacity=args.cache_capacity,
             degraded_max_fraction=args.degraded_max_fraction,
@@ -893,7 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # Service tuning flags default to None: ServiceConfig's value holds.
     serve.add_argument("--max-batch-size", type=int, default=None)
-    serve.add_argument("--max-wait-ms", type=float, default=None)
     serve.add_argument(
         "--service-workers",
         type=int,

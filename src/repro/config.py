@@ -36,11 +36,10 @@ class ServiceConfig:
         backend: registry name of the execution backend every worker
             replica runs (default ``"bit-exact-packed"``, whose answers do
             not depend on which requests were micro-batched together).
-        max_batch_size: the scheduler dispatches a merged batch as soon
-            as this many images are pending.
-        max_wait_ms: ... or once the oldest queued request has waited
-            this long (the classic micro-batching latency/throughput
-            trade-off).
+        max_batch_size: a free worker takes the oldest queued request at
+            once, then the requests already queued behind it until its
+            merged batch holds this many images (the last one taken may
+            overshoot it); it never waits for more to arrive.
         num_workers: worker threads, each owning one backend replica.
         cache_capacity: entries held by the LRU result cache (keyed on
             image digest, backend name and stream length); ``0`` disables
@@ -102,7 +101,6 @@ class ServiceConfig:
 
     backend: str = "bit-exact-packed"
     max_batch_size: int = 32
-    max_wait_ms: float = 2.0
     num_workers: int = 2
     cache_capacity: int = 1024
     early_exit: bool = True
@@ -129,10 +127,6 @@ class ServiceConfig:
         if self.max_batch_size < 1:
             raise ConfigurationError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
-            )
-        if self.max_wait_ms < 0:
-            raise ConfigurationError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
             )
         if self.num_workers < 1:
             raise ConfigurationError(
@@ -370,8 +364,9 @@ class HttpConfig:
             published on :attr:`repro.serve.http.ScHttpServer.port` after
             start -- what the tests and benchmarks use).
         max_body_bytes: largest accepted request body; a larger
-            ``Content-Length`` is rejected with HTTP 413 before a single
-            body byte is read.
+            ``Content-Length`` is answered with HTTP 413 and its body is
+            never kept (one up to 8x this size is read and discarded in
+            64 KiB pieces first, so the connection closes cleanly).
         request_timeout_s: server-side cap on how long a unary request
             may wait for its service future when the request carries no
             ``deadline_ms`` of its own.

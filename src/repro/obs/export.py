@@ -182,7 +182,7 @@ def _service_families(w: _Writer, snapshot: dict) -> None:
     w.counter(
         "repro_batches_total",
         snapshot.get("batches", 0),
-        "Merged micro-batches dispatched to workers.",
+        "Merged micro-batches taken by workers.",
     )
     w.gauge(
         "repro_cache_hit_rate",

@@ -188,7 +188,7 @@ class TraceSummary:
         replica: registry name of the backend replica that computed the
             request (``None`` for cache-only requests).
         worker: worker-thread slot index, likewise.
-        batch_seq: scheduler sequence number of the merged batch.
+        batch_seq: service-wide sequence number of the merged batch.
         batch_images: images in the merged bucket that computed this
             request.
         retries: bucket re-executions this request survived.

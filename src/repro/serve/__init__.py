@@ -6,9 +6,10 @@ one: *how do individual requests become merged batches, and how few
 stream cycles can each request get away with*.  It contains:
 
 * :class:`~repro.serve.service.ScInferenceService` -- the front door:
-  futures-based request submission, a FIFO micro-batching scheduler
-  (``max_batch_size`` / ``max_wait_ms``), and a worker pool of replicas
-  of one registry backend.
+  futures-based request submission and a work-conserving worker pool
+  of replicas of one registry backend: a free replica takes the FIFO
+  queue at once, merging whatever waited behind the oldest request (up
+  to ``max_batch_size`` images).
 * :mod:`~repro.serve.progressive` -- the progressive-precision engine:
   class scores evaluated at stream-length checkpoints
   (:meth:`~repro.backends.base.Backend.forward_partial`) with a

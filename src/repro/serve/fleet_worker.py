@@ -15,7 +15,7 @@ length-prefixed framing.
 
 The reader loop must stay responsive while batches compute, because
 heartbeat ``ping`` frames are answered inline: the embedded service does
-its work on its own scheduler/worker threads (and NumPy releases the GIL
+its work on its own worker threads (and NumPy releases the GIL
 in the kernels), so the loop is effectively always ready to pong --
 unless a ``hang`` control frame deliberately puts it to sleep, which is
 exactly how :class:`~repro.serve.faults.WorkerHang` simulates a live but

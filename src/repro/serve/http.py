@@ -97,6 +97,8 @@ _REASONS = {
 #: Largest request head (request line and headers) accepted; the standard
 #: library bounds each line and the header count, but not their total.
 _MAX_HEAD_BYTES = 64 * 1024
+#: Read size of the drain that discards a refused (too large) body.
+_DRAIN_PIECE_BYTES = 64 * 1024
 
 #: How long each ``serve_forever`` poll waits, and so how long stopping
 #: the listener can take.
@@ -747,8 +749,13 @@ class _Handler(http.server.BaseHTTPRequestHandler):
             # Drain modest overshoots before answering so the close is
             # clean (unread bytes on close can RST the socket under the
             # client's 413 response); give up on reading truly huge bodies.
-            if length <= 8 * limit:
-                self.rfile.read(length)
+            # The drain holds one piece at a time, never the whole body.
+            remaining = length if length <= 8 * limit else 0
+            while remaining > 0:
+                piece = self.rfile.read(min(remaining, _DRAIN_PIECE_BYTES))
+                if not piece:
+                    break
+                remaining -= len(piece)
             raise HttpError(
                 413,
                 "BadRequest",

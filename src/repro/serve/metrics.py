@@ -1,12 +1,14 @@
 """Service-level metrics: latency percentiles, throughput, exit savings.
 
-The serving story needs numbers, not anecdotes: the micro-batching
-scheduler trades a bounded queueing delay for larger (faster-per-image)
-batches, the progressive engine trades checkpoints for stream cycles, and
-the cache trades memory for recomputation.  :class:`ServiceMetrics`
-accumulates the per-request observations that quantify all three --
-perfbench's serving workloads read its snapshots, and
-``benchmarks/bench_serve.py`` asserts its cache and fault accounting.
+The serving story needs numbers, not anecdotes: the batch sizes show
+how much queued while every replica was busy (workers never wait to
+grow a batch, since a bit-exact forward costs about the same per image
+at any batch size), the progressive engine trades checkpoints for
+stream cycles, and the cache trades memory for recomputation.
+:class:`ServiceMetrics` accumulates the per-request observations that
+quantify all three -- perfbench's serving workloads read its snapshots,
+and ``benchmarks/bench_serve.py`` asserts its cache and fault
+accounting.
 
 The request tracing of :mod:`repro.obs` splits every request's latency
 into *queue time* (submit to first execution) and *service time* (first
@@ -135,11 +137,14 @@ class ServiceMetrics:
         self._failed_requests = 0
         self._cancelled_requests = 0
 
-    def record_batch(self, n_images: int) -> None:
-        """One merged batch dispatched to a worker."""
+    def record_batch(self, n_images: int) -> int:
+        """One merged batch taken by a worker; returns its sequence number
+        (the count of batches recorded before it)."""
         with self._lock:
+            seq = self._batches
             self._batches += 1
             self._batch_sizes.append(int(n_images))
+        return seq
 
     def record_request(
         self,

@@ -2,13 +2,16 @@
 
 :class:`ScInferenceService` is the request path in front of the execution
 backends (:mod:`repro.backends`): clients submit single images or small
-batches and receive futures; a scheduler thread coalesces queued requests
-into merged batches (dispatching as soon as ``max_batch_size`` images are
-pending or the oldest request has waited ``max_wait_ms``); a pool of
-worker threads -- each owning one replica of the configured backend --
-executes the merged batches.  Per image the service consults the LRU
-result cache first and, on progressive backends, answers through the
-early-exit engine (:mod:`repro.serve.progressive`) so confidently
+batches and receive futures; a pool of worker threads -- each owning one
+replica of the configured backend -- serves the queue in a
+work-conserving way: a free worker takes the oldest request at once,
+together with whatever is already queued behind it (up to
+``max_batch_size`` images), and runs that merged batch.  No request
+waits for company: a lone request on an idle service runs as soon as it
+is admitted, and requests that arrive while every replica is busy are
+merged by the next replica to free up.  Per image the service consults
+the LRU result cache first and, on progressive backends, answers through
+the early-exit engine (:mod:`repro.serve.progressive`) so confidently
 classified images stop streaming at an early checkpoint.  One pass per
 bucket scores every checkpoint of the schedule, and the response carries
 all of them, so a caller that streams checkpoints needs no second
@@ -96,7 +99,7 @@ __all__ = ["InferenceResponse", "ScInferenceService"]
 
 _LOG = logging.getLogger("repro.serve")
 
-#: Queue sentinel that shuts down the scheduler / a worker.
+#: Queue sentinel that shuts down one worker.
 _SHUTDOWN = object()
 
 
@@ -238,9 +241,8 @@ class ScInferenceService:
             constructor (e.g. ``position_chunk`` for the bit-exact
             backends).
 
-    The service starts its scheduler and worker threads immediately and
-    is used either as a context manager or with an explicit
-    :meth:`close`.
+    The service starts its worker threads immediately and is used either
+    as a context manager or with an explicit :meth:`close`.
     """
 
     def __init__(
@@ -286,10 +288,7 @@ class ScInferenceService:
             if self.config.event_log_path
             else None
         )
-        #: Merged-batch sequence number (scheduler thread only).
-        self._batch_seq = 0
         self._pending: queue.Queue = queue.Queue()
-        self._dispatch: queue.Queue = queue.Queue()
         self._closed = False
         self._close_lock = threading.Lock()
         #: Requests admitted but not yet resolved; bounded by
@@ -301,9 +300,6 @@ class ScInferenceService:
         #: ``max_replica_restarts`` is per slot, not service-wide).
         self._restart_counts = [0] * self.config.num_workers
         self._fault_plan = self.config.fault_plan
-        self._scheduler = threading.Thread(
-            target=self._scheduler_loop, name="sc-serve-scheduler", daemon=True
-        )
         # Workers are handed their slot *index*, not the replica object:
         # the supervision path swaps ``_replicas[index]`` on restart and
         # the worker must pick up the replacement on the next attempt.
@@ -316,7 +312,6 @@ class ScInferenceService:
             )
             for i in range(len(self._replicas))
         ]
-        self._scheduler.start()
         for worker in self._workers:
             worker.start()
 
@@ -387,10 +382,10 @@ class ScInferenceService:
             return request.future
         self._shed_unmeetable_deadline(resolved)
         # Enqueueing is serialised with close(): the closed re-check and
-        # the put happen under the lock close() uses to enqueue its
-        # shutdown sentinel, so a request can never land behind the
-        # sentinel drain and leave its future unresolved.  The same lock
-        # makes the depth check and the in-flight increment atomic.
+        # the put happen under the lock close() uses to enqueue the
+        # workers' shutdown sentinels, so a request can never land behind
+        # them and leave its future unresolved.  The same lock makes the
+        # depth check and the in-flight increment atomic.
         with self._close_lock:
             if self._closed:
                 raise ConfigurationError("service is closed")
@@ -532,58 +527,18 @@ class ScInferenceService:
             digest, self.config.backend, self.stream_length, resolved.cache_token
         )
 
-    # -- scheduler -------------------------------------------------------------
-
-    def _scheduler_loop(self) -> None:
-        max_batch = self.config.max_batch_size
-        max_wait = self.config.max_wait_ms / 1e3
-        shutdown = False
-        while not shutdown:
-            item = self._pending.get()
-            if item is _SHUTDOWN:
-                break
-            group = [item]
-            total = item.n_compute
-            deadline = item.submitted_at + max_wait
-            while total < max_batch:
-                remaining = deadline - time.perf_counter()
-                try:
-                    if remaining <= 0:
-                        # Window elapsed: keep draining whatever is
-                        # already queued (backlog wants *larger* batches,
-                        # not more of them), but never block again.
-                        nxt = self._pending.get_nowait()
-                    else:
-                        nxt = self._pending.get(timeout=remaining)
-                except queue.Empty:
-                    break
-                if nxt is _SHUTDOWN:
-                    shutdown = True
-                    break
-                group.append(nxt)
-                total += nxt.n_compute
-            self.metrics.record_batch(total)
-            self._dispatch.put((self._batch_seq, group))
-            self._batch_seq += 1
-        # Graceful shutdown: everything still queued is dispatched before
-        # the workers are released.
-        while True:
-            try:
-                item = self._pending.get_nowait()
-            except queue.Empty:
-                break
-            if item is _SHUTDOWN:
-                continue
-            self.metrics.record_batch(item.n_compute)
-            self._dispatch.put((self._batch_seq, [item]))
-            self._batch_seq += 1
-        for _ in self._workers:
-            self._dispatch.put(_SHUTDOWN)
-
     # -- workers ---------------------------------------------------------------
 
     def _worker_loop(self, index: int) -> None:
-        """One worker thread: execute dispatched groups, never die.
+        """One worker thread: take the queue, run it, never die.
+
+        The worker blocks for one request, then takes whatever is already
+        queued behind it, up to ``max_batch_size`` images, and runs that
+        group at once: an idle service never holds a request, and
+        requests that arrived while every replica was busy are batched
+        by the next free one.  A shutdown sentinel (one per worker,
+        queued by :meth:`close` behind every admitted request) ends the
+        loop once the group in hand is answered.
 
         Every failure mode below resolves the affected futures with a
         typed error; the blanket handler is the last line of defence
@@ -591,11 +546,25 @@ class ScInferenceService:
         which :meth:`_execute_bucket` supervises) and likewise routes the
         failure to the batch's futures instead of killing the thread.
         """
-        while True:
-            item = self._dispatch.get()
+        max_batch = self.config.max_batch_size
+        shutdown = False
+        while not shutdown:
+            item = self._pending.get()
             if item is _SHUTDOWN:
                 return
-            seq, group = item
+            group = [item]
+            total = item.n_compute
+            while total < max_batch:
+                try:
+                    nxt = self._pending.get_nowait()
+                except queue.Empty:
+                    break
+                if nxt is _SHUTDOWN:
+                    shutdown = True
+                    break
+                group.append(nxt)
+                total += nxt.n_compute
+            seq = self.metrics.record_batch(total)
             try:
                 self._process_group(seq, group, index)
             except Exception as exc:  # pragma: no cover - defensive
@@ -1154,9 +1123,10 @@ class ScInferenceService:
                 return
             self._closed = True
             # Inside the lock: every request enqueued by submit() is now
-            # guaranteed to precede the sentinel in the FIFO queue.
-            self._pending.put(_SHUTDOWN)
-        self._scheduler.join()
+            # guaranteed to precede the sentinels in the FIFO queue, so
+            # the workers answer all of them before they stop.
+            for _ in self._workers:
+                self._pending.put(_SHUTDOWN)
         for worker in self._workers:
             worker.join()
         if self.events is not None:

@@ -621,20 +621,15 @@ class TestCli:
         for command in ("serve", "trace"):
             with pytest.raises(Built):
                 main([command, *model])
-        fields = (
-            "max_batch_size",
-            "max_wait_ms",
-            "num_workers",
-            "cache_capacity",
-        )
+        fields = ("max_batch_size", "num_workers", "cache_capacity")
         defaults = ServiceConfig()
         for config in built:
             assert [getattr(config, f) for f in fields] == [
                 getattr(defaults, f) for f in fields
             ]
         with pytest.raises(Built):
-            main(["serve", *model, "--max-wait-ms", "0"])
-        assert built[-1].max_wait_ms == 0.0
+            main(["serve", *model, "--cache-capacity", "0"])
+        assert built[-1].cache_capacity == 0
         with pytest.raises(ConfigurationError):
             main(["serve", *model, "--max-batch-size", "0"])
 

@@ -72,7 +72,6 @@ def _config(**overrides) -> ServiceConfig:
     defaults = dict(
         backend="bit-exact-packed",
         max_batch_size=8,
-        max_wait_ms=1.0,
         num_workers=1,
         cache_capacity=0,
         early_exit=False,
@@ -348,7 +347,6 @@ class TestChaos:
         config = ServiceConfig(
             backend="bit-exact-packed",
             max_batch_size=8,
-            max_wait_ms=1.0,
             num_workers=2,
             cache_capacity=0,
             early_exit=False,

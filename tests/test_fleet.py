@@ -77,7 +77,6 @@ def _service_config(**overrides):
     base = dict(
         backend="bit-exact-packed",
         max_batch_size=8,
-        max_wait_ms=1.0,
         num_workers=1,
         cache_capacity=0,
         early_exit=False,
@@ -572,7 +571,7 @@ class TestFleetChaos:
             seed=0,
         )
         config = _fleet_config(
-            service=_service_config(max_batch_size=16, max_wait_ms=2.0),
+            service=_service_config(max_batch_size=16),
             fault_plan=plan,
             max_worker_restarts=4,
             max_request_retries=4,

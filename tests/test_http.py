@@ -35,16 +35,18 @@ import socket
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from nets import tiny_cnn
+from nets import tiny_cnn, wait_until_held
 
 from repro.api import PredictOptions, ScModel, Session
 from repro.config import FleetConfig, HttpConfig, ServiceConfig
 from repro.errors import ConfigurationError, ModelNotFoundError
 from repro.obs import validate_exposition
 from repro.serve import ModelRegistry, ScHttpServer, describe_artifact
+from repro.serve.faults import FaultPlan, SlowReplica
 
 BACKEND = "bit-exact-packed"
 STREAM_LENGTH = 128
@@ -99,12 +101,16 @@ def _stream(port, path, body, timeout=120.0):
         conn.close()
 
 
-def _raw_response(port, request: bytes, timeout=30.0):
-    """Send raw request bytes; returns the first response's status and
-    its JSON body."""
+_PREDICT = b"POST /v1/models/m1/predict HTTP/1.1\r\n"
+
+
+def _raw_response(port, *pieces: bytes, timeout=30.0):
+    """Send raw request bytes, piece by piece; returns the first
+    response's status and its JSON body."""
     address = ("127.0.0.1", port)
     with socket.create_connection(address, timeout=timeout) as sock:
-        sock.sendall(request)
+        for piece in pieces:
+            sock.sendall(piece)
         raw = b""
         while b"\r\n\r\n" not in raw:
             chunk = sock.recv(65536)
@@ -598,6 +604,32 @@ class TestTypedRejections:
         finally:
             registry.close()
 
+    def test_oversized_body_is_drained_piece_by_piece(self, artifact):
+        # A body past the limit but within the drain cutoff (8x) is read
+        # and discarded before the 413, never held whole by the server.
+        registry = ModelRegistry(
+            models={"m1": artifact}, service=_service_config()
+        )
+        limit = 1 << 20
+        piece = bytes(64 * 1024)
+        n_pieces = 7 * limit // len(piece)
+        head = _PREDICT + b"Content-Length: %d\r\n\r\n" % (n_pieces * len(piece))
+        try:
+            with ScHttpServer(registry, HttpConfig(max_body_bytes=limit)) as server:
+                tracemalloc.start()
+                try:
+                    status, payload = _raw_response(
+                        server.port, head, *[piece] * n_pieces
+                    )
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+        finally:
+            registry.close()
+        assert status == 413
+        assert payload["error"]["reason"] == "oversized_body"
+        assert peak < 1 << 20
+
     def test_shape_error_400(self, server):
         status, payload = _request(
             server.port,
@@ -626,9 +658,6 @@ class TestTypedRejections:
         assert status == 400
         assert payload["error"]["type"] == "ShapeError"
         assert snapshot["faults"]["restarts"] == 0
-
-
-_PREDICT = b"POST /v1/models/m1/predict HTTP/1.1\r\n"
 
 
 class TestWireContract:
@@ -790,24 +819,28 @@ class TestDeadlineOnTheWire:
             assert terminal["reason"] == "deadline"
 
     def test_server_side_timeout_cancels_the_request(self, artifact, images):
-        # A 2 s batching window holds the request past the wire's 300 ms
-        # budget: the client gets a typed 504 and the pool drops the
-        # request instead of computing an answer nobody reads.
+        # A replica held for 1 s keeps the request queued past the wire's
+        # 300 ms budget: the client gets a typed 504 and the pool drops
+        # the request instead of computing an answer nobody reads.
+        plan = FaultPlan(SlowReplica(at_batch=0, delay_s=1.0))
         registry = ModelRegistry(
             models={"m1": artifact},
-            service=_service_config(max_wait_ms=2000.0),
+            service=_service_config(fault_plan=plan),
         )
         try:
             config = HttpConfig(request_timeout_s=0.3)
             with ScHttpServer(registry, config) as server:
-                registry.pool("m1")  # build the pool before the clock starts
+                pool = registry.pool("m1")
+                holder = pool.submit(images)
+                wait_until_held(plan)
                 status, payload = _request(
                     server.port,
                     "POST",
                     "/v1/models/m1/predict",
                     {"images": images.tolist()},
                 )
-                faults = registry.pool("m1").snapshot()["faults"]
+                holder.result(timeout=120)
+                faults = pool.snapshot()["faults"]
         finally:
             registry.close()
         assert status == 504
@@ -955,11 +988,12 @@ class TestHotReload:
             registry.close()
 
     def test_in_flight_request_keeps_its_generation(self, tmp_path, images):
-        # A slow batching window holds the request on generation 1 while
+        # A held replica keeps the request in flight on generation 1 while
         # the reload swaps generation 2 in.
         path = _tiny_model(seed=5).save(tmp_path / "m")
+        plan = FaultPlan(SlowReplica(at_batch=0, delay_s=2.0))
         registry = ModelRegistry(
-            models={"m": path}, service=_service_config(max_wait_ms=1500.0)
+            models={"m": path}, service=_service_config(fault_plan=plan)
         )
         with Session.from_artifact(path, backend=BACKEND) as sess:
             v1 = sess.predict(images, PredictOptions(early_exit=True))
@@ -978,9 +1012,10 @@ class TestHotReload:
                     )
                 )
                 request.start()
-                time.sleep(0.5)
+                wait_until_held(plan)
                 _tiny_model(seed=17).save(tmp_path / "m")
                 assert registry.scan()["reloaded"] == ["m"]
+                assert request.is_alive()  # still held across the swap
                 request.join(timeout=120)
                 assert not request.is_alive()
         finally:
@@ -993,11 +1028,12 @@ class TestHotReload:
 
 class TestDrain:
     def test_drain_with_open_stream_ends_typed(self, artifact, images):
-        # A slow micro-batching window holds the stream's evaluation
-        # open long enough to drain across it.
+        # A held replica keeps the stream's evaluation open long enough
+        # to drain across it.
+        plan = FaultPlan(SlowReplica(at_batch=0, delay_s=0.5))
         registry = ModelRegistry(
             models={"m1": artifact},
-            service=_service_config(max_wait_ms=200.0),
+            service=_service_config(fault_plan=plan),
         )
         server = ScHttpServer(registry, HttpConfig()).start_background()
         closer: threading.Thread | None = None
@@ -1020,6 +1056,7 @@ class TestDrain:
             )
             resp = conn.getresponse()
             assert resp.status == 200
+            wait_until_held(plan)
             closer = threading.Thread(target=server.close)
             closer.start()
             events = _read_events(resp)

@@ -63,7 +63,6 @@ def _service_config(**overrides) -> ServiceConfig:
     defaults = dict(
         backend="sc-fast",
         max_batch_size=8,
-        max_wait_ms=2.0,
         num_workers=2,
         cache_capacity=0,
         trace_sample_rate=1.0,

@@ -5,7 +5,7 @@ Pins down the three serving contracts of :mod:`repro.serve`:
 * **micro-batching transparency** -- coalescing requests into merged
   batches is invisible for bit-exact backends: per-image scores are
   bit-identical to a direct ``Backend.forward`` call, no matter how the
-  scheduler grouped the requests;
+  workers grouped the requests;
 * **progressive early exit** -- ``forward_partial`` scores at the final
   checkpoint equal the full-stream forward scores exactly (for the
   packed backend, bit for bit via prefix popcounts), and the stability +
@@ -18,11 +18,14 @@ Pins down the three serving contracts of :mod:`repro.serve`:
 
 import importlib.util
 import json
+import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
-from nets import tiny_cnn
+from nets import tiny_cnn, wait_until_held
 
 from repro.backends import Backend, backend_names, create_backend, describe_backends
 from repro.backends.registry import backend_class
@@ -39,6 +42,7 @@ from repro.serve import (
     progressive_forward,
     resolve_checkpoints,
 )
+from repro.serve.faults import FaultPlan, SlowReplica
 
 
 @pytest.fixture(scope="module")
@@ -338,19 +342,31 @@ class TestService:
         """Coalesced single-image requests are bit-identical to one
         direct ``Backend.forward`` call over the whole batch."""
         direct = create_backend("bit-exact-packed", mapper).forward(images)
+        # Both replicas are held by their first batch, so the last four
+        # requests queue; the replica held for less time merges them.
+        plan = FaultPlan(
+            SlowReplica(at_batch=0, worker=0, delay_s=0.2),
+            SlowReplica(at_batch=0, worker=1, delay_s=0.6),
+        )
         config = ServiceConfig(
             backend="bit-exact-packed",
             num_workers=2,
             max_batch_size=4,
-            max_wait_ms=50.0,
             early_exit=False,
             cache_capacity=0,
+            fault_plan=plan,
         )
         with ScInferenceService(mapper, config) as service:
-            futures = [service.submit(image) for image in images]
+            futures = []
+            for held, image in enumerate(images[:2], start=1):
+                futures.append(service.submit(image))
+                wait_until_held(plan, held)
+            futures += [service.submit(image) for image in images[2:]]
             scores = np.concatenate(
                 [future.result(timeout=120).scores for future in futures]
             )
+            snapshot = service.metrics.snapshot()
+        assert snapshot["max_batch_size"] == 4
         assert np.array_equal(scores, direct)
 
     def test_default_service_answers_alone_and_coalesced_alike(
@@ -359,24 +375,26 @@ class TestService:
         """The default backend is batch-invariant: an image's scores do
         not depend on which requests it was micro-batched with (nor,
         therefore, on which answer the result cache kept)."""
+        plan = FaultPlan(SlowReplica(at_batch=0, delay_s=0.3))
         config = ServiceConfig(
-            num_workers=1, cache_capacity=0, max_wait_ms=200.0, early_exit=False
+            num_workers=1, cache_capacity=0, early_exit=False, fault_plan=plan
         )
         with ScInferenceService(mapper, config) as service:
-            alone = service.infer(images[0], timeout=120)
+            holder = service.submit(images[5])
+            wait_until_held(plan)
             futures = [service.submit(image) for image in images[:4]]
             coalesced = [future.result(timeout=120) for future in futures]
+            holder.result(timeout=120)
+            alone = service.infer(images[0], timeout=120)
             snapshot = service.metrics.snapshot()
         assert snapshot["max_batch_size"] == 4
+        assert snapshot["batches"] == 3
         assert np.array_equal(alone.scores, coalesced[0].scores)
 
     def test_multi_image_requests_equal_direct_forward(self, mapper, images):
         direct = create_backend("bit-exact-packed", mapper).forward(images)
         config = ServiceConfig(
-            backend="bit-exact-packed",
-            num_workers=1,
-            max_wait_ms=20.0,
-            early_exit=False,
+            backend="bit-exact-packed", num_workers=1, early_exit=False
         )
         with ScInferenceService(mapper, config) as service:
             response = service.infer(images[:4], timeout=120)
@@ -387,9 +405,7 @@ class TestService:
     def test_answers_are_counted_before_they_resolve(self, mapper, images):
         """A done callback -- how the HTTP and fleet layers learn of an
         answer -- already finds the request in the metrics."""
-        config = ServiceConfig(
-            backend="sc-fast", num_workers=1, max_wait_ms=50.0, cache_capacity=0
-        )
+        config = ServiceConfig(backend="sc-fast", num_workers=1, cache_capacity=0)
         counted = []
         with ScInferenceService(mapper, config) as service:
             future = service.submit(images[0])
@@ -400,20 +416,25 @@ class TestService:
         assert counted == [1]
 
     def test_scheduler_coalesces_waiting_requests(self, mapper, images):
+        """Requests that queue while the replica is busy run as one batch."""
+        plan = FaultPlan(SlowReplica(at_batch=0, delay_s=0.3))
         config = ServiceConfig(
             backend="sc-fast",
             num_workers=1,
             max_batch_size=16,
-            max_wait_ms=400.0,
             cache_capacity=0,
+            fault_plan=plan,
         )
         with ScInferenceService(mapper, config) as service:
-            futures = [service.submit(image) for image in images]
+            futures = [service.submit(images[0])]
+            wait_until_held(plan)
+            futures += [service.submit(image) for image in images[1:]]
             for future in futures:
                 future.result(timeout=120)
             snapshot = service.metrics.snapshot()
         assert snapshot["requests"] == len(images)
-        assert snapshot["max_batch_size"] >= 2
+        assert snapshot["batches"] == 2
+        assert snapshot["max_batch_size"] == len(images) - 1
         assert snapshot["latency_ms"]["p50"] <= snapshot["latency_ms"]["p99"]
         assert snapshot["throughput_images_per_sec"] > 0
 
@@ -422,7 +443,6 @@ class TestService:
         config = ServiceConfig(
             backend="bit-exact-packed",
             num_workers=1,
-            max_wait_ms=10.0,
             early_exit=True,
             margin=0.25,
             stable_checkpoints=2,
@@ -434,9 +454,7 @@ class TestService:
         assert (response.exit_checkpoints < mapper.stream_length).any()
 
     def test_cache_hit_on_repeat(self, mapper, images):
-        config = ServiceConfig(
-            backend="sc-fast", num_workers=1, max_wait_ms=1.0, cache_capacity=64
-        )
+        config = ServiceConfig(backend="sc-fast", num_workers=1, cache_capacity=64)
         with ScInferenceService(mapper, config) as service:
             first = service.infer(images[0], timeout=120)
             second = service.infer(images[0], timeout=120)
@@ -489,17 +507,23 @@ class TestService:
         shape and answered as if it ran alone."""
         wide = np.random.default_rng(3).random((1, 29, 29))
         direct = create_backend("bit-exact-packed", mapper)
+        plan = FaultPlan(SlowReplica(at_batch=0, delay_s=0.3))
         config = ServiceConfig(
             backend="bit-exact-packed",
             num_workers=1,
-            max_wait_ms=200.0,
             early_exit=False,
             cache_capacity=0,
+            fault_plan=plan,
         )
         with ScInferenceService(mapper, config) as service:
+            holder = service.submit(images[5])
+            wait_until_held(plan)
             futures = [service.submit(images[0]), service.submit(wide)]
             narrow_answer, wide_answer = [f.result(timeout=120) for f in futures]
+            holder.result(timeout=120)
             snapshot = service.snapshot()
+        assert snapshot["batches"] == 2
+        assert snapshot["max_batch_size"] == 2
         assert np.array_equal(narrow_answer.scores, direct.forward(images[:1]))
         assert np.array_equal(wide_answer.scores, direct.forward(wide))
         assert snapshot["faults"]["restarts"] == 0
@@ -522,6 +546,117 @@ class TestService:
                 service.submit(images[:1], PredictOptions(stream_length=64))
 
 
+class TestWorkConservingScheduling:
+    """A free replica takes the queue at once; nothing waits for company."""
+
+    def test_idle_service_does_not_hold_a_lone_request(self, mapper, images):
+        config = ServiceConfig(
+            num_workers=1, cache_capacity=0, trace_sample_rate=1.0
+        )
+        with ScInferenceService(mapper, config) as service:
+            queue_ms = [
+                service.infer(images[i % len(images)], timeout=120).trace.queue_ms
+                for i in range(20)
+            ]
+        assert np.median(queue_ms) < 1.0
+
+    def test_queued_requests_split_at_max_batch_size(self, mapper, images):
+        """Five requests queued behind a held replica at a cap of 2 run in
+        ceil(5 / 2) = 3 further batches (in one when the cap allows, as
+        ``TestService::test_scheduler_coalesces_waiting_requests`` pins)."""
+        plan = FaultPlan(SlowReplica(at_batch=0, delay_s=0.3))
+        config = ServiceConfig(
+            backend="sc-fast",
+            num_workers=1,
+            max_batch_size=2,
+            cache_capacity=0,
+            fault_plan=plan,
+        )
+        with ScInferenceService(mapper, config) as service:
+            holder = service.submit(images[5])
+            wait_until_held(plan)
+            futures = [service.submit(image) for image in images[:5]]
+            for future in [holder, *futures]:
+                future.result(timeout=120)
+            snapshot = service.metrics.snapshot()
+        assert snapshot["batches"] == 1 + math.ceil(5 / 2)
+        assert snapshot["max_batch_size"] == 2
+
+    @pytest.mark.parametrize("num_workers", [1, 3])
+    def test_close_answers_requests_queued_behind_held_replicas(
+        self, mapper, images, num_workers
+    ):
+        direct = create_backend("bit-exact-packed", mapper).forward(images)
+        plan = FaultPlan(
+            *(
+                SlowReplica(at_batch=0, worker=w, delay_s=0.2)
+                for w in range(num_workers)
+            )
+        )
+        config = ServiceConfig(
+            num_workers=num_workers,
+            max_batch_size=2,
+            cache_capacity=0,
+            early_exit=False,
+            fault_plan=plan,
+        )
+        before = set(threading.enumerate())
+        service = ScInferenceService(mapper, config)
+        started = set(threading.enumerate()) - before
+        assert {t.name for t in started} == {
+            f"sc-serve-worker-{w}" for w in range(num_workers)
+        }
+        holders = []
+        for held in range(1, num_workers + 1):
+            holders.append(service.submit(images[5]))
+            wait_until_held(plan, held)
+        queued = [service.submit(image) for image in images[:5]]
+        service.close()
+        assert all(future.done() for future in holders + queued)
+        scores = np.concatenate([f.result(timeout=0).scores for f in queued])
+        assert np.array_equal(scores, direct[:5])
+        assert not [t for t in started if t.is_alive()]
+
+
+    def test_many_workers_number_their_batches_once(self, mapper, images):
+        """More workers than cores at a tiny switch interval: every request
+        is answered once, and batch numbers are unique and gapless."""
+        config = ServiceConfig(
+            backend="sc-fast",
+            num_workers=4,
+            max_batch_size=4,
+            cache_capacity=0,
+            trace_sample_rate=1.0,
+        )
+        responses: list = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ScInferenceService(mapper, config) as service:
+
+                def client(offset: int) -> None:
+                    futures = [
+                        service.submit(images[(offset + i) % len(images)])
+                        for i in range(25)
+                    ]
+                    responses.extend(f.result(timeout=120) for f in futures)
+
+                clients = [
+                    threading.Thread(target=client, args=(k,)) for k in range(4)
+                ]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in clients)
+                snapshot = service.metrics.snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(responses) == snapshot["requests"] == 100
+        seqs = sorted({response.trace.batch_seq for response in responses})
+        assert seqs == list(range(snapshot["batches"]))
+
+
 class TestPerRequestOptions:
     """PredictOptions reach the serving layer (the PR's acceptance bar)."""
 
@@ -530,7 +665,6 @@ class TestPerRequestOptions:
             backend="bit-exact-packed",
             num_workers=1,
             max_batch_size=8,
-            max_wait_ms=1.0,
             cache_capacity=64,
             early_exit=False,
         )
@@ -639,9 +773,12 @@ class TestPerRequestOptions:
         """One merged batch, three different schedules: every request is
         answered as if it ran alone (bucketed evaluation)."""
         reference = create_backend("bit-exact-packed", mapper)
+        plan = FaultPlan(SlowReplica(at_batch=0, delay_s=0.3))
         with self._service(
-            mapper, cache_capacity=0, max_wait_ms=50.0
+            mapper, cache_capacity=0, fault_plan=plan
         ) as service:
+            holder = service.submit(images[:1])
+            wait_until_held(plan)
             futures = [
                 service.submit(images[:2]),
                 service.submit(images[2:4], PredictOptions(stream_length=64)),
@@ -650,6 +787,10 @@ class TestPerRequestOptions:
             default, shorter, exiting = [
                 f.result(timeout=300) for f in futures
             ]
+            holder.result(timeout=300)
+            snapshot = service.metrics.snapshot()
+        assert snapshot["batches"] == 2
+        assert snapshot["max_batch_size"] == 6
         assert np.array_equal(default.scores, reference.forward(images[:2]))
         assert np.array_equal(
             shorter.scores, reference.forward_partial(images[2:4], (64,))[-1]
@@ -688,7 +829,7 @@ class TestServiceConfig:
             {"backend": ""},
             {"backend": ("a", "b")},
             {"max_batch_size": 0},
-            {"max_wait_ms": -1.0},
+            {"restart_backoff_ms": -1.0},
             {"num_workers": 0},
             {"cache_capacity": -1},
             {"margin": -0.5},
