@@ -202,6 +202,10 @@ class FleetConfig:
     artifact.  The router owns the process-level robustness contract:
     heartbeat health checks, crash/hang detection with restart budgets,
     request retry and hedging, bounded admission, and graceful drain.
+    It keeps at most two batches' worth (``2 * service.max_batch_size``)
+    of requests outstanding on one worker; the rest wait in its queue
+    and are handed on by whichever thread queues a request or frees a
+    slot.
 
     Attributes:
         num_workers: worker processes the router spawns and supervises.
@@ -234,14 +238,6 @@ class FleetConfig:
             this many unresolved requests raises
             :class:`~repro.errors.ServiceOverloadError` in the caller
             (``None`` = unbounded).
-        max_worker_inflight: per-worker dispatch window -- the router
-            never has more than this many requests outstanding on one
-            worker; the rest wait in the router's queue.  Flow control
-            with two jobs: a worker death strands at most a window of
-            requests (bounding retry storms), and a restarting slot finds
-            work still queued instead of a fleet-mate having swallowed
-            the backlog.  ``None`` derives ``2 *
-            service.max_batch_size``.
         drain_timeout_s: seconds a graceful drain waits for in-flight
             requests (and worker exits) before escalating to kill.
         fault_plan: optional process-level fault injection hook (an object
@@ -250,7 +246,9 @@ class FleetConfig:
             :class:`~repro.serve.faults.WorkerKill` /
             :class:`~repro.serve.faults.WorkerHang` /
             :class:`~repro.serve.faults.SlowWorker` injectors) consulted
-            before every request dispatch; ``None`` in production.
+            before every request dispatch, on the dispatching thread
+            under the router lock, so it must not block; ``None`` in
+            production.
     """
 
     num_workers: int = 2
@@ -263,7 +261,6 @@ class FleetConfig:
     max_request_retries: int = 2
     hedge_after_ms: float | None = None
     max_inflight: int | None = None
-    max_worker_inflight: int | None = None
     drain_timeout_s: float = 30.0
     fault_plan: object | None = None
 
@@ -319,11 +316,6 @@ class FleetConfig:
             raise ConfigurationError(
                 f"max_inflight must be >= 1, got {self.max_inflight}"
             )
-        if self.max_worker_inflight is not None and self.max_worker_inflight < 1:
-            raise ConfigurationError(
-                f"max_worker_inflight must be >= 1, got "
-                f"{self.max_worker_inflight}"
-            )
         if self.drain_timeout_s <= 0:
             raise ConfigurationError(
                 f"drain_timeout_s must be > 0, got {self.drain_timeout_s}"
@@ -343,14 +335,6 @@ class FleetConfig:
         if self.service is not None:
             return self.service
         return ServiceConfig(num_workers=1)
-
-    @property
-    def worker_window(self) -> int:
-        """Resolved per-worker dispatch window (see
-        :attr:`max_worker_inflight`)."""
-        if self.max_worker_inflight is not None:
-            return self.max_worker_inflight
-        return 2 * self.worker_service.max_batch_size
 
 
 @dataclass(frozen=True)

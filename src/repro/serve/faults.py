@@ -156,11 +156,13 @@ class WorkerKill(_Fault):
     """SIGKILL a fleet worker *process* as a request is dispatched to it.
 
     The process-level analogue of :class:`ReplicaCrash`, consumed by
-    :meth:`FaultPlan.before_dispatch` from the fleet router's dispatcher:
-    the targeted worker dies instantly (no drain, no goodbye frame), the
-    router's pipe-EOF death path fires, the in-flight requests -- the one
-    being dispatched included -- are re-dispatched to healthy workers,
-    and the slot is restarted from the artifact within its budget.
+    :meth:`FaultPlan.before_dispatch` on the thread dispatching the
+    request (under the router lock; a SIGKILL does not block): the
+    targeted worker dies instantly (no drain, no goodbye frame), the
+    router's pipe-EOF death path fires once the lock is free, the
+    in-flight requests -- the one being dispatched included -- are
+    re-dispatched to healthy workers, and the slot is restarted from the
+    artifact within its budget.
     """
 
     kind = "worker_kill"
@@ -297,15 +299,17 @@ class FaultPlan:
     def before_dispatch(self, worker: int, handle=None) -> None:
         """One request is being dispatched to fleet worker slot ``worker``.
 
-        Called by the :class:`~repro.serve.fleet.FleetRouter` dispatcher
-        just before the request frame is sent; process-level injectors
-        (:class:`WorkerKill`, :class:`WorkerHang`, :class:`SlowWorker`)
-        act on the worker *handle* -- killing the process, putting its
-        reader to sleep, or arming a response delay.  Dispatch attempts
-        tick the same per-worker / plan-wide counters as
-        :meth:`before_batch` (a plan is used against one layer at a
-        time: :class:`~repro.config.FleetConfig` rejects in-process
-        plans, so the counter spaces never mix in practice).
+        Called by :class:`~repro.serve.fleet.FleetRouter` on the
+        dispatching thread (whichever one queued the request or freed a
+        window slot), under the router lock, just before the request
+        frame is queued -- so it must not block.  Process-level
+        injectors (:class:`WorkerKill`, :class:`WorkerHang`,
+        :class:`SlowWorker`) act on the worker *handle* without blocking:
+        a SIGKILL, or a hang / slow control frame queued ahead of the
+        request.  Dispatch attempts tick the same per-worker / plan-wide
+        counters as :meth:`before_batch` (a plan is used against one
+        layer at a time: :class:`~repro.config.FleetConfig` rejects
+        in-process plans, so the counter spaces never mix in practice).
         """
         with self._lock:
             worker_seq = self._worker_seq.get(worker, 0)
@@ -319,8 +323,7 @@ class FaultPlan:
                 self.fired[fault.kind] = self.fired.get(fault.kind, 0) + 1
             self._worker_seq[worker] = worker_seq + 1
             self._global_seq += 1
-        # Apply outside the lock: a kill triggers the router's death path
-        # on another thread, which must not contend with this lock.
+        # Apply outside the plan lock, which guards only the counters.
         for fault in matched:
             fault.apply(handle)
 

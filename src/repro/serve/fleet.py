@@ -44,7 +44,10 @@ Failures crossing the RPC stay *typed*: worker-side
 :func:`repro.serve.rpc.decode_error`), router-side failures are
 :class:`~repro.errors.FleetError` with a ``reason`` category.
 
-Deterministic chaos testing hooks in at dispatch: a
+Dispatch has no thread of its own: whichever thread queues a request or
+frees a worker's window slot hands the queue on under the router lock,
+and each worker's writer thread alone writes its pipe.  Deterministic
+chaos testing hooks in at dispatch: a
 ``FleetConfig.fault_plan`` (:class:`repro.serve.faults.FaultPlan` with
 :class:`~repro.serve.faults.WorkerKill` /
 :class:`~repro.serve.faults.WorkerHang` /
@@ -189,14 +192,15 @@ class _WorkerHandle:
 
     Outbound frames go through a per-worker writer thread feeding off an
     in-memory outbox, never directly into the stdin pipe from router
-    threads.  This is load-bearing for hang detection: a hung worker
-    stops draining its stdin, the OS pipe buffer fills, and a direct
-    write would block the sender *while holding the stream's write
-    lock* -- wedging the dispatcher and then the health loop's ping on
-    the same lock, so the very thread that should shoot the hung worker
-    deadlocks on it.  With the outbox, ``send()`` never blocks;
-    backpressure surfaces as missed pongs, the health loop SIGKILLs the
-    worker, and the EPIPE unblocks the writer thread.
+    threads.  This is load-bearing for hang detection: router threads
+    send *while holding the router lock* (dispatch, hedges, pings), a
+    hung worker stops draining its stdin, the OS pipe buffer fills, and
+    a direct write would block there -- wedging every submit and answer
+    and then the health loop on the same lock, so the very thread that
+    should shoot the hung worker deadlocks on it.  With the outbox,
+    ``send()`` never blocks (nor raises); backpressure surfaces as
+    missed pongs, the health loop SIGKILLs the worker, and the EPIPE
+    unblocks the writer thread.
     """
 
     def __init__(self, slot: int, proc: subprocess.Popen) -> None:
@@ -297,7 +301,7 @@ class FleetRouter:
                 f"{str(self.artifact_path)!r}"
             )
         self.metrics = FleetMetrics()
-        self._worker_window = self.config.worker_window
+        self._window = 2 * self.config.worker_service.max_batch_size
 
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -327,13 +331,9 @@ class FleetRouter:
                     handle.kill()
             raise
 
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="fleet-dispatch", daemon=True
-        )
         self._health = threading.Thread(
             target=self._health_loop, name="fleet-health", daemon=True
         )
-        self._dispatcher.start()
         self._health.start()
 
     # -- spawning --------------------------------------------------------------
@@ -361,20 +361,14 @@ class FleetRouter:
             daemon=True,
         )
         handle.reader.start()
-        try:
-            handle.send(
-                {
-                    "kind": "init",
-                    "artifact": str(self.artifact_path),
-                    "config": self.config.worker_service,
-                    "slot": slot,
-                }
-            )
-        except RpcConnectionError as exc:
-            handle.kill()
-            raise FleetError(
-                f"worker {slot} died before init: {exc}", reason="worker_lost"
-            ) from exc
+        handle.send(
+            {
+                "kind": "init",
+                "artifact": str(self.artifact_path),
+                "config": self.config.worker_service,
+                "slot": slot,
+            }
+        )
         if not handle.ready.wait(self.config.worker_start_timeout_s):
             handle.kill()
             raise FleetError(
@@ -422,20 +416,15 @@ class FleetRouter:
                 self._cond.notify_all()
             self._resolve_failures(failures)
             return
-        with self._cond:
+        with self._lock:
             self._pending_spawns -= 1
-            if self._closed or self._draining:
-                handle.expected_exit = True
-                self._cond.notify_all()
-            else:
+            if not (self._closed or self._draining):
                 self._slots[slot] = handle
-                self._cond.notify_all()
+                self._dispatch_locked()
                 return
+            handle.expected_exit = True
         # Router went away while we were spawning: retire the newcomer.
-        try:
-            handle.send({"kind": "drain"})
-        except RpcConnectionError:
-            pass
+        handle.send({"kind": "drain"})
         handle.kill()
 
     # -- per-worker reader thread ----------------------------------------------
@@ -514,6 +503,7 @@ class FleetRouter:
             else:
                 self.metrics.failed += 1
             self._inflight_total -= 1
+            self._dispatch_locked()
             self._cond.notify_all()
         # Resolve outside the lock: done-callbacks run inline.  A future
         # the caller already cancelled refuses the result; the request is
@@ -622,6 +612,7 @@ class FleetRouter:
             # failover preserves FIFO fairness.
             for request in reversed(requeue):
                 self._queue.appendleft(request)
+            self._dispatch_locked()
             if (
                 not expected
                 and not self._draining
@@ -673,9 +664,8 @@ class FleetRouter:
     def _respawn_from_timer(self, slot: int) -> None:
         self._timers = {t for t in self._timers if t.is_alive()}
         if self._stop.is_set():
-            with self._cond:
+            with self._lock:
                 self._pending_spawns -= 1
-                self._cond.notify_all()
             return
         self._respawn(slot)
 
@@ -732,11 +722,12 @@ class FleetRouter:
     ) -> "_WorkerHandle | None":
         """Least-loaded READY worker with dispatch-window headroom.
 
-        The per-worker window (:attr:`FleetConfig.max_worker_inflight`)
-        is what keeps one fast (or lone) worker from swallowing the whole
-        backlog while a fleet-mate restarts -- and what bounds how many
-        requests a single death can strand.  Saturated workers are simply
-        not candidates; the overflow stays queued.
+        The per-worker window -- twice the worker service's
+        ``max_batch_size``, one batch computing and one queued behind it
+        -- is what keeps one fast (or lone) worker from swallowing the
+        whole backlog while a fleet-mate restarts, and what bounds how
+        many requests a single death can strand.  Saturated workers are
+        simply not candidates; the overflow stays queued.
         """
         best: _WorkerHandle | None = None
         for handle in self._slots:
@@ -744,43 +735,46 @@ class FleetRouter:
                 continue
             if handle is exclude:
                 continue
-            if handle.inflight >= self._worker_window:
+            if handle.inflight >= self._window:
                 continue
             if best is None or handle.inflight < best.inflight:
                 best = handle
         return best
 
-    def _dispatch_loop(self) -> None:
+    def _dispatch_locked(self) -> None:
+        """Hand queued requests, oldest first, to workers with window room.
+
+        Runs under the router lock on whichever thread just queued a
+        request or freed room: :meth:`submit`, an answer in
+        :meth:`_resolve`, the death path's requeue, a newly installed
+        worker.  Nothing here blocks -- a kill injector is a SIGKILL,
+        hang and slow injectors only enqueue a frame, and
+        :meth:`_WorkerHandle.send` only enqueues -- so each worker's
+        frames leave in dispatch order and its writer thread stays the
+        only code that touches the pipe.  Once the router stops, the
+        queue stays put for :meth:`close` to fail.
+        """
+        if self._stop.is_set():
+            return
         plan = self.config.fault_plan
-        while True:
-            with self._cond:
-                while not self._stop.is_set():
-                    if self._queue and self._pick_worker_locked() is not None:
-                        break
-                    self._cond.wait(timeout=0.05)
-                if self._stop.is_set():
-                    return
-                request = self._queue.popleft()
-                if request.resolved:
-                    continue
-                handle = self._pick_worker_locked()
-                if handle is None:  # lost the race with a death
-                    self._queue.appendleft(request)
-                    continue
-                rpc_id = self._register_attempt_locked(handle, request)
-            # Injection and the send itself run outside the lock: a kill
-            # injector's SIGKILL and the resulting EOF recovery must not
-            # deadlock against the death path.
+        while self._queue:
+            handle = self._pick_worker_locked()
+            if handle is None:
+                return
+            request = self._queue.popleft()
             if plan is not None:
                 try:
                     plan.before_dispatch(handle.slot, handle)
                 except Exception:  # pragma: no cover - injector bug
                     logger.warning("fault plan raised", exc_info=True)
-            self._send_attempt(handle, request, rpc_id)
+            self._send_attempt_locked(handle, request)
 
-    def _register_attempt_locked(
+    def _send_attempt_locked(
         self, handle: _WorkerHandle, request: _FleetRequest, hedge: bool = False
-    ) -> int:
+    ) -> None:
+        """Register one attempt of ``request`` on ``handle`` and queue its
+        frame.  If the worker is already dead, its EOF recovery requeues
+        or fails the attempt like any other orphan."""
         self._rpc_seq += 1
         rpc_id = self._rpc_seq
         handle.pending[rpc_id] = request
@@ -789,24 +783,14 @@ class FleetRouter:
             request.hedge_ids.add(rpc_id)
         if request.first_dispatch_at is None:
             request.first_dispatch_at = time.perf_counter()
-        return rpc_id
-
-    def _send_attempt(
-        self, handle: _WorkerHandle, request: _FleetRequest, rpc_id: int
-    ) -> None:
-        try:
-            handle.send(
-                {
-                    "kind": "request",
-                    "id": rpc_id,
-                    "images": request.images,
-                    "options": request.options,
-                }
-            )
-        except RpcConnectionError:
-            # The worker is already gone; its reader's EOF recovery will
-            # requeue (or fail) this attempt like any other orphan.
-            pass
+        handle.send(
+            {
+                "kind": "request",
+                "id": rpc_id,
+                "images": request.images,
+                "options": request.options,
+            }
+        )
 
     # -- health + hedging loop -------------------------------------------------
 
@@ -823,23 +807,17 @@ class FleetRouter:
                     handle.last_pong = now
         while not self._stop.wait(interval_s):
             now = time.perf_counter()
+            hung: list[_WorkerHandle] = []
             with self._lock:
-                live = [
-                    h
-                    for h in self._slots
-                    if h is not None and h.state == READY
-                ]
                 self._ping_seq += 1
-                seq = self._ping_seq
-                hung = [h for h in live if now - h.last_pong > budget_s]
-                hedges = self._collect_hedges_locked(now)
-            for handle in live:
-                if handle in hung:
-                    continue
-                try:
-                    handle.send({"kind": "ping", "seq": seq})
-                except RpcConnectionError:
-                    pass  # EOF recovery owns it
+                for handle in self._slots:
+                    if handle is None or handle.state != READY:
+                        continue
+                    if now - handle.last_pong > budget_s:
+                        hung.append(handle)
+                    else:
+                        handle.send({"kind": "ping", "seq": self._ping_seq})
+                self._hedge_locked(now)
             for handle in hung:
                 logger.warning(
                     "fleet worker %d missed %d heartbeats; killing",
@@ -854,16 +832,13 @@ class FleetRouter:
                     },
                 )
                 handle.kill()
-            for handle, request, rpc_id in hedges:
-                self._send_attempt(handle, request, rpc_id)
 
-    def _collect_hedges_locked(
-        self, now: float
-    ) -> list[tuple[_WorkerHandle, _FleetRequest, int]]:
+    def _hedge_locked(self, now: float) -> None:
+        """Duplicate each request older than ``hedge_after_ms`` onto a
+        second worker with window room."""
         if self.config.hedge_after_ms is None or self._draining:
-            return []
+            return
         threshold_s = self.config.hedge_after_ms / 1e3
-        out: list[tuple[_WorkerHandle, _FleetRequest, int]] = []
         for handle in self._slots:
             if handle is None or handle.state != READY:
                 continue
@@ -881,11 +856,7 @@ class FleetRouter:
                     continue
                 request.hedged = True
                 self.metrics.hedges += 1
-                rpc_id = self._register_attempt_locked(
-                    twin, request, hedge=True
-                )
-                out.append((twin, request, rpc_id))
-        return out
+                self._send_attempt_locked(twin, request, hedge=True)
 
     # -- public surface --------------------------------------------------------
 
@@ -933,7 +904,7 @@ class FleetRouter:
             self.metrics.submitted += 1
             self._inflight_total += 1
             self._queue.append(request)
-            self._cond.notify_all()
+            self._dispatch_locked()
         return request.future
 
     def infer(
@@ -970,10 +941,7 @@ class FleetRouter:
                 time.sleep(0.01)
             with self._lock:
                 handle.expected_exit = True
-            try:
-                handle.send({"kind": "drain"})
-            except RpcConnectionError:
-                pass
+            handle.send({"kind": "drain"})
             try:
                 handle.proc.wait(
                     timeout=max(0.1, deadline - time.monotonic())
@@ -982,10 +950,10 @@ class FleetRouter:
                 handle.kill()
                 handle.proc.wait()
             replacement = self._spawn(slot)
-            with self._cond:
+            with self._lock:
                 self._slots[slot] = replacement
                 self.metrics.replacements += 1
-                self._cond.notify_all()
+                self._dispatch_locked()
             logger.info(
                 "fleet worker %d replaced (rolling restart)",
                 slot,
@@ -1025,14 +993,7 @@ class FleetRouter:
                 waiter: Future = Future()
                 handle.snap_waiters[self._snap_seq] = waiter
                 waiters.append((handle.slot, waiter))
-                snap_id = self._snap_seq
-                try:
-                    handle.send({"kind": "snapshot", "id": snap_id})
-                except RpcConnectionError:
-                    handle.snap_waiters.pop(snap_id, None)
-                    waiter.set_exception(
-                        FleetError("worker unreachable", reason="worker_lost")
-                    )
+                handle.send({"kind": "snapshot", "id": self._snap_seq})
             queue_depth = len(self._queue)
             inflight = self._inflight_total
         workers: dict[int, dict | None] = {
@@ -1067,7 +1028,6 @@ class FleetRouter:
             if self._closed:
                 return
             self._draining = True
-            self._cond.notify_all()
         deadline = time.monotonic() + self.config.drain_timeout_s
         with self._cond:
             while (self._queue or self._inflight_total > 0) and (
@@ -1077,11 +1037,8 @@ class FleetRouter:
         # Stop the control threads before tearing workers down so the
         # health checker cannot shoot a worker mid-drain.
         self._stop.set()
-        with self._cond:
-            self._cond.notify_all()
         for timer in list(self._timers):
             timer.cancel()
-        self._dispatcher.join(timeout=5)
         self._health.join(timeout=5)
         failures: list[tuple[_FleetRequest, FleetError]] = []
         with self._cond:
@@ -1116,12 +1073,8 @@ class FleetRouter:
             handles = [h for h in self._slots if h is not None]
         self._resolve_failures(failures)
         for handle in handles:
-            if handle.state == DEAD:
-                continue
-            try:
+            if handle.state != DEAD:
                 handle.send({"kind": "drain"})
-            except RpcConnectionError:
-                pass
         for handle in handles:
             if handle.proc.poll() is not None:
                 continue

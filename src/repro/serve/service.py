@@ -564,7 +564,13 @@ class ScInferenceService:
                     break
                 group.append(nxt)
                 total += nxt.n_compute
-            seq = self.metrics.record_batch(total)
+            # Requests cancelled while queued are dropped before the batch
+            # is counted or any compute is spent on them (their slot was
+            # already released).
+            group = [r for r in group if not r.future.cancelled()]
+            if not group:
+                continue
+            seq = self.metrics.record_batch(sum(r.n_compute for r in group))
             try:
                 self._process_group(seq, group, index)
             except Exception as exc:  # pragma: no cover - defensive
@@ -581,12 +587,8 @@ class ScInferenceService:
         # options or image shapes; bucketing by evaluation plan and shape
         # keeps each sub-batch on one schedule and one stackable shape
         # (micro-batching stays transparent per bucket).
-        # Requests cancelled while queued are dropped here, before any
-        # compute is spent on them (their slot was already released).
         buckets: dict[tuple, list[_PendingRequest]] = {}
         for request in group:
-            if request.future.cancelled():
-                continue
             key = (request.resolved.cache_token, request.compute_images.shape[1:])
             buckets.setdefault(key, []).append(request)
         for bucket in buckets.values():

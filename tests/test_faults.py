@@ -26,7 +26,7 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 import numpy as np
 import pytest
-from nets import tiny_cnn
+from nets import tiny_cnn, wait_until_held
 
 from repro.backends import create_backend
 from repro.config import PredictOptions, ServiceConfig
@@ -324,6 +324,20 @@ class TestCancelOnTimeout:
         assert snapshot["faults"]["cancelled_requests"] == 1
         # The cancelled request was never computed nor counted served.
         assert snapshot["requests"] == 2
+
+    def test_cancelled_request_is_not_counted_as_a_batch(self, mapper, images):
+        # A 3-image request cancelled behind the held replica is dropped
+        # before its batch is counted: one batch of one image, not two.
+        plan = FaultPlan(SlowReplica(at_batch=0, delay_s=0.3))
+        with ScInferenceService(mapper, _config(fault_plan=plan)) as service:
+            holder = service.submit(images[:1])
+            wait_until_held(plan)
+            assert service.cancel(service.submit(images[1:4]))
+            holder.result(timeout=30)
+        snapshot = service.metrics.snapshot()
+        assert snapshot["requests"] == 1
+        assert snapshot["batches"] == 1
+        assert snapshot["mean_batch_size"] == 1.0
 
     def test_cancel_on_resolved_future_returns_false(self, mapper, images):
         with ScInferenceService(mapper, _config()) as service:

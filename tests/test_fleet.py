@@ -14,6 +14,9 @@ the in-process coverage of ``tests/test_faults.py``:
   from the artifact and the retried request's scores are bit-identical
   to the fault-free single-process run (the PR 5 rehydration mechanism
   under fire);
+* **dispatch** -- the router runs only its health, reader and writer
+  threads, the per-worker window holds, and concurrent submitters hand
+  each request to a worker exactly once;
 * **hang detection, hedging, admission, drain, rolling restart**;
 * **chaos** -- >= 500 requests under injected ``WorkerKill`` +
   ``WorkerHang`` + ``SlowWorker``: every future resolves, non-degraded
@@ -26,6 +29,7 @@ The whole module is skipped when the host cannot spawn subprocesses.
 import io
 import os
 import pickle
+import sys
 import threading
 import time
 
@@ -268,14 +272,6 @@ class TestFleetConfig:
         config = FleetConfig()
         assert config.worker_service.backend == "bit-exact-packed"
 
-    def test_worker_window_derivation(self):
-        # None derives 2x the worker service's max_batch_size.
-        derived = FleetConfig(service=ServiceConfig(max_batch_size=16))
-        assert derived.worker_window == 32
-        assert FleetConfig(max_worker_inflight=7).worker_window == 7
-        with pytest.raises(ConfigurationError):
-            FleetConfig(max_worker_inflight=0)
-
     def test_bounds_validated(self):
         with pytest.raises(ConfigurationError):
             FleetConfig(num_workers=0)
@@ -389,6 +385,97 @@ class TestFleetServing:
         for i, future in enumerate(futures):
             response = future.result(timeout=1)
             np.testing.assert_array_equal(response.scores[0], reference[i % 6])
+
+
+class TestDispatch:
+    """Whichever thread queues a request or frees a window slot hands the
+    queue to the workers."""
+
+    def test_router_runs_health_reader_and_writer_threads_only(
+        self, artifact, images, reference
+    ):
+        before = set(threading.enumerate())
+        router = FleetRouter(artifact, _fleet_config())
+        started = set(threading.enumerate()) - before
+        try:
+            assert {t.name for t in started} == {
+                "fleet-health",
+                *(
+                    f"fleet-{role}-{slot}"
+                    for role in ("reader", "writer")
+                    for slot in (0, 1)
+                ),
+            }
+            response = router.infer(images[0], timeout=120)
+        finally:
+            router.close()
+        np.testing.assert_array_equal(response.scores[0], reference[0])
+        assert not [t for t in started if t.is_alive()]
+
+    def test_window_is_two_batches_per_worker(
+        self, artifact, images, reference
+    ):
+        # max_batch_size=1 gives each worker a window of 2.  Both workers
+        # hold every request 1 s, so the moment the 10th submit returns,
+        # 2 x 2 requests are on the workers and 6 wait in the queue.
+        plan = FaultPlan(
+            *(SlowWorker(worker=k, at_batch=0, delay_s=1.0) for k in (0, 1)),
+            seed=0,
+        )
+        config = _fleet_config(
+            service=_service_config(max_batch_size=1), fault_plan=plan
+        )
+        with FleetRouter(artifact, config) as router:
+            futures = [router.submit(images[i % 6]) for i in range(10)]
+            fleet = router.snapshot()["fleet"]
+            responses = [future.result(timeout=120) for future in futures]
+        assert fleet["queue_depth"] == 6
+        assert fleet["inflight"] == 10
+        assert plan.fired.get("slow_worker") == 2
+        for i, response in enumerate(responses):
+            np.testing.assert_array_equal(
+                response.scores[0], reference[i % 6]
+            )
+
+    def test_concurrent_submitters_dispatch_each_request_once(
+        self, artifact, images, reference
+    ):
+        """More submitting threads than cores at a tiny switch interval,
+        against a window of 2: every request runs on a worker once."""
+        config = _fleet_config(service=_service_config(max_batch_size=1))
+        answers: list = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with FleetRouter(artifact, config) as router:
+
+                def client(offset: int) -> None:
+                    futures = [
+                        (offset + i, router.submit(images[(offset + i) % 6]))
+                        for i in range(25)
+                    ]
+                    answers.extend(
+                        (i, future.result(timeout=120)) for i, future in futures
+                    )
+
+                clients = [
+                    threading.Thread(target=client, args=(k,)) for k in range(4)
+                ]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in clients)
+                snap = router.snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(answers) == 100
+        for i, response in answers:
+            np.testing.assert_array_equal(response.scores[0], reference[i % 6])
+        fleet = snap["fleet"]
+        assert fleet["submitted"] == fleet["completed"] == 100
+        assert fleet["queue_depth"] == fleet["inflight"] == 0
+        assert sum(w["requests"] for w in snap["workers"].values()) == 100
 
 
 class TestSupervision:
@@ -560,8 +647,8 @@ class TestFleetChaos:
         # on the same sick process: every fired kill/hang then costs
         # exactly one worker death and one budgeted restart, and the
         # router counters must match `fired` *exactly*.  (A global-counter
-        # injection could hit a worker that is already hung -- the
-        # dispatcher keeps feeding a hung-but-undetected worker -- and
+        # injection could hit a worker that is already hung -- dispatch
+        # keeps feeding a hung-but-undetected worker -- and
         # two firings would collapse into one death.)
         plan = FaultPlan(
             WorkerKill(worker=0, at_batch=10, times=1),
