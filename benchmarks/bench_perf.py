@@ -50,6 +50,7 @@ from repro.blocks.feature_extraction import SorterFeatureExtractionBlock
 from repro.blocks.pooling import SorterAveragePoolingBlock
 from repro.config import PredictOptions
 from repro.nn.architectures import LayerSpec, build_network
+from repro.nn.layers import AvgPool2D
 from repro.nn.sc_layers import ScNetworkMapper
 from repro.rng.lfsr import Lfsr
 from repro.sc import native
@@ -294,20 +295,50 @@ def bench_xnor(length: int) -> dict:
 
 
 def bench_pooling(length: int) -> dict:
-    """Sorter average pooling: per-cycle loop vs closed-form cumsum."""
-    m, instances = 4, 64
+    """Average pooling: the oracle's per-cycle counter vs the packed
+    backend's pooling stage.
+
+    Both sides pool the same conv-shaped streams: 32 images of 4 channels
+    on an 8 x 8 map, in 4 x 4 windows (512 windows of M = 16 streams;
+    the per-cycle side's unpacked windows stay near 70 MB at N = 8192).
+    The legacy side runs
+    :meth:`SorterAveragePoolingBlock.forward_bits_reference` on the
+    unpacked windows, as the ``bit-exact-legacy`` oracle does.  The new
+    side is ``bit-exact-packed``'s own pooling stage
+    (``BitExactPackedBackend._packed_pool``) on the packed words, warmed
+    first, so its peak bytes are the chunk-sized transients of a steady
+    call.
+    """
+    batch, channels, size = 32, 4, 8
+    mapper = _bench_network_mapper(length)
+    key, layer = next(
+        (index, layer)
+        for index, layer in enumerate(mapper.network.layers)
+        if isinstance(layer, AvgPool2D)
+    )
+    p, cells = layer.pool_size, size // layer.pool_size
     rng = np.random.default_rng(2)
-    bits = rng.integers(0, 2, (instances, m, length), dtype=np.uint8)
-    block = SorterAveragePoolingBlock(m)
+    bits = rng.integers(
+        0, 2, (batch, channels, size, size, length), dtype=np.uint8
+    )
+    words = pack_bits(bits)
+    windows = (
+        bits.reshape(batch, channels, cells, p, cells, p, length)
+        .transpose(0, 1, 2, 4, 3, 5, 6)
+        .reshape(batch, channels, cells, cells, p * p, length)
+    )
+    block = SorterAveragePoolingBlock(p * p)
+    backend = create_backend("bit-exact-packed", mapper)
+    backend._packed_pool(words, layer, key)
     return _entry(
         "pooling",
         length,
-        instances * m * length,
-        lambda: block.forward_bits_reference(bits),
-        lambda: block.forward_bits(bits),
-        lambda a, b: np.array_equal(a, b),
-        legacy_repeats=2,
+        bits.size,
+        lambda: block.forward_bits_reference(windows),
+        lambda: backend._packed_pool(words, layer, key),
+        lambda a, b: np.array_equal(pack_bits(a), b),
         new_repeats=3,
+        backend="bit-exact-packed",
     )
 
 

@@ -27,18 +27,24 @@ all the way to the categorization chain, and executes every layer through
   feature-extraction recurrence then advances on the word-blocked stepper
   (:func:`repro.blocks.batched.feature_extraction_recurrence_words`),
   whose internal slabs also live in the workspace.
-* Pooling uses the exact closed form of the pooling counter on
-  CSA-reduced column counts; dense feature-extraction layers run the same
-  fused inner product, and the output layer reduces its products with the
-  fused word-parallel majority chain
-  (:func:`repro.sc.packed.fused_xnor_majority_chain`).
+* Pooling walks its windows in chunks of whole window rows holding about
+  ``_POOL_CHUNK_BYTES`` (512 KiB) of column counts: per chunk, the ``p x
+  p`` planes are regrouped into a chunk-sized buffer, reduced by CSA
+  column counts, and run through the exact closed form of the pooling
+  counter straight into the layer's packed output.  Dense
+  feature-extraction layers run the same fused inner product as CONV,
+  and the output layer reduces its products with the fused word-parallel
+  majority chain (:func:`repro.sc.packed.fused_xnor_majority_chain`).
 
 All large intermediates -- patch gathers, column counts, CSA planes,
-stepper slabs, layer outputs -- are views over one per-backend
-:class:`~repro.workspace.Workspace`, so a steady-state ``forward()``
-performs near-zero heap allocation and the chunking budget admits far
-larger position chunks (fewer recurrence invocations) within the same
-memory envelope.
+stepper slabs, pooling chunks, layer outputs -- are views over one
+per-backend :class:`~repro.workspace.Workspace`, and the chunking budget
+admits large position chunks (few recurrence invocations) within one
+memory envelope.  A warmed ``forward()`` still allocates per call: the
+SNG output words, the categorization words, and each pooling chunk's
+counter transients, which are freed before the next chunk (traced peak
+3.6 MB for a 32-image forward of the ``perfbench/`` CNN at ``N = 1024``,
+2.1 MB for one image).
 
 The fused counts and chain, the stepper and the SNG comparator run on the
 compiled GIL-free tier of :mod:`repro.sc.native` when it is loaded and
@@ -88,6 +94,18 @@ from repro.sc.packed import (
 from repro.workspace import Workspace
 
 __all__ = ["BitExactPackedBackend"]
+
+#: Column-count bytes one pooling chunk holds (see
+#: ``BitExactPackedBackend._packed_pool``), so that the chunk's regrouped
+#: windows, counts and counter transients stay cache-sized at any batch.
+#: Swept on a 2-vCPU AVX-512 host over 32 images of the 8-channel 28 x 28
+#: conv map of ``perfbench/``'s CNN at N = 1024 (4 x 4 windows, ms per
+#: image, traced peak of a warmed call): 128 KiB 0.86 / 0.6 MB, 256 KiB
+#: 0.70 / 1.4 MB, 512 KiB 0.67 / 2.6 MB, 1 MiB 0.75 / 5.1 MB, 2 MiB 0.77 /
+#: 10.4 MB, 4 MiB 0.84 / 20.9 MB, one batch-wide chunk 1.03 / 64.3 MB.
+#: Smaller chunks pay NumPy dispatch per chunk; larger ones spill the
+#: cache (the counter's running total is four bytes per count byte).
+_POOL_CHUNK_BYTES = 1 << 19
 
 
 @register_backend
@@ -471,35 +489,59 @@ class BitExactPackedBackend(Backend):
     def _packed_pool(
         self, words: np.ndarray, layer: AvgPool2D, layer_key: int
     ) -> np.ndarray:
+        """Sorter average pooling on packed words, one cache-sized chunk
+        of window rows at a time.
+
+        The windows are walked in chunks of whole window rows -- rows of
+        the flattened ``(batch * channels, out_h)`` grid -- holding about
+        ``_POOL_CHUNK_BYTES`` of column counts, so the working set is the
+        same at any batch size, image size and ``N``.  Per chunk, the
+        ``p x p`` planes of its windows are regrouped into a chunk-sized
+        workspace buffer, reduced to column counts by
+        :func:`~repro.sc.packed.packed_column_counts`, run through the
+        closed form of the pooling counter
+        (:func:`~repro.blocks.batched.pooling_recurrence`), and packed
+        straight into the layer's output buffer.  Rows and columns past
+        the last whole window are dropped, as the legacy oracle does.
+        """
         n = self.mapper.stream_length
         batch, channels, height, width, n_words = words.shape
         p = layer.pool_size
+        m = p * p
         out_h, out_w = height // p, width // p
+        if out_h == 0 or out_w == 0:
+            raise ShapeError("input smaller than the pooling window")
+        planes = batch * channels
+        dtype = count_dtype(m)
+        # (B * C, out_h, p, out_w, p, words): a view, the trim included.
+        windows = words[:, :, : out_h * p, : out_w * p].reshape(
+            planes, out_h, p, out_w, p, n_words
+        )
+        rows = max(1, _POOL_CHUNK_BYTES // (out_w * n * dtype.itemsize))
+        plane_step = max(1, rows // out_h)
+        row_step = min(rows, out_h)
         ws = self.workspace
-        trimmed = words[:, :, : out_h * p, : out_w * p]
-        grouped = ws.array(
-            (layer_key, "grouped"),
-            (batch, channels, out_h, out_w, p * p, n_words),
-            np.uint64,
-        )
-        grouped.reshape(batch, channels, out_h, out_w, p, p, n_words)[...] = (
-            trimmed.reshape(batch, channels, out_h, p, out_w, p, n_words)
-            .transpose(0, 1, 2, 4, 3, 5, 6)
-        )
-        # Exact closed form of the pooling counter on the CSA column
-        # counts; only the (log-size) count planes and the single output
-        # stream are ever unpacked.
-        counts = ws.array(
-            (layer_key, "counts"), (batch, channels, out_h, out_w, n), np.uint8
-        )
-        packed_column_counts(grouped, n, out=counts)
         output = ws.array(
-            (layer_key, "out"),
-            (batch, channels, out_h, out_w, n_words),
-            np.uint64,
+            (layer_key, "out"), (planes, out_h, out_w, n_words), np.uint64
         )
-        output[...] = pack_bits(pooling_recurrence(counts, p * p))
-        return output
+        for plane in range(0, planes, plane_step):
+            for row in range(0, out_h, row_step):
+                chunk = (
+                    slice(plane, plane + plane_step),
+                    slice(row, row + row_step),
+                )
+                source = windows[chunk]
+                shape = source.shape[:2] + (out_w,)
+                grouped = ws.array(
+                    (layer_key, "grouped"), shape + (p, p, n_words), np.uint64
+                )
+                grouped[...] = source.transpose(0, 1, 3, 2, 4, 5)
+                counts = ws.array((layer_key, "counts"), shape + (n,), dtype)
+                packed_column_counts(
+                    grouped.reshape(shape + (m, n_words)), n, out=counts
+                )
+                output[chunk] = pack_bits(pooling_recurrence(counts, m))
+        return output.reshape(batch, channels, out_h, out_w, n_words)
 
     def _packed_dense(
         self,

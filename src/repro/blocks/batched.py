@@ -63,6 +63,11 @@ def pooling_recurrence(column_ones: np.ndarray, n_inputs: int) -> np.ndarray:
     counts.  The output stream is therefore the discrete derivative of
     ``floor(cumsum(c) / M)`` -- fully vectorisable, no per-cycle loop.
 
+    A call allocates two arrays shaped like ``column_ones``: the running
+    total (``int32``, or ``int64`` once ``M * N`` reaches ``2**31``) and
+    the ``uint8`` output.  Callers that pool a large batch bound them by
+    passing it in chunks, as the packed backend does.
+
     Args:
         column_ones: integer array of shape ``(..., N)`` counting the ones
             per cycle across the ``M`` pooled streams (each entry in
@@ -78,8 +83,11 @@ def pooling_recurrence(column_ones: np.ndarray, n_inputs: int) -> np.ndarray:
     length = c.shape[-1]
     # The running total is bounded by M * N, so a 32-bit accumulator
     # suffices for every realistic stream length (half the memory traffic).
+    # It is summed in place: an accumulate that casts its input first
+    # copies all of it.
     accum_dtype = np.int32 if n_inputs * length < 2**31 else np.int64
-    emitted = np.add.accumulate(c, axis=-1, dtype=accum_dtype)
+    emitted = c.astype(accum_dtype)
+    np.add.accumulate(emitted, axis=-1, out=emitted)
     emitted //= n_inputs
     output = np.empty(c.shape, dtype=np.uint8)
     output[..., 0] = emitted[..., 0]

@@ -96,7 +96,8 @@ class SorterAveragePoolingBlock:
         output = np.empty(column_ones.shape, dtype=np.uint8)
         for t in range(length):
             k = column_ones[..., t] + surplus
-            bit = (k >= m).astype(np.uint8)
+            # int64, not the output's uint8: ``m * bit`` must hold M >= 256.
+            bit = (k >= m).astype(np.int64)
             output[..., t] = bit
             surplus = np.minimum(k - m * bit, m)
         return output

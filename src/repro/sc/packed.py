@@ -129,20 +129,27 @@ def unpack_bits(words: np.ndarray, length: int) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=-1, bitorder="little", count=int(length))
 
 
-#: byte value -> its 8 bits LSB-first; the allocation-free unpack table.
-_BYTE_BITS = np.unpackbits(
-    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+# Byte-spread constants of unpack_bits_into: a byte times _SPREAD fills
+# all eight bytes of a word with it, _BYTE_BIT keeps bit k in the word's
+# k-th byte in memory order, and adding _SPREAD_CARRY then shifting right
+# by 7 moves each kept bit to bit 0 of its byte (no byte overflows, so
+# nothing carries into the next).
+_SPREAD = np.uint64(0x0101010101010101)
+_BYTE_BIT = np.uint64(
+    0x8040201008040201 if sys.byteorder == "little" else 0x0102040810204080
 )
+_SPREAD_CARRY = np.uint64(0x7F7F7F7F7F7F7F7F)
 
 
 def unpack_bits_into(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Unpack ``(..., W)`` words into a preallocated ``(..., W * 64)`` buffer.
 
     The allocation-free counterpart of :func:`unpack_bits` for hot loops
-    that reuse a workspace buffer: the bit expansion is one gather through
-    a 256-entry byte table (``np.take`` with ``out=``), so no intermediate
-    array is created.  All ``W * 64`` bit positions are written, including
-    the (zero) tail bits beyond the stream length -- callers slice
+    that reuse a workspace buffer: each packed byte is spread to its eight
+    0/1 bytes by a multiply, a mask, an add and a shift on the ``uint64``
+    word of ``out`` it fills, all in place, so no intermediate array is
+    created.  All ``W * 64`` bit positions are written, including the
+    (zero) tail bits beyond the stream length -- callers slice
     ``out[..., :length]``.
 
     Args:
@@ -163,13 +170,12 @@ def unpack_bits_into(words: np.ndarray, out: np.ndarray) -> np.ndarray:
         )
     if out.dtype != np.uint8 or not out.flags.c_contiguous:
         raise ShapeError("out must be a C-contiguous uint8 array")
-    as_bytes = arr.view(np.uint8)  # (..., W * 8)
-    np.take(
-        _BYTE_BITS,
-        as_bytes,
-        axis=0,
-        out=out.reshape(as_bytes.shape + (8,)),
-    )
+    spread = out.view(np.uint64)  # (..., W * 8): a word per packed byte
+    np.multiply(arr.view(np.uint8), _SPREAD, out=spread, dtype=np.uint64)
+    np.bitwise_and(spread, _BYTE_BIT, out=spread)
+    np.add(spread, _SPREAD_CARRY, out=spread)
+    np.right_shift(spread, 7, out=spread)
+    np.bitwise_and(spread, _SPREAD, out=spread)
     return out
 
 
@@ -319,13 +325,15 @@ def packed_column_counts(
     tree (:func:`_csa_words`; ``O(M)`` word operations in total), leaving
     one packed plane per count bit; only those ``ceil(log2(M + 1))``
     planes are unpacked and recombined, so the memory traffic is
-    logarithmic in ``M`` instead of linear.
+    logarithmic in ``M`` instead of linear.  The planes are decoded
+    straight into the result by :func:`_decode_levels`, through one
+    unpack buffer per call and no temporary per level.
 
     Args:
-        words: packed streams of shape ``(..., M, W)``.
+        words: packed streams of shape ``(..., M, W)`` (any strides).
         length: stream length ``N``.
         out: optional preallocated integer output of shape ``(..., N)``
-            (any integer dtype wide enough for ``M``).
+            (any integer dtype wide enough for ``M``; any strides).
 
     Returns:
         Integer array of shape ``(..., N)`` with entries in ``[0, M]``
@@ -338,6 +346,11 @@ def packed_column_counts(
     m = words.shape[-2]
     if m < 1:
         raise ShapeError("packed_column_counts needs at least one stream")
+    if words.shape[-1] != words_for_length(length):
+        raise ShapeError(
+            f"word array of shape {words.shape} cannot hold a "
+            f"{length}-bit stream"
+        )
     # levels[j] holds the not-yet-reduced planes of weight 2**j.
     levels: list[list[np.ndarray]] = [[words[..., i, :] for i in range(m)]]
     j = 0
@@ -356,23 +369,42 @@ def packed_column_counts(
                 levels.append([])
             levels[j + 1].append(a & b)
         j += 1
-    dtype = count_dtype(m)
     shape = words.shape[:-2] + (int(length),)
     if out is None:
-        counts = np.zeros(shape, dtype=dtype)
+        counts = np.empty(shape, dtype=count_dtype(m))
     else:
         _check_counts_out(out, shape, m)
         counts = out
-        counts[...] = 0
-    for exponent, planes in enumerate(levels):
-        if not planes:
-            continue
-        (plane,) = planes
-        bits = unpack_bits(plane, length)
-        if exponent:
-            counts += bits.astype(counts.dtype) << exponent
+    padded = words.shape[-1] * WORD_BITS
+    bits = np.empty(words.shape[:-2] + (padded,), np.uint8)
+    return _decode_levels(levels, length, counts, bits)
+
+
+def _decode_levels(
+    levels: list[list[np.ndarray]],
+    length: int,
+    counts: np.ndarray,
+    bits: np.ndarray,
+) -> np.ndarray:
+    """Recombine reduced CSA levels into per-cycle counts, in place.
+
+    ``levels[j]`` holds the one packed plane of weight ``2**j``.  The
+    planes are taken most significant first (``counts = 2 * counts +
+    plane``): every partial sum is a prefix of a final count, so nothing
+    overflows ``counts``' dtype and no plane is ever shifted or widened.
+    Each plane is unpacked into ``bits``, one C-contiguous ``uint8``
+    buffer of shape ``(..., W * 64)`` reused for every level.
+    """
+    view = bits[..., :length]
+    top = len(levels) - 1
+    for exponent in range(top, -1, -1):
+        (plane,) = levels[exponent]
+        unpack_bits_into(plane, bits)
+        if exponent == top:
+            np.copyto(counts, view, casting="unsafe")
         else:
-            np.add(counts, bits, out=counts, casting="unsafe")
+            np.add(counts, counts, out=counts)
+            np.add(counts, view, out=counts, casting="unsafe")
     return counts
 
 
@@ -553,38 +585,15 @@ def fused_xnor_column_counts(
         _csa_push(levels, buf, take, free)
     _csa_finalize(levels, take, free)
 
-    dtype = count_dtype(m_total)
     shape = plane_shape[:-1] + (int(length),)
     if out is None:
-        counts = np.zeros(shape, dtype=dtype)
+        counts = np.empty(shape, dtype=count_dtype(m_total))
     else:
         _check_counts_out(out, shape, m_total)
         counts = out
-        counts[...] = 0
     padded = n_words * WORD_BITS
     bits = ws.array((key, "bits"), plane_shape[:-1] + (padded,), np.uint8)
-    for exponent, planes in enumerate(levels):
-        if not planes:
-            continue
-        (plane,) = planes
-        unpack_bits_into(plane, bits)
-        view = bits[..., :length]
-        if exponent == 0:
-            np.add(counts, view, out=counts, casting="unsafe")
-        elif counts.dtype == np.uint8:
-            # m_total <= 255, so exponent <= 7 and the shifted 0/1 plane
-            # still fits a byte; shift in place and add.
-            np.left_shift(view, exponent, out=view)
-            np.add(counts, view, out=counts, casting="unsafe")
-        else:
-            # Upcast the 0/1 plane *before* shifting: a shift ufunc picks
-            # its loop from the input dtypes, so shifting the uint8 view
-            # into a uint16 out would wrap at exponent >= 8.
-            wide = ws.array((key, "wide"), counts.shape, counts.dtype)
-            np.copyto(wide, view, casting="unsafe")
-            np.left_shift(wide, exponent, out=wide)
-            np.add(counts, wide, out=counts, casting="unsafe")
-    return counts
+    return _decode_levels(levels, length, counts, bits)
 
 
 def fused_xnor_majority_chain(

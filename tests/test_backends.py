@@ -20,6 +20,7 @@ Covers the three contracts of :mod:`repro.backends`:
 
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -37,13 +38,16 @@ from repro.backends import (
     create_backend,
     register_backend,
 )
+from repro.backends import packed as packed_backend
 from repro.blocks.batched import (
     feature_extraction_recurrence,
     feature_extraction_recurrence_words,
 )
 from repro.blocks.feature_extraction import SorterFeatureExtractionBlock
-from repro.errors import ConfigurationError
-from repro.nn.layers import Conv2D
+from repro.blocks.pooling import SorterAveragePoolingBlock
+from repro.errors import ConfigurationError, ShapeError
+from repro.nn.architectures import LayerSpec, build_network
+from repro.nn.layers import AvgPool2D, Conv2D
 from repro.nn.sc_layers import ScNetworkMapper
 from repro.sc.packed import (
     pack_bits,
@@ -403,6 +407,110 @@ def _stream_word_calls(backend) -> int:
 #: pins the NumPy kernels, the default takes the compiled tier when it is
 #: available.
 TIERS = {"bit-exact-packed": {"use_native": False}, "bit-exact-native": {}}
+
+
+class TestPackedPooling:
+    """The packed pooling layer walks its windows in chunks of window rows
+    (``_POOL_CHUNK_BYTES`` of column counts); every chunk edge, trimmed
+    map edge and tail word stays bit-identical to the per-cycle counter."""
+
+    @staticmethod
+    def _reference(bits: np.ndarray, p: int) -> np.ndarray:
+        """Packed per-cycle pooling of unpacked ``(B, C, H, W, N)`` bits."""
+        batch, channels, height, width, n = bits.shape
+        out_h, out_w = height // p, width // p
+        windows = (
+            bits[:, :, : out_h * p, : out_w * p]
+            .reshape(batch, channels, out_h, p, out_w, p, n)
+            .transpose(0, 1, 2, 4, 3, 5, 6)
+            .reshape(batch, channels, out_h, out_w, p * p, n)
+        )
+        return pack_bits(
+            SorterAveragePoolingBlock(p * p).forward_bits_reference(windows)
+        )
+
+    @pytest.mark.parametrize("tier", sorted(TIERS))
+    @pytest.mark.parametrize("length", [1, 63, 64, 65, 130, 1024])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cut", ["inside-planes", "between-planes"])
+    def test_chunk_edges_match_reference_loop(
+        self, monkeypatch, rng, tier, length, p, cut
+    ):
+        # 3 images x 2 channels of an 11 x 10 map: neither side is a
+        # multiple of p > 1, so whole rows and columns are trimmed.
+        batch, channels, height, width = 3, 2, 11, 10
+        out_h, out_w = height // p, width // p
+        # Two window rows per chunk cut inside each (image, channel)
+        # plane; four planes of rows per chunk cut between the six
+        # planes.  Either way most grids end on a ragged chunk.
+        rows = 2 if cut == "inside-planes" else 4 * out_h
+        monkeypatch.setattr(
+            packed_backend, "_POOL_CHUNK_BYTES", rows * out_w * length
+        )
+        chunks = []
+        recurrence = packed_backend.pooling_recurrence
+
+        def counted(counts, m):
+            chunks.append(counts.shape[:2])
+            return recurrence(counts, m)
+
+        monkeypatch.setattr(packed_backend, "pooling_recurrence", counted)
+        bits = rng.integers(
+            0, 2, (batch, channels, height, width, length), dtype=np.uint8
+        )
+        mapper = ScNetworkMapper(tiny_cnn(), stream_length=length, seed=7)
+        backend = create_backend(tier, mapper, **TIERS[tier])
+        pooled = backend._packed_pool(pack_bits(bits), AvgPool2D(p), 2)
+        assert len(chunks) > 1
+        assert sum(a * b for a, b in chunks) == batch * channels * out_h
+        assert np.array_equal(pooled, self._reference(bits, p))
+
+    def test_map_smaller_than_window_is_refused(self, mapper):
+        words = np.zeros((1, 2, 3, 5, words_for_length(128)), dtype=np.uint64)
+        backend = create_backend("bit-exact-packed", mapper)
+        with pytest.raises(ShapeError, match="smaller than the pooling"):
+            backend._packed_pool(words, AvgPool2D(4), 2)
+
+    def test_sixteen_by_sixteen_window_matches_legacy(self):
+        """M = 256 pooled streams need 16-bit column counts on the packed
+        tiers and int64 arithmetic in the oracle's per-cycle loop."""
+        specs = [
+            LayerSpec(kind="conv", name="Conv3_x", kernel=3, channels=2),
+            LayerSpec(kind="pool", name="AvgPool", kernel=16, stride=16),
+            LayerSpec(kind="output", name="OutLayer", units=10),
+        ]
+        network = build_network(
+            specs, activation="hardware", seed=5, training_stream_length=128
+        )
+        wide = ScNetworkMapper(network, stream_length=100, seed=3)
+        batch = np.random.default_rng(5).random((2, 1, 28, 28))
+        legacy = create_backend("bit-exact-legacy", wide).forward(batch)
+        for name, options in TIERS.items():
+            scores = create_backend(name, wide, **options).forward(batch)
+            assert np.array_equal(scores, legacy), name
+
+    def test_warm_call_working_set_is_bounded(self):
+        """A warmed 32-image call at N = 1024 keeps chunk-sized transients:
+        about 2.6 MB traced, where regrouping, counting and accumulating
+        the whole batch at once traces 25.7 MB."""
+        network = tiny_cnn()
+        index = next(
+            i for i, l in enumerate(network.layers) if isinstance(l, AvgPool2D)
+        )
+        backend = create_backend(
+            "bit-exact-packed", ScNetworkMapper(network, stream_length=1024)
+        )
+        words = np.random.default_rng(3).integers(
+            0, 2**63, (32, 2, 28, 28, 16), dtype=np.uint64
+        )
+        backend._packed_pool(words, network.layers[index], index)
+        tracemalloc.start()
+        try:
+            backend._packed_pool(words, network.layers[index], index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestStreamPlane:

@@ -215,6 +215,17 @@ class TestPooling:
         with pytest.raises(ShapeError):
             block.forward_bits(rng.integers(0, 2, (3, 64)).astype(np.uint8))
 
+    def test_reference_loop_holds_256_inputs(self, rng):
+        # A 16 x 16 window: M = 256 does not fit a uint8, so the loop's
+        # ``M * bit`` must be computed wider than its output bits.
+        block = SorterAveragePoolingBlock(256)
+        bits = rng.integers(0, 2, (256, 96)).astype(np.uint8)
+        bits[:, :8] = 1  # whole columns of ones: the counter fires at once
+        reference = block.forward_bits_reference(bits)
+        assert reference[:8].all()
+        assert np.array_equal(reference, block.forward_bits_sorted_vector(bits))
+        assert np.array_equal(reference, block.forward_bits(bits))
+
     def test_hardware_estimate(self):
         assert SorterAveragePoolingBlock(4).hardware().jj_count > 0
 

@@ -310,6 +310,7 @@ class TestLfsrVectorizedWords:
 
 from repro.sc.packed import (  # noqa: E402  (grouped with their tests)
     _popcount_words_fallback,
+    count_dtype,
     fused_xnor_column_counts,
     fused_xnor_majority_chain,
     majority_chain_words,
@@ -340,15 +341,47 @@ class TestOutKernels:
 
     @pytest.mark.parametrize("length", TAIL_LENGTHS)
     def test_column_counts_out(self, rng, length):
-        words = pack_bits(random_bits(rng, (3, 7, length)))
-        expected = packed_column_counts(words, length)
-        out = np.empty((3, length), dtype=np.uint8)
-        assert packed_column_counts(words, length, out=out) is out
-        assert np.array_equal(out, expected)
+        # Every count width the dtype rule produces (M = 255 tops uint8,
+        # M = 256 needs bit 8), into out= of each width that holds it.
+        for m in (1, 2, 3, 16, 17, 255, 256):
+            bits = random_bits(rng, (3, m, length))
+            bits[0] = 1  # the top count, in every level plane
+            expected = bits.sum(axis=-2)
+            words = pack_bits(bits)
+            counts = packed_column_counts(words, length)
+            assert counts.dtype == count_dtype(m)
+            assert np.array_equal(counts, expected)
+            for dtype in (np.uint8, np.uint16, np.int64):
+                out = np.empty((3, length), dtype=dtype)
+                if np.iinfo(dtype).max < m:
+                    with pytest.raises(ShapeError, match="cannot represent"):
+                        packed_column_counts(words, length, out=out)
+                    continue
+                assert packed_column_counts(words, length, out=out) is out
+                assert np.array_equal(out, expected)
         with pytest.raises(ShapeError):
             packed_column_counts(
                 words, length, out=np.empty((3, length + 1), dtype=np.uint8)
             )
+
+    @pytest.mark.parametrize("m", [1, 3, 16, 256])
+    def test_column_counts_strided_operands(self, rng, m):
+        """A strided ``(..., M, W)`` view and a strided ``out`` decode the
+        same counts as contiguous ones."""
+        length = 130
+        bits = random_bits(rng, (m, 4, length))
+        words = pack_bits(bits).transpose(1, 0, 2)[::2]  # (2, M, W) view
+        assert not words.flags.c_contiguous
+        backing = np.full((2, 2 * length), 7, dtype=np.int64)
+        out = backing[:, ::2]
+        packed_column_counts(words, length, out=out)
+        assert np.array_equal(out, bits.sum(axis=0)[::2])
+        assert np.all(backing[:, 1::2] == 7)
+
+    def test_column_counts_rejects_word_count_mismatch(self, rng):
+        words = pack_bits(random_bits(rng, (2, 3, 130)))
+        with pytest.raises(ShapeError, match="cannot hold"):
+            packed_column_counts(words, 200)
 
 
 class TestUnpackBitsInto:
@@ -361,6 +394,14 @@ class TestUnpackBitsInto:
         assert np.array_equal(out[..., :length], unpack_bits(words, length))
         # Tail positions beyond the stream are zero (tail-word invariant).
         assert not out[..., length:].any()
+
+    def test_every_byte_value(self):
+        # Stream byte i holds the value i: every byte pattern is spread
+        # once, at each of the eight byte positions of a word.
+        bits = ((np.arange(256)[:, None] >> np.arange(8)) & 1).ravel()
+        out = np.empty(bits.size, dtype=np.uint8)
+        unpack_bits_into(pack_bits(bits), out)
+        assert np.array_equal(out, bits)
 
     def test_rejects_bad_out(self, rng):
         words = pack_bits(random_bits(rng, (3, 100)))
