@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.api import Session
-from repro.backends import create_backend
+from repro.backends import BitExactPackedBackend, create_backend
 from repro.blocks.batched import feature_extraction_recurrence_words
 from repro.blocks.feature_extraction import SorterFeatureExtractionBlock
 from repro.blocks.pooling import SorterAveragePoolingBlock
@@ -390,7 +390,7 @@ def bench_end_to_end(length: int, n_images: int) -> dict:
     mapper = _bench_network_mapper(length)
     images = np.random.default_rng(11).random((n_images, 1, 28, 28))
     legacy = create_backend("bit-exact-legacy", mapper)
-    packed = create_backend("bit-exact-packed", mapper, use_native=False)
+    packed = BitExactPackedBackend(mapper, use_native=False)
     packed.forward(images)
     return _entry(
         "bit-exact-inference",
@@ -529,7 +529,7 @@ def bench_native_end_to_end(length: int, n_images: int) -> dict:
     """
     mapper = _bench_network_mapper(length)
     images = np.random.default_rng(11).random((n_images, 1, 28, 28))
-    packed = create_backend("bit-exact-packed", mapper, use_native=False)
+    packed = BitExactPackedBackend(mapper, use_native=False)
     native_backend = create_backend("bit-exact-native", mapper)
     packed.forward(images)
     native_backend.forward(images)

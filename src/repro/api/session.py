@@ -10,25 +10,27 @@ One object, three verbs::
 
 A session wraps one :class:`~repro.api.artifact.ScModel` (loaded from an
 artifact or built from a freshly trained network), owns the
-:class:`~repro.nn.sc_layers.ScNetworkMapper` and a cache of constructed
-execution backends (one replica per ``workers`` shard), resolves per-request
+:class:`~repro.nn.sc_layers.ScNetworkMapper` and a cache of execution
+backends, each built from its registry name and the mapper alone (one
+replica per ``workers`` shard), resolves per-request
 :class:`~repro.config.PredictOptions` against the model's stream length,
 and hands the micro-batching service and the worker fleet everything they
 need (the fleet's worker processes rehydrate from the artifact path).
 
 A session is the one way to score a model: the evaluation reports, the
 examples and the ``python -m repro`` CLI all go through it, and new entry
-points should not talk to mapper internals directly.
+points should not talk to mapper internals directly.  Inside it there is
+one scoring path: :meth:`Session.evaluate` is the accuracy of
+:meth:`Session.predict`'s predictions.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -100,10 +102,8 @@ class Session:
         artifact_path: artifact directory this session was loaded from
             (``None`` for in-memory models); the worker processes of
             :meth:`serve_fleet` rehydrate from it.
-        **backend_options: default constructor options for every backend
-            this session builds (e.g. ``position_chunk``).
 
-    The session caches its backends per name, options and replica index.
+    The session caches its backends per name and replica index.
     :meth:`predict` and :meth:`evaluate` are safe to call from several
     threads: each cached replica runs one call at a time, and a
     ``workers`` call holds only the lock of the replica each shard runs
@@ -116,18 +116,16 @@ class Session:
         model: ScModel,
         backend: str = "bit-exact-packed",
         artifact_path: str | Path | None = None,
-        **backend_options: object,
     ) -> None:
         backend_class(backend)  # fail fast on unknown names
         self.model = model
         self.backend_name = backend
         self.artifact_path = Path(artifact_path) if artifact_path else None
-        self.backend_options = dict(backend_options)
-        # Keyed (name, replica index, options).
-        self._backends: dict[tuple, Backend] = {}
+        # Keyed (name, replica index).
+        self._backends: dict[tuple[str, int], Backend] = {}
         # One lock per cached replica: a packed backend owns one workspace
         # and must not run two forwards at once.
-        self._backend_locks: dict[tuple, threading.Lock] = {}
+        self._backend_locks: dict[tuple[str, int], threading.Lock] = {}
         self._cache_lock = threading.Lock()
         self._closed = False
 
@@ -138,7 +136,6 @@ class Session:
         cls,
         path: str | Path,
         backend: str = "bit-exact-packed",
-        **backend_options: object,
     ) -> "Session":
         """Open a session on a saved model artifact.
 
@@ -146,10 +143,9 @@ class Session:
             path: artifact directory written by
                 :meth:`~repro.api.artifact.ScModel.save`.
             backend: default execution backend for this session.
-            **backend_options: default backend constructor options.
         """
         model = ScModel.load(path)
-        return cls(model, backend=backend, artifact_path=path, **backend_options)
+        return cls(model, backend=backend, artifact_path=path)
 
     @classmethod
     def from_network(
@@ -160,7 +156,6 @@ class Session:
         seed: int = 2019,
         backend: str = "bit-exact-packed",
         metadata: dict | None = None,
-        **backend_options: object,
     ) -> "Session":
         """Open a session on a freshly trained in-memory network."""
         model = ScModel(
@@ -170,7 +165,7 @@ class Session:
             seed=seed,
             metadata=metadata,
         )
-        return cls(model, backend=backend, **backend_options)
+        return cls(model, backend=backend)
 
     # -- model plumbing --------------------------------------------------------
 
@@ -191,22 +186,18 @@ class Session:
             self.artifact_path = saved
         return saved
 
-    def backend(self, name: str | None = None, **options: object) -> Backend:
-        """A backend executing this session's model (cached per options).
+    def backend(self, name: str | None = None) -> Backend:
+        """A backend executing this session's model (cached per name).
 
         It is replica 0 of ``name``: the backend that unsharded
         :meth:`predict` and :meth:`evaluate` calls run on.
 
         Args:
             name: registry name; ``None`` uses the session default.
-            **options: backend constructor options, merged over the
-                session-level defaults.
         """
-        return self._replica(name, options, 0)[0]
+        return self._replica(name or self.backend_name, 0)[0]
 
-    def _replica(
-        self, name: str | None, options: dict, index: int
-    ) -> tuple[Backend, "threading.Lock | nullcontext"]:
+    def _replica(self, name: str, index: int) -> tuple[Backend, threading.Lock]:
         """Cached replica ``index`` of backend ``name``, with the lock a
         caller holds while running it.
 
@@ -216,70 +207,12 @@ class Session:
         """
         if self._closed:
             raise ConfigurationError("session is closed")
-        name = name or self.backend_name
-        merged = {**self.backend_options, **options}
-        key = (name, index, tuple(sorted(merged.items())))
-        try:
-            hash(key)
-        except TypeError:
-            # Unhashable option values: construct without caching; the
-            # instance belongs to this call alone.
-            return create_backend(name, self.mapper, **merged), nullcontext()
+        key = (name, index)
         with self._cache_lock:
             if key not in self._backends:
-                self._backends[key] = create_backend(name, self.mapper, **merged)
+                self._backends[key] = create_backend(name, self.mapper)
                 self._backend_locks[key] = threading.Lock()
             return self._backends[key], self._backend_locks[key]
-
-    def _sharded(
-        self,
-        name: str | None,
-        options: dict,
-        workers: int | None,
-        images: np.ndarray,
-        run: Callable[[Backend, np.ndarray], object],
-    ) -> list:
-        """``run(replica, shard)`` over contiguous shards of ``images``.
-
-        The batch is cut into ``min(workers, batch)`` near-equal shards;
-        shard ``i`` runs on replica ``i`` under that replica's lock, shard
-        0 on the calling thread and the rest on a pool made for this
-        call.  The compiled kernels release the GIL, so the shards
-        overlap.  Sharding only moves where an image runs, which is why it
-        needs a ``batch_invariant`` backend.
-
-        Returns:
-            The shards' results, in batch order.
-        """
-        name = name or self.backend_name
-        workers = 1 if workers is None else workers
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if workers > 1 and not backend_class(name).batch_invariant:
-            raise ConfigurationError(
-                f"backend {name!r} is not batch-invariant: sharding "
-                "its batches across workers would change per-image scores"
-            )
-        images = Backend._check_images(images)
-        count = max(1, min(workers, images.shape[0]))
-        bounds = np.linspace(0, images.shape[0], count + 1).astype(int)
-        jobs = [
-            (self._replica(name, options, i), images[start:stop])
-            for i, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:]))
-        ]
-
-        def call(job):
-            (replica, lock), shard = job
-            with lock:
-                return run(replica, shard)
-
-        if count == 1:
-            return [call(jobs[0])]
-        with ThreadPoolExecutor(
-            count - 1, thread_name_prefix="repro-shard"
-        ) as pool:
-            rest = [pool.submit(call, job) for job in jobs[1:]]
-            return [call(jobs[0])] + [future.result() for future in rest]
 
     # -- inference -------------------------------------------------------------
 
@@ -299,6 +232,13 @@ class Session:
         policy, image by image.  ``deadline_ms`` only has meaning under
         the queueing service and is ignored here.
 
+        The batch is cut into ``min(workers, batch)`` near-equal
+        contiguous shards; shard ``i`` runs on replica ``i`` under that
+        replica's lock, shard 0 on the calling thread and the rest on a
+        pool made for this call.  The compiled kernels release the GIL,
+        so the shards overlap.  Sharding only moves where an image runs,
+        which is why it needs a ``batch_invariant`` backend.
+
         Args:
             images: ``(batch, channels, height, width)`` images in
                 ``[0, 1]`` (one ``(channels, height, width)`` image is
@@ -309,25 +249,44 @@ class Session:
         """
         options = options or PredictOptions()
         resolved = options.resolve(self.stream_length)
-        cls = backend_class(backend or self.backend_name)
+        name = backend or self.backend_name
+        cls = backend_class(name)
         if resolved.explicit_schedule and not cls.progressive:
             raise ConfigurationError(
-                f"backend {cls.name!r} is not progressive: per-request "
+                f"backend {name!r} is not progressive: per-request "
                 "stream lengths / checkpoint schedules need stream-prefix "
                 "evaluation (pick a backend whose 'progressive' flag is set)"
             )
-        parts = self._sharded(
-            backend,
-            {},
-            options.workers,
-            images,
-            lambda replica, shard: progressive_forward(
-                replica,
-                shard,
-                resolved.checkpoints if resolved.explicit_schedule else None,
-                early_exit=resolved.early_exit,
-            ),
-        )
+        workers = options.workers or 1
+        if workers > 1 and not cls.batch_invariant:
+            raise ConfigurationError(
+                f"backend {name!r} is not batch-invariant: sharding "
+                "its batches across workers would change per-image scores"
+            )
+        images = Backend._check_images(images)
+        checkpoints = resolved.checkpoints if resolved.explicit_schedule else None
+        count = max(1, min(workers, images.shape[0]))
+        bounds = np.linspace(0, images.shape[0], count + 1).astype(int)
+        jobs = [
+            (self._replica(name, i), images[start:stop])
+            for i, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:]))
+        ]
+
+        def run(job):
+            (replica, lock), shard = job
+            with lock:
+                return progressive_forward(
+                    replica, shard, checkpoints, early_exit=resolved.early_exit
+                )
+
+        if count == 1:
+            parts = [run(jobs[0])]
+        else:
+            with ThreadPoolExecutor(
+                count - 1, thread_name_prefix="repro-shard"
+            ) as pool:
+                rest = [pool.submit(run, job) for job in jobs[1:]]
+                parts = [run(jobs[0])] + [future.result() for future in rest]
         return PredictResult(
             scores=np.concatenate([p.scores for p in parts]),
             predictions=np.concatenate([p.predictions for p in parts]),
@@ -339,7 +298,7 @@ class Session:
             checkpoint_scores=np.concatenate(
                 [p.checkpoint_scores for p in parts], axis=1
             ),
-            backend=cls.name,
+            backend=name,
         )
 
     def evaluate(
@@ -349,9 +308,12 @@ class Session:
         backend: str | None = None,
         max_images: int | None = None,
         workers: int | None = None,
-        **options: object,
     ) -> InferenceResult:
         """Accuracy of the model under the named execution backend.
+
+        The accuracy of :meth:`predict`'s predictions for
+        ``images[:max_images]`` under ``PredictOptions(workers=workers)``
+        -- a plain full-stream forward pass, sharded when asked.
 
         Args:
             images: ``(batch, channels, height, width)`` images in
@@ -362,7 +324,6 @@ class Session:
                 (bounds the memory of the bit-exact backends).
             workers: shard the evaluation across this many threads (the
                 backend must be ``batch_invariant``).
-            **options: forwarded to the backend constructor.
 
         Returns:
             An :class:`InferenceResult` whose ``mode`` is the executing
@@ -370,32 +331,24 @@ class Session:
         """
         if max_images is not None and max_images < 1:
             raise ConfigurationError("max_images must be >= 1")
-        images = np.asarray(images)[:max_images]
         labels = np.asarray(labels)[:max_images]
-        parts = self._sharded(
+        result = self.predict(
+            np.asarray(images)[:max_images],
+            PredictOptions(workers=workers),
             backend,
-            options,
-            workers,
-            images,
-            lambda replica, shard: replica.predict(shard),
         )
-        accuracy = float((np.concatenate(parts) == labels).mean())
-        mode = backend_class(backend or self.backend_name).name
-        return InferenceResult(accuracy, len(labels), self.stream_length, mode)
+        accuracy = float((result.predictions == labels).mean())
+        return InferenceResult(
+            accuracy, len(labels), self.stream_length, result.backend
+        )
 
-    def serve(
-        self,
-        config: ServiceConfig | None = None,
-        **backend_options: object,
-    ) -> ScInferenceService:
+    def serve(self, config: ServiceConfig | None = None) -> ScInferenceService:
         """Stand up the micro-batching inference service on this model.
 
         Args:
             config: service knobs; ``None`` serves the session's default
                 backend with the :class:`~repro.config.ServiceConfig`
                 defaults.
-            **backend_options: forwarded to every worker replica's
-                constructor.
 
         Returns:
             A running :class:`~repro.serve.ScInferenceService` (use as a
@@ -404,9 +357,7 @@ class Session:
         if self._closed:
             raise ConfigurationError("session is closed")
         config = config or ServiceConfig(backend=self.backend_name)
-        return ScInferenceService(
-            self.mapper, config, **{**self.backend_options, **backend_options}
-        )
+        return ScInferenceService(self.mapper, config)
 
     def serve_fleet(self, config: FleetConfig | None = None) -> FleetRouter:
         """Stand up a supervised multi-process worker fleet on this model.
@@ -455,7 +406,7 @@ class Session:
 
         cached = list(self._backends.items())
         workspaces = []
-        for (_, replica, _), backend in cached:
+        for (_, replica), backend in cached:
             stats = backend.workspace_stats()
             if stats is not None:
                 workspaces.append(

@@ -3,9 +3,10 @@
 The backend layer separates the *description* of a mapped network
 (:class:`~repro.nn.sc_layers.ScNetworkMapper`) from the *simulation
 strategy* that evaluates it.  Every strategy implements the
-:class:`~repro.backends.base.Backend` protocol and registers itself under
-a string key, so engines, reports, examples and benchmarks select an
-execution path by name:
+:class:`~repro.backends.base.Backend` protocol and is listed under a
+string key in the registry table, so engines, reports, examples and
+benchmarks select an execution path by name, and a backend is built from
+that name and the mapper alone:
 
 ========================= ========= =========== =====================
 name                      bit-exact progressive what it runs
@@ -20,7 +21,8 @@ name                      bit-exact progressive what it runs
 All ``bit-exact-*`` backends produce *identical* scores; they only
 differ in speed.  ``bit-exact-packed`` runs its hot kernels on the
 compiled tier of :mod:`repro.sc.native` whenever it is available
-(``use_native=False`` or ``REPRO_NATIVE=0`` force NumPy).
+(``REPRO_NATIVE=0`` forces NumPy for the process, and
+``BitExactPackedBackend(mapper, use_native=False)`` for one instance).
 ``batch_invariant`` backends guarantee per-image scores
 independent of batch composition, which is what lets a ``workers``
 option of :class:`~repro.api.Session` shard one batch across threads,
@@ -31,8 +33,8 @@ intermediate stream-length checkpoints), the primitive the serving layer
 (:mod:`repro.serve`) uses for micro-batched inference with
 progressive-precision early exit.  To add a backend, subclass
 :class:`~repro.backends.base.Backend`, set ``name`` plus the capability
-flags, implement ``forward``, and decorate the class with
-:func:`~repro.backends.registry.register_backend`.
+flags, implement ``forward``, and add the class to the table in
+:mod:`repro.backends.registry`.
 """
 
 from repro.backends.base import Backend
@@ -43,7 +45,6 @@ from repro.backends.registry import (
     backend_names,
     create_backend,
     describe_backends,
-    register_backend,
 )
 from repro.backends.standard import (
     BitExactLegacyBackend,
@@ -53,7 +54,6 @@ from repro.backends.standard import (
 
 __all__ = [
     "Backend",
-    "register_backend",
     "backend_class",
     "backend_names",
     "describe_backends",

@@ -36,10 +36,9 @@ __all__ = ["Backend"]
 class Backend(abc.ABC):
     """One execution strategy for running a mapped network.
 
-    Subclasses are registered by name (see
-    :func:`repro.backends.registry.register_backend`) and constructed with
-    the mapper they execute; backend-specific options are keyword
-    arguments of the concrete ``__init__``.
+    Subclasses are listed by name in the registry table
+    (:mod:`repro.backends.registry`) and constructed from the mapper they
+    execute alone.
 
     Args:
         mapper: the SC network mapper holding the trained network, stream
@@ -222,10 +221,6 @@ class Backend(abc.ABC):
         if workspace is None:
             return None
         return workspace.stats()
-
-    def predict(self, images: np.ndarray) -> np.ndarray:
-        """Predicted class indices for a batch of images."""
-        return np.argmax(self.forward(images), axis=1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

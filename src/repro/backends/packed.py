@@ -48,8 +48,9 @@ counter transients, which are freed before the next chunk (traced peak
 
 The fused counts and chain, the stepper and the SNG comparator run on the
 compiled GIL-free tier of :mod:`repro.sc.native` when it is loaded and
-takes the operands, and on NumPy otherwise (``REPRO_NATIVE=0`` or
-``use_native=False`` force NumPy); the scores are bit-identical either way.
+takes the operands, and on NumPy otherwise (``REPRO_NATIVE=0`` forces
+NumPy for the process, ``use_native=False`` for one instance); the scores
+are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ import time
 import numpy as np
 
 from repro.backends.base import Backend
-from repro.backends.registry import register_backend
 from repro.blocks.batched import (
     feature_extraction_recurrence_words,
     pooling_recurrence,
@@ -108,16 +108,11 @@ __all__ = ["BitExactPackedBackend"]
 _POOL_CHUNK_BYTES = 1 << 19
 
 
-@register_backend
 class BitExactPackedBackend(Backend):
     """Bit-exact simulation with fused kernels on a word-packed data plane.
 
     Args:
         mapper: the SC network mapper.
-        position_chunk: optional cap on CONV output positions / FC neurons
-            per fused-reduction chunk; ``None`` picks automatically from
-            the memory budget.  CONV chunks are materialised in whole
-            output rows, so the effective floor is one row of positions.
         use_native: ``False`` forces the NumPy kernels; ``None`` (default)
             uses the compiled tier when it is available and falls back to
             NumPy, never to an error, when it is not.
@@ -136,23 +131,19 @@ class BitExactPackedBackend(Backend):
     batch_invariant = True
 
     #: Target size (bytes) of the live per-chunk working set (column
-    #: counts + stepper slabs + CSA planes).  Unlike the pre-fusion
-    #: budget, this accounts for *everything* the chunk keeps live -- the
-    #: fused kernels shrank the per-position footprint by the fan-in
-    #: factor, so the same envelope admits much larger chunks (fewer
-    #: stepper invocations, less Python dispatch).
+    #: counts + stepper slabs + CSA planes) of a CONV position chunk or an
+    #: FC neuron chunk.  Unlike the pre-fusion budget, this accounts for
+    #: *everything* the chunk keeps live -- the fused kernels shrank the
+    #: per-position footprint by the fan-in factor, so the same envelope
+    #: admits much larger chunks (fewer stepper invocations, less Python
+    #: dispatch).  CONV chunks are materialised in whole output rows, so
+    #: the floor is one row of positions (one neuron for FC).
     _CHUNK_BYTES_BUDGET = 128 * 1024 * 1024
 
     def __init__(
-        self,
-        mapper: ScNetworkMapper,
-        position_chunk: int | None = None,
-        use_native: bool | None = None,
+        self, mapper: ScNetworkMapper, use_native: bool | None = None
     ) -> None:
         super().__init__(mapper)
-        if position_chunk is not None and position_chunk < 1:
-            raise ConfigurationError("position_chunk must be >= 1")
-        self.position_chunk = position_chunk
         self.workspace = Workspace()
         #: Per-kernel, per-tier invocation counters of this instance
         #: (surfaced through :meth:`~repro.backends.base.Backend.kernel_snapshot`
@@ -429,8 +420,7 @@ class BitExactPackedBackend(Backend):
             padded[:, :, pad : pad + height, pad : pad + width] = words
         else:
             padded = words
-        out_h = (height + 2 * pad - kernel) // stride + 1
-        out_w = (width + 2 * pad - kernel) // stride + 1
+        out_h, out_w = layer.output_size(height, width)
         # Zero-copy sliding windows over (H, W); the word axis rides along
         # and patches are materialised one position chunk at a time.
         windows = np.lib.stride_tricks.sliding_window_view(
@@ -445,7 +435,7 @@ class BitExactPackedBackend(Backend):
         # Per position: the fused working set (scaled by out_ch) plus the
         # im2col patch gather, which carries the fan-in once per position
         # regardless of out_ch.
-        chunk = self.position_chunk or self._auto_chunk(
+        chunk = self._auto_chunk(
             batch
             * (
                 out_ch * self._chunk_bytes_per_position(m, dtype.itemsize)
@@ -569,9 +559,7 @@ class BitExactPackedBackend(Backend):
             outputs = np.empty(
                 (batch, layer.out_features, n_words), dtype=np.uint64
             )
-            chunk = self.position_chunk or self._auto_chunk(
-                batch * 6 * (n // 8 + 8)
-            )
+            chunk = self._auto_chunk(batch * 6 * (n // 8 + 8))
             for start in range(0, layer.out_features, chunk):
                 w_chunk = weight_words[start : start + chunk]  # (oc, in, W)
                 self._fused_chain(
@@ -584,7 +572,7 @@ class BitExactPackedBackend(Backend):
         m = in_features + 1
         extra = self._extra_planes(bias_words, m)
         dtype = count_dtype(in_features + extra.shape[1])
-        chunk = self.position_chunk or self._auto_chunk(
+        chunk = self._auto_chunk(
             batch * self._chunk_bytes_per_position(m, dtype.itemsize)
         )
         outputs = ws.array(

@@ -1,9 +1,9 @@
 """String-keyed registry of execution backends.
 
-Backends self-register at import time via the :func:`register_backend`
-class decorator; consumers look them up by name with
-:func:`backend_class` / :func:`create_backend` and enumerate them with
-:func:`backend_names`.  Unknown names raise a
+One table maps each registry name to its backend class.  Consumers look
+backends up by name with :func:`backend_class` / :func:`create_backend`
+and enumerate them with :func:`backend_names`; a backend is built from
+its name and the mapper alone.  Unknown names raise a
 :class:`~repro.errors.ConfigurationError` that lists every registered
 backend, so a typo in a config file or CLI flag fails with an actionable
 message instead of an ``AttributeError`` deep inside the mapper.
@@ -11,47 +11,31 @@ message instead of an ``AttributeError`` deep inside the mapper.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, TypeVar
-
+from repro.backends.base import Backend
+from repro.backends.native import BitExactNativeBackend
+from repro.backends.packed import BitExactPackedBackend
+from repro.backends.standard import (
+    BitExactLegacyBackend,
+    FastStatisticalBackend,
+    FloatBackend,
+)
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.backends.base import Backend
-    from repro.nn.sc_layers import ScNetworkMapper
+from repro.nn.sc_layers import ScNetworkMapper
 
 __all__ = [
-    "register_backend",
     "backend_class",
     "backend_names",
     "describe_backends",
     "create_backend",
 ]
 
-_REGISTRY: dict[str, type["Backend"]] = {}
-
-_BackendT = TypeVar("_BackendT", bound="type[Backend]")
-
-
-def register_backend(cls: _BackendT) -> _BackendT:
-    """Class decorator adding a :class:`Backend` subclass to the registry.
-
-    The class attribute ``name`` is the registry key; registering two
-    different classes under the same name is a configuration error (it
-    would silently shadow an execution strategy).
-    """
-    name = getattr(cls, "name", None)
-    if not isinstance(name, str) or not name:
-        raise ConfigurationError(
-            f"backend class {cls.__name__} must define a non-empty 'name'"
-        )
-    existing = _REGISTRY.get(name)
-    if existing is not None and existing is not cls:
-        raise ConfigurationError(
-            f"backend name {name!r} is already registered "
-            f"by {existing.__name__}"
-        )
-    _REGISTRY[name] = cls
-    return cls
+_REGISTRY: dict[str, type[Backend]] = {
+    "float": FloatBackend,
+    "sc-fast": FastStatisticalBackend,
+    "bit-exact-legacy": BitExactLegacyBackend,
+    "bit-exact-packed": BitExactPackedBackend,
+    "bit-exact-native": BitExactNativeBackend,
+}
 
 
 def backend_names() -> tuple[str, ...]:
@@ -85,7 +69,7 @@ def describe_backends() -> str:
     return "\n".join(lines)
 
 
-def backend_class(name: str) -> type["Backend"]:
+def backend_class(name: str) -> type[Backend]:
     """Look up a backend class by registry name.
 
     Raises:
@@ -101,16 +85,11 @@ def backend_class(name: str) -> type["Backend"]:
         ) from None
 
 
-def create_backend(
-    name: str, mapper: "ScNetworkMapper", **options: object
-) -> "Backend":
+def create_backend(name: str, mapper: ScNetworkMapper) -> Backend:
     """Construct a backend by name for the given mapper.
 
     Args:
         name: registry key (see :func:`backend_names`).
         mapper: the SC network mapper the backend will execute.
-        **options: backend-specific constructor options (e.g.
-            ``inject_noise`` for the fast statistical backend,
-            ``position_chunk`` for the bit-exact ones).
     """
-    return backend_class(name)(mapper, **options)
+    return backend_class(name)(mapper)

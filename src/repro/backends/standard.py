@@ -8,7 +8,7 @@ that scores are unchanged mode for mode:
 * :class:`FloatBackend` -- the trained float network itself (software
   reference accuracy).
 * :class:`FastStatisticalBackend` -- the fast statistical SC model
-  (quantised weights, hardware transfer curves, optional stream noise).
+  (quantised weights, hardware transfer curves, stream decoding noise).
 * :class:`BitExactLegacyBackend` -- the per-image, small-chunk bit-exact
   block simulation (the equivalence oracle and perf baseline).
 
@@ -21,9 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backends.base import Backend
-from repro.backends.registry import register_backend
 from repro.blocks.categorization import prefix_chain_scores
-from repro.errors import ConfigurationError
 from repro.nn.sc_layers import ScNetworkMapper
 from repro.sc.packed import pack_bits
 
@@ -39,7 +37,6 @@ __all__ = [
 _SCORE_BATCH = 256
 
 
-@register_backend
 class FloatBackend(Backend):
     """Software reference: the trained float network, no SC at all."""
 
@@ -58,24 +55,17 @@ class FloatBackend(Backend):
         return np.concatenate(scores, axis=0)
 
 
-@register_backend
 class FastStatisticalBackend(Backend):
     """Fast statistical SC model (the full-test-set accuracy model).
 
-    Args:
-        mapper: the SC network mapper.
-        inject_noise: add the stochastic decoding noise of finite streams
-            after every block (the paper's evaluation setting).
+    The stochastic decoding noise of finite streams is added after every
+    block, the paper's evaluation setting.
     """
 
     name = "sc-fast"
     description = "fast statistical SC model (quantised weights, transfer curves)"
     bit_exact = False
     progressive = True
-
-    def __init__(self, mapper: ScNetworkMapper, inject_noise: bool = True) -> None:
-        super().__init__(mapper)
-        self.inject_noise = bool(inject_noise)
 
     def _batched_fast_forward(
         self, images: np.ndarray, mapper: ScNetworkMapper
@@ -87,9 +77,7 @@ class FastStatisticalBackend(Backend):
         so the final checkpoint reproduces the full-stream scores exactly.
         """
         scores = [
-            mapper.fast_forward(
-                images[start : start + _SCORE_BATCH], self.inject_noise
-            )
+            mapper.fast_forward(images[start : start + _SCORE_BATCH])
             for start in range(0, images.shape[0], _SCORE_BATCH)
         ]
         return np.concatenate(scores, axis=0)
@@ -123,16 +111,12 @@ class FastStatisticalBackend(Backend):
         return np.stack(scores)
 
 
-@register_backend
 class BitExactLegacyBackend(Backend):
     """Per-image, small-chunk bit-exact simulation (equivalence oracle).
 
-    Args:
-        mapper: the SC network mapper.
-        position_chunk: output positions / neurons simulated per product
-            tensor; ``None`` selects the historical default of 32 (so the
-            engine facade can pass ``position_chunk=None`` to any
-            bit-exact backend uniformly).
+    Each image runs through
+    :meth:`~repro.nn.sc_layers.ScNetworkMapper.bit_exact_forward_legacy`
+    with its default chunk of 32 output positions / neurons.
     """
 
     name = "bit-exact-legacy"
@@ -141,28 +125,10 @@ class BitExactLegacyBackend(Backend):
     progressive = True
     batch_invariant = True
 
-    #: Historical positions-per-product-tensor default of the legacy path.
-    _DEFAULT_POSITION_CHUNK = 32
-
-    def __init__(
-        self, mapper: ScNetworkMapper, position_chunk: int | None = None
-    ) -> None:
-        super().__init__(mapper)
-        if position_chunk is None:
-            position_chunk = self._DEFAULT_POSITION_CHUNK
-        if position_chunk < 1:
-            raise ConfigurationError("position_chunk must be >= 1")
-        self.position_chunk = int(position_chunk)
-
     def forward(self, images: np.ndarray) -> np.ndarray:
         images = self._check_images(images)
         return np.stack(
-            [
-                self.mapper.bit_exact_forward_legacy(
-                    image, position_chunk=self.position_chunk
-                )
-                for image in images
-            ]
+            [self.mapper.bit_exact_forward_legacy(image) for image in images]
         )
 
     def forward_partial(self, images: np.ndarray, checkpoints) -> np.ndarray:
@@ -176,11 +142,7 @@ class BitExactLegacyBackend(Backend):
         images = self._check_images(images)
         streams = np.stack(
             [
-                self.mapper.bit_exact_forward_legacy(
-                    image,
-                    position_chunk=self.position_chunk,
-                    return_streams=True,
-                )
+                self.mapper.bit_exact_forward_legacy(image, return_streams=True)
                 for image in images
             ]
         )

@@ -165,6 +165,7 @@ def build_network(
                 _make_activation(activation, conv.fan_in, training_stream_length, seed)
             )
             channels = spec.channels
+            height, width = conv.output_size(height, width)
         elif spec.kind == "pool":
             layers.append(AvgPool2D(spec.kernel))
             height //= spec.kernel

@@ -157,6 +157,13 @@ class Conv2D(Layer):
     def _pad_amount(self) -> int:
         return (self.kernel_size - 1) // 2 if self.padding == "same" else 0
 
+    def output_size(self, height: int, width: int) -> tuple[int, int]:
+        """``(out_h, out_w)`` of the map made from a ``height x width``
+        input: the rule :func:`im2col` executes, for every stride, kernel
+        and padding."""
+        pad, k, s = self._pad_amount(), self.kernel_size, self.stride
+        return (height + 2 * pad - k) // s + 1, (width + 2 * pad - k) // s + 1
+
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         patches, out_h, out_w = im2col(
             inputs, self.kernel_size, self.stride, self._pad_amount()

@@ -205,9 +205,7 @@ class ScNetworkMapper:
                         f"images with {channels} channel(s) do not map onto "
                         f"a convolution over {layer.in_channels}"
                     )
-                pad = (layer.kernel_size - 1) // 2 if layer.padding == "same" else 0
-                height = (height + 2 * pad - layer.kernel_size) // layer.stride + 1
-                width = (width + 2 * pad - layer.kernel_size) // layer.stride + 1
+                height, width = layer.output_size(height, width)
                 channels = layer.out_channels
             elif isinstance(layer, AvgPool2D):
                 height, width = height // layer.pool_size, width // layer.pool_size
@@ -234,8 +232,7 @@ class ScNetworkMapper:
         dense_layers = [l for l in self.network.layers if isinstance(l, Dense)]
         for layer in self.network.layers:
             if isinstance(layer, Conv2D):
-                out_h = height if layer.padding == "same" else height - layer.kernel_size + 1
-                out_w = width if layer.padding == "same" else width - layer.kernel_size + 1
+                out_h, out_w = layer.output_size(height, width)
                 count = layer.out_channels * out_h * out_w
                 inventories.append(
                     LayerInventory(

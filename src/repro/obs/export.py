@@ -381,6 +381,7 @@ def _fleet_families(w: _Writer, snapshot: dict) -> None:
     for key, help_text in (
         ("submitted", "Requests admitted by the fleet router."),
         ("completed", "Requests resolved with a successful response."),
+        ("cancelled", "Requests cancelled by their caller before an answer."),
         ("failed", "Requests resolved with a worker-side inference error."),
         ("shed", "Requests shed by admission control (router or worker)."),
         ("router_errors", "Requests failed with a router-side FleetError."),

@@ -107,6 +107,8 @@ class FleetMetrics:
         self._lock = threading.Lock()
         self.submitted = 0
         self.completed = 0
+        #: Requests whose caller cancelled them before their answer came.
+        self.cancelled = 0
         #: Futures resolved with worker-side ``InferenceError``.
         self.failed = 0
         #: Futures resolved with ``ServiceOverloadError`` (either shed at
@@ -132,6 +134,7 @@ class FleetMetrics:
             return {
                 "submitted": self.submitted,
                 "completed": self.completed,
+                "cancelled": self.cancelled,
                 "failed": self.failed,
                 "shed": self.shed,
                 "router_errors": self.router_errors,
@@ -284,7 +287,7 @@ class FleetRouter:
         config: fleet knobs (:class:`~repro.config.FleetConfig`).
 
     Use as a context manager or call :meth:`close` -- close is a
-    graceful drain.  The submit/infer surface mirrors
+    graceful drain.  The submit/infer/cancel surface mirrors
     :class:`~repro.serve.ScInferenceService`.
     """
 
@@ -492,7 +495,10 @@ class FleetRouter:
             request.attempts = []
             for other, other_id in stale_attempts:
                 other.pending.pop(other_id, None)
-            if error is None:
+            # From here on ``cancel`` returns False: the answer is settled.
+            if not request.future.set_running_or_notify_cancel():
+                self.metrics.cancelled += 1
+            elif error is None:
                 self.metrics.completed += 1
                 if won_by_hedge:
                     self.metrics.hedge_wins += 1
@@ -568,7 +574,9 @@ class FleetRouter:
                     continue
                 if request.attempts:
                     continue  # a hedge twin is still computing elsewhere
-                if (
+                if request.future.cancelled():
+                    self._drop_cancelled_locked(request)
+                elif (
                     request.deadline_at is not None
                     and now > request.deadline_at
                 ):
@@ -846,6 +854,7 @@ class FleetRouter:
                 if (
                     request.resolved
                     or request.hedged
+                    or request.future.cancelled()
                     or len(request.attempts) != 1
                     or request.first_dispatch_at is None
                     or now - request.first_dispatch_at < threshold_s
@@ -906,6 +915,36 @@ class FleetRouter:
             self._queue.append(request)
             self._dispatch_locked()
         return request.future
+
+    def cancel(self, future: Future) -> bool:
+        """Drop a submitted request before its answer arrives.
+
+        Returns True when the request was still unanswered and its future
+        is now cancelled.  A request still queued at the router is never
+        dispatched and leaves ``inflight`` at once; one already on a
+        worker finishes there and its answer is dropped.  Either way it
+        counts in ``metrics.cancelled``, never in ``completed``.  Returns
+        False when the answer is already settled.
+        """
+        if not future.cancel():
+            return False
+        with self._cond:
+            # A linear scan: a back-reference from the future to its
+            # request would be a cycle that keeps each answered request
+            # alive until the garbage collector runs.
+            for request in self._queue:
+                if request.future is future:
+                    self._queue.remove(request)
+                    self._drop_cancelled_locked(request)
+                    self._cond.notify_all()
+                    break
+        return True
+
+    def _drop_cancelled_locked(self, request: _FleetRequest) -> None:
+        """Account a cancelled request that no worker will answer."""
+        request.resolved = True
+        self.metrics.cancelled += 1
+        self._inflight_total -= 1
 
     def infer(
         self,

@@ -160,11 +160,8 @@ class _ModelPool:
         return self._backend.submit(images, options)
 
     def cancel(self, future) -> bool:
-        """Best-effort cancellation of a still-queued request."""
-        cancel = getattr(self._backend, "cancel", None)
-        if cancel is not None:
-            return bool(cancel(future))
-        return bool(future.cancel())
+        """Best-effort cancellation of a request not yet answered."""
+        return self._backend.cancel(future)
 
     def snapshot(self) -> dict:
         return self._backend.snapshot()

@@ -237,11 +237,10 @@ class ScInferenceService:
             (trained network, stream length, weight precision, seed).
         config: service knobs (:class:`repro.config.ServiceConfig`);
             ``None`` uses the defaults.
-        **backend_options: forwarded to every backend replica's
-            constructor (e.g. ``position_chunk`` for the bit-exact
-            backends).
 
-    The service starts its worker threads immediately and is used either
+    Every worker's replica is built from ``config.backend`` and the
+    mapper alone, and a crashed one is rebuilt the same way.  The
+    service starts its worker threads immediately and is used either
     as a context manager or with an explicit :meth:`close`.
     """
 
@@ -249,14 +248,11 @@ class ScInferenceService:
         self,
         mapper: ScNetworkMapper,
         config: ServiceConfig | None = None,
-        **backend_options: object,
     ) -> None:
         self.config = config or ServiceConfig()
         self.mapper = mapper
-        # Options are kept so supervision can rebuild a crashed replica.
-        self._backend_options = dict(backend_options)
         self._replicas = [
-            create_backend(self.config.backend, mapper, **backend_options)
+            create_backend(self.config.backend, mapper)
             for _ in range(self.config.num_workers)
         ]
         # Progressive replicas score a request's whole schedule in every
@@ -668,9 +664,7 @@ class ScInferenceService:
         if delay > 0:
             time.sleep(delay)
         name = self.config.backend
-        self._replicas[index] = create_backend(
-            name, self.mapper, **self._backend_options
-        )
+        self._replicas[index] = create_backend(name, self.mapper)
         self._restart_counts[index] = used + 1
         self.metrics.record_restart()
         self._log_event(

@@ -33,6 +33,7 @@ from repro.backends import create_backend
 from repro.config import ServiceConfig
 from repro.errors import ConfigurationError
 from repro.nn.layers import Layer
+from repro.sc import native
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -356,15 +357,6 @@ class TestSession:
             assert session.backend() is session.backend()
             assert session.backend("sc-fast") is not session.backend()
 
-    def test_unhashable_backend_options_bypass_the_cache(self, artifact):
-        with Session.from_artifact(artifact) as session:
-            # List-valued options cannot key the cache; the session must
-            # fall back to uncached construction, so any error comes from
-            # the backend constructor -- never from hashing the key.
-            with pytest.raises(TypeError) as err:
-                session.backend("bit-exact-packed", position_chunk=[1, 2])
-            assert "unhashable" not in str(err.value)
-
     def test_closed_session_rejects_work(self, artifact):
         session = Session.from_artifact(artifact)
         session.close()
@@ -397,12 +389,13 @@ class TestSession:
     @pytest.mark.parametrize("backend", ["bit-exact-packed", "bit-exact-native"])
     @pytest.mark.parametrize("checkpoints", [None, (32, 64, 128)])
     def test_predict_workers_bit_identical(
-        self, artifact, images, backend, checkpoints
+        self, monkeypatch, artifact, images, backend, checkpoints
     ):
         """Thread sharding is a placement decision: scores never move, on
         the NumPy tier (pinned for ``bit-exact-packed``) or the default."""
-        tier = {"use_native": False} if backend == "bit-exact-packed" else {}
-        with Session.from_artifact(artifact, backend=backend, **tier) as session:
+        if backend == "bit-exact-packed":
+            monkeypatch.setattr(native, "available", lambda: False)
+        with Session.from_artifact(artifact, backend=backend) as session:
             plain = session.predict(images, PredictOptions(checkpoints=checkpoints))
             sharded = session.predict(
                 images, PredictOptions(checkpoints=checkpoints, workers=2)

@@ -31,12 +31,10 @@ from nets import tiny_cnn
 
 from repro.api import PredictOptions, Session
 from repro.backends import (
-    Backend,
     BitExactPackedBackend,
     backend_class,
     backend_names,
     create_backend,
-    register_backend,
 )
 from repro.backends import packed as packed_backend
 from repro.blocks.batched import (
@@ -93,24 +91,6 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="unknown backend"):
             create_backend("no-such-backend", mapper)
 
-    def test_registering_nameless_class_fails(self):
-        with pytest.raises(ConfigurationError, match="non-empty 'name'"):
-
-            @register_backend
-            class Nameless(Backend):  # pragma: no cover - never constructed
-                def forward(self, images):
-                    return images
-
-    def test_duplicate_name_fails(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-
-            @register_backend
-            class Impostor(Backend):  # pragma: no cover - never constructed
-                name = "bit-exact-packed"
-
-                def forward(self, images):
-                    return images
-
     def test_capability_flags(self):
         assert backend_class("float").bit_exact is False
         assert backend_class("bit-exact-packed").bit_exact is True
@@ -122,9 +102,7 @@ class TestCrossBackendEquivalence:
     def test_bit_exact_backends_are_bit_identical(self, mapper, images):
         """Legacy and both kernel tiers produce identical scores."""
         legacy = create_backend("bit-exact-legacy", mapper).forward(images)
-        packed = create_backend(
-            "bit-exact-packed", mapper, use_native=False
-        ).forward(images)
+        packed = BitExactPackedBackend(mapper, use_native=False).forward(images)
         native = create_backend("bit-exact-native", mapper).forward(images)
         assert np.array_equal(legacy, packed)
         assert np.array_equal(legacy, native)
@@ -144,11 +122,13 @@ class TestCrossBackendEquivalence:
         packed = create_backend("bit-exact-packed", odd_mapper).forward(images)
         assert np.array_equal(legacy, packed)
 
-    def test_packed_position_chunk_does_not_change_scores(self, mapper, images):
+    def test_packed_position_chunk_does_not_change_scores(
+        self, monkeypatch, mapper, images
+    ):
         auto = create_backend("bit-exact-packed", mapper).forward(images)
-        chunked = create_backend(
-            "bit-exact-packed", mapper, position_chunk=5
-        ).forward(images)
+        # A 1-byte budget leaves one conv row or one neuron per chunk.
+        monkeypatch.setattr(BitExactPackedBackend, "_CHUNK_BYTES_BUDGET", 1)
+        chunked = create_backend("bit-exact-packed", mapper).forward(images)
         assert np.array_equal(auto, chunked)
 
     def test_fast_backend_matches_historical_fast_path(self, mapper, images):
@@ -236,9 +216,9 @@ class TestSessionSharding:
     replicas, bit-identically to the unsharded backend."""
 
     @staticmethod
-    def _session(stream_length=128, **options):
+    def _session(stream_length=128):
         return Session.from_network(
-            tiny_cnn(), stream_length=stream_length, seed=7, **options
+            tiny_cnn(), stream_length=stream_length, seed=7
         )
 
     @staticmethod
@@ -303,16 +283,6 @@ class TestSessionSharding:
         with self._session() as session:
             got = session.predict(images[:2], PredictOptions(workers=2))
         assert np.array_equal(got.scores, expected)
-
-    def test_backend_options_reach_every_replica(self, mapper, images):
-        expected = create_backend("bit-exact-packed", mapper).forward(images)
-        with self._session(position_chunk=5) as session:
-            got = session.predict(images, PredictOptions(workers=2))
-            assert np.array_equal(got.scores, expected)
-            replicas = self._replicas(session)
-            assert sorted(replicas) == [0, 1]
-            for replica in replicas.values():
-                assert replica.position_chunk == 5
 
     def test_obs_snapshot_merges_replicas(self, images):
         with self._session() as session:
@@ -403,10 +373,15 @@ def _stream_word_calls(backend) -> int:
     return sum(cell["calls"] for cell in cells.values())
 
 
-#: One backend per kernel tier, by registry name: ``use_native=False``
-#: pins the NumPy kernels, the default takes the compiled tier when it is
-#: available.
-TIERS = {"bit-exact-packed": {"use_native": False}, "bit-exact-native": {}}
+#: One backend factory per kernel tier, keyed by registry name:
+#: ``use_native=False`` pins the NumPy kernels, the default takes the
+#: compiled tier when it is available.
+TIERS = {
+    "bit-exact-packed": lambda mapper: BitExactPackedBackend(
+        mapper, use_native=False
+    ),
+    "bit-exact-native": lambda mapper: create_backend("bit-exact-native", mapper),
+}
 
 
 class TestPackedPooling:
@@ -459,7 +434,7 @@ class TestPackedPooling:
             0, 2, (batch, channels, height, width, length), dtype=np.uint8
         )
         mapper = ScNetworkMapper(tiny_cnn(), stream_length=length, seed=7)
-        backend = create_backend(tier, mapper, **TIERS[tier])
+        backend = TIERS[tier](mapper)
         pooled = backend._packed_pool(pack_bits(bits), AvgPool2D(p), 2)
         assert len(chunks) > 1
         assert sum(a * b for a, b in chunks) == batch * channels * out_h
@@ -485,8 +460,8 @@ class TestPackedPooling:
         wide = ScNetworkMapper(network, stream_length=100, seed=3)
         batch = np.random.default_rng(5).random((2, 1, 28, 28))
         legacy = create_backend("bit-exact-legacy", wide).forward(batch)
-        for name, options in TIERS.items():
-            scores = create_backend(name, wide, **options).forward(batch)
+        for name, make in TIERS.items():
+            scores = make(wide).forward(batch)
             assert np.array_equal(scores, legacy), name
 
     def test_warm_call_working_set_is_bounded(self):
@@ -541,20 +516,16 @@ class TestStreamPlane:
         self, network, legacy_planes, images, name
     ):
         n, points, partial = legacy_planes
-        backend = create_backend(
-            name, ScNetworkMapper(network, stream_length=n, seed=7), **TIERS[name]
-        )
+        backend = TIERS[name](ScNetworkMapper(network, stream_length=n, seed=7))
         for _ in range(2):
             assert np.array_equal(backend.forward(images), partial[-1])
-        backend = create_backend(
-            name, ScNetworkMapper(network, stream_length=n, seed=7), **TIERS[name]
-        )
+        backend = TIERS[name](ScNetworkMapper(network, stream_length=n, seed=7))
         for _ in range(2):
             assert np.array_equal(backend.forward_partial(images, points), partial)
 
     def test_build_is_booked_once_per_mapper(self, network, images):
         mapper = ScNetworkMapper(network, stream_length=128, seed=7)
-        packed = create_backend("bit-exact-packed", mapper, use_native=False)
+        packed = BitExactPackedBackend(mapper, use_native=False)
         packed.forward(images)
         # The input compare plus weights and bias of conv, fc and output.
         assert _stream_word_calls(packed) == 7
@@ -569,10 +540,7 @@ class TestStreamPlane:
         self, network, images, legacy_scores
     ):
         mapper = ScNetworkMapper(network, stream_length=128, seed=7)
-        backends = [
-            create_backend(name, mapper, **options)
-            for name, options in list(TIERS.items()) * 2
-        ]
+        backends = [make(mapper) for make in list(TIERS.values()) * 2]
         start = threading.Barrier(len(backends), timeout=60)
 
         def first_forward(backend):

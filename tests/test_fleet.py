@@ -49,6 +49,7 @@ from repro.errors import (
     ShapeError,
 )
 from repro.serve import FaultPlan, FleetRouter, SlowWorker, WorkerHang, WorkerKill
+from repro.serve.registry import ModelRegistry
 from repro.serve.rpc import (
     FrameStream,
     MAX_FRAME_BYTES,
@@ -476,6 +477,136 @@ class TestDispatch:
         assert fleet["submitted"] == fleet["completed"] == 100
         assert fleet["queue_depth"] == fleet["inflight"] == 0
         assert sum(w["requests"] for w in snap["workers"].values()) == 100
+
+
+class TestCancel:
+    """A cancelled request is never dispatched if it still waits at the
+    router, and never counts as completed."""
+
+    def test_cancelled_queued_requests_never_reach_the_worker(
+        self, artifact, images, reference
+    ):
+        # One worker with max_batch_size=1 (window 2) that holds each
+        # request 1 s: the moment the 8th submit returns, 2 requests are
+        # on the worker and 6 wait at the router.  The registry's pool is
+        # the HTTP server's cancel path.
+        plan = FaultPlan(SlowWorker(worker=0, at_batch=0, delay_s=1.0), seed=0)
+        config = _fleet_config(
+            num_workers=1,
+            service=_service_config(max_batch_size=1),
+            fault_plan=plan,
+        )
+        registry = ModelRegistry(models={"m": artifact}, fleet=config)
+        try:
+            submitted = [registry.submit("m", images[i % 6]) for i in range(8)]
+            pool = submitted[0][0]
+            assert all(pool.cancel(future) for _, future in submitted[2:])
+            queued = pool.snapshot()["fleet"]
+            responses = [
+                future.result(timeout=120) for _, future in submitted[:2]
+            ]
+            snap = pool.snapshot()
+        finally:
+            registry.close()
+        assert queued["queue_depth"] == 0
+        assert queued["inflight"] == 2
+        assert all(future.cancelled() for _, future in submitted[2:])
+        for i, response in enumerate(responses):
+            np.testing.assert_array_equal(response.scores[0], reference[i])
+        fleet = snap["fleet"]
+        assert snap["workers"][0]["requests"] == 2
+        assert (fleet["submitted"], fleet["completed"], fleet["cancelled"]) == (
+            8,
+            2,
+            6,
+        )
+        assert fleet["inflight"] == 0
+
+    def test_answer_to_a_cancelled_request_counts_as_cancelled(
+        self, artifact, images, reference
+    ):
+        # The first request is on the held worker when its caller cancels
+        # it: the worker still answers, and the router drops the answer.
+        plan = FaultPlan(SlowWorker(worker=0, at_batch=0, delay_s=0.5), seed=0)
+        config = _fleet_config(
+            num_workers=1,
+            service=_service_config(max_batch_size=1),
+            fault_plan=plan,
+        )
+        with FleetRouter(artifact, config) as router:
+            dropped = router.submit(images[0])
+            assert router.cancel(dropped)
+            answered = router.submit(images[1])
+            response = answered.result(timeout=120)
+            assert not router.cancel(answered)
+            # The held worker may answer the two in either order.
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                snap = router.snapshot()
+                if snap["fleet"]["inflight"] == 0:
+                    break
+                time.sleep(0.05)
+        assert dropped.cancelled()
+        np.testing.assert_array_equal(response.scores[0], reference[1])
+        fleet = snap["fleet"]
+        assert snap["workers"][0]["requests"] == 2
+        assert (fleet["submitted"], fleet["completed"], fleet["cancelled"]) == (
+            2,
+            1,
+            1,
+        )
+        assert fleet["inflight"] == 0
+
+    def test_concurrent_cancels_keep_the_books(self, artifact, images, reference):
+        """More submitting and cancelling threads than cores at a tiny
+        switch interval: each request counts once, as completed exactly
+        when its cancel lost, and every answer stays bit-exact."""
+        config = _fleet_config(service=_service_config(max_batch_size=1))
+        outcomes: list = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with FleetRouter(artifact, config) as router:
+
+                def client(offset: int) -> None:
+                    for i in range(offset, offset + 25):
+                        future = router.submit(images[i % 6])
+                        won = i % 2 == 0 and router.cancel(future)
+                        outcomes.append((i, future, won))
+
+                clients = [
+                    threading.Thread(target=client, args=(25 * k,))
+                    for k in range(4)
+                ]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in clients)
+                for i, future, won in outcomes:
+                    if won:
+                        assert future.cancelled()
+                    else:
+                        response = future.result(timeout=120)
+                        np.testing.assert_array_equal(
+                            response.scores[0], reference[i % 6]
+                        )
+                deadline = time.monotonic() + 60
+                while time.monotonic() < deadline:
+                    fleet = router.snapshot()["fleet"]
+                    if fleet["inflight"] == 0:
+                        break
+                    time.sleep(0.05)
+        finally:
+            sys.setswitchinterval(interval)
+        cancelled = sum(won for _, _, won in outcomes)
+        assert len(outcomes) == 100 and cancelled > 0
+        assert (fleet["submitted"], fleet["completed"], fleet["cancelled"]) == (
+            100,
+            100 - cancelled,
+            cancelled,
+        )
+        assert fleet["inflight"] == fleet["queue_depth"] == 0
 
 
 class TestSupervision:

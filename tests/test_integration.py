@@ -11,6 +11,7 @@ from nets import tiny_cnn
 
 from repro.api import Session
 from repro.aqfp import balance_netlist, estimate_cost, simulate, AqfpTechnology
+from repro.backends import BitExactPackedBackend, create_backend
 from repro.blocks import (
     MajorityChainCategorizationBlock,
     SngBlock,
@@ -181,11 +182,7 @@ class TestEndToEndTraining:
         assert fast_result.accuracy > 0.3
 
         bit_exact = session.evaluate(
-            test_images,
-            labels,
-            backend="bit-exact-packed",
-            max_images=1,
-            position_chunk=49,
+            test_images, labels, backend="bit-exact-packed", max_images=1
         )
         assert bit_exact.n_images == 1
         assert bit_exact.mode == "bit-exact-packed"
@@ -194,7 +191,9 @@ class TestEndToEndTraining:
 class TestBatchedBitExact:
     """Whole-network bit-exact inference on a batch (word-packed engine)."""
 
-    def test_batched_path_matches_legacy_per_image(self, tiny_dataset):
+    def test_batched_path_matches_legacy_per_image(
+        self, monkeypatch, tiny_dataset
+    ):
         """Batched scores must be bit-identical to the legacy per-image path."""
         session = Session.from_network(
             tiny_cnn(channels=4, units=32), stream_length=128, seed=7
@@ -205,10 +204,10 @@ class TestBatchedBitExact:
         )
         batched = session.backend("bit-exact-packed").forward(images)
         assert np.array_equal(batched, legacy)
-        # Position chunking is a memory knob only: it must not change bits.
-        chunked = session.backend(
-            "bit-exact-packed", position_chunk=17
-        ).forward(images)
+        # Position chunking bounds memory only: it must not change bits.  A
+        # 1-byte budget leaves one conv row or one neuron per chunk.
+        monkeypatch.setattr(BitExactPackedBackend, "_CHUNK_BYTES_BUDGET", 1)
+        chunked = session.backend("bit-exact-packed").forward(images)
         assert np.array_equal(chunked, batched)
 
     def test_thirty_two_images_bit_exact(self, tiny_dataset):
@@ -225,9 +224,22 @@ class TestBatchedBitExact:
         result = session.evaluate(images, labels, max_images=32)
         assert result.n_images == 32
         assert result.mode == "bit-exact-packed"
+
+        def argmax_accuracy(name, count=32):
+            scores = create_backend(name, session.mapper).forward(images[:count])
+            assert scores.shape == (count, 10)
+            return float((np.argmax(scores, axis=1) == labels[:count]).mean())
+
         # The reported accuracy must be exactly the argmax accuracy of the
-        # batched engine's scores (same seed => same streams => same bits).
-        scores = session.backend("bit-exact-packed").forward(images)
-        assert scores.shape == (32, 10)
-        expected = float((np.argmax(scores, axis=1) == labels).mean())
-        assert result.accuracy == expected
+        # backend's own scores (same seed => same streams => same bits), on
+        # every backend, sharded or capped.
+        assert result.accuracy == argmax_accuracy("bit-exact-packed")
+        for name in ("float", "sc-fast"):
+            evaluated = session.evaluate(images, labels, backend=name)
+            assert evaluated.mode == name
+            assert evaluated.accuracy == argmax_accuracy(name)
+        sharded = session.evaluate(images, labels, workers=2)
+        assert sharded.accuracy == argmax_accuracy("bit-exact-packed")
+        capped = session.evaluate(images, labels, max_images=5, workers=2)
+        assert capped.n_images == 5
+        assert capped.accuracy == argmax_accuracy("bit-exact-packed", 5)

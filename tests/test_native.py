@@ -418,7 +418,7 @@ def test_native_backend_bit_identical(network, images, stream_length):
     batch = images if stream_length < 8192 else images[:2]
     mapper = ScNetworkMapper(network, stream_length=stream_length, seed=7)
     reference = create_backend("bit-exact-legacy", mapper).forward(batch)
-    numpy_tier = create_backend("bit-exact-packed", mapper, use_native=False)
+    numpy_tier = BitExactPackedBackend(mapper, use_native=False)
     np.testing.assert_array_equal(numpy_tier.forward(batch), reference)
     scores = create_backend("bit-exact-native", mapper).forward(batch)
     np.testing.assert_array_equal(scores, reference)
@@ -427,7 +427,7 @@ def test_native_backend_bit_identical(network, images, stream_length):
 def test_native_forward_partial_checkpoints_exact(network, images):
     mapper = ScNetworkMapper(network, stream_length=1000, seed=7)
     points = (100, 250, 500, 1000)
-    packed = create_backend("bit-exact-packed", mapper, use_native=False)
+    packed = BitExactPackedBackend(mapper, use_native=False)
     nat = create_backend("bit-exact-native", mapper)
     np.testing.assert_array_equal(
         nat.forward_partial(images, points),
@@ -449,19 +449,23 @@ def test_use_native_false_runs_numpy_kernels(network, images):
     )
 
 
-def test_default_backend_books_the_compiled_tier(network, images, tmp_path):
+def test_default_backend_books_the_compiled_tier(
+    monkeypatch, network, images, tmp_path
+):
     """The default bit-exact path -- ``create_backend`` and a default
     ``Session.from_artifact`` alike -- runs every hot kernel on the
-    compiled tier whenever it is available; ``use_native=False`` books
-    only NumPy."""
+    compiled tier whenever it is available, and books only NumPy when
+    the tier is not."""
     default = {"native"} if native.available() else {"numpy"}
     with Session.from_network(network, stream_length=200, seed=7) as session:
         path = session.save(tmp_path / "model")
-    for options, tiers in (({}, default), ({"use_native": False}, {"numpy"})):
+    pins = ((native.available, default), (lambda: False, {"numpy"}))
+    for available, tiers in pins:
+        monkeypatch.setattr(native, "available", available)
         mapper = ScNetworkMapper(network, stream_length=200, seed=7)
-        backend = create_backend("bit-exact-packed", mapper, **options)
+        backend = create_backend("bit-exact-packed", mapper)
         backend.forward(images[:2])
-        with Session.from_artifact(path, **options) as session:
+        with Session.from_artifact(path) as session:
             session.predict(images[:2])
             booked = session.obs_snapshot()["kernels"]
         for snapshot in (backend.kernel_snapshot(), booked):
@@ -469,7 +473,7 @@ def test_default_backend_books_the_compiled_tier(network, images, tmp_path):
                 "fused_counts", "fused_chain", "recurrence_words", "stream_words"
             }
             for kernel, cells in snapshot.items():
-                assert set(cells) == tiers, (options, kernel, cells)
+                assert set(cells) == tiers, (kernel, cells)
 
 
 @needs_native
@@ -658,9 +662,9 @@ def _session(network):
 
 
 def test_thread_mode_forward_bit_identical(network, thread_mapper, images):
-    reference = create_backend(
-        "bit-exact-packed", thread_mapper, use_native=False
-    ).forward(images)
+    reference = BitExactPackedBackend(thread_mapper, use_native=False).forward(
+        images
+    )
     with _session(network) as session:
         result = session.predict(images, PredictOptions(workers=3))
     np.testing.assert_array_equal(result.scores, reference)
@@ -670,8 +674,8 @@ def test_thread_mode_forward_partial_bit_identical(
     network, thread_mapper, images
 ):
     points = (50, 100, 200)
-    reference = create_backend(
-        "bit-exact-packed", thread_mapper, use_native=False
+    reference = BitExactPackedBackend(
+        thread_mapper, use_native=False
     ).forward_partial(images, points)
     with _session(network) as session:
         result = session.predict(

@@ -302,6 +302,29 @@ class TestScMapping:
         assert inventories[-1].block_kind == "categorization"
         assert inventories[-1].block_count == 10
 
+    @pytest.mark.parametrize("kernel, stride", [(3, 2), (4, 1)])
+    def test_inventory_counts_equal_executed_map_sizes(self, kernel, stride):
+        """Conv stride and even-kernel "same" padding size the conv and
+        pooling inventories as the layers execute them."""
+        from repro.nn.architectures import LayerSpec, build_network
+
+        specs = [
+            LayerSpec(kind="conv", name="C", kernel=kernel, channels=2, stride=stride),
+            LayerSpec(kind="pool", name="P", kernel=2, stride=2),
+            LayerSpec(kind="output", name="O", units=10),
+        ]
+        network = build_network(specs, activation="clip", seed=3)
+        mapper = ScNetworkMapper(network)
+        mapper.check_input_shape((1, 28, 28))
+        value = np.zeros((1, 1, 28, 28))
+        executed = []
+        for layer in network.layers:
+            value = layer.forward(value)
+            if isinstance(layer, (Conv2D, AvgPool2D)):
+                executed.append(value[0].size)
+        inventories = mapper.layer_inventories()
+        assert [inv.block_count for inv in inventories[:2]] == executed
+
     def test_fast_forward_shapes_and_agreement_without_noise(self):
         network = build_snn(activation="clip", seed=3, training_stream_length=None)
         mapper = ScNetworkMapper(network, stream_length=1024)

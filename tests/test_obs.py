@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 from nets import tiny_cnn
 
-from repro.backends import create_backend
+from repro.backends import BitExactPackedBackend, create_backend
 from repro.config import ServiceConfig
 from repro.errors import ConfigurationError, ServiceOverloadError
 from repro.nn.sc_layers import ScNetworkMapper
@@ -362,7 +362,7 @@ class TestKernelCounters:
         assert merged["stream_words"]["numpy"]["bytes"] == 5
 
     def test_packed_backend_counts_kernel_seams(self, mapper, images):
-        backend = create_backend("bit-exact-packed", mapper, use_native=False)
+        backend = BitExactPackedBackend(mapper, use_native=False)
         backend.forward(images[:2])
         snap = backend.kernel_snapshot()
         assert snap, "forward recorded no kernel invocations"
@@ -378,7 +378,7 @@ class TestKernelCounters:
         # Build the mapper's stream plane first: whichever backend builds
         # it books the build, and this test compares steady-state forwards.
         create_backend("bit-exact-packed", mapper).forward(images[:2])
-        packed = create_backend("bit-exact-packed", mapper, use_native=False)
+        packed = BitExactPackedBackend(mapper, use_native=False)
         compiled = create_backend("bit-exact-native", mapper)
         packed.forward(images[:2])
         compiled.forward(images[:2])

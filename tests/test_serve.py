@@ -27,7 +27,13 @@ import numpy as np
 import pytest
 from nets import tiny_cnn, wait_until_held
 
-from repro.backends import Backend, backend_names, create_backend, describe_backends
+from repro.backends import (
+    Backend,
+    BitExactPackedBackend,
+    backend_names,
+    create_backend,
+    describe_backends,
+)
 from repro.backends.registry import backend_class
 from repro.config import PredictOptions, ServiceConfig
 from repro.errors import ConfigurationError, EncodingError, ShapeError
@@ -229,9 +235,9 @@ class TestForwardPartial:
     def test_legacy_prefixes_match_packed(self, mapper, images):
         """All bit-exact backends decode identical checkpoint scores."""
         checkpoints = (13, 64, 128)
-        packed = create_backend(
-            "bit-exact-packed", mapper, use_native=False
-        ).forward_partial(images, checkpoints)
+        packed = BitExactPackedBackend(mapper, use_native=False).forward_partial(
+            images, checkpoints
+        )
         native = create_backend("bit-exact-native", mapper).forward_partial(
             images, checkpoints
         )
