@@ -13,9 +13,11 @@ it:
   length (watch the exit checkpoints and the cycle reduction),
 * repeated images are answered from the LRU cache without spending a
   single stream cycle (watch the hit rate),
-* a final request carries a per-request deadline
-  (:class:`repro.api.PredictOptions`) tight enough to force the earliest
-  checkpoint -- the deadline-aware exit path.
+* two final requests carry a per-request deadline
+  (:class:`repro.api.PredictOptions`): a 1 us budget runs out while the
+  request is still queued, so a worker sheds it before any compute
+  (:class:`repro.errors.ServiceOverloadError`, reason ``"deadline"``),
+  and a roomy budget is answered in full.
 
 Run with:  python examples/serve_demo.py [--backend NAME] [--model PATH]
 """
@@ -32,6 +34,7 @@ from repro.cli import (
 )
 from repro.config import ServiceConfig
 from repro.datasets import generate_digit_dataset
+from repro.errors import ServiceOverloadError
 from repro.eval.tables import format_table
 from repro.nn import Trainer, TrainingConfig
 from repro.nn.architectures import build_network
@@ -126,13 +129,19 @@ def main() -> None:
         # (submitted after the first wave resolved, so the results are in).
         repeats = [service.submit(test_images[i]) for i in range(n // 4)]
         responses += [future.result(timeout=300) for future in repeats]
-        # One deadline-budgeted request: an (effectively) expired budget
-        # forces the earliest checkpoint instead of the full stream.
-        hurried_index = min(n, test_images.shape[0] - 1)
-        hurried = service.infer(
-            test_images[hurried_index],
-            PredictOptions(deadline_ms=1e-3),
-            timeout=300,
+        # Two deadline-budgeted requests for an image not yet cached: a
+        # 1 us budget runs out before a worker takes the request, which is
+        # shed unanswered; a roomy budget gets the full answer.
+        budget_image = test_images[min(n, test_images.shape[0] - 1)]
+        try:
+            service.infer(
+                budget_image, PredictOptions(deadline_ms=1e-3), timeout=300
+            )
+            hurried = "answered"
+        except ServiceOverloadError as exc:
+            hurried = f"shed unanswered (reason {exc.reason!r})"
+        roomy = service.infer(
+            budget_image, PredictOptions(deadline_ms=60_000), timeout=300
         )
         snapshot = service.metrics.snapshot()
 
@@ -175,10 +184,10 @@ def main() -> None:
         f"{snapshot['latency_ms']['p95']:.1f} / "
         f"{snapshot['latency_ms']['p99']:.1f} ms"
     )
+    print(f"deadline 0.001 ms:             {hurried}")
     print(
-        f"deadline-budgeted request:     exited at "
-        f"{int(hurried.exit_checkpoints[0])}/{stream_length} cycles "
-        f"(deadline 0.001 ms)"
+        f"deadline 60 s:                 answered in full, exit at "
+        f"{int(roomy.exit_checkpoints[0])}/{stream_length} cycles"
     )
 
 

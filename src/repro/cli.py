@@ -402,7 +402,7 @@ def _cmd_serve_http(args: argparse.Namespace, backend: str, config) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.api import PredictOptions, Session
     from repro.config import FleetConfig, ServiceConfig
-    from repro.errors import FleetError, ServiceOverloadError
+    from repro.errors import FleetError, InferenceError, ServiceOverloadError
 
     if args.registry and args.model:
         print("serve: use --model or --registry, not both", file=sys.stderr)
@@ -422,14 +422,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         backend=backend,
         max_queue_depth=args.max_queue_depth,
-        shed_unmeetable_deadlines=args.shed_unmeetable_deadlines,
-        degrade_queue_depth=args.degrade_queue_depth,
         event_log_path=args.trace_file,
         **_given(
             max_batch_size=args.max_batch_size,
             num_workers=args.service_workers,
             cache_capacity=args.cache_capacity,
-            degraded_max_fraction=args.degraded_max_fraction,
             trace_sample_rate=args.trace_sample_rate,
         ),
     )
@@ -473,16 +470,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     f"(N = {session.stream_length})..."
                 )
             try:
-                # With bounded admission configured, the burst of submits
-                # may be shed; a shed request is simply not answered (the
-                # point of fast rejection is that callers decide retry).
+                # A request shed at submit (bounded admission) or by its
+                # worker (a deadline that ran out in the queue), or failed
+                # with a typed error, is simply not answered: the point of
+                # fast rejection is that callers decide retry.
                 for i in range(n):
                     try:
                         futures[i] = server.submit(images[i], options)
                     except (ServiceOverloadError, FleetError):
                         pass
                 for i, future in futures.items():
-                    responses[i] = future.result(timeout=600)
+                    try:
+                        responses[i] = future.result(timeout=600)
+                    except (ServiceOverloadError, FleetError, InferenceError):
+                        pass
                 snapshot = server.snapshot()
             except _GracefulExit as exc:
                 interrupted = str(exc)
@@ -520,6 +521,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"accuracy over served requests: {correct / answered:.3f} "
             f"({answered}/{n} answered)"
         )
+    else:
+        print(f"no request answered (0/{n})")
     if fleet:
         _print_fleet_summary(snapshot)
     else:
@@ -542,13 +545,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _print_service_summary(snapshot, stream_length: int) -> None:
     if snapshot is None:
         return
-    faults = snapshot["faults"]
-    if faults["shed"]["total"] or faults["degraded_requests"]:
-        print(
-            f"overload behaviour:            "
-            f"{faults['shed']['total']} shed, "
-            f"{faults['degraded_requests']} degraded"
+    shed = snapshot["faults"]["shed"]
+    if shed["total"]:
+        reasons = ", ".join(
+            f"{reason}: {count}"
+            for reason, count in sorted(shed.items())
+            if reason != "total"
         )
+        print(f"requests shed:                 {shed['total']} ({reasons})")
     print(f"mean micro-batch size:         {snapshot['mean_batch_size']:.1f}")
     if snapshot["mean_exit_checkpoint"] is not None:
         print(
@@ -557,12 +561,13 @@ def _print_service_summary(snapshot, stream_length: int) -> None:
             f"{stream_length} "
             f"({snapshot['cycle_reduction']:.2f}x stream-cycle reduction)"
         )
-    print(
-        f"latency p50 / p95 / p99:       "
-        f"{snapshot['latency_ms']['p50']:.1f} / "
-        f"{snapshot['latency_ms']['p95']:.1f} / "
-        f"{snapshot['latency_ms']['p99']:.1f} ms"
-    )
+    latency = snapshot["latency_ms"]
+    if latency is not None:
+        print(
+            f"latency p50 / p95 / p99:       "
+            f"{latency['p50']:.1f} / {latency['p95']:.1f} / "
+            f"{latency['p99']:.1f} ms"
+        )
     if snapshot.get("queue_time_ms") and snapshot.get("service_time_ms"):
         print(
             f"queue / service p50:           "
@@ -679,7 +684,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"{summary.latency_ms:7.2f} ms  "
             f"replica={summary.replica} batch={summary.batch_seq} "
             f"retries={summary.retries}"
-            + (" degraded" if summary.degraded else "")
         )
     shown = traces[-args.show :] if args.show else traces
     for trace in shown:
@@ -903,7 +907,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline-ms",
         type=float,
         default=None,
-        help="per-request latency budget (deadline-aware exits)",
+        help="per-request latency budget: a request still queued when "
+        "it runs out is shed unanswered",
     )
     serve.add_argument(
         "--max-queue-depth",
@@ -911,25 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="bounded admission: shed submits past this many in-flight "
         "requests (default: unbounded)",
-    )
-    serve.add_argument(
-        "--shed-unmeetable-deadlines",
-        action="store_true",
-        help="reject requests whose --deadline-ms cannot buy the first "
-        "checkpoint at the observed streaming rate",
-    )
-    serve.add_argument(
-        "--degrade-queue-depth",
-        type=int,
-        default=None,
-        help="overload degradation: past this queue depth, answer from "
-        "a truncated checkpoint schedule",
-    )
-    serve.add_argument(
-        "--degraded-max-fraction",
-        type=float,
-        default=None,
-        help="largest checkpoint fraction of N served while degraded",
     )
     serve.add_argument(
         "--trace-sample-rate",

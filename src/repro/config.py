@@ -37,9 +37,10 @@ class ServiceConfig:
             replica runs (default ``"bit-exact-packed"``, whose answers do
             not depend on which requests were micro-batched together).
         max_batch_size: a free worker takes the oldest queued request at
-            once, then the requests already queued behind it until its
-            merged batch holds this many images (the last one taken may
-            overshoot it); it never waits for more to arrive.
+            once, then the requests already queued behind it while its
+            merged batch stays within this many images (a lone request
+            larger than that runs alone); it never waits for more to
+            arrive.
         num_workers: worker threads, each owning one backend replica.
         cache_capacity: entries held by the LRU result cache (keyed on
             image digest, backend name and stream length); ``0`` disables
@@ -57,9 +58,6 @@ class ServiceConfig:
             unfinished requests; a submit beyond it raises
             :class:`~repro.errors.ServiceOverloadError` in the caller
             (``None`` = unbounded, the pre-fault-tolerance behaviour).
-        shed_unmeetable_deadlines: reject (rather than queue) requests
-            whose ``deadline_ms`` cannot even afford the first checkpoint
-            under the service's EWMA cycles/sec estimate.
         max_replica_restarts: per-replica budget of automatic restarts
             after unexpected backend exceptions (``0`` disables
             supervision restarts).
@@ -68,15 +66,6 @@ class ServiceConfig:
         max_batch_retries: times a failed merged-batch bucket is retried
             (on the restarted replica) before its requests' futures fail
             with a typed :class:`~repro.errors.InferenceError`.
-        degrade_queue_depth: overload controller trigger -- when more
-            than this many admitted requests are unfinished, progressive
-            replicas cap exits at an earlier checkpoint
-            (``None`` = never degrade).
-        degraded_max_fraction: under degradation, exits are capped at
-            the last checkpoint within this fraction of the stream length
-            (default ``0.5``: answers come from the ``N/8 .. N/2``
-            prefixes).  Degraded results are never stored in the result
-            cache.
         fault_plan: optional fault-injection hook
             (:class:`repro.serve.faults.FaultPlan`, or any object with a
             compatible ``before_batch(worker, replica)`` method) invoked
@@ -92,11 +81,11 @@ class ServiceConfig:
         event_log_path: when set, a JSONL structured event log
             (:class:`repro.obs.JsonlEventLog`) receives this service's
             sampled traces (and the failures of sampled requests) and
-            every one of its fault/overload events (sheds,
-            degradations, failed batches, replica restarts), whatever
-            the ``repro`` logger's level.  Records of other modules
-            and other services (registry reloads, native-tier
-            fallbacks) are not written to it.
+            every one of its fault/overload events (sheds, failed
+            batches, replica restarts), whatever the ``repro`` logger's
+            level.  Records of other modules and other services
+            (registry reloads, native-tier fallbacks) are not written
+            to it.
     """
 
     backend: str = "bit-exact-packed"
@@ -107,12 +96,9 @@ class ServiceConfig:
     margin: float = 0.1
     stable_checkpoints: int = 2
     max_queue_depth: int | None = None
-    shed_unmeetable_deadlines: bool = False
     max_replica_restarts: int = 3
     restart_backoff_ms: float = 10.0
     max_batch_retries: int = 1
-    degrade_queue_depth: int | None = None
-    degraded_max_fraction: float = 0.5
     fault_plan: object | None = None
     trace_sample_rate: float = 0.0
     trace_capacity: int = 256
@@ -159,16 +145,6 @@ class ServiceConfig:
         if self.max_batch_retries < 0:
             raise ConfigurationError(
                 f"max_batch_retries must be >= 0, got {self.max_batch_retries}"
-            )
-        if self.degrade_queue_depth is not None and self.degrade_queue_depth < 1:
-            raise ConfigurationError(
-                f"degrade_queue_depth must be >= 1, got "
-                f"{self.degrade_queue_depth}"
-            )
-        if not 0.0 < self.degraded_max_fraction <= 1.0:
-            raise ConfigurationError(
-                f"degraded_max_fraction must lie in (0, 1], got "
-                f"{self.degraded_max_fraction}"
             )
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ConfigurationError(
@@ -355,10 +331,10 @@ class HttpConfig:
             may wait for its service future when the request carries no
             ``deadline_ms`` of its own.
         deadline_grace_ms: extra wall-clock granted on top of a request's
-            ``deadline_ms`` before the wire layer gives up and answers
-            HTTP 504 -- the service normally answers expired deadlines
-            *itself* (capped at the first checkpoint), so this only fires
-            when the future is truly stuck.
+            ``deadline_ms`` before the wire layer gives up, answers HTTP
+            504 and cancels the request -- the service itself sheds a
+            request still queued at its deadline, so the grace covers
+            the full pass of one taken just in time.
         drain_timeout_s: graceful-drain budget: seconds
             :meth:`~repro.serve.http.ScHttpServer.close` waits for open
             connections (streams included) to finish before cutting them
@@ -466,12 +442,13 @@ class PredictOptions:
             when the schedule stops short of it.
         early_exit: override the service's early-exit flag for this
             request.
-        deadline_ms: total latency budget of the request in milliseconds.
-            The serving layer converts the remaining budget at evaluation
-            time into a cap on the exit checkpoint (an expired deadline
-            exits at the *first* checkpoint), trading precision for
-            punctuality per request.  Results evaluated under a deadline
-            are never stored in the result cache.
+        deadline_ms: latency budget of the request in milliseconds,
+            counted from its submission to a service.  A serving worker
+            that takes the request after the budget ran out sheds it
+            before any compute (:class:`~repro.errors.ServiceOverloadError`,
+            reason ``"deadline"``); one taken in time gets the full
+            answer a request without a deadline gets, cached like any
+            other.
         workers: shard the batch across this many threads, one backend
             replica per shard; honoured by
             :meth:`repro.api.Session.predict`, which rejects it on a
@@ -604,9 +581,4 @@ class ResolvedPredictOptions:
         the options-aware cache key exists to close.
         """
         return (self.stream_length, self.checkpoints, self.early_exit)
-
-    @property
-    def cacheable(self) -> bool:
-        """Deadline-budgeted results are wall-clock dependent: never cached."""
-        return self.deadline_ms is None
 

@@ -69,14 +69,14 @@ class InferenceError(ReproError):
 
 
 class ServiceOverloadError(ReproError):
-    """A request was shed by admission control before it was queued.
+    """A request was shed unanswered, before any compute was spent on it.
 
-    Raised in the submitting caller (never as a future error) when the
-    service's pending queue is at ``max_queue_depth``, or when the
-    request's ``deadline_ms`` is already unmeetable under the current
-    throughput estimate.  The :attr:`reason` attribute carries the
-    shedding category (``"queue_full"`` or ``"deadline"``) so callers can
-    implement category-specific backoff.
+    Raised in the submitting caller when the service's pending queue is
+    at ``max_queue_depth`` (reason ``"queue_full"``), and set as the
+    request's future error when its ``deadline_ms`` ran out while it was
+    queued (reason ``"deadline"``).  The :attr:`reason` attribute carries
+    that shedding category so callers can implement category-specific
+    backoff.
     """
 
     def __init__(self, message: str, reason: str = "queue_full") -> None:

@@ -15,9 +15,9 @@ Two sinks over the same observability data:
   ``smoke`` job.
 * :class:`JsonlEventLog` appends structured JSON lines to a file.  A
   service writes its own sampled traces and its fault and overload
-  events (sheds, degradations, failed batches, replica restarts) into
-  it directly, so each service's file holds that service's events only,
-  whatever the level of the stdlib ``repro`` logger.
+  events (sheds, failed batches, replica restarts) into it directly, so
+  each service's file holds that service's events only, whatever the
+  level of the stdlib ``repro`` logger.
 """
 
 from __future__ import annotations
@@ -246,7 +246,8 @@ def _service_families(w: _Writer, snapshot: dict) -> None:
         w.family(
             "repro_shed_requests_total",
             "counter",
-            "Requests rejected by admission control, by reason.",
+            "Requests shed unanswered (admission control or a deadline "
+            "that ran out in the queue), by reason.",
         )
         if shed:
             for reason, count in sorted(shed.items()):
@@ -259,11 +260,6 @@ def _service_families(w: _Writer, snapshot: dict) -> None:
             w.sample(
                 "repro_shed_requests_total", 0, {"reason": "none"}
             )
-        w.counter(
-            "repro_degraded_requests_total",
-            faults["degraded_requests"],
-            "Requests answered from an overload-truncated schedule.",
-        )
         w.counter(
             "repro_batch_retries_total",
             faults["retries"],

@@ -192,7 +192,6 @@ class TraceSummary:
         batch_images: images in the merged bucket that computed this
             request.
         retries: bucket re-executions this request survived.
-        degraded: overload degradation flag (mirrors the response).
         cached_images: images of this request served from the cache.
     """
 
@@ -208,7 +207,6 @@ class TraceSummary:
     batch_seq: int | None = None
     batch_images: int | None = None
     retries: int = 0
-    degraded: bool = False
     cached_images: int = 0
 
     def to_dict(self) -> dict:
@@ -226,7 +224,6 @@ class TraceSummary:
             "batch_seq": self.batch_seq,
             "batch_images": self.batch_images,
             "retries": self.retries,
-            "degraded": self.degraded,
             "cached_images": self.cached_images,
         }
 

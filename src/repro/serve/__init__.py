@@ -19,11 +19,11 @@ stream cycles can each request get away with*.  It contains:
   ``(image digest, backend name, stream length)``.
 * :mod:`~repro.serve.metrics` -- latency percentiles, throughput,
   micro-batch sizes, cache hit rate, mean exit checkpoint, and the
-  fault-tolerance counters (sheds, retries, restarts, degradations).
+  fault-tolerance counters (sheds, retries, restarts, failures).
 * :mod:`~repro.serve.faults` -- deterministic, seedable fault injection
   (:class:`~repro.serve.faults.FaultPlan`) wired in via
   :attr:`~repro.config.ServiceConfig.fault_plan`, so chaos tests of the
-  supervision / admission / degradation paths are ordinary pytest tests.
+  supervision / admission / deadline paths are ordinary pytest tests.
 * :mod:`~repro.serve.registry` -- the serving catalog:
   :class:`~repro.serve.registry.ModelRegistry` maps model names to
   versioned artifacts and lazily builds one replica pool per model

@@ -17,13 +17,10 @@ An entry holds the image's scores at every checkpoint of the evaluated
 schedule, not only at its exit, so a response mixing cached and computed
 images still carries one ``(n_checkpoints, batch, n_classes)`` array.
 
-Only *nominal* results enter the cache.  Deadline-capped answers
-(wall-clock artefacts of one request's latency budget) and
-overload-degraded answers (exits capped while the service's degradation
-controller is engaged, see :mod:`repro.serve.service`) are never stored:
-a later request at the same key expects uncapped exits, and a cache
-poisoned with an early-checkpoint answer would silently serve it long
-after the overload has passed.
+Every computed answer enters the cache: the service never cuts an answer
+short (a request whose deadline ran out in the queue is shed unanswered,
+see :mod:`repro.serve.service`), so an entry is what any later request
+with the same key would have computed.
 """
 
 from __future__ import annotations

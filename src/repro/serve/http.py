@@ -31,19 +31,19 @@ after checkpoint ``k``; its ``exited`` field names the images that stop
 there.  All events are written when the evaluation ends.  Every streamed
 score plane is an exact prefix evaluation, bit-identical to in-process
 :meth:`~repro.api.Session.predict` prefixes (asserted in
-``tests/test_http.py``), and the exits are the service's own early-exit,
-deadline and overload decisions.
+``tests/test_http.py``), and the exits are the service's own early-exit
+decisions.
 
-Typed failures keep their semantics across the wire: deadline-shed
-requests return HTTP 504 with ``reason="deadline"`` (and, because a
-deadline-budgeted request is never cacheable, they can never poison the
-result cache); queue-full shedding is 429; a draining or worker-less
-fleet is 503; malformed requests are 4xx with machine-readable ``type`` /
-``reason`` fields.  A stream refused after its head went out ends with
-the same payload as a typed ``error`` event.  Graceful drain extends
-through open connections: idle keep-alive connections are hung up, a
-request in flight finishes and closes its connection, and an open stream
-finishes its one evaluation.
+Typed failures keep their semantics across the wire: a request whose
+``deadline_ms`` ran out before a worker took it, or whose wire budget
+(``deadline_ms`` plus ``deadline_grace_ms``) ran out, returns HTTP 504
+with ``reason="deadline"``; queue-full shedding is 429; a draining or
+worker-less fleet is 503; malformed requests are 4xx with
+machine-readable ``type`` / ``reason`` fields.  A stream refused after
+its head went out ends with the same payload as a typed ``error`` event.
+Graceful drain extends through open connections: idle keep-alive
+connections are hung up, a request in flight finishes and closes its
+connection, and an open stream finishes its one evaluation.
 """
 
 from __future__ import annotations
@@ -577,7 +577,6 @@ class ScHttpServer:
             "cached": response.cached.tolist(),
             "stream_length": response.stream_length,
             "latency_ms": response.latency_seconds * 1000.0,
-            "degraded": response.degraded,
         }
 
     def _predict_stream(self, name, payload, wfile) -> bool:
@@ -648,7 +647,6 @@ class ScHttpServer:
                 "evaluated": [True] * len(exit_index),
                 "stream_length": int(points[-1]),
                 "latency_ms": response.latency_seconds * 1000.0,
-                "degraded": response.degraded,
             },
         )
         self._end_chunks(wfile)

@@ -131,7 +131,6 @@ class ServiceMetrics:
         self._last_completion: float | None = None
         # Fault-tolerance counters (exact running totals).
         self._sheds: dict[str, int] = {}
-        self._degraded_requests = 0
         self._retries = 0
         self._restarts = 0
         self._failed_requests = 0
@@ -195,14 +194,11 @@ class ServiceMetrics:
             self._last_completion = now
 
     def record_shed(self, reason: str) -> None:
-        """One request rejected by admission control (never queued)."""
+        """One request shed unanswered, before any compute: rejected at
+        admission (``"queue_full"``), or its deadline ran out while it was
+        queued (``"deadline"``)."""
         with self._lock:
             self._sheds[reason] = self._sheds.get(reason, 0) + 1
-
-    def record_degraded(self, n_requests: int = 1) -> None:
-        """Requests answered at an overload-capped checkpoint schedule."""
-        with self._lock:
-            self._degraded_requests += int(n_requests)
 
     def record_retry(self) -> None:
         """One merged-batch bucket re-executed after a replica failure."""
@@ -255,7 +251,6 @@ class ServiceMetrics:
             }
             faults = {
                 "shed": {**self._sheds, "total": sum(self._sheds.values())},
-                "degraded_requests": self._degraded_requests,
                 "retries": self._retries,
                 "restarts": self._restarts,
                 "failed_requests": self._failed_requests,

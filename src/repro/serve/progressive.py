@@ -19,10 +19,6 @@ This module turns that into a serving policy:
    full-length checkpoint, whose scores equal the ordinary full-stream
    forward pass exactly.
 
-Overload degradation and per-request deadlines do not change the
-schedule: they cap each image's exit index (:func:`exit_cap`), so every
-answer is still an exact prefix of the one evaluated pass.
-
 The exit checkpoint is the number of stream cycles the hardware would
 actually have spent, so ``stream_length / mean(exit_checkpoints)`` is the
 mean stream-cycle (and hence energy/latency) reduction -- the quantity
@@ -43,22 +39,9 @@ from repro.errors import ConfigurationError, ShapeError
 __all__ = [
     "ProgressiveResult",
     "resolve_checkpoints",
-    "exit_cap",
     "early_exit_from_scores",
     "progressive_forward",
 ]
-
-
-def exit_cap(checkpoints: tuple[int, ...], cycles: float) -> int:
-    """Index of the last checkpoint at or below ``cycles`` stream cycles.
-
-    The one cap behind overload degradation and deadline budgets: an
-    image's exit index is lowered to it, so a capped answer is still an
-    exact stream prefix, just an earlier one.  When every point exceeds
-    ``cycles`` the cap is the first checkpoint: an early answer is the
-    whole point of capping, so there is always one.
-    """
-    return max(0, int(np.searchsorted(checkpoints, cycles, side="right")) - 1)
 
 
 @dataclass(frozen=True)

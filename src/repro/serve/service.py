@@ -20,11 +20,12 @@ request.
 Requests carry typed per-request options
 (:class:`~repro.config.PredictOptions`): a reduced stream length or an
 explicit checkpoint schedule is read from stream prefixes, ``early_exit``
-overrides the service default per request, and ``deadline_ms`` caps the
-exit checkpoint by the request's remaining latency budget at evaluation
-time (an expired deadline answers from the *first* checkpoint).  Options
-are validated at :meth:`~ScInferenceService.submit` -- malformed images
-or schedules raise in the caller, never as a worker-side future error --
+overrides the service default per request, and ``deadline_ms`` bounds
+how long the request may wait in the queue: one still queued when its
+deadline runs out is shed before any compute, and one taken in time gets
+the same full answer as a request without a deadline.  Options are
+validated at :meth:`~ScInferenceService.submit` -- malformed images or
+schedules raise in the caller, never as a worker-side future error --
 and the result-cache key incorporates the effective options, so requests
 that differ only in schedule never share an entry.
 
@@ -46,25 +47,20 @@ by ``max_replica_restarts``) and re-executes the bucket up to
 :class:`~repro.errors.InferenceError` chaining the original cause.
 Bounded admission (``max_queue_depth``) fast-rejects submits with
 :class:`~repro.errors.ServiceOverloadError` instead of queueing without
-bound, and ``shed_unmeetable_deadlines`` rejects requests whose
-``deadline_ms`` cannot buy even the first checkpoint at the observed
-streaming rate.  Under overload (queue depth past
-``degrade_queue_depth``) the service caps progressive answers at
-the last checkpoint within ``degraded_max_fraction`` of the stream;
-degraded answers are flagged on the response and never enter the result
-cache.  Every shed, degradation, failed batch and replica restart is
-logged under ``repro.serve`` and written by the service itself to its
-own event log (``event_log_path``), so it lands there once whatever the
-logging configuration.  Deterministic fault injection for all of this
-lives in :mod:`repro.serve.faults`.
+bound, and a request whose deadline ran out in the queue resolves with
+the same error (reason ``"deadline"``).  Every shed, failed batch and
+replica restart is logged under ``repro.serve`` and written by the
+service itself to its own event log (``event_log_path``), so it lands
+there once whatever the logging configuration.  Deterministic fault
+injection for all of this lives in :mod:`repro.serve.faults`.
 """
 
 from __future__ import annotations
 
 import logging
-import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
@@ -90,7 +86,7 @@ from repro.obs import (
 from repro.serve.cache import CachedResult, LruResultCache, image_digest
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.progressive import (
-    exit_cap,
+    ProgressiveResult,
     progressive_forward,
     resolve_checkpoints,
 )
@@ -125,10 +121,6 @@ class InferenceResponse:
             scored each image (cached images included), or ``scores[None]``
             after a plain forward pass.  An image's planes past its exit
             checkpoint were computed but not chosen.
-        degraded: True when overload shedding capped this request's exits
-            below the last checkpoint (the scores are exact prefix
-            evaluations, just earlier ones than the request asked for);
-            degraded results never enter the result cache.
         trace: :class:`repro.obs.TraceSummary` of the request's lifecycle
             (queue/service split, per-stage and per-checkpoint timings,
             replica / batch / retry annotations) when the request was
@@ -143,7 +135,6 @@ class InferenceResponse:
     latency_seconds: float
     checkpoints: tuple[int, ...]
     checkpoint_scores: np.ndarray
-    degraded: bool = False
     trace: TraceSummary | None = None
 
 
@@ -264,10 +255,6 @@ class ScInferenceService:
         self._default_resolved = PredictOptions().resolve(
             self.stream_length, self.config.early_exit
         )
-        #: EWMA of observed streaming throughput (stream cycles per
-        #: second per request batch), the deadline policy's clock.  None
-        #: until the first computed batch lands.
-        self._cycles_per_second: float | None = None
         self.cache = LruResultCache(self.config.cache_capacity)
         self.metrics = ServiceMetrics()
         #: Request tracer (sampling per ``trace_sample_rate``); at rate 0
@@ -284,13 +271,16 @@ class ScInferenceService:
             if self.config.event_log_path
             else None
         )
-        self._pending: queue.Queue = queue.Queue()
         self._closed = False
         self._close_lock = threading.Lock()
+        #: FIFO of admitted requests (and, after close(), one shutdown
+        #: sentinel per worker), guarded by ``_close_lock``; a worker
+        #: peeks at its head to keep its group within ``max_batch_size``.
+        self._pending: deque = deque()
+        self._queued = threading.Condition(self._close_lock)
         #: Requests admitted but not yet resolved; bounded by
-        #: ``max_queue_depth`` and read by the degradation controller.
-        #: Guarded by ``_close_lock`` (same lock that serialises admission
-        #: with close()).
+        #: ``max_queue_depth``.  Guarded by ``_close_lock`` (same lock
+        #: that serialises admission with close()).
         self._inflight = 0
         #: Replica restarts consumed per worker slot (the restart budget
         #: ``max_replica_restarts`` is per slot, not service-wide).
@@ -329,11 +319,11 @@ class ScInferenceService:
         Admission is *bounded*: with ``max_queue_depth`` configured, a
         request arriving while that many are already in flight is shed
         with :class:`~repro.errors.ServiceOverloadError` (reason
-        ``"queue_full"``) instead of queueing without bound; with
-        ``shed_unmeetable_deadlines`` on, a request whose ``deadline_ms``
-        cannot buy even the first checkpoint at the observed streaming
-        rate is shed with reason ``"deadline"``.  Requests fully served
-        from the cache bypass admission (they never queue).
+        ``"queue_full"``) instead of queueing without bound.  Requests
+        fully served from the cache bypass admission (they never queue).
+        A request still queued when its ``deadline_ms`` runs out is shed
+        by the worker that takes it: the future fails with the same
+        error, reason ``"deadline"``.
 
         Args:
             images: one ``(channels, height, width)`` image or a small
@@ -376,9 +366,8 @@ class ScInferenceService:
         if request.n_compute == 0:
             self._finish(request, cache_hits=request.n_images, exits=())
             return request.future
-        self._shed_unmeetable_deadline(resolved)
         # Enqueueing is serialised with close(): the closed re-check and
-        # the put happen under the lock close() uses to enqueue the
+        # the append happen under the lock close() uses to enqueue the
         # workers' shutdown sentinels, so a request can never land behind
         # them and leave its future unresolved.  The same lock makes the
         # depth check and the in-flight increment atomic.
@@ -404,52 +393,9 @@ class ScInferenceService:
                 )
             self._inflight += 1
             request.counted = True
-            self._pending.put(request)
+            self._pending.append(request)
+            self._queued.notify()
         return request.future
-
-    def _shed_unmeetable_deadline(
-        self, resolved: ResolvedPredictOptions
-    ) -> None:
-        """Reject a deadline the observed streaming rate cannot meet.
-
-        Off by default (``shed_unmeetable_deadlines``): the compatible
-        behaviour is to answer an expired deadline from the first
-        checkpoint.  When on, a request whose latency budget prices to
-        fewer cycles than its *first* checkpoint is shed at submit --
-        before it occupies an admission slot -- since the cheapest answer
-        the service could give would already blow the deadline.  Until
-        the first batch lands there is no rate estimate and nothing is
-        shed.
-        """
-        if (
-            not self.config.shed_unmeetable_deadlines
-            or resolved.deadline_ms is None
-        ):
-            return
-        rate = self._cycles_per_second
-        if rate is None:
-            return
-        budget_cycles = resolved.deadline_ms / 1e3 * rate
-        first = resolved.checkpoints[0]
-        if budget_cycles < first:
-            self.metrics.record_shed("deadline")
-            self._log_event(
-                logging.INFO,
-                "shed",
-                "shed request: deadline of %g ms below the first "
-                "checkpoint at the observed rate",
-                resolved.deadline_ms,
-                reason="deadline",
-                deadline_ms=resolved.deadline_ms,
-                budget_cycles=budget_cycles,
-                first_checkpoint=first,
-            )
-            raise ServiceOverloadError(
-                f"deadline of {resolved.deadline_ms:g} ms buys "
-                f"~{budget_cycles:.0f} stream cycles at the observed "
-                f"rate, below the first checkpoint ({first} cycles)",
-                reason="deadline",
-            )
 
     def infer(
         self,
@@ -528,13 +474,14 @@ class ScInferenceService:
     def _worker_loop(self, index: int) -> None:
         """One worker thread: take the queue, run it, never die.
 
-        The worker blocks for one request, then takes whatever is already
-        queued behind it, up to ``max_batch_size`` images, and runs that
-        group at once: an idle service never holds a request, and
-        requests that arrived while every replica was busy are batched
-        by the next free one.  A shutdown sentinel (one per worker,
-        queued by :meth:`close` behind every admitted request) ends the
-        loop once the group in hand is answered.
+        The worker waits for one request, then takes the requests queued
+        behind it while its group stays within ``max_batch_size`` images
+        (a lone request larger than that runs alone), and runs that group
+        at once: an idle service never holds a request, and requests that
+        arrived while every replica was busy are batched by the next free
+        one.  A shutdown sentinel (one per worker, queued by :meth:`close`
+        behind every admitted request) ends the loop; one met while
+        taking a group stays at the head for the next take.
 
         Every failure mode below resolves the affected futures with a
         typed error; the blanket handler is the last line of defence
@@ -543,27 +490,28 @@ class ScInferenceService:
         failure to the batch's futures instead of killing the thread.
         """
         max_batch = self.config.max_batch_size
-        shutdown = False
-        while not shutdown:
-            item = self._pending.get()
-            if item is _SHUTDOWN:
-                return
-            group = [item]
-            total = item.n_compute
-            while total < max_batch:
-                try:
-                    nxt = self._pending.get_nowait()
-                except queue.Empty:
-                    break
-                if nxt is _SHUTDOWN:
-                    shutdown = True
-                    break
-                group.append(nxt)
-                total += nxt.n_compute
-            # Requests cancelled while queued are dropped before the batch
-            # is counted or any compute is spent on them (their slot was
-            # already released).
-            group = [r for r in group if not r.future.cancelled()]
+        pending = self._pending
+        while True:
+            with self._queued:
+                self._queued.wait_for(lambda: pending)
+                if pending[0] is _SHUTDOWN:
+                    pending.popleft()
+                    return
+                group = [pending.popleft()]
+                total = group[0].n_compute
+                while (
+                    pending
+                    and pending[0] is not _SHUTDOWN
+                    and total + pending[0].n_compute <= max_batch
+                ):
+                    group.append(pending.popleft())
+                    total += group[-1].n_compute
+            # Requests cancelled while queued are dropped, and those whose
+            # deadline ran out while queued are shed, before the batch is
+            # counted or any compute is spent on them.
+            group = self._shed_expired(
+                [r for r in group if not r.future.cancelled()]
+            )
             if not group:
                 continue
             seq = self.metrics.record_batch(sum(r.n_compute for r in group))
@@ -575,6 +523,46 @@ class ScInferenceService:
                 )
                 error.__cause__ = exc
                 self._fail_bucket(group, error)
+
+    def _shed_expired(
+        self, group: list[_PendingRequest]
+    ) -> list[_PendingRequest]:
+        """Shed the requests whose deadline ran out while they queued.
+
+        Each resolves with :class:`~repro.errors.ServiceOverloadError`
+        (reason ``"deadline"``) and is counted as a shed before it
+        resolves; the requests taken in time are returned, to be
+        answered in full.
+        """
+        now = time.perf_counter()
+        live = []
+        for request in group:
+            if request.deadline_at is None or now < request.deadline_at:
+                live.append(request)
+                continue
+            if not request.future.set_running_or_notify_cancel():
+                continue  # cancelled since; cancel() released its slot
+            self._release(request)
+            self.metrics.record_shed("deadline")
+            deadline_ms = request.resolved.deadline_ms
+            self._log_event(
+                logging.INFO,
+                "shed",
+                "shed request: its deadline of %g ms ran out in the queue",
+                deadline_ms,
+                reason="deadline",
+                deadline_ms=deadline_ms,
+            )
+            if request.trace is not None:
+                self.tracer.finish(request.trace)
+            request.future.set_exception(
+                ServiceOverloadError(
+                    f"deadline of {deadline_ms:g} ms ran out while the "
+                    "request was queued",
+                    reason="deadline",
+                )
+            )
+        return live
 
     def _process_group(
         self, seq: int, group: list[_PendingRequest], index: int
@@ -747,9 +735,8 @@ class ScInferenceService:
             [request.compute_images for request in bucket], axis=0
         )
         # Progressive replicas always score the whole schedule, even with
-        # early exit off: deadline and overload caps fall back on its
-        # earlier checkpoints, and every row of a response (cached rows
-        # included) then covers the same schedule.
+        # early exit off, so every row of a response (cached rows
+        # included) covers the same schedule.
         started = time.perf_counter()
         result = progressive_forward(
             replica,
@@ -760,60 +747,22 @@ class ScInferenceService:
             early_exit=resolved.early_exit,
         )
         now = time.perf_counter()
-        # The work done is always a full-stream simulation (progressive
-        # backends read checkpoints as prefixes of the complete streams),
-        # so the rate is priced in full-N cycles regardless of the
-        # bucket's schedule.
-        self._observe_rate(self.stream_length, now - started)
-        points = result.checkpoints
-        exit_index = np.searchsorted(points, result.exit_checkpoints)
-        # Overload degradation caps the bucket's exits.  The answers are
-        # still exact prefix evaluations -- just earlier ones -- and are
-        # flagged degraded so they never poison the full-precision cache.
-        degrade_cap = self._degrade_cap(points)
-        degraded = degrade_cap is not None and degrade_cap < len(points) - 1
-        if degraded:
-            exit_index = np.minimum(exit_index, degrade_cap)
-            self._log_event(
-                logging.INFO,
-                "degraded",
-                "overload degradation: bucket of %d request(s) capped "
-                "at %d stream cycles",
-                len(bucket),
-                points[degrade_cap],
-                worker=index,
-                batch_seq=seq,
-                requests=len(bucket),
-                cap_cycles=points[degrade_cap],
-            )
         offset = 0
         for request in bucket:
-            k = request.n_compute
-            exits_here = exit_index[offset : offset + k]
-            cap = self._deadline_cap(request, points, now)
-            if cap is not None:
-                exits_here = np.minimum(exits_here, cap)
             if request.trace is not None:
                 self._record_bucket_spans(
                     request,
                     exec_start=exec_start,
                     forward_started=started,
                     ended=now,
-                    points=points,
+                    points=result.checkpoints,
                     batch_images=images.shape[0],
                     forward_name=(
                         "forward_partial" if replica.progressive else "forward"
                     ),
-                    degraded=degraded,
                 )
-            self._fulfill(
-                request,
-                result.checkpoint_scores[:, offset : offset + k],
-                points,
-                exits_here,
-                degraded=degraded,
-            )
-            offset += k
+            self._fulfill(request, result, offset)
+            offset += request.n_compute
 
     def _record_bucket_spans(
         self,
@@ -824,7 +773,6 @@ class ScInferenceService:
         points: tuple[int, ...],
         batch_images: int,
         forward_name: str,
-        degraded: bool = False,
     ) -> None:
         """Record one request's compute-side spans (successful attempt).
 
@@ -855,7 +803,6 @@ class ScInferenceService:
             batch_seq=request.batch_seq,
             batch_images=batch_images,
             retries=request.retries,
-            degraded=degraded,
         )
         trace.add_span(
             forward_name,
@@ -866,106 +813,37 @@ class ScInferenceService:
             batch_images=batch_images,
         )
 
-    def _degrade_cap(self, points: tuple[int, ...]) -> int | None:
-        """Exit-index cap of the overload controller, or None.
-
-        Overload is queue pressure: ``degrade_queue_depth`` requests in
-        flight.  While overloaded, progressive buckets exit no later than
-        the last checkpoint at or below ``degraded_max_fraction * N``.
-        Reads of ``_inflight`` are intentionally lock-free: an off-by-one
-        cap decision is harmless.
-        """
-        cfg = self.config
-        if (
-            cfg.degrade_queue_depth is None
-            or self._inflight < cfg.degrade_queue_depth
-        ):
-            return None
-        return exit_cap(points, cfg.degraded_max_fraction * self.stream_length)
-
-    def _observe_rate(self, full_cycles: int, duration: float) -> None:
-        """Fold one batch evaluation into the streaming-rate estimate.
-
-        The deadline policy's clock: "an evaluation to ``C`` cycles
-        recently took ``T`` seconds" becomes ``C / T`` cycles per second,
-        smoothed exponentially.  Racy float updates between worker
-        threads are benign (any recent observation is a fine estimate).
-        """
-        if duration <= 0:
-            return
-        observed = full_cycles / duration
-        current = self._cycles_per_second
-        self._cycles_per_second = (
-            observed if current is None else 0.5 * current + 0.5 * observed
-        )
-
-    def _deadline_cap(
-        self,
-        request: _PendingRequest,
-        points: tuple[int, ...],
-        now: float,
-    ) -> int | None:
-        """Largest checkpoint index the request's remaining budget affords.
-
-        An expired deadline caps at the *first* checkpoint (the cheapest
-        answer the schedule offers); with no throughput estimate yet the
-        budget cannot be priced and the request runs uncapped.
-        """
-        if request.deadline_at is None:
-            return None
-        remaining = request.deadline_at - now
-        if remaining <= 0:
-            return 0
-        rate = self._cycles_per_second
-        if rate is None:
-            return None
-        return exit_cap(points, remaining * rate)
-
     def _fulfill(
-        self,
-        request: _PendingRequest,
-        checkpoint_scores: np.ndarray,
-        points: tuple[int, ...],
-        exit_index: np.ndarray,
-        degraded: bool = False,
+        self, request: _PendingRequest, result: ProgressiveResult, offset: int
     ) -> None:
+        """Fill and cache the request's computed rows (from row ``offset``
+        of its bucket's ``result`` on), then answer it."""
         cache_started = time.perf_counter()
-        cached_rows = 0
-        scores = checkpoint_scores[exit_index, np.arange(len(exit_index))]
-        exits = np.asarray(points)[exit_index]
-        for j, index in enumerate(request.compute_indices):
+        for j, index in enumerate(request.compute_indices, start=offset):
             row = CachedResult(
-                scores=np.array(scores[j]),
-                prediction=int(np.argmax(scores[j])),
-                exit_checkpoint=int(exits[j]),
-                checkpoint_scores=np.array(checkpoint_scores[:, j]),
+                scores=np.array(result.scores[j]),
+                prediction=int(result.predictions[j]),
+                exit_checkpoint=int(result.exit_checkpoints[j]),
+                checkpoint_scores=np.array(result.checkpoint_scores[:, j]),
             )
             request.rows[index] = row
-            # Deadline-capped results are wall-clock artefacts and
-            # degraded results are overload artefacts: neither may ever
-            # satisfy a later full-precision request.
-            if (
-                self.cache.capacity
-                and request.resolved.cacheable
-                and not degraded
-            ):
+            if self.cache.capacity:
                 self.cache.put(
                     self._cache_key(request.digests[index], request.resolved),
                     row,
                 )
-                cached_rows += 1
-        if request.trace is not None and cached_rows:
+        if request.trace is not None and self.cache.capacity:
             request.trace.add_span(
                 "cache_write",
                 cache_started,
                 time.perf_counter(),
-                entries=cached_rows,
+                entries=request.n_compute,
             )
+        exits = result.exit_checkpoints[offset : offset + request.n_compute]
         self._finish(
             request,
             cache_hits=request.n_images - request.n_compute,
             exits=tuple(int(p) for p in exits),
-            degraded=degraded,
         )
 
     def _finish(
@@ -973,7 +851,6 @@ class ScInferenceService:
         request: _PendingRequest,
         cache_hits: int,
         exits,
-        degraded: bool = False,
     ) -> None:
         # One `end` mark prices latency AND the queue/service split, so
         # `queue + service == latency` holds to float precision (the
@@ -999,7 +876,6 @@ class ScInferenceService:
                 if self._progressive
                 else (self.stream_length,)
             ),
-            degraded=degraded,
             trace=summary,
         )
         future = request.future
@@ -1020,8 +896,6 @@ class ScInferenceService:
             queue_seconds=queue_s,
             service_seconds=service_s,
         )
-        if degraded:
-            self.metrics.record_degraded()
         future.set_result(response)
 
     def _summarise_trace(
@@ -1065,9 +939,6 @@ class ScInferenceService:
                 else None
             ),
             retries=request.retries,
-            degraded=bool(
-                compute is not None and compute.annotations.get("degraded")
-            ),
             cached_images=request.n_images - request.n_compute,
         )
         self.tracer.finish(trace)
@@ -1121,8 +992,8 @@ class ScInferenceService:
             # Inside the lock: every request enqueued by submit() is now
             # guaranteed to precede the sentinels in the FIFO queue, so
             # the workers answer all of them before they stop.
-            for _ in self._workers:
-                self._pending.put(_SHUTDOWN)
+            self._pending.extend([_SHUTDOWN] * len(self._workers))
+            self._queued.notify_all()
         for worker in self._workers:
             worker.join()
         if self.events is not None:

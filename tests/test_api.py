@@ -271,7 +271,6 @@ class TestPredictOptions:
         assert resolved.checkpoints == (128, 256, 512, 1024)
         assert resolved.early_exit is False
         assert resolved.explicit_schedule is False
-        assert resolved.cacheable is True
 
     def test_stream_length_truncates_schedule(self):
         resolved = PredictOptions(stream_length=256).resolve(1024)
@@ -304,9 +303,8 @@ class TestPredictOptions:
         }
         assert len(tokens) == 4
 
-    def test_deadline_is_not_cacheable_and_not_in_token(self):
+    def test_deadline_is_not_in_the_cache_token(self):
         hurried = PredictOptions(deadline_ms=5.0).resolve(1024)
-        assert hurried.cacheable is False
         assert hurried.cache_token == PredictOptions().resolve(1024).cache_token
 
 
@@ -625,6 +623,57 @@ class TestCli:
         assert built[-1].cache_capacity == 0
         with pytest.raises(ConfigurationError):
             main(["serve", *model, "--max-batch-size", "0"])
+
+    def test_serve_has_no_degradation_flags(self, artifact, capsys):
+        # The controls that cut an answer short after its pass are gone:
+        # each of their old flags is an argparse usage error.
+        from repro.cli import main
+
+        for flag in (
+            "--degrade-queue-depth",
+            "--degraded-max-fraction",
+            "--shed-unmeetable-deadlines",
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["serve", "--model", str(artifact), flag, "1"])
+            assert excinfo.value.code == 2
+            assert flag in capsys.readouterr().err
+
+    def test_serve_burst_past_its_deadline_is_shed_unanswered(
+        self, tmp_path, capsys
+    ):
+        # A 1 us budget runs out before a worker takes any request: the
+        # burst is shed whole and computes nothing, yet the command exits
+        # 0 with a summary that has no latency to report.
+        artifact = ScModel(
+            tiny_cnn(),
+            stream_length=128,
+            seed=7,
+            metadata={"dataset": {"n_train": 20, "n_test": 10, "seed": 1}},
+        ).save(tmp_path / "model")
+        metrics = tmp_path / "deadline.prom"
+        self._run(
+            "serve",
+            "--model",
+            str(artifact),
+            "--requests",
+            "4",
+            "--deadline-ms",
+            "0.001",
+            "--metrics-file",
+            str(metrics),
+        )
+        out = capsys.readouterr().out
+        assert "no request answered (0/4)" in out
+        assert "4 (deadline: 4)" in out
+        assert "latency p50" not in out
+        samples = dict(
+            line.rsplit(" ", 1)
+            for line in metrics.read_text().splitlines()
+            if line and not line.startswith("#")
+        )
+        assert float(samples['repro_shed_requests_total{reason="deadline"}']) == 4
+        assert float(samples["repro_batches_total"]) == 0
 
     def test_backends_lists_registry(self, capsys):
         self._run("backends")

@@ -12,13 +12,12 @@ deterministic fault injectors of :mod:`repro.serve.faults`:
   the retried answer is bit-identical to a fault-free run;
 * **bounded admission** -- ``max_queue_depth`` sheds with
   :class:`~repro.errors.ServiceOverloadError` instead of queueing
-  without bound, and unmeetable deadlines are shed at submit;
-* **progressive degradation** -- overload answers from a truncated
-  checkpoint schedule, flagged on the response and never cached;
-* **chaos** -- a 500-request run under injected crash + straggler: every
-  submitted future resolves (result or typed error),
-  non-degraded scores are bit-identical to a fault-free evaluation, and
-  the metrics account for every injected event.
+  without bound, and a request whose deadline runs out while it is
+  queued is shed with the same error before any compute;
+* **chaos** -- a 500-request run under injected crash + straggler, some
+  requests with tight deadlines: every submitted future resolves
+  (result or typed error), every answer is bit-identical to a fault-free
+  evaluation, and the metrics account for every injected event.
 """
 
 import time
@@ -58,14 +57,8 @@ def images():
 
 @pytest.fixture(scope="module")
 def reference(mapper, images):
-    """Fault-free bit-exact scores: full stream and every checkpoint."""
-    backend = create_backend("bit-exact-packed", mapper)
-    checkpoints = (16, 32, 64, 128)
-    return {
-        "full": backend.forward(images),
-        "checkpoints": checkpoints,
-        "partial": backend.forward_partial(images, checkpoints),
-    }
+    """Fault-free bit-exact full-stream scores."""
+    return create_backend("bit-exact-packed", mapper).forward(images)
 
 
 def _config(**overrides) -> ServiceConfig:
@@ -160,7 +153,7 @@ class TestWorkerIsolation:
             # The worker thread survived and serves the next request
             # bit-identically to a fault-free evaluation.
             response = service.infer(images, timeout=30)
-            np.testing.assert_array_equal(response.scores, reference["full"])
+            np.testing.assert_array_equal(response.scores, reference)
             snapshot = service.metrics.snapshot()
         assert snapshot["faults"]["failed_requests"] == 1
         assert snapshot["faults"]["restarts"] == 0  # poison never restarts
@@ -184,7 +177,7 @@ class TestReplicaSupervision:
         config = _config(fault_plan=plan, restart_backoff_ms=1.0)
         with ScInferenceService(mapper, config) as service:
             response = service.infer(images, timeout=30)
-            np.testing.assert_array_equal(response.scores, reference["full"])
+            np.testing.assert_array_equal(response.scores, reference)
             snapshot = service.metrics.snapshot()
         assert snapshot["faults"]["restarts"] == 1
         assert snapshot["faults"]["retries"] == 1
@@ -240,68 +233,59 @@ class TestBoundedAdmission:
                 response = service.infer(images[:1], timeout=30)
                 assert response.cached.all()
 
-    def test_unmeetable_deadline_shed_at_submit(self, mapper, images):
-        config = _config(shed_unmeetable_deadlines=True)
-        with ScInferenceService(mapper, config) as service:
-            # Prime the streaming-rate estimate; nothing shed before it.
-            service.infer(images, timeout=30)
-            with pytest.raises(ServiceOverloadError) as excinfo:
-                service.submit(images[:1], PredictOptions(deadline_ms=1e-6))
-            snapshot = service.metrics.snapshot()
-        assert excinfo.value.reason == "deadline"
-        assert snapshot["faults"]["shed"]["deadline"] == 1
-
-    def test_deadline_shedding_off_by_default(self, mapper, images):
-        # Back-compat: without the opt-in, an expired deadline answers
-        # from the first checkpoint instead of being rejected.
-        with ScInferenceService(mapper, _config()) as service:
-            service.infer(images, timeout=30)
-            response = service.infer(
-                images[:1], PredictOptions(deadline_ms=1e-6), timeout=30
-            )
-        assert response.exit_checkpoints[0] < mapper.stream_length
-
-
-class TestProgressiveDegradation:
-    def test_exit_cap(self):
-        from repro.serve.progressive import exit_cap
-
-        assert exit_cap((16, 32, 64, 128), 64) == 2
-        assert exit_cap((16, 32, 64, 128), 128) == 3
-        # Every point above the cap: the first checkpoint stays the cap
-        # (an early answer is the point of degrading).
-        assert exit_cap((16, 32, 64, 128), 8) == 0
-
-    def test_overload_truncates_schedule_and_skips_cache(
-        self, mapper, images, reference
-    ):
-        # degrade_queue_depth=1: degraded whenever anything is in flight.
+    def test_deadline_run_out_in_the_queue_is_shed(self, mapper, images):
+        # A 50 ms budget queued behind a 0.5 s hold runs out before the
+        # worker can take the request: shed unanswered, never computed.
+        plan = FaultPlan(SlowReplica(at_batch=0, delay_s=0.5))
         config = _config(
-            cache_capacity=64,
-            degrade_queue_depth=1,
-            degraded_max_fraction=0.5,
+            fault_plan=plan, max_queue_depth=2, trace_sample_rate=1.0
         )
         with ScInferenceService(mapper, config) as service:
-            response = service.infer(images, timeout=30)
-            assert response.degraded
-            assert (response.exit_checkpoints <= 64).all()
-            # Degraded answers are exact prefix evaluations...
-            point = int(response.exit_checkpoints[0])
-            plane = reference["partial"][
-                reference["checkpoints"].index(point)
-            ]
-            np.testing.assert_array_equal(response.scores, plane)
-            # ...but must never enter the full-precision cache.
-            assert service.cache.stats()["size"] == 0
+            holder = service.submit(images[:1])
+            wait_until_held(plan)
+            hurried = service.submit(
+                images[1:3], PredictOptions(deadline_ms=50.0)
+            )
+            with pytest.raises(ServiceOverloadError) as excinfo:
+                hurried.result(timeout=30)
+            holder.result(timeout=30)
             snapshot = service.metrics.snapshot()
-        assert snapshot["faults"]["degraded_requests"] == 1
+            # The shed request's sampled trace was finished, too.
+            assert service.tracer.stats()["finished"] == 2
+            # The shed request gave its admission slot back: two fit.
+            for future in [service.submit(images[i : i + 1]) for i in (3, 4)]:
+                future.result(timeout=30)
+        assert excinfo.value.reason == "deadline"
+        assert snapshot["batches"] == 1  # the holder's alone
+        assert snapshot["requests"] == 1
+        assert snapshot["faults"]["shed"]["deadline"] == 1
+        assert snapshot["faults"]["failed_requests"] == 0
 
-    def test_no_degradation_when_not_overloaded(self, mapper, images):
-        config = _config(degrade_queue_depth=50, cache_capacity=64)
-        with ScInferenceService(mapper, config) as service:
-            response = service.infer(images, timeout=30)
-            assert not response.degraded
-            assert service.cache.stats()["size"] == images.shape[0]
+    def test_shed_request_leaves_its_batch_to_the_rest(
+        self, mapper, images, reference
+    ):
+        # An expired request and a plain one queue behind the hold and
+        # reach the worker together: the first is shed, the second is
+        # answered in full, and the batch holds the second's images only.
+        plan = FaultPlan(SlowReplica(at_batch=0, delay_s=0.3))
+        with ScInferenceService(mapper, _config(fault_plan=plan)) as service:
+            holder = service.submit(images[:1])
+            wait_until_held(plan)
+            hurried = service.submit(
+                images[1:3], PredictOptions(deadline_ms=1.0)
+            )
+            plain = service.submit(images[3:5])
+            with pytest.raises(ServiceOverloadError) as excinfo:
+                hurried.result(timeout=30)
+            response = plain.result(timeout=30)
+            holder.result(timeout=30)
+        snapshot = service.metrics.snapshot()
+        assert excinfo.value.reason == "deadline"
+        np.testing.assert_array_equal(response.scores, reference[3:5])
+        assert snapshot["batches"] == 2
+        assert snapshot["max_batch_size"] == 2
+        assert snapshot["requests"] == 2
+        assert snapshot["faults"]["shed"] == {"deadline": 1, "total": 1}
 
 
 class TestCancelOnTimeout:
@@ -339,6 +323,24 @@ class TestCancelOnTimeout:
         assert snapshot["batches"] == 1
         assert snapshot["mean_batch_size"] == 1.0
 
+    def test_cancelled_request_is_not_also_shed(self, mapper, images):
+        # Cancelled while queued, a request whose deadline then runs out
+        # is dropped as cancelled: it is counted once, never as a shed.
+        plan = FaultPlan(SlowReplica(at_batch=0, delay_s=0.3))
+        with ScInferenceService(mapper, _config(fault_plan=plan)) as service:
+            holder = service.submit(images[:1])
+            wait_until_held(plan)
+            hurried = service.submit(
+                images[1:2], PredictOptions(deadline_ms=1.0)
+            )
+            assert service.cancel(hurried)
+            holder.result(timeout=30)
+        snapshot = service.metrics.snapshot()
+        assert hurried.cancelled()
+        assert snapshot["faults"]["cancelled_requests"] == 1
+        assert snapshot["faults"]["shed"] == {"total": 0}
+        assert snapshot["batches"] == snapshot["requests"] == 1
+
     def test_cancel_on_resolved_future_returns_false(self, mapper, images):
         with ScInferenceService(mapper, _config()) as service:
             future = service.submit(images[:1])
@@ -366,51 +368,49 @@ class TestChaos:
             early_exit=False,
             fault_plan=plan,
             max_queue_depth=64,
-            degrade_queue_depth=32,
-            degraded_max_fraction=0.5,
             restart_backoff_ms=1.0,
         )
-        answered, failed, shed = [], 0, 0
+        # Every fourth request carries a tight deadline: shed when it
+        # runs out in the queue, answered in full when taken in time.
+        hurried = PredictOptions(deadline_ms=2.0)
+        answered, failed, shed, late = [], 0, 0, 0
         with ScInferenceService(mapper, config) as service:
             futures = []
             for i in range(n_requests):
+                options = hurried if i % 4 == 3 else None
                 try:
-                    futures.append((i, service.submit(images[i % 6])))
+                    futures.append((i, service.submit(images[i % 6], options)))
                 except ServiceOverloadError:
                     shed += 1
                 if i % 16 == 15:
                     # Pace the burst just enough that the queue drains
-                    # between spikes: both admission (sheds) and the
-                    # degradation controller get exercised.
+                    # between spikes: admission sheds some requests, and
+                    # deadlines run out behind the straggler.
                     time.sleep(0.001)
             for i, future in futures:
                 try:
                     answered.append((i, future.result(timeout=120)))
                 except InferenceError:
                     failed += 1
-            snapshot = service.metrics.snapshot()
+                except ServiceOverloadError as exc:
+                    assert exc.reason == "deadline" and i % 4 == 3
+                    late += 1
+        snapshot = service.metrics.snapshot()
         # Every submitted future resolved: a result or a typed error.
-        assert len(answered) + failed + shed == n_requests
+        assert len(answered) + failed + late + shed == n_requests
         assert len(answered) > 0
-        # Non-degraded answers are bit-identical to the fault-free run;
-        # degraded answers are exact prefixes at their (earlier) exit.
-        checkpoints = reference["checkpoints"]
+        # Every answer, deadline or not, is bit-identical to the
+        # fault-free run: nothing is cut short.
         for i, response in answered:
-            expected = reference["full"][i % 6]
-            if response.degraded:
-                point = int(response.exit_checkpoints[0])
-                expected = reference["partial"][
-                    checkpoints.index(point), i % 6
-                ]
-            np.testing.assert_array_equal(response.scores[0], expected)
+            np.testing.assert_array_equal(
+                response.scores[0], reference[i % 6]
+            )
         # The metrics account for everything the plan injected.
         counters = snapshot["faults"]
         assert plan.fired.get("replica_crash") == 1
         assert counters["restarts"] >= 1
         assert counters["retries"] >= 1
         assert shed > 0 and counters["shed"]["queue_full"] == shed
-        assert counters["degraded_requests"] > 0
-        assert counters["degraded_requests"] == sum(
-            1 for _, r in answered if r.degraded
-        )
+        assert late > 0 and counters["shed"]["deadline"] == late
+        assert counters["failed_requests"] == failed
         assert snapshot["requests"] == len(answered)

@@ -28,10 +28,10 @@ import threading
 
 import numpy as np
 import pytest
-from nets import tiny_cnn
+from nets import tiny_cnn, wait_until_held
 
 from repro.backends import BitExactPackedBackend, create_backend
-from repro.config import ServiceConfig
+from repro.config import PredictOptions, ServiceConfig
 from repro.errors import ConfigurationError, ServiceOverloadError
 from repro.nn.sc_layers import ScNetworkMapper
 from repro.obs import (
@@ -89,7 +89,6 @@ SERVICE_FAMILIES = {
     "repro_queue_time_ms": ("histogram", ("le",)),
     "repro_service_time_ms": ("histogram", ("le",)),
     "repro_shed_requests_total": ("counter", ("reason",)),
-    "repro_degraded_requests_total": ("counter", ()),
     "repro_batch_retries_total": ("counter", ()),
     "repro_replica_restarts_total": ("counter", ()),
     "repro_failed_requests_total": ("counter", ()),
@@ -271,7 +270,7 @@ class TestServiceTracing:
             assert trace.worker in (0, 1)
             assert trace.batch_seq is not None
             assert trace.batch_images >= 1
-            assert trace.retries == 0 and not trace.degraded
+            assert trace.retries == 0
             for stage in ("submit", "queue", "compute"):
                 assert stage in trace.stages, trace.stages
 
@@ -639,6 +638,43 @@ class TestExport:
         assert sheds[0]["reason"] == "queue_full"
         assert sheds[0]["level"] == "INFO"
         assert sheds[0]["logger"] == "repro.serve"
+
+    def test_deadline_shed_is_logged_and_exported(
+        self, mapper, images, tmp_path
+    ):
+        # A request whose deadline ran out in the queue leaves one `shed`
+        # event, and the exposition counts it by reason with no batch of
+        # its own; its sampled trace is finished all the same.
+        path = tmp_path / "events.jsonl"
+        plan = FaultPlan(SlowReplica(at_batch=0, delay_s=0.3))
+        config = _service_config(
+            num_workers=1, fault_plan=plan, event_log_path=str(path)
+        )
+        with ScInferenceService(mapper, config) as service:
+            holder = service.submit(images[:1])
+            wait_until_held(plan)
+            hurried = service.submit(
+                images[1:2], PredictOptions(deadline_ms=1.0)
+            )
+            with pytest.raises(ServiceOverloadError):
+                hurried.result(timeout=60)
+            holder.result(timeout=60)
+            snapshot = service.snapshot()
+        sheds = [e for e in self._events(path) if e["kind"] == "shed"]
+        assert len(sheds) == 1
+        assert sheds[0]["reason"] == "deadline"
+        assert sheds[0]["deadline_ms"] == 1.0
+        assert snapshot["tracing"]["finished"] == 2
+        samples = {
+            series: float(value)
+            for series, value in (
+                line.rsplit(" ", 1)
+                for line in prometheus_text(snapshot).splitlines()
+                if line and not line.startswith("#")
+            )
+        }
+        assert samples['repro_shed_requests_total{reason="deadline"}'] == 1
+        assert samples["repro_batches_total"] == 1
 
     def test_service_event_log_holds_only_its_own_events(
         self, mapper, images, tmp_path, caplog

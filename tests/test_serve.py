@@ -36,7 +36,12 @@ from repro.backends import (
 )
 from repro.backends.registry import backend_class
 from repro.config import PredictOptions, ServiceConfig
-from repro.errors import ConfigurationError, EncodingError, ShapeError
+from repro.errors import (
+    ConfigurationError,
+    EncodingError,
+    ServiceOverloadError,
+    ShapeError,
+)
 from repro.nn.sc_layers import ScNetworkMapper
 from repro.sc.packed import pack_bits, prefix_ones_counts
 from repro.serve import (
@@ -569,24 +574,55 @@ class TestWorkConservingScheduling:
     def test_queued_requests_split_at_max_batch_size(self, mapper, images):
         """Five requests queued behind a held replica at a cap of 2 run in
         ceil(5 / 2) = 3 further batches (in one when the cap allows, as
-        ``TestService::test_scheduler_coalesces_waiting_requests`` pins)."""
+        ``TestService::test_scheduler_coalesces_waiting_requests`` pins),
+        and two 3-image requests at a cap of 4 run apart: a worker takes
+        the next request only while its batch stays within the cap."""
+
+        def batches(cap, requests):
+            plan = FaultPlan(SlowReplica(at_batch=0, delay_s=0.3))
+            config = ServiceConfig(
+                backend="sc-fast",
+                num_workers=1,
+                max_batch_size=cap,
+                cache_capacity=0,
+                fault_plan=plan,
+            )
+            with ScInferenceService(mapper, config) as service:
+                holder = service.submit(images[5])
+                wait_until_held(plan)
+                futures = [service.submit(request) for request in requests]
+                for future in [holder, *futures]:
+                    future.result(timeout=120)
+                snapshot = service.metrics.snapshot()
+            return snapshot["batches"], snapshot["max_batch_size"]
+
+        assert batches(2, list(images[:5])) == (1 + math.ceil(5 / 2), 2)
+        assert batches(4, [images[:3], images[3:]]) == (3, 3)
+
+    def test_request_over_the_cap_runs_alone(self, mapper, images):
+        """A 4-image request queued behind a held replica at a cap of 2
+        runs as its own batch; the two single images behind it share the
+        next one instead of riding along with it."""
         plan = FaultPlan(SlowReplica(at_batch=0, delay_s=0.3))
         config = ServiceConfig(
             backend="sc-fast",
             num_workers=1,
             max_batch_size=2,
             cache_capacity=0,
+            trace_sample_rate=1.0,
             fault_plan=plan,
         )
         with ScInferenceService(mapper, config) as service:
             holder = service.submit(images[5])
             wait_until_held(plan)
-            futures = [service.submit(image) for image in images[:5]]
-            for future in [holder, *futures]:
-                future.result(timeout=120)
+            large = service.submit(images[:4])
+            singles = [service.submit(images[4]), service.submit(images[5])]
+            responses = [f.result(timeout=120) for f in [holder, large, *singles]]
             snapshot = service.metrics.snapshot()
-        assert snapshot["batches"] == 1 + math.ceil(5 / 2)
-        assert snapshot["max_batch_size"] == 2
+        assert snapshot["batches"] == 3
+        assert snapshot["max_batch_size"] == 4
+        batch_images = [r.trace.batch_images for r in responses]
+        assert batch_images == [1, 4, 2, 2]
 
     @pytest.mark.parametrize("num_workers", [1, 3])
     def test_close_answers_requests_queued_behind_held_replicas(
@@ -714,33 +750,42 @@ class TestPerRequestOptions:
                 images[:1], PredictOptions(stream_length=64), timeout=300
             ).cached[0]
 
-    def test_expired_deadline_lowers_exit_checkpoints(self, mapper, images):
-        """A tight per-request deadline measurably lowers exit checkpoints."""
+    def test_expired_deadline_is_shed_unanswered(self, mapper, images):
+        """A deadline that runs out before a worker takes the request
+        sheds it: a typed error, no batch, no answer cut short."""
         with self._service(mapper, cache_capacity=0) as service:
             unhurried = service.infer(images[:2], timeout=300)
-            hurried = service.infer(
-                images[2:4], PredictOptions(deadline_ms=1e-6), timeout=300
-            )
-        first_checkpoint = service.checkpoints[0]
+            with pytest.raises(ServiceOverloadError) as excinfo:
+                service.infer(
+                    images[2:4], PredictOptions(deadline_ms=1e-6), timeout=300
+                )
+        snapshot = service.metrics.snapshot()
+        assert excinfo.value.reason == "deadline"
         assert np.all(unhurried.exit_checkpoints == mapper.stream_length)
-        assert np.all(hurried.exit_checkpoints == first_checkpoint)
-        assert hurried.exit_checkpoints.max() < unhurried.exit_checkpoints.min()
-        # The truncated scores are the exact stream prefix at the exit.
-        reference = create_backend("bit-exact-packed", mapper)
-        prefix = reference.forward_partial(images[2:4], (first_checkpoint,))
-        assert np.array_equal(hurried.scores, prefix[-1])
+        assert snapshot["batches"] == snapshot["requests"] == 1
+        assert snapshot["faults"]["shed"] == {"deadline": 1, "total": 1}
 
-    def test_deadline_results_never_enter_the_cache(self, mapper, images):
-        with self._service(mapper) as service:
-            hurried = service.infer(
-                images[4:5], PredictOptions(deadline_ms=1e-6), timeout=300
+    def test_deadline_taken_in_time_answers_in_full_and_is_cached(
+        self, mapper, images
+    ):
+        """A request a worker takes before its deadline gets the answer an
+        option-less request gets, exits included, and caches it."""
+        with self._service(
+            mapper, cache_capacity=0, early_exit=True
+        ) as service:
+            plain = service.infer(images, timeout=300)
+        with self._service(mapper, early_exit=True) as service:
+            timely = service.infer(
+                images, PredictOptions(deadline_ms=60_000), timeout=300
             )
-            assert hurried.exit_checkpoints[0] == service.checkpoints[0]
-            # A later default request must recompute at full length, not
-            # inherit the wall-clock-truncated scores.
-            follow_up = service.infer(images[4:5], timeout=300)
-            assert not follow_up.cached[0]
-            assert follow_up.exit_checkpoints[0] == mapper.stream_length
+            repeat = service.infer(images, timeout=300)
+        assert not timely.cached.any()
+        for field in ("scores", "exit_checkpoints", "checkpoint_scores"):
+            assert np.array_equal(
+                getattr(timely, field), getattr(plain, field)
+            ), field
+        assert repeat.cached.all()
+        assert np.array_equal(repeat.scores, plain.scores)
 
     def test_deadline_requests_may_read_cached_full_results(
         self, mapper, images
@@ -759,21 +804,16 @@ class TestPerRequestOptions:
         self, mapper, images
     ):
         """Cached and computed rows cover the same schedule, so one
-        response stacks their planes -- a deadline-capped row included."""
+        response stacks their planes."""
         reference = create_backend("bit-exact-packed", mapper)
         with self._service(mapper) as service:
             service.infer(images[:1], timeout=300)
-            mixed = service.infer(
-                images[:2], PredictOptions(deadline_ms=1e-6), timeout=300
-            )
+            mixed = service.infer(images[:2], timeout=300)
         planes = reference.forward_partial(images[:2], service.checkpoints)
         assert mixed.cached.tolist() == [True, False]
         assert mixed.checkpoints == service.checkpoints
         assert np.array_equal(mixed.checkpoint_scores, planes)
-        assert mixed.exit_checkpoints.tolist() == [
-            mapper.stream_length,
-            service.checkpoints[0],
-        ]
+        assert mixed.exit_checkpoints.tolist() == [mapper.stream_length] * 2
 
     def test_mixed_option_batches_stay_bit_identical(self, mapper, images):
         """One merged batch, three different schedules: every request is
@@ -842,12 +882,22 @@ class TestServiceConfig:
             {"stable_checkpoints": 0},
             {"max_queue_depth": 0},
             {"max_replica_restarts": -1},
-            {"degraded_max_fraction": 0.0},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
             ServiceConfig(**kwargs)
+
+    def test_no_field_acts_after_the_pass(self):
+        # Overload degradation and deadline pricing at submit are gone: a
+        # caller still naming their fields fails loudly, not silently.
+        for field, value in (
+            ("degrade_queue_depth", 1),
+            ("degraded_max_fraction", 0.5),
+            ("shed_unmeetable_deadlines", True),
+        ):
+            with pytest.raises(TypeError, match=field):
+                ServiceConfig(**{field: value})
 
 
 class TestBenchServe:
